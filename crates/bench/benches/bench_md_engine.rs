@@ -1,9 +1,8 @@
 //! MD substrate kernels, machine-readable: times the tiered pair kernel
-//! against the legacy per-pair-checked baseline and the clone-amortized
-//! ensemble against fully independent equilibrations, then writes
-//! `BENCH_md_engine.json` (force evals/sec, pairs/sec, integration
-//! steps/sec, ensemble wall-clock) so CI and EXPERIMENTS.md can track
-//! kernel performance.
+//! and the clone-amortized ensemble against fully independent
+//! equilibrations, then writes `BENCH_md_engine.json` (force evals/sec,
+//! pairs/sec, integration steps/sec, ensemble wall-clock) so CI and
+//! EXPERIMENTS.md can track kernel performance.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_md_engine
@@ -19,12 +18,9 @@ use std::time::Instant;
 /// Per-size kernel measurements.
 struct KernelRow {
     n_beads: usize,
-    evals_per_sec_tiered: f64,
-    evals_per_sec_legacy: f64,
-    pairs_per_sec_tiered: f64,
-    pairs_per_sec_legacy: f64,
-    steps_per_sec_tiered: f64,
-    steps_per_sec_legacy: f64,
+    evals_per_sec: f64,
+    pairs_per_sec: f64,
+    steps_per_sec: f64,
 }
 
 /// The fixed bench system: an n-bead charged chain (alternating −1/0
@@ -50,18 +46,16 @@ fn chain_parts(n: usize) -> (System, Topology) {
     (sys, topo)
 }
 
-fn chain_nonbonded(reference_kernel: bool) -> NonBonded {
-    NonBonded::new(LjParams::wca(6.0, 0.5), 13.0, 1.0)
-        .with_debye_huckel(3.04, 78.0)
-        .with_reference_kernel(reference_kernel)
+fn chain_nonbonded() -> NonBonded {
+    NonBonded::new(LjParams::wca(6.0, 0.5), 13.0, 1.0).with_debye_huckel(3.04, 78.0)
 }
 
 /// Full simulation over the bench chain, every bead restrained to its
 /// lattice site so ensembles stay bounded.
-fn chain_simulation(n: usize, seed: u64, reference_kernel: bool) -> Simulation {
+fn chain_simulation(n: usize, seed: u64) -> Simulation {
     let (sys, topo) = chain_parts(n);
     let positions: Vec<Vec3> = sys.positions().to_vec();
-    let mut ff = ForceField::new(topo).with_nonbonded(chain_nonbonded(reference_kernel));
+    let mut ff = ForceField::new(topo).with_nonbonded(chain_nonbonded());
     for (i, p) in positions.iter().enumerate() {
         ff = ff.with_restraint(Restraint::harmonic(i, *p, 0.5));
     }
@@ -75,9 +69,9 @@ fn chain_simulation(n: usize, seed: u64, reference_kernel: bool) -> Simulation {
 
 /// Force-evaluation throughput (the kernel the tiered list rebuilt):
 /// (evals/sec, pairs/sec).
-fn time_force_evals(n: usize, reference_kernel: bool, iters: u64) -> (f64, f64) {
+fn time_force_evals(n: usize, iters: u64) -> (f64, f64) {
     let (mut sys, topo) = chain_parts(n);
-    let mut ff = ForceField::new(topo).with_nonbonded(chain_nonbonded(reference_kernel));
+    let mut ff = ForceField::new(topo).with_nonbonded(chain_nonbonded());
     for _ in 0..100 {
         ff.evaluate(&mut sys);
     }
@@ -92,8 +86,8 @@ fn time_force_evals(n: usize, reference_kernel: bool, iters: u64) -> (f64, f64) 
 }
 
 /// Full Langevin integration throughput: steps/sec.
-fn time_steps(n: usize, reference_kernel: bool, steps: u64) -> f64 {
-    let mut sim = chain_simulation(n, 1, reference_kernel);
+fn time_steps(n: usize, steps: u64) -> f64 {
+    let mut sim = chain_simulation(n, 1);
     sim.run(50, &mut []).expect("warm-up");
     let t0 = Instant::now();
     sim.run(steps, &mut []).expect("timed run");
@@ -105,7 +99,7 @@ fn mean_var(xs: &[f64]) -> (f64, f64) {
 }
 
 fn main() {
-    // ---- Kernel throughput: tiered vs legacy per-pair-checked -------
+    // ---- Kernel throughput: the tiered pair kernel ------------------
     let mut rows = Vec::new();
     for &n in &[12usize, 256] {
         let (eval_iters, step_iters) = if n <= 64 {
@@ -113,28 +107,19 @@ fn main() {
         } else {
             (30_000, 5_000)
         };
-        let (eps_new, pps_new) = time_force_evals(n, false, eval_iters);
-        let (eps_old, pps_old) = time_force_evals(n, true, eval_iters);
-        let sps_new = time_steps(n, false, step_iters);
-        let sps_old = time_steps(n, true, step_iters);
+        let (evals_per_sec, pairs_per_sec) = time_force_evals(n, eval_iters);
+        let steps_per_sec = time_steps(n, step_iters);
         eprintln!(
-            "n={n}: force evals/sec {eps_new:.3e} vs {eps_old:.3e} ({:.2}x), \
-             pairs/sec {pps_new:.3e} vs {pps_old:.3e}, \
-             full steps/sec {sps_new:.0} vs {sps_old:.0} ({:.2}x)",
-            eps_new / eps_old,
-            sps_new / sps_old
+            "n={n}: force evals/sec {evals_per_sec:.3e}, pairs/sec {pairs_per_sec:.3e}, \
+             full steps/sec {steps_per_sec:.0}"
         );
         rows.push(KernelRow {
             n_beads: n,
-            evals_per_sec_tiered: eps_new,
-            evals_per_sec_legacy: eps_old,
-            pairs_per_sec_tiered: pps_new,
-            pairs_per_sec_legacy: pps_old,
-            steps_per_sec_tiered: sps_new,
-            steps_per_sec_legacy: sps_old,
+            evals_per_sec,
+            pairs_per_sec,
+            steps_per_sec,
         });
     }
-    let speedup_12 = rows[0].evals_per_sec_tiered / rows[0].evals_per_sec_legacy;
 
     // ---- Ensemble wall-clock: cloned vs independent -----------------
     // One fixed (κ, v) sweep cell over the 12-bead system, 24
@@ -151,7 +136,7 @@ fn main() {
         sample_stride: 10,
     };
     let decorrelation_steps = 100;
-    let factory = |seed: u64| chain_simulation(12, seed, false);
+    let factory = |seed: u64| chain_simulation(12, seed);
 
     let t0 = Instant::now();
     let indep: Vec<f64> = run_ensemble(factory, &protocol, n_real, SeedSequence::new(31))
@@ -190,27 +175,14 @@ fn main() {
         format!(
             "    {{\"n_beads\": {}, \
              \"force_evals_per_sec_tiered\": {:.1}, \
-             \"force_evals_per_sec_legacy\": {:.1}, \
-             \"force_eval_speedup\": {:.3}, \
              \"pairs_per_sec_tiered\": {:.1}, \
-             \"pairs_per_sec_legacy\": {:.1}, \
-             \"sim_steps_per_sec_tiered\": {:.1}, \
-             \"sim_steps_per_sec_legacy\": {:.1}, \
-             \"sim_steps_speedup\": {:.3}}}",
-            r.n_beads,
-            r.evals_per_sec_tiered,
-            r.evals_per_sec_legacy,
-            r.evals_per_sec_tiered / r.evals_per_sec_legacy,
-            r.pairs_per_sec_tiered,
-            r.pairs_per_sec_legacy,
-            r.steps_per_sec_tiered,
-            r.steps_per_sec_legacy,
-            r.steps_per_sec_tiered / r.steps_per_sec_legacy,
+             \"sim_steps_per_sec_tiered\": {:.1}}}",
+            r.n_beads, r.evals_per_sec, r.pairs_per_sec, r.steps_per_sec,
         )
     };
     let json = format!(
         "{{\n  \"bench\": \"md_engine\",\n  \"kernel\": [\n{}\n  ],\n  \
-         \"force_eval_speedup_12_bead\": {:.3},\n  \"ensemble\": {{\n    \
+         \"ensemble\": {{\n    \
          \"realizations\": {},\n    \"equilibration_steps\": {},\n    \
          \"decorrelation_steps\": {},\n    \"pull_steps\": {},\n    \
          \"wall_clock_independent_s\": {:.4},\n    \
@@ -219,7 +191,6 @@ fn main() {
          \"work_var_independent\": {:.6},\n    \"work_var_cloned\": {:.6},\n    \
          \"work_stats_within_tolerance\": {}\n  }}\n}}\n",
         rows.iter().map(row_json).collect::<Vec<_>>().join(",\n"),
-        speedup_12,
         n_real,
         protocol.equilibration_steps,
         decorrelation_steps,

@@ -34,7 +34,7 @@ use std::time::Instant;
 const GATE_OVERHEAD_PCT: f64 = 2.0;
 
 /// The same n-bead charged chain as `bench_md_engine`, so the numbers
-/// here are directly comparable to PR 1's `BENCH_md_engine.json`.
+/// here are directly comparable to `BENCH_md_engine.json`.
 fn chain_parts(n: usize) -> (System, Topology) {
     let mut sys = System::new();
     let side = (n as f64).cbrt().ceil().max(2.0) as usize;
@@ -111,7 +111,7 @@ fn time_steps(n: usize, steps: u64, arm: Arm) -> f64 {
 }
 
 /// Pure force-kernel throughput (no telemetry touches this loop at
-/// all): evals/sec, for the cross-check against PR 1's baseline file.
+/// all): evals/sec, for the cross-check against `BENCH_md_engine.json`.
 fn time_force_evals(n: usize, iters: u64) -> f64 {
     let (mut sys, topo) = chain_parts(n);
     let mut ff = ForceField::new(topo).with_nonbonded(
@@ -143,7 +143,7 @@ impl Row {
     }
 }
 
-/// PR 1's recorded 12-bead tiered kernel throughput, if the baseline
+/// The committed 12-bead tiered kernel throughput, if the baseline
 /// file is reachable from the current working directory.
 fn baseline_evals_per_sec() -> Option<f64> {
     for path in ["crates/bench/BENCH_md_engine.json", "BENCH_md_engine.json"] {

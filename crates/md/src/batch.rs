@@ -10,8 +10,7 @@
 //! row `(particle, axis)` the R replica *lanes* are contiguous,
 //! `idx = (particle*3 + axis)*R + lane` — so the hot kernels loop over
 //! pairs/particles once and sweep lanes in the inner loop, which LLVM
-//! auto-vectorizes (AVX2/AVX-512 selected at runtime, like the
-//! chunked-scratch reduction idiom in `forces::nonbonded`).
+//! auto-vectorizes (AVX2/AVX-512 selected at runtime).
 //!
 //! # Bit-identity with the cloned path
 //!

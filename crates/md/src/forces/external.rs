@@ -7,12 +7,11 @@
 
 use crate::system::SpeciesId;
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 
 /// A position-dependent one-body potential `U(r, species)`.
 ///
-/// Implementations must be `Send + Sync` so the per-particle loop can be
-/// parallelized.
+/// Implementations must be `Send + Sync` so the simulations holding them
+/// can run on worker threads.
 pub trait ExternalPotential: Send + Sync {
     /// Energy (kcal/mol) and force (kcal mol⁻¹ Å⁻¹) on a particle of the
     /// given species at position `p`.
@@ -23,41 +22,15 @@ pub trait ExternalPotential: Send + Sync {
         "external"
     }
 
-    /// Add forces for all particles; returns total energy. The default
-    /// implementation parallelizes over particles above 4096 atoms.
-    ///
-    /// The parallel path computes a fixed partial energy per chunk and
-    /// reduces the partials serially in chunk order, so the float sum
-    /// associates identically no matter how work was scheduled (the
-    /// same deterministic-reduction idiom as the nonbonded kernel).
+    /// Add forces for all particles, in index order; returns total energy.
     fn add_forces(&self, positions: &[Vec3], species: &[SpeciesId], forces: &mut [Vec3]) -> f64 {
-        if positions.len() < 4096 {
-            let mut e = 0.0;
-            for i in 0..positions.len() {
-                let (ei, fi) = self.energy_force(positions[i], species[i]);
-                e += ei;
-                forces[i] += fi;
-            }
-            e
-        } else {
-            const CHUNK: usize = 1024;
-            let partials: Vec<f64> = forces
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .map(|(c, chunk)| {
-                    let base = c * CHUNK;
-                    let mut e = 0.0;
-                    for (k, f) in chunk.iter_mut().enumerate() {
-                        let i = base + k;
-                        let (ei, fi) = self.energy_force(positions[i], species[i]);
-                        e += ei;
-                        *f += fi;
-                    }
-                    e
-                })
-                .collect();
-            partials.iter().sum()
+        let mut e = 0.0;
+        for i in 0..positions.len() {
+            let (ei, fi) = self.energy_force(positions[i], species[i]);
+            e += ei;
+            forces[i] += fi;
         }
+        e
     }
 }
 

@@ -30,9 +30,13 @@
 //!   clone workflow (§III).
 //! * [`minimize`] — steepest-descent preparation.
 //! * [`trajectory`] — XYZ frame streams for visualization.
+//! * [`batch`] — the batched SoA engine: many replicas of one system
+//!   advanced through a single vectorized force/integrate loop.
 //!
-//! Forces are evaluated in parallel with rayon using per-thread
-//! accumulation buffers (no atomics on the hot path), per the HPC guide.
+//! One simulation evaluates its forces serially: the systems this
+//! workspace builds have one bead per DNA base (tens of particles).
+//! Parallelism lives a level up, across the independent realizations of
+//! an ensemble (`spice-smd`) and across the replica lanes of [`batch`].
 
 #![warn(missing_docs)]
 

@@ -3,10 +3,9 @@
 //! Langevin dynamics needs one independent standard normal per particle,
 //! per axis, per step. Drawing them from a single sequential RNG would make
 //! trajectories depend on thread scheduling; instead each draw is a pure
-//! function of `(seed, counter)` via SplitMix64 mixing + Box–Muller, so a
-//! rayon-parallel integrator produces bit-identical trajectories to the
-//! serial one. This is the same design philosophy as Random123/Philox
-//! counter-based RNGs.
+//! function of `(seed, counter)` via SplitMix64 mixing + Box–Muller, so
+//! trajectories never depend on the order the draws are made in. This is
+//! the same design philosophy as Random123/Philox counter-based RNGs.
 //!
 //! The Box–Muller transform runs on the deterministic polynomial `ln` and
 //! `cos` kernels from [`crate::detmath`], not libm. That buys two things

@@ -7,7 +7,9 @@
 //! writer preserves insertion order and formats floats with the shortest
 //! round-trip representation, so equal inputs render byte-equal output.
 
-use std::fmt::Write as _;
+/// The telemetry exporter's writers, so reports and traces format floats
+/// and escape strings (DEL and U+2028/U+2029 included) identically.
+pub use spice_telemetry::export::{fmt_f64, json_escape as escape};
 
 /// A parsed JSON value. Objects keep insertion order (callers that need
 /// a canonical order sort keys themselves).
@@ -105,38 +107,6 @@ impl Json {
             }
         }
     }
-}
-
-/// Deterministic float formatting: shortest round-trip, integers without
-/// a trailing `.0`, non-finite values as `null` (JSON has no inf/NaN).
-pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    format!("{v}")
-}
-
-/// Escape a string for a JSON literal body. Mirrors the telemetry
-/// exporter's `json_escape`: beyond the mandatory set (quote, backslash,
-/// C0 controls), DEL and the U+2028/U+2029 line separators are
-/// `\u`-escaped so report output stays line-oriented even when track or
-/// attribute names carry hostile characters.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parse one JSON document; trailing whitespace is allowed, trailing

@@ -53,15 +53,20 @@ fn build_trace() -> String {
     t.jsonl()
 }
 
-fn trace_file() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let file = dir.join("golden_trace.jsonl");
-    fs::write(&file, build_trace()).expect("write trace");
-    file
+/// Where the traces are written and the CLI runs. Each test passes the
+/// CLI a bare file name relative to it, so the reports (which echo their
+/// inputs) do not depend on where the checkout lives.
+const WORK_DIR: &str = env!("CARGO_TARGET_TMPDIR");
+
+/// Write the trace under `name`; each test uses its own name because
+/// tests run in parallel.
+fn write_trace(name: &str) {
+    fs::write(PathBuf::from(WORK_DIR).join(name), build_trace()).expect("write trace");
 }
 
 fn run_cli(args: &[&str]) -> (String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_spice-trace"))
+        .current_dir(WORK_DIR)
         .args(args)
         .output()
         .expect("spawn spice-trace");
@@ -90,8 +95,8 @@ fn check_golden(name: &str, got: &str) {
 
 #[test]
 fn summary_output_is_pinned_and_byte_stable() {
-    let file = trace_file();
-    let f = file.to_str().expect("utf8 path");
+    let f = "golden_trace.jsonl";
+    write_trace(f);
     let (text, code) = run_cli(&["summary", f]);
     assert_eq!(code, 0);
     let (text2, _) = run_cli(&["summary", f]);
@@ -107,8 +112,8 @@ fn summary_output_is_pinned_and_byte_stable() {
 
 #[test]
 fn stalls_output_is_pinned_and_byte_stable() {
-    let file = trace_file();
-    let f = file.to_str().expect("utf8 path");
+    let f = "golden_trace_stalls.jsonl";
+    write_trace(f);
     let (json, code) = run_cli(&["stalls", "--format", "json", f]);
     assert_eq!(code, 0, "stalls (no --gate) must exit 0");
     let (json2, _) = run_cli(&["stalls", "--format", "json", f]);

@@ -26,12 +26,12 @@
 //! `factory` produces anything else the call transparently falls back to
 //! the cloned path.
 
-use crate::ensemble::run_ensemble_cloned_traced;
+use crate::ensemble::{equilibrate_master, run_ensemble_cloned_traced};
 use crate::protocol::PullProtocol;
 use crate::pulling::SmdSpring;
-use crate::runner::anchor_and_hold;
 use crate::work::{WorkSample, WorkTrajectory};
 use spice_md::batch::{BatchSim, LaneForces, LaneThermostat};
+#[cfg(feature = "audit")]
 use spice_md::checkpoint::Snapshot;
 use spice_md::{MdError, Simulation};
 use spice_stats::rng::SeedSequence;
@@ -124,31 +124,9 @@ where
         );
     };
 
-    // Shared equilibration: identical to the cloned path (same master
-    // seed, same span, same error fan-out on failure).
-    let master_seed = seeds.child(u64::MAX).stream(0);
-    let ens_track = telemetry.track("smd.ensemble", track_key);
-    let master = (|| -> Result<Snapshot, MdError> {
-        let _span = ens_track.span("smd.equilibrate");
-        let mut sim = factory(master_seed);
-        if telemetry.is_enabled() {
-            sim.attach_telemetry(telemetry, ens_track.clone());
-        }
-        anchor_and_hold(&mut sim, protocol, protocol.equilibration_steps)?;
-        let snap = Snapshot::capture(&sim, "shared-equilibration");
-        if telemetry.is_enabled() {
-            sim.kernel_counters().publish(telemetry);
-        }
-        Ok(snap)
-    })();
-    let snap = match master {
+    let snap = match equilibrate_master(&factory, protocol, n, seeds, telemetry, track_key) {
         Ok(snap) => snap,
-        Err(e) => {
-            let msg = format!("shared equilibration failed: {e}");
-            return (0..n)
-                .map(|_| Err(MdError::Checkpoint(msg.clone())))
-                .collect();
-        }
+        Err(slots) => return slots,
     };
 
     // Lane 0's simulation doubles as the restore template — the same

@@ -14,7 +14,6 @@ use spice_md::checkpoint::Snapshot;
 use spice_md::{MdError, Simulation};
 use spice_stats::rng::SeedSequence;
 use spice_telemetry::Telemetry;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `n` independent realizations of `protocol`.
 ///
@@ -38,32 +37,22 @@ where
     protocol.validate();
     (0..n)
         .into_par_iter()
-        .map(|i| isolated_realization(&factory, protocol, seeds, i))
-        .collect()
-}
-
-/// One realization with panic isolation: a blown-up realization must not
-/// kill the campaign (on the grid, one failed job doesn't either).
-fn isolated_realization<F>(
-    factory: &F,
-    protocol: &PullProtocol,
-    seeds: SeedSequence,
-    i: usize,
-) -> Result<WorkTrajectory, MdError>
-where
-    F: Fn(u64) -> Simulation + Sync,
-{
-    let seed = seeds.stream(i as u64);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut sim = factory(seed);
-        run_pull(&mut sim, protocol, seed).map(|o| o.trajectory)
-    }))
-    .unwrap_or_else(|_| {
-        Err(MdError::NumericalBlowup {
-            step: 0,
-            what: format!("realization {i} (seed {seed}) panicked"),
+        .map(|i| {
+            let seed = seeds.stream(i as u64);
+            // Panic isolation: a blown-up realization must not kill the
+            // campaign (on the grid, one failed job doesn't either).
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut sim = factory(seed);
+                run_pull(&mut sim, protocol, seed).map(|o| o.trajectory)
+            }))
+            .unwrap_or_else(|_| {
+                Err(MdError::NumericalBlowup {
+                    step: 0,
+                    what: format!("realization {i} (seed {seed}) panicked"),
+                })
+            })
         })
-    })
+        .collect()
 }
 
 /// Run `n` realizations of `protocol`, amortizing equilibration via
@@ -146,32 +135,9 @@ where
     if n == 0 {
         return Vec::new();
     }
-    // Shared equilibration: one master hold, seeded off-stream so it can
-    // never collide with a realization seed (streams are indexed 0..n) or
-    // the pipeline's bootstrap stream (u64::MAX on the *parent* sequence).
-    let master_seed = seeds.child(u64::MAX).stream(0);
-    let ens_track = telemetry.track("smd.ensemble", track_key);
-    let master = (|| -> Result<Snapshot, MdError> {
-        let _span = ens_track.span("smd.equilibrate");
-        let mut sim = factory(master_seed);
-        if telemetry.is_enabled() {
-            sim.attach_telemetry(telemetry, ens_track.clone());
-        }
-        anchor_and_hold(&mut sim, protocol, protocol.equilibration_steps)?;
-        let snap = Snapshot::capture(&sim, "shared-equilibration");
-        if telemetry.is_enabled() {
-            sim.kernel_counters().publish(telemetry);
-        }
-        Ok(snap)
-    })();
-    let snap = match master {
+    let snap = match equilibrate_master(&factory, protocol, n, seeds, telemetry, track_key) {
         Ok(snap) => snap,
-        Err(e) => {
-            let msg = format!("shared equilibration failed: {e}");
-            return (0..n)
-                .map(|_| Err(MdError::Checkpoint(msg.clone())))
-                .collect();
-        }
+        Err(slots) => return slots,
     };
 
     (0..n)
@@ -206,6 +172,49 @@ where
             })
         })
         .collect()
+}
+
+/// The shared equilibration the cloned and batched ensembles fork from:
+/// one master hold, seeded off-stream so it can never collide with a
+/// realization seed (streams are indexed 0..n) or the pipeline's
+/// bootstrap stream (u64::MAX on the *parent* sequence), run under an
+/// `smd.equilibrate` span on the `("smd.ensemble", track_key)` track.
+///
+/// If it fails, the error is the ensemble's result: all `n` slots carry
+/// that single failure (errors are not `Clone`, so each slot gets a
+/// freshly formatted copy).
+pub(crate) fn equilibrate_master<F>(
+    factory: &F,
+    protocol: &PullProtocol,
+    n: usize,
+    seeds: SeedSequence,
+    telemetry: &Telemetry,
+    track_key: u64,
+) -> Result<Snapshot, Vec<Result<WorkTrajectory, MdError>>>
+where
+    F: Fn(u64) -> Simulation + Sync,
+{
+    let master_seed = seeds.child(u64::MAX).stream(0);
+    let ens_track = telemetry.track("smd.ensemble", track_key);
+    let master = (|| -> Result<Snapshot, MdError> {
+        let _span = ens_track.span("smd.equilibrate");
+        let mut sim = factory(master_seed);
+        if telemetry.is_enabled() {
+            sim.attach_telemetry(telemetry, ens_track.clone());
+        }
+        anchor_and_hold(&mut sim, protocol, protocol.equilibration_steps)?;
+        let snap = Snapshot::capture(&sim, "shared-equilibration");
+        if telemetry.is_enabled() {
+            sim.kernel_counters().publish(telemetry);
+        }
+        Ok(snap)
+    })();
+    master.map_err(|e| {
+        let msg = format!("shared equilibration failed: {e}");
+        (0..n)
+            .map(|_| Err(MdError::Checkpoint(msg.clone())))
+            .collect()
+    })
 }
 
 /// Split ensemble results into successful trajectories and the errors of
@@ -243,34 +252,6 @@ pub fn successes(results: Vec<Result<WorkTrajectory, MdError>>) -> Vec<WorkTraje
         );
     }
     oks
-}
-
-/// Like [`run_ensemble`] but reports completion through a shared atomic
-/// counter — the campaign-monitoring hook a steering client polls
-/// ("launch, monitor and steer a large number of parallel simulations").
-/// `progress` is incremented exactly once per finished realization,
-/// regardless of outcome; relaxed ordering suffices for a monotone
-/// progress gauge.
-pub fn run_ensemble_with_progress<F>(
-    factory: F,
-    protocol: &PullProtocol,
-    n: usize,
-    seeds: SeedSequence,
-    progress: &AtomicUsize,
-) -> Vec<Result<WorkTrajectory, MdError>>
-where
-    F: Fn(u64) -> Simulation + Sync,
-{
-    protocol.validate();
-    (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let out = isolated_realization(&factory, protocol, seeds, i);
-            // spice-lint: allow(R001) monotone progress gauge for the steering UI; its value is never read back into any result
-            progress.fetch_add(1, Ordering::Relaxed);
-            out
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -327,15 +308,6 @@ mod tests {
                 assert_ne!(works[i], works[j], "realizations must differ");
             }
         }
-    }
-
-    #[test]
-    fn progress_counter_reaches_n() {
-        let progress = AtomicUsize::new(0);
-        let results =
-            run_ensemble_with_progress(factory, &proto(), 5, SeedSequence::new(4), &progress);
-        assert_eq!(results.len(), 5);
-        assert_eq!(progress.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod work;
 pub use batch::{run_ensemble_batched, run_ensemble_batched_traced};
 pub use ensemble::{
     partition_outcomes, run_ensemble, run_ensemble_cloned, run_ensemble_cloned_traced,
-    run_ensemble_with_progress,
 };
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;

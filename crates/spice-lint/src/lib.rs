@@ -25,6 +25,7 @@ pub mod rules;
 
 use allow::{parse_baseline, parse_inline, Baseline};
 use rules::{run_rules, FileContext, RawDiagnostic};
+use spice_telemetry::export::json_escape;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -264,24 +265,6 @@ pub fn lint_workspace(root: &Path) -> WorkspaceReport {
     report
 }
 
-/// Escape a string for a JSON string literal (hand-rolled: the
-/// workspace is dependency-free).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a workspace report as stable, sorted JSON — the machine
 /// interface CI archives as an artifact. Diagnostics keep the
 /// (path, line, col, rule) order [`lint_workspace`] produced, so equal
@@ -406,5 +389,21 @@ let a = b.unwrap();
         // Empty report closes the array cleanly.
         let empty = report_to_json(&WorkspaceReport::default());
         assert!(empty.contains("\"diagnostics\": []"), "{empty}");
+    }
+
+    #[test]
+    fn json_report_escapes_line_separators() {
+        let report = WorkspaceReport {
+            diagnostics: vec![Diagnostic {
+                rule: "T001",
+                path: "crates/md/src/x.rs".into(),
+                line: 1,
+                col: 1,
+                message: "split\u{2028}here\u{7f}".into(),
+            }],
+            files_scanned: 1,
+        };
+        let json = report_to_json(&report);
+        assert!(json.contains(r"split\u2028here\u007f"), "{json}");
     }
 }

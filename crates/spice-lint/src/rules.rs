@@ -157,8 +157,8 @@ pub const RULES: &[RuleInfo] = &[
                  inside par_iter/par_chunks/spawn makes the result depend on \
                  work-stealing interleaving: float additions reassociate in a \
                  different order every run. Give each chunk its own scratch slot and \
-                 reduce serially in index order (see md::forces::nonbonded's \
-                 ChunkScratch), or move the state out of the parallel region. \
+                 reduce the slots serially in index order, or move the state out of \
+                 the parallel region. \
                  Monotone gauges (progress counters never read back into results) \
                  may keep a relaxed atomic behind an annotated allow.",
     },
@@ -170,10 +170,10 @@ pub const RULES: &[RuleInfo] = &[
         detail: "Rayon's reductions combine partial results in work-stealing order, \
                  so parallel float sums reassociate differently every run — results \
                  drift at the ulp level and diverge chaotically over a trajectory. \
-                 The sanctioned idiom (md::forces::nonbonded): fill per-chunk \
-                 scratch buffers with for_each, then reduce the chunks serially in \
-                 index order. collect() into a Vec followed by a serial sum is also \
-                 fine — the rule stops at the first order-restoring consumer.",
+                 The sanctioned idiom: fill one scratch slot per chunk with \
+                 for_each, then reduce the slots serially in index order. collect() \
+                 into a Vec followed by a serial sum is also fine — the rule stops \
+                 at the first order-restoring consumer.",
     },
     RuleInfo {
         id: "E001",
@@ -419,9 +419,8 @@ pub fn run_rules(ctx: &FileContext, lexed: &Lexed) -> Vec<RawDiagnostic> {
                                 "`{what}` inside a parallel closure: work-stealing \
                                  interleaving makes shared-state updates \
                                  order-nondeterministic — give each chunk its own \
-                                 scratch slot and reduce serially in index order \
-                                 (see md::forces::nonbonded), or hoist the state out \
-                                 of the parallel region"
+                                 scratch slot and reduce serially in index order, \
+                                 or hoist the state out of the parallel region"
                             ),
                         });
                     }
@@ -646,8 +645,7 @@ pub fn run_rules(ctx: &FileContext, lexed: &Lexed) -> Vec<RawDiagnostic> {
                 "`.{}()` on a parallel iterator: rayon combines partial results in \
                  work-stealing order, so float reductions reassociate differently \
                  every run — fill per-chunk scratch with for_each and reduce \
-                 serially in index order (the md::forces::nonbonded idiom), or \
-                 collect() and sum serially",
+                 serially in index order, or collect() and sum serially",
                 tok.text
             ),
         });

@@ -111,8 +111,9 @@ pub fn summary_tree(snap: &Snapshot) -> String {
 /// separators are `\u`-escaped: both separators are legal raw inside
 /// JSON strings but terminate lines in JavaScript and some line-oriented
 /// consumers, which would corrupt the one-object-per-line JSONL framing.
-/// All other multi-byte characters pass through as UTF-8.
-fn json_escape(s: &str) -> String {
+/// All other multi-byte characters pass through as UTF-8. The one JSON
+/// escaper of the workspace: `spice-obs` and `spice-lint` call it too.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -130,9 +131,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Deterministic JSON-safe float formatting (shortest round-trip;
-/// non-finite values become null).
-fn fmt_f64(v: f64) -> String {
+/// Deterministic JSON-safe float formatting: shortest round-trip,
+/// integers without a trailing `.0`, non-finite values as `null` (JSON
+/// has no inf/NaN).
+pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

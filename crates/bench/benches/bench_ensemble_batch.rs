@@ -1,8 +1,10 @@
 //! Batched SoA ensemble throughput, machine-readable: times
-//! `run_ensemble_cloned` against `run_ensemble_batched` on the ISSUE-10
-//! fixtures (single restrained bead; 12-bead bonded/charged chain) at
-//! 64+ replicas, spot-checks that the two paths stay bit-identical, and
-//! writes `BENCH_ensemble_batch.json`.
+//! `run_ensemble_cloned` against `run_ensemble_batched` on two fixtures
+//! (single restrained bead; 12-bead bonded/charged chain) at 64+
+//! replicas and on the system the pipeline runs (the Bench-scale strand
+//! in the pore, 24 replicas, the protocol `run_cell` uses),
+//! spot-checks that the two paths stay bit-identical, and writes
+//! `BENCH_ensemble_batch.json`.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_ensemble_batch
@@ -12,15 +14,19 @@
 //! tier floor — ≥5× realizations/sec on AVX-512 (the committed-baseline
 //! hardware), with lower floors on narrower ISAs where the lane sweep
 //! simply has fewer f64 slots per vector (2.5× AVX2, 1.2× generic). The
-//! bit-identity assert has no floor anywhere: both paths must produce
-//! the same f64 bits on every sample.
+//! pore row reports the speedup the Fig. 4 sweep gets and is outside the
+//! gate. The bit-identity assert has no floor anywhere: both paths must
+//! produce the same f64 bits on every sample.
 
+use spice_core::pipeline::pore_simulation;
+use spice_core::Scale;
 use spice_md::batch::simd_tier_name;
 use spice_md::forces::nonbonded::{LjParams, NonBonded};
 use spice_md::forces::Restraint;
 use spice_md::integrate::LangevinBaoab;
+use spice_md::MdError;
 use spice_md::{ForceField, Simulation, System, Topology, Vec3};
-use spice_smd::{run_ensemble_batched, run_ensemble_cloned, PullProtocol};
+use spice_smd::{run_ensemble_batched, run_ensemble_cloned, PullProtocol, WorkTrajectory};
 use spice_stats::rng::SeedSequence;
 use std::time::Instant;
 
@@ -84,6 +90,7 @@ fn chain_factory(seed: u64) -> Simulation {
     )
 }
 
+/// The fixtures' protocol: stiff and fast, so a realization is short.
 fn proto() -> PullProtocol {
     PullProtocol {
         kappa_pn_per_a: 300.0,
@@ -92,6 +99,54 @@ fn proto() -> PullProtocol {
         dt_ps: 0.01,
         equilibration_steps: 200,
         sample_stride: 20,
+    }
+}
+
+/// One benchmarked system: its replica factory and the protocol and
+/// decorrelation hold its ensembles run.
+struct Case {
+    factory: fn(u64) -> Simulation,
+    protocol: PullProtocol,
+    decorrelation_steps: u64,
+}
+
+impl Case {
+    fn fixture(factory: fn(u64) -> Simulation) -> Self {
+        Case {
+            factory,
+            protocol: proto(),
+            decorrelation_steps: DECORRELATION_STEPS,
+        }
+    }
+
+    /// The 12-base strand in the pore as a Bench-scale `run_cell` runs
+    /// it: κ = 100 pN/Å on the v = 100 Å/ns column.
+    fn pore() -> Self {
+        Case {
+            factory: |seed| pore_simulation(Scale::Bench, seed),
+            protocol: Scale::Bench.protocol(100.0, 100.0),
+            decorrelation_steps: Scale::Bench.decorrelation_steps(),
+        }
+    }
+
+    fn cloned(&self, replicas: usize) -> Vec<Result<WorkTrajectory, MdError>> {
+        run_ensemble_cloned(
+            self.factory,
+            &self.protocol,
+            replicas,
+            SeedSequence::new(BENCH_SEED),
+            self.decorrelation_steps,
+        )
+    }
+
+    fn batched(&self, replicas: usize) -> Vec<Result<WorkTrajectory, MdError>> {
+        run_ensemble_batched(
+            self.factory,
+            &self.protocol,
+            replicas,
+            SeedSequence::new(BENCH_SEED),
+            self.decorrelation_steps,
+        )
     }
 }
 
@@ -125,43 +180,24 @@ impl Row {
     }
 }
 
-fn bench_case(
-    label: &'static str,
-    factory: fn(u64) -> Simulation,
-    replicas: usize,
-    rounds: u32,
-) -> Row {
-    let p = proto();
+fn bench_case(label: &'static str, case: &Case, replicas: usize, rounds: u32) -> Row {
     let wall_s_cloned = time_best(rounds, || {
-        let r = run_ensemble_cloned(
-            factory,
-            &p,
-            replicas,
-            SeedSequence::new(BENCH_SEED),
-            DECORRELATION_STEPS,
-        );
         assert!(
-            r.iter().all(Result::is_ok),
+            case.cloned(replicas).iter().all(Result::is_ok),
             "{label}: cloned realization failed"
         );
     });
     let wall_s_batched = time_best(rounds, || {
-        let r = run_ensemble_batched(
-            factory,
-            &p,
-            replicas,
-            SeedSequence::new(BENCH_SEED),
-            DECORRELATION_STEPS,
-        );
         assert!(
-            r.iter().all(Result::is_ok),
+            case.batched(replicas).iter().all(Result::is_ok),
             "{label}: batched realization failed"
         );
     });
+    let p = &case.protocol;
     let row = Row {
         label,
         replicas,
-        steps_per_realization: p.equilibration_steps + DECORRELATION_STEPS + p.pull_steps(),
+        steps_per_realization: p.equilibration_steps + case.decorrelation_steps + p.pull_steps(),
         wall_s_cloned,
         wall_s_batched,
     };
@@ -177,32 +213,19 @@ fn bench_case(
 
 /// The contract the throughput comparison rests on: per-seed work
 /// distributions from the two paths are the same bits.
-fn assert_bit_identical(factory: fn(u64) -> Simulation, n: usize) {
-    let p = proto();
-    let cloned = run_ensemble_cloned(
-        factory,
-        &p,
-        n,
-        SeedSequence::new(BENCH_SEED),
-        DECORRELATION_STEPS,
-    );
-    let batched = run_ensemble_batched(
-        factory,
-        &p,
-        n,
-        SeedSequence::new(BENCH_SEED),
-        DECORRELATION_STEPS,
-    );
+fn assert_bit_identical(label: &str, case: &Case, n: usize) {
+    let cloned = case.cloned(n);
+    let batched = case.batched(n);
     assert_eq!(cloned.len(), batched.len());
     for (l, (c, b)) in cloned.iter().zip(&batched).enumerate() {
         let (c, b) = (
             c.as_ref().expect("cloned ok"),
             b.as_ref().expect("batched ok"),
         );
-        assert_eq!(c.seed, b.seed, "replica {l} seed");
+        assert_eq!(c.seed, b.seed, "{label}: replica {l} seed");
         assert_eq!(
             c.samples, b.samples,
-            "replica {l}: work samples must be bit-identical"
+            "{label}: replica {l}: work samples must be bit-identical"
         );
     }
 }
@@ -217,14 +240,19 @@ fn main() {
         _ => 1.2,
     };
 
-    assert_bit_identical(bead_factory, 8);
-    assert_bit_identical(chain_factory, 8);
-    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas)");
+    let bead = Case::fixture(bead_factory);
+    let chain = Case::fixture(chain_factory);
+    let pore = Case::pore();
+    assert_bit_identical("bead", &bead, 8);
+    assert_bit_identical("chain", &chain, 8);
+    assert_bit_identical("pore", &pore, 24);
+    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas; pore, 24)");
 
     let rows = [
-        bench_case("bead/64", bead_factory, 64, 5),
-        bench_case("bead/128", bead_factory, 128, 5),
-        bench_case("chain12/64", chain_factory, 64, 5),
+        bench_case("bead/64", &bead, 64, 5),
+        bench_case("bead/128", &bead, 128, 5),
+        bench_case("chain12/64", &chain, 64, 5),
+        bench_case("pore12/24", &pore, 24, 3),
     ];
 
     let best = rows

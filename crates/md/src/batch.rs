@@ -20,12 +20,13 @@
 //!
 //! 1. **Same expressions.** Lane kernels call the same inlined scalar
 //!    functions ([`LjParams::energy_force`],
-//!    [`DebyeHuckel::energy_force_pref`], `detmath`, `rng::gauss_from`)
-//!    and replicate the BAOAB update's exact parse order. Bonded,
-//!    external and restraint terms are evaluated by *calling the scalar
-//!    kernels* on per-lane gather/scatter views — zero duplication risk.
-//!    LLVM never contracts mul+add to FMA without fast-math, so
-//!    vectorized lanes produce the scalar bits.
+//!    [`DebyeHuckel::energy_force_pref`], each external term's
+//!    [`ExternalPotential::energy_force`], `detmath`, `rng::gauss_from`)
+//!    and replicate the BAOAB update's exact parse order. Bonded terms
+//!    are evaluated by *calling the scalar kernels* on per-lane
+//!    gather/scatter views — zero duplication risk. LLVM never contracts
+//!    mul+add to FMA without fast-math, so vectorized lanes produce the
+//!    scalar bits.
 //! 2. **Masked adds instead of branches.** Where the scalar pair kernel
 //!    skips (`r2 == 0` or beyond cutoff), the lane kernel accumulates an
 //!    exact `±0.0`. Force accumulators start at `+0.0` and only ever
@@ -46,7 +47,7 @@
 //! displacements never trigger a rebuild.
 
 use crate::forces::nonbonded::{DebyeHuckel, LjParams};
-use crate::forces::{angle_forces, bond_forces, dihedral_forces, ForceField};
+use crate::forces::{angle_forces, bond_forces, dihedral_forces, ExternalPotential, ForceField};
 use crate::neighbor::CellList;
 use crate::rng::{gauss_from, gauss_hash};
 use crate::sim::Simulation;
@@ -97,17 +98,19 @@ impl LaneForces<'_> {
         )
     }
 
-    /// z-coordinate of particle `i` in lane `l` (the SMD reaction
-    /// coordinate; avoids gathering all three components).
+    /// z-coordinates of particle `i` in every lane (the SMD reaction
+    /// coordinate's row, so a bias can sweep lanes).
     #[inline]
-    pub fn pos_z(&self, i: usize, l: usize) -> f64 {
-        self.pos[(i * 3 + 2) * self.r + l]
+    pub fn pos_z_row(&self, i: usize) -> &[f64] {
+        let b = (i * 3 + 2) * self.r;
+        &self.pos[b..b + self.r]
     }
 
-    /// Add `df` to the z-force on particle `i` in lane `l`.
+    /// z-forces on particle `i` in every lane, to add a bias into.
     #[inline]
-    pub fn add_force_z(&mut self, i: usize, l: usize, df: f64) {
-        self.frc[(i * 3 + 2) * self.r + l] += df;
+    pub fn force_z_row(&mut self, i: usize) -> &mut [f64] {
+        let b = (i * 3 + 2) * self.r;
+        &mut self.frc[b..b + self.r]
     }
 
     /// Add a force vector to particle `i` in lane `l`.
@@ -362,10 +365,11 @@ impl BatchSim {
         )
     }
 
-    /// z-coordinate of particle `i` in lane `l`.
+    /// z-coordinates of particle `i` in every lane.
     #[inline]
-    pub fn pos_z(&self, i: usize, l: usize) -> f64 {
-        self.pos[(i * 3 + 2) * self.r + l]
+    pub fn pos_z_row(&self, i: usize) -> &[f64] {
+        let b = (i * 3 + 2) * self.r;
+        &self.pos[b..b + self.r]
     }
 
     /// All positions of lane `l`, in particle order.
@@ -433,9 +437,9 @@ impl BatchSim {
     }
 
     /// Force evaluation across all lanes: zero, bonded (per-lane scalar
-    /// kernels on gather/scatter views), shared-list pair tiers (lane-
-    /// swept), externals + restraints (per-lane scalar kernels), bias.
-    /// Term order matches `ForceField::evaluate` + bias exactly.
+    /// kernels on gather/scatter views), shared-list pair tiers, externals
+    /// and restraints (all lane-swept), bias. Term order matches
+    /// `ForceField::evaluate` + bias exactly.
     fn eval_forces(&mut self, t_ps: f64, bias: &mut dyn FnMut(f64, &mut LaneForces<'_>)) {
         let Self {
             n,
@@ -554,25 +558,13 @@ impl BatchSim {
             }
         }
 
-        if !ff.externals().is_empty() {
-            // Index form kept: the lane id `l` also feeds the gather/scatter helpers.
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..r {
-                if !alive[l] {
-                    continue;
-                }
-                gather_lane(pos, lane_pos, n, r, l);
-                gather_lane(frc, lane_frc, n, r, l);
-                for ext in ff.externals() {
-                    ext.add_forces(lane_pos, species, lane_frc);
-                }
-                scatter_lane(frc, lane_frc, n, r, l);
-            }
+        // One-body fields and restraints act on each particle alone, so
+        // they sweep lanes directly instead of going through gather/
+        // scatter. Dead lanes are not skipped: their rows are never read
+        // again, and a NaN-poisoned row stays NaN under accumulation.
+        for ext in ff.externals() {
+            ext.add_forces_lanes(pos, species, frc, n, r);
         }
-        // Restraints have a fixed per-particle shape, so they sweep
-        // lanes directly instead of going through gather/scatter. Dead
-        // lanes are not skipped: their rows are never read again, and a
-        // NaN-poisoned row stays NaN under accumulation.
         for rest in ff.restraints() {
             lanes::restraint_tier(
                 rest.index * 3 * r,
@@ -623,6 +615,8 @@ fn scatter_lane(soa: &mut [f64], lane: &[Vec3], n: usize, r: usize, l: usize) {
     }
 }
 
+pub(crate) use lanes::external as external_lanes;
+
 /// Name of the runtime-detected SIMD tier the lane kernels dispatch to
 /// (`"avx512"`, `"avx2"`, or `"generic"`). All tiers are bit-identical;
 /// benches record this so a throughput report can be read against the
@@ -638,7 +632,9 @@ pub fn simd_tier_name() -> &'static str {
 /// IEEE-exact add/mul/div/sqrt and LLVM does not contract to FMA without
 /// fast-math.
 mod lanes {
-    use super::{gauss_from, gauss_hash, DebyeHuckel, LjParams};
+    use super::{gauss_from, gauss_hash, DebyeHuckel, ExternalPotential, LjParams};
+    use crate::system::SpeciesId;
+    use crate::vec3::Vec3;
     use std::sync::OnceLock;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -682,27 +678,29 @@ mod lanes {
 
     /// Expand one `#[inline(always)]` kernel body into generic/AVX2/
     /// AVX-512 entry points plus the runtime-dispatched public wrapper.
+    /// An optional `<T: Trait>` makes all four generic over `T: ?Sized`.
     macro_rules! simd_dispatch {
-        ($entry:ident / $imp:ident / $gen:ident / $avx2:ident / $avx512:ident;
+        ($entry:ident / $imp:ident / $gen:ident / $avx2:ident / $avx512:ident
+         $(<$g:ident : $bound:path>)?;
          ( $($arg:ident : $ty:ty),* $(,)? )) => {
             #[allow(clippy::too_many_arguments)]
-            fn $gen($($arg: $ty),*) {
+            fn $gen $(<$g: ?Sized + $bound>)? ($($arg: $ty),*) {
                 $imp($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2,fma")]
             #[allow(clippy::too_many_arguments)]
-            unsafe fn $avx2($($arg: $ty),*) {
+            unsafe fn $avx2 $(<$g: ?Sized + $bound>)? ($($arg: $ty),*) {
                 $imp($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
             #[allow(clippy::too_many_arguments)]
-            unsafe fn $avx512($($arg: $ty),*) {
+            unsafe fn $avx512 $(<$g: ?Sized + $bound>)? ($($arg: $ty),*) {
                 $imp($($arg),*)
             }
             #[allow(clippy::too_many_arguments)]
-            pub(super) fn $entry($($arg: $ty),*) {
+            pub(crate) fn $entry $(<$g: ?Sized + $bound>)? ($($arg: $ty),*) {
                 match simd_tier() {
                     // SAFETY: the dispatched tier was feature-detected at
                     // runtime before being cached.
@@ -826,6 +824,60 @@ mod lanes {
     simd_dispatch!(restraint_tier / restraint_impl / restraint_gen / restraint_avx2 / restraint_avx512;
         (base: usize, r: usize, anchor: [f64; 3], axes: [bool; 3], two_k: f64,
          pos: &[f64], frc: &mut [f64]));
+
+    /// One external term swept across lanes: for each particle, the
+    /// term's own `energy_force` on every lane, added in
+    /// `ExternalPotential::add_forces`'s order. Once the term's
+    /// `energy_force` inlines (it must be `#[inline(always)]`, branch-free
+    /// and libm-free) the lane loop vectorizes.
+    #[inline(always)]
+    fn external_impl<P: ?Sized + ExternalPotential>(
+        term: &P,
+        pos: &[f64],
+        species: &[SpeciesId],
+        frc: &mut [f64],
+        n: usize,
+        r: usize,
+    ) {
+        for (i, &s) in species[..n].iter().enumerate() {
+            let b = i * 3 * r;
+            let (px, rest) = pos[b..b + 3 * r].split_at(r);
+            let (py, pz) = rest.split_at(r);
+            let (fx, rest) = frc[b..b + 3 * r].split_at_mut(r);
+            let (fy, fz) = rest.split_at_mut(r);
+            external_row(term, s, px, py, pz, fx, fy, fz);
+        }
+    }
+    simd_dispatch!(external / external_impl / external_gen / external_avx2 / external_avx512
+        <P: ExternalPotential>;
+        (term: &P, pos: &[f64], species: &[SpeciesId], frc: &mut [f64], n: usize, r: usize));
+
+    /// The lane loop of [`external_impl`] for one particle. The six rows
+    /// come in as separate arguments, which tells LLVM they do not alias:
+    /// split inside the particle loop instead, the loop is versioned on a
+    /// position/force alias check and the sweep runs at scalar speed.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn external_row<P: ?Sized + ExternalPotential>(
+        term: &P,
+        s: SpeciesId,
+        px: &[f64],
+        py: &[f64],
+        pz: &[f64],
+        fx: &mut [f64],
+        fy: &mut [f64],
+        fz: &mut [f64],
+    ) {
+        let r = px.len();
+        let (py, pz) = (&py[..r], &pz[..r]);
+        let (fx, fy, fz) = (&mut fx[..r], &mut fy[..r], &mut fz[..r]);
+        for l in 0..r {
+            let (_e, f) = term.energy_force(Vec3::new(px[l], py[l], pz[l]), s);
+            fx[l] += f.x;
+            fy[l] += f.y;
+            fz[l] += f.z;
+        }
+    }
 
     /// LJ-only tier swept across lanes. Where the scalar kernel skips
     /// (`r2 == 0` or `r2 > cutoff²`) the lane contributes an exact
@@ -1104,8 +1156,8 @@ mod tests {
         let mut bias_fn = move |t: f64, lf: &mut LaneForces<'_>| {
             if let Some((k, z0, v)) = bias {
                 for l in 0..lf.n_lanes() {
-                    let dz = lf.pos_z(0, l) - (z0 + v * t);
-                    lf.add_force_z(0, l, -2.0 * k * dz);
+                    let dz = lf.pos_z_row(0)[l] - (z0 + v * t);
+                    lf.force_z_row(0)[l] += -2.0 * k * dz;
                 }
             }
         };

@@ -1,7 +1,7 @@
 //! Deterministic transcendental kernels for hot simulation paths.
 //!
-//! `ln`, `cos`, and `exp` from the platform libm are correctly rounded (or
-//! nearly so) but come with two costs this engine cannot pay:
+//! `ln`, `sin`, `cos`, and `exp` from the platform libm are correctly
+//! rounded (or nearly so) but come with two costs this engine cannot pay:
 //!
 //! 1. **Platform dependence.** glibc, musl, and macOS libm disagree in the
 //!    last ulp, so a trajectory digest computed on one platform need not
@@ -14,17 +14,20 @@
 //!    compiler auto-vectorizing those sweeps.
 //!
 //! The kernels here use only IEEE-exact operations (add, sub, mul, div,
-//! sqrt, floor) plus integer bit manipulation, and are branchless. The
-//! same Rust function therefore produces bit-identical results whether the
-//! compiler evaluates it in a scalar context (the per-replica cloned path)
-//! or an 8-wide AVX-512 lane sweep (the batched path) — LLVM never
-//! contracts separate `mul`/`add` into a fused FMA without explicit
-//! fast-math flags, and none are used in this workspace.
+//! sqrt) plus integer bit manipulation, and are branchless. Even `floor`
+//! is avoided: on the baseline x86-64 target (no SSE4.1) it compiles to a
+//! libm call, so arguments are folded by `round_nearest`'s exact
+//! add-and-subtract instead. The same Rust function therefore produces
+//! bit-identical results whether the compiler evaluates it in a scalar
+//! context (the per-replica cloned path) or an 8-wide AVX-512 lane sweep
+//! (the batched path) — LLVM never contracts separate `mul`/`add` into a
+//! fused FMA without explicit fast-math flags, and none are used in this
+//! workspace.
 //!
-//! Accuracy is a few parts in 1e11 — far below thermostat noise and the
-//! statistical error bars of any observable in this codebase, but NOT a
-//! drop-in ulp-for-ulp replacement for libm: switching a call site changes
-//! trajectories the way changing a seed does.
+//! Accuracy is a few parts in 1e9 or better — far below thermostat noise
+//! and the statistical error bars of any observable in this codebase, but
+//! NOT a drop-in ulp-for-ulp replacement for libm: switching a call site
+//! changes trajectories the way changing a seed does.
 
 /// Mantissa bits of sqrt(2), used to fold the significand into
 /// [1/√2, √2] so the ln series converges fast.
@@ -56,33 +59,65 @@ pub fn det_ln(x: f64) -> f64 {
     2.0 * s * p + e as f64 * LN2
 }
 
-/// cos(2π·u) for `u` in roughly (-2⁵², 2⁵²).
+/// `x` rounded to the nearest integer (ties to even), for |x| < 2⁵¹.
 ///
-/// Periodicity folds the argument to v ∈ [-1/2, 1/2) exactly (the fold is
-/// pure floating subtraction of an integer, lossless for |u| < 2⁵²), then
-/// one even Taylor polynomial of cos(2πv) through t¹⁸ covers the whole
-/// fold — no quadrant logic, no branches. Max absolute error ≈ 4e-9.
+/// Adding 1.5·2⁵² pushes `x` into the binade where the f64 spacing is
+/// exactly 1, so the add itself rounds to an integer and the subtract
+/// recovers it exactly. LLVM does not reassociate float adds without
+/// fast-math, so the pair survives optimization. Ties to even make the
+/// fold odd-symmetric: `round_nearest(-x) == -round_nearest(x)`.
 #[inline(always)]
-pub fn det_cos2pi(u: f64) -> f64 {
-    let v = u - (u + 0.5).floor();
+fn round_nearest(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    (x + SHIFT) - SHIFT
+}
+
+/// `(sin(2π·u), cos(2π·u))` for `u` in (-2⁵¹, 2⁵¹).
+///
+/// Periodicity folds the argument to v ∈ [-1/2, 1/2] exactly (an integer
+/// subtracted from `u` is lossless), then one odd Taylor polynomial of
+/// sin(2πv) through t¹⁹ and one even polynomial of cos(2πv) through t¹⁸
+/// cover the whole fold — no quadrant logic, no branches. Max absolute
+/// error ≈ 4e-9 (cos) and ≈ 6e-10 (sin). Because the fold is symmetric,
+/// sin is exactly odd and cos exactly even, and sin 0 = 0, cos 0 = 1
+/// exactly. A caller that uses only one half pays only for that half once
+/// inlined.
+#[inline(always)]
+pub fn det_sincos2pi(u: f64) -> (f64, f64) {
+    let v = u - round_nearest(u);
     let t = v * (2.0 * std::f64::consts::PI);
     let y = t * t;
+    let s = 1.0 / 355_687_428_096_000.0 + y * (-1.0 / 121_645_100_408_832_000.0);
+    let s = -1.0 / 39_916_800.0
+        + y * (1.0 / 6_227_020_800.0 + y * (-1.0 / 1_307_674_368_000.0 + y * s));
+    let s = 1.0 / 120.0 + y * (-1.0 / 5_040.0 + y * (1.0 / 362_880.0 + y * s));
+    let s = t * (1.0 + y * (-1.0 / 6.0 + y * s));
     let c = 1.0 / 20_922_789_888_000.0 + y * (-1.0 / 6_402_373_705_728_000.0);
     let c = 1.0 / 479_001_600.0 + y * (-1.0 / 87_178_291_200.0 + y * c);
     let c = 1.0 / 40_320.0 + y * (-1.0 / 3_628_800.0 + y * c);
-    1.0 + y * (-0.5 + y * (1.0 / 24.0 + y * (-1.0 / 720.0 + y * c)))
+    let c = 1.0 + y * (-0.5 + y * (1.0 / 24.0 + y * (-1.0 / 720.0 + y * c)));
+    (s, c)
 }
 
-/// exp(x) for finite `x`; intended domain is the Debye–Hückel screening
-/// exponent, x ∈ [-50, 0].
+/// cos(2π·u) for `u` in (-2⁵¹, 2⁵¹): the cosine half of
+/// [`det_sincos2pi`]. Max absolute error ≈ 4e-9.
+#[inline(always)]
+pub fn det_cos2pi(u: f64) -> f64 {
+    det_sincos2pi(u).1
+}
+
+/// exp(x) for finite `x`, accurate on x ∈ [-708, 0].
 ///
-/// Reduction x = k·ln2 + r with k from an exact `floor` and a two-word
-/// ln2 so r carries no cancellation error, Taylor of exp(r) on
+/// Reduction x = k·ln2 + r with k = `round_nearest(x·log₂e)` and a
+/// two-word ln2 so r carries no cancellation error, Taylor of exp(r) on
 /// |r| ≤ 0.35 through r⁹, then an exponent-field scale by 2ᵏ built with
-/// integer ops. Max relative error ≈ 8e-12 in the intended domain. Out of
-/// domain the exponent clamp keeps the result finite-garbage instead of
-/// UB — batched kernels evaluate speculatively past the cutoff and mask
-/// the result away, so garbage is acceptable but faults are not.
+/// integer ops. Max relative error ≈ 1e-11 over the whole domain — the
+/// Debye–Hückel pair screening (x ∈ [-4, 0] inside the cutoff) and the
+/// constriction ring's −d/λ, which passes −50 once the salt is above
+/// ~1.6 M. Below about −708.4 (k < −1022) the exponent clamp starts: the
+/// result stays finite but is garbage instead of a subnormal — batched
+/// kernels evaluate speculatively past the cutoff and mask the result
+/// away, so garbage is acceptable but faults are not.
 #[inline(always)]
 pub fn det_exp(x: f64) -> f64 {
     // ln2 split into a 32-bit-exact head and a tail, so k*LN2_HI is exact.
@@ -90,7 +125,7 @@ pub fn det_exp(x: f64) -> f64 {
     #[allow(clippy::excessive_precision)]
     const LN2_HI: f64 = 6.931_471_803_691_238_3e-1;
     const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-    let kf = (x * LOG2E + 0.5).floor();
+    let kf = round_nearest(x * LOG2E);
     let r = (x - kf * LN2_HI) - kf * LN2_LO;
     let p = 1.0 / 40_320.0 + r * (1.0 / 362_880.0);
     let p = 1.0 / 720.0 + r * (1.0 / 5_040.0 + r * p);
@@ -134,38 +169,55 @@ mod tests {
     }
 
     #[test]
-    fn cos2pi_matches_libm_to_budget() {
-        let mut max_abs = 0.0f64;
+    fn sincos2pi_matches_libm_to_budget() {
+        let (mut max_sin, mut max_cos) = (0.0f64, 0.0f64);
         for u in uniforms(100_000) {
-            for &x in &[u, -u, u + 17.0, u * 1e4] {
-                let abs = (det_cos2pi(x) - (2.0 * std::f64::consts::PI * x).cos()).abs();
-                max_abs = max_abs.max(abs);
+            // |u| ≤ 1e4 covers the pore's z / period arguments many times over.
+            for &x in &[u, -u, u + 17.0, u * 1e4, -u * 1e4] {
+                let (s, c) = det_sincos2pi(x);
+                let (ls, lc) = (2.0 * std::f64::consts::PI * x).sin_cos();
+                max_sin = max_sin.max((s - ls).abs());
+                max_cos = max_cos.max((c - lc).abs());
             }
         }
-        assert!(max_abs < 1e-8, "cos2pi abs err {max_abs:e}");
+        assert!(max_sin < 1e-8, "sin2pi abs err {max_sin:e}");
+        assert!(max_cos < 1e-8, "cos2pi abs err {max_cos:e}");
     }
 
     #[test]
-    fn cos2pi_symmetry_and_landmarks() {
+    fn sincos2pi_symmetry_and_landmarks() {
+        assert_eq!(det_sincos2pi(0.0), (0.0, 1.0));
         assert_eq!(det_cos2pi(0.0), 1.0);
-        // Even function up to fold-boundary rounding (u + 0.5 can round
-        // across an integer near |v| = 1/2, where the polynomial is flat).
+        // The round-to-nearest fold is odd-symmetric, so the symmetries
+        // hold bit for bit, across fold boundaries too.
         for u in uniforms(1_000) {
-            assert!((det_cos2pi(u) - det_cos2pi(-u)).abs() < 1e-9);
+            for x in [u, u * 1e4, u + 0.5] {
+                let (s, c) = det_sincos2pi(x);
+                let (sm, cm) = det_sincos2pi(-x);
+                assert_eq!(sm.to_bits(), (-s).to_bits(), "sin odd at {x}");
+                assert_eq!(cm.to_bits(), c.to_bits(), "cos even at {x}");
+            }
         }
-        assert!((det_cos2pi(0.5) + 1.0).abs() < 1e-8);
-        assert!(det_cos2pi(0.25).abs() < 1e-8);
+        let (s, c) = det_sincos2pi(0.25);
+        assert!((s - 1.0).abs() < 1e-8 && c.abs() < 1e-8);
+        let (s, c) = det_sincos2pi(0.5);
+        assert!(s.abs() < 1e-8 && (c + 1.0).abs() < 1e-8);
     }
 
     #[test]
-    fn exp_matches_libm_in_screening_domain() {
+    fn exp_matches_libm_down_to_the_exponent_clamp() {
         let mut max_rel = 0.0f64;
         for u in uniforms(100_000) {
-            let x = -50.0 * u;
-            let rel = (det_exp(x) - x.exp()).abs() / x.exp();
-            max_rel = max_rel.max(rel);
+            // The DH screening domain, then the ring's −d/λ at high salt,
+            // down to where the 2^k scale would leave the normal range.
+            for x in [-50.0 * u, -708.0 * u] {
+                let rel = (det_exp(x) - x.exp()).abs() / x.exp();
+                max_rel = max_rel.max(rel);
+            }
         }
-        assert!(max_rel < 1e-10, "exp rel err {max_rel:e}");
+        let rel = (det_exp(-708.0) - (-708.0f64).exp()).abs() / (-708.0f64).exp();
+        max_rel = max_rel.max(rel);
+        assert!(max_rel < 1e-11, "exp rel err {max_rel:e}");
         assert_eq!(det_exp(0.0), 1.0);
     }
 

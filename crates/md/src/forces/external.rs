@@ -12,6 +12,14 @@ use crate::vec3::Vec3;
 ///
 /// Implementations must be `Send + Sync` so the simulations holding them
 /// can run on worker threads.
+///
+/// Both evaluation paths — [`add_forces`](Self::add_forces) for one
+/// replica, [`add_forces_lanes`](Self::add_forces_lanes) for a batch of
+/// replica lanes — call the one [`energy_force`](Self::energy_force), so
+/// they produce the same bits. For the lane sweep to vectorize, an
+/// implementation's `energy_force` should be `#[inline(always)]`,
+/// branch-free (selects, not early returns) and free of libm calls (use
+/// [`crate::detmath`]).
 pub trait ExternalPotential: Send + Sync {
     /// Energy (kcal/mol) and force (kcal mol⁻¹ Å⁻¹) on a particle of the
     /// given species at position `p`.
@@ -32,6 +40,23 @@ pub trait ExternalPotential: Send + Sync {
         }
         e
     }
+
+    /// Add forces for all `n` particles of all `r` replica lanes of a
+    /// batch, whose SoA rows hold coordinate `(particle i, axis a, lane l)`
+    /// at `(i*3 + a)*r + l` (see [`crate::batch`]). Each accumulator
+    /// receives this term's force in the same order as
+    /// [`add_forces`](Self::add_forces), so each lane matches the scalar
+    /// path bitwise. The energy is not accumulated.
+    fn add_forces_lanes(
+        &self,
+        pos: &[f64],
+        species: &[SpeciesId],
+        frc: &mut [f64],
+        n: usize,
+        r: usize,
+    ) {
+        crate::batch::external_lanes(self, pos, species, frc, n, r);
+    }
 }
 
 /// A harmonic wall confining particles to a slab `z ∈ [z_lo, z_hi]`
@@ -48,16 +73,17 @@ pub struct SlabWall {
 }
 
 impl ExternalPotential for SlabWall {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, _species: SpeciesId) -> (f64, Vec3) {
-        if p.z < self.z_lo {
-            let d = p.z - self.z_lo;
-            (self.k * d * d, Vec3::new(0.0, 0.0, -2.0 * self.k * d))
+        // Selects, not branches: d = 0 inside gives an exact-zero term.
+        let d = if p.z < self.z_lo {
+            p.z - self.z_lo
         } else if p.z > self.z_hi {
-            let d = p.z - self.z_hi;
-            (self.k * d * d, Vec3::new(0.0, 0.0, -2.0 * self.k * d))
+            p.z - self.z_hi
         } else {
-            (0.0, Vec3::zero())
-        }
+            0.0
+        };
+        (self.k * d * d, Vec3::new(0.0, 0.0, -2.0 * self.k * d))
     }
 
     fn name(&self) -> &str {
@@ -76,21 +102,22 @@ pub struct CylinderWall {
 }
 
 impl ExternalPotential for CylinderWall {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, _species: SpeciesId) -> (f64, Vec3) {
         let rho = p.rho();
-        if rho <= self.radius {
-            return (0.0, Vec3::zero());
-        }
         let d = rho - self.radius;
         let e = self.k * d * d;
         // Gradient points radially outward; force pulls back in.
         let inv = if rho > 0.0 { 1.0 / rho } else { 0.0 };
-        let f = Vec3::new(
-            -2.0 * self.k * d * p.x * inv,
-            -2.0 * self.k * d * p.y * inv,
-            0.0,
-        );
-        (e, f)
+        let fx = -2.0 * self.k * d * p.x * inv;
+        let fy = -2.0 * self.k * d * p.y * inv;
+        // Selects, not an early return: the term vectorizes across
+        // replica lanes, and a lane inside the wall adds an exact zero.
+        let on = rho > self.radius;
+        (
+            if on { e } else { 0.0 },
+            Vec3::new(if on { fx } else { 0.0 }, if on { fy } else { 0.0 }, 0.0),
+        )
     }
 
     fn name(&self) -> &str {

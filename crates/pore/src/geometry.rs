@@ -19,6 +19,14 @@
 //! strand feels), so we model it as a cosine ripple on r(z).
 
 use serde::{Deserialize, Serialize};
+use spice_md::detmath::det_sincos2pi;
+
+/// Smoothstep of `t` (clamped to [0, 1]) and its derivative.
+#[inline(always)]
+pub(crate) fn smoothstep(t: f64) -> (f64, f64) {
+    let t = t.clamp(0.0, 1.0);
+    (t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t))
+}
 
 /// Geometric description of the pore. All lengths in Å.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -69,71 +77,97 @@ impl PoreGeometry {
         }
     }
 
-    /// Smoothstep interpolation helper.
-    fn smooth(t: f64) -> f64 {
-        let t = t.clamp(0.0, 1.0);
-        t * t * (3.0 - 2.0 * t)
+    /// True for `z` inside the pore, `barrel_lo ≤ z ≤ cap_hi`.
+    #[inline(always)]
+    fn in_pore(&self, z: f64) -> bool {
+        (z >= self.barrel_lo) & (z <= self.cap_hi)
+    }
+
+    /// The uncorrugated profile and its z-derivative, for `z` inside the
+    /// pore. Three smoothstep blends (barrel → constriction →
+    /// vestibule → mouth) cover it; the flat barrel is the first blend
+    /// clamped at t = 0. The blend is picked by selects, not branches, so
+    /// the profile vectorizes inside a replica-lane sweep.
+    #[inline(always)]
+    fn smooth_profile(&self, z: f64) -> (f64, f64) {
+        // Blend half-widths for the constriction transitions.
+        let w = 3.0;
+        let mid = self.barrel_hi + (self.constriction_hi - self.barrel_hi) * 0.5;
+        let (z0, width, r0, r1) = if z <= mid {
+            (
+                self.barrel_hi - w,
+                w,
+                self.barrel_radius,
+                self.constriction_radius,
+            )
+        } else if z <= self.constriction_hi + w {
+            (
+                mid,
+                self.constriction_hi + w - mid,
+                self.constriction_radius,
+                self.vestibule_radius,
+            )
+        } else {
+            (
+                self.constriction_hi + w,
+                self.cap_hi - self.constriction_hi - w,
+                self.vestibule_radius,
+                self.mouth_radius,
+            )
+        };
+        let (t, dt) = smoothstep((z - z0) / width);
+        (r0 + t * (r1 - r0), dt / width * (r1 - r0))
     }
 
     /// Lumen radius at height `z`, *without* corrugation. Outside the pore
     /// (z < barrel_lo or z > cap_hi) the profile opens to bulk: returns
     /// `f64::INFINITY`.
     pub fn smooth_radius(&self, z: f64) -> f64 {
-        if z < self.barrel_lo || z > self.cap_hi {
-            return f64::INFINITY;
-        }
-        // Blend half-widths for the constriction transitions.
-        let w = 3.0;
-        if z <= self.barrel_hi - w {
-            self.barrel_radius
-        } else if z <= self.barrel_hi + (self.constriction_hi - self.barrel_hi) * 0.5 {
-            // barrel → constriction
-            let t = Self::smooth((z - (self.barrel_hi - w)) / w);
-            self.barrel_radius + t * (self.constriction_radius - self.barrel_radius)
-        } else if z <= self.constriction_hi + w {
-            // constriction → vestibule
-            let t = Self::smooth(
-                (z - (self.barrel_hi + (self.constriction_hi - self.barrel_hi) * 0.5))
-                    / (self.constriction_hi + w
-                        - (self.barrel_hi + (self.constriction_hi - self.barrel_hi) * 0.5)),
-            );
-            self.constriction_radius + t * (self.vestibule_radius - self.constriction_radius)
+        let r = self.smooth_profile(z).0;
+        if self.in_pore(z) {
+            r
         } else {
-            // vestibule widening toward the mouth
-            let t = Self::smooth(
-                (z - (self.constriction_hi + w)) / (self.cap_hi - self.constriction_hi - w),
-            );
-            self.vestibule_radius + t * (self.mouth_radius - self.vestibule_radius)
+            f64::INFINITY
         }
+    }
+
+    /// Lumen radius at height `z` including the seven-fold corrugation,
+    /// and its analytic z-derivative — the pair the wall force needs, from
+    /// one evaluation. Outside the pore the radius is `f64::INFINITY` and
+    /// the derivative 0. Branch-free and libm-free (the ripple's cosine
+    /// and sine come from `spice_md::detmath`), so it vectorizes inside a
+    /// replica-lane sweep.
+    #[inline(always)]
+    pub fn radius_and_gradient(&self, z: f64) -> (f64, f64) {
+        let (r, dr) = self.smooth_profile(z);
+        let (sin, cos) = det_sincos2pi(z / self.corrugation_period);
+        let ripple = self.corrugation_amplitude * cos;
+        let d_ripple = -self.corrugation_amplitude
+            * (2.0 * std::f64::consts::PI / self.corrugation_period)
+            * sin;
+        // Never let the ripple close the constriction entirely; where the
+        // floor holds the radius, it is flat.
+        let floor = self.constriction_radius * 0.5;
+        let open = r + ripple > floor;
+        let radius = if open { r + ripple } else { floor };
+        let gradient = if open { dr + d_ripple } else { 0.0 };
+        let inside = self.in_pore(z);
+        (
+            if inside { radius } else { f64::INFINITY },
+            if inside { gradient } else { 0.0 },
+        )
     }
 
     /// Lumen radius at height `z` including the seven-fold corrugation.
+    #[inline(always)]
     pub fn radius(&self, z: f64) -> f64 {
-        let r = self.smooth_radius(z);
-        if !r.is_finite() {
-            return r;
-        }
-        let ripple = self.corrugation_amplitude
-            * (2.0 * std::f64::consts::PI * z / self.corrugation_period).cos();
-        // Never let the ripple close the constriction entirely.
-        (r + ripple).max(self.constriction_radius * 0.5)
+        self.radius_and_gradient(z).0
     }
 
-    /// d(radius)/dz at `z` (analytic ripple + numeric base profile), used
-    /// by the wall force. Returns 0 outside the pore.
+    /// d(radius)/dz at `z`, analytic; 0 outside the pore.
+    #[inline(always)]
     pub fn radius_gradient(&self, z: f64) -> f64 {
-        if z < self.barrel_lo || z > self.cap_hi {
-            return 0.0;
-        }
-        let h = 1e-4;
-        let zp = (z + h).min(self.cap_hi);
-        let zm = (z - h).max(self.barrel_lo);
-        let rp = self.radius(zp);
-        let rm = self.radius(zm);
-        if !rp.is_finite() || !rm.is_finite() {
-            return 0.0;
-        }
-        (rp - rm) / (zp - zm)
+        self.radius_and_gradient(z).1
     }
 
     /// z of the narrowest lumen point (scan at 0.1 Å resolution).
@@ -158,8 +192,9 @@ impl PoreGeometry {
     }
 
     /// True when `z` lies within the membrane-spanning β-barrel section.
+    #[inline(always)]
     pub fn in_membrane_span(&self, z: f64) -> bool {
-        (self.barrel_lo..=self.barrel_hi).contains(&z)
+        (z >= self.barrel_lo) & (z <= self.barrel_hi)
     }
 
     /// Tabulate (z, radius) at the given axial resolution — the Fig. 1

@@ -14,8 +14,15 @@
 //!   electrostatic barrier/well at the constriction.
 //! * [`MembraneSlab`] — excludes beads from the lipid region outside the
 //!   barrel.
+//!
+//! Every `energy_force` here is `#[inline(always)]`, branch-free (an
+//! inactive term selects exact zeros instead of returning early) and
+//! libm-free (`spice_md::detmath`), so the batched engine sweeps it across
+//! replica lanes as one vectorized loop while the scalar path calls the
+//! same function.
 
-use crate::geometry::PoreGeometry;
+use crate::geometry::{smoothstep, PoreGeometry};
+use spice_md::detmath::{det_exp, det_sincos2pi};
 use spice_md::forces::nonbonded::COULOMB_KCAL;
 use spice_md::forces::ExternalPotential;
 use spice_md::system::SpeciesId;
@@ -53,26 +60,26 @@ impl PoreWall {
 }
 
 impl ExternalPotential for PoreWall {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, _species: SpeciesId) -> (f64, Vec3) {
-        let r_lumen = self.geometry.radius(p.z);
-        if !r_lumen.is_finite() {
-            return (0.0, Vec3::zero());
-        }
+        // Outside the pore r(z) = ∞, so `rho > allowed` fails there too.
+        let (r_lumen, dr_dz) = self.geometry.radius_and_gradient(p.z);
         let allowed = (r_lumen - self.bead_radius).max(0.1);
         let rho = p.rho();
-        if rho <= allowed {
-            return (0.0, Vec3::zero());
-        }
         let d = rho - allowed;
         let e = self.k_wall * d * d;
         // ∂U/∂ρ = 2 k d ;  ∂U/∂z = -2 k d · d(allowed)/dz = -2 k d r'(z)
         let inv_rho = 1.0 / rho;
-        let dr_dz = self.geometry.radius_gradient(p.z);
         let f_rho = -2.0 * self.k_wall * d;
         let f_z = 2.0 * self.k_wall * d * dr_dz;
+        let on = rho > allowed;
         (
-            e,
-            Vec3::new(f_rho * p.x * inv_rho, f_rho * p.y * inv_rho, f_z),
+            if on { e } else { 0.0 },
+            Vec3::new(
+                if on { f_rho * p.x * inv_rho } else { 0.0 },
+                if on { f_rho * p.y * inv_rho } else { 0.0 },
+                if on { f_z } else { 0.0 },
+            ),
         )
     }
 
@@ -109,18 +116,18 @@ pub struct ConstrictionRing {
 }
 
 impl ExternalPotential for ConstrictionRing {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
         // spice-lint: allow(N002) exact-zero charge is the "electrostatics disabled" sentinel
-        if species != SPECIES_DNA || self.bead_charge == 0.0 {
-            return (0.0, Vec3::zero());
-        }
+        let on = (species == SPECIES_DNA) & (self.bead_charge != 0.0);
         let rho = p.rho();
         let dr = self.radius - rho;
         let dz = p.z - self.z0;
         let d2 = dr * dr + dz * dz + self.softening * self.softening;
         let d = d2.sqrt();
         let pref = COULOMB_KCAL * self.charge * self.bead_charge / self.epsilon_r;
-        let screen = (-d / self.lambda).exp();
+        // det_exp, not libm exp: bit-reproducible and vectorizable.
+        let screen = det_exp(-d / self.lambda);
         let e = pref * screen / d;
         // dU/dd = -pref·screen (1/d² + 1/(λ d))
         let du_dd = -pref * screen * (1.0 / d2 + 1.0 / (self.lambda * d));
@@ -129,8 +136,12 @@ impl ExternalPotential for ConstrictionRing {
         let du_dz = du_dd * (dz / d);
         let inv_rho = if rho > 1e-9 { 1.0 / rho } else { 0.0 };
         (
-            e,
-            Vec3::new(-du_drho * p.x * inv_rho, -du_drho * p.y * inv_rho, -du_dz),
+            if on { e } else { 0.0 },
+            Vec3::new(
+                if on { -du_drho * p.x * inv_rho } else { 0.0 },
+                if on { -du_drho * p.y * inv_rho } else { 0.0 },
+                if on { -du_dz } else { 0.0 },
+            ),
         )
     }
 
@@ -166,45 +177,32 @@ pub struct AxialCorrugation {
 }
 
 impl AxialCorrugation {
+    /// Envelope and its z-derivative: the product of a smoothstep rising
+    /// over [z_lo, z_lo+ramp] and one falling over [z_hi-ramp, z_hi]. Each
+    /// factor is clamped flat outside its ramp, so the product is 0
+    /// outside [z_lo, z_hi] and 1 on the plateau without a branch.
+    #[inline(always)]
     fn envelope(&self, z: f64) -> (f64, f64) {
-        // Smoothstep up over [z_lo, z_lo+ramp], down over [z_hi-ramp, z_hi].
-        if z <= self.z_lo || z >= self.z_hi {
-            return (0.0, 0.0);
-        }
-        let smooth = |t: f64| {
-            let t = t.clamp(0.0, 1.0);
-            (t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t))
-        };
-        if z < self.z_lo + self.ramp {
-            let t = (z - self.z_lo) / self.ramp;
-            let (e, de) = smooth(t);
-            (e, de / self.ramp)
-        } else if z > self.z_hi - self.ramp {
-            let t = (self.z_hi - z) / self.ramp;
-            let (e, de) = smooth(t);
-            (e, -de / self.ramp)
-        } else {
-            (1.0, 0.0)
-        }
+        let (up, d_up) = smoothstep((z - self.z_lo) / self.ramp);
+        let (down, d_down) = smoothstep((self.z_hi - z) / self.ramp);
+        (up * down, (d_up * down - up * d_down) / self.ramp)
     }
 }
 
 impl ExternalPotential for AxialCorrugation {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
-        if species != SPECIES_DNA {
-            return (0.0, Vec3::zero());
-        }
         let (env, denv) = self.envelope(p.z);
-        // spice-lint: allow(N002) exact-zero envelope sentinel: force-free region
-        if env == 0.0 && denv == 0.0 {
-            return (0.0, Vec3::zero());
-        }
+        let (s, c) = det_sincos2pi(p.z / self.period);
         let w = 2.0 * std::f64::consts::PI / self.period;
-        let s = (w * p.z).sin();
-        let c = (w * p.z).cos();
         let e = self.amplitude * env * s;
         let du_dz = self.amplitude * (denv * s + env * w * c);
-        (e, Vec3::new(0.0, 0.0, -du_dz))
+        // Outside the envelope e and du_dz are exact zeros already.
+        let on = species == SPECIES_DNA;
+        (
+            if on { e } else { 0.0 },
+            Vec3::new(0.0, 0.0, if on { -du_dz } else { 0.0 }),
+        )
     }
 
     fn name(&self) -> &str {
@@ -230,18 +228,14 @@ impl MembraneSlab {
 }
 
 impl ExternalPotential for MembraneSlab {
+    #[inline(always)]
     fn energy_force(&self, p: Vec3, _species: SpeciesId) -> (f64, Vec3) {
-        if !self.geometry.in_membrane_span(p.z) {
-            return (0.0, Vec3::zero());
-        }
         let r_lumen = self.geometry.radius(p.z);
         let rho = p.rho();
         // Outside the lumen wall but inside the membrane: push back down/up
         // along z to the nearest face AND inward. We implement the z-face
         // penalty (dominant for beads wandering over the lipid headgroups).
-        if rho <= r_lumen + 2.0 {
-            return (0.0, Vec3::zero());
-        }
+        let on = self.geometry.in_membrane_span(p.z) & (rho > r_lumen + 2.0);
         // Penetration depth from the nearest membrane face; U = k d²
         // ejects the bead through that face.
         let d_lo = p.z - self.geometry.barrel_lo;
@@ -252,7 +246,10 @@ impl ExternalPotential for MembraneSlab {
             (d_hi, 1.0)
         };
         let e = self.k * d * d;
-        (e, Vec3::new(0.0, 0.0, 2.0 * self.k * d * out_dir))
+        (
+            if on { e } else { 0.0 },
+            Vec3::new(0.0, 0.0, if on { 2.0 * self.k * d * out_dir } else { 0.0 }),
+        )
     }
 
     fn name(&self) -> &str {

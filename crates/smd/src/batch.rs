@@ -182,7 +182,7 @@ where
     // Post-clone decorrelation: held spring, per-lane noise streams. The
     // cloned path's `sim.run(steps)` health-checks every
     // `blowup_check_stride = 100` *global* steps.
-    let mut hold_bias = batch_spring_bias(&hold);
+    let mut hold_bias = batch_spring_bias(&hold, n);
     batch.refresh_forces(&mut hold_bias);
     for _ in 0..decorrelation_steps {
         batch.step_once(&mut hold_bias);
@@ -218,41 +218,36 @@ where
     results
 }
 
-/// Build the batched bias closure for one spring: the exact per-lane
-/// replica of [`SmdSpring::apply`] (same COM fold, same force split).
-fn batch_spring_bias(spring: &SmdSpring) -> impl FnMut(f64, &mut LaneForces<'_>) {
+/// Build the batched bias closure for one spring over `lanes` lanes: the
+/// exact per-lane replica of [`SmdSpring::apply`] (same COM fold, same
+/// force split), swept across lanes.
+fn batch_spring_bias(spring: &SmdSpring, lanes: usize) -> impl FnMut(f64, &mut LaneForces<'_>) {
     let spring = spring.clone();
+    let mut f_com = vec![0.0; lanes];
     move |t_ps: f64, lf: &mut LaneForces<'_>| {
         let guide = spring.guide_z(t_ps);
-        for l in 0..lf.n_lanes() {
-            let dz = lane_com_z(&spring, lf, l) - guide;
-            let f_com = -spring.kappa() * dz;
-            for (&i, &w) in spring.group().iter().zip(spring.mass_frac()) {
-                lf.add_force_z(i, l, f_com * w);
+        lanes_com_z(&spring, |i| lf.pos_z_row(i), &mut f_com);
+        for f in f_com.iter_mut() {
+            *f = -spring.kappa() * (*f - guide);
+        }
+        for (&i, &w) in spring.group().iter().zip(spring.mass_frac()) {
+            for (fz, &f) in lf.force_z_row(i).iter_mut().zip(&f_com) {
+                *fz += f * w;
             }
         }
     }
 }
 
-/// Lane-`l` COM of the spring's group: the same mass-fraction fold as
-/// [`SmdSpring::com_z`] (iteration order and `Sum` seed included).
-fn lane_com_z(spring: &SmdSpring, lf: &LaneForces<'_>, l: usize) -> f64 {
-    spring
-        .group()
-        .iter()
-        .zip(spring.mass_frac())
-        .map(|(&i, &w)| w * lf.pos_z(i, l))
-        .sum()
-}
-
-/// Same fold reading directly from a [`BatchSim`] (outside a force eval).
-fn lane_com_z_sim(spring: &SmdSpring, batch: &BatchSim, l: usize) -> f64 {
-    spring
-        .group()
-        .iter()
-        .zip(spring.mass_frac())
-        .map(|(&i, &w)| w * batch.pos_z(i, l))
-        .sum()
+/// Every lane's COM of the spring's group, into `com`: the mass-fraction
+/// fold of [`SmdSpring::com_z`] (iteration order and the `-0.0` seed of
+/// `f64`'s `Sum` included), with lanes in the inner loop.
+fn lanes_com_z<'a>(spring: &SmdSpring, z_row: impl Fn(usize) -> &'a [f64], com: &mut [f64]) {
+    com.fill(-0.0);
+    for (&i, &w) in spring.group().iter().zip(spring.mass_frac()) {
+        for (c, &z) in com.iter_mut().zip(z_row(i)) {
+            *c += w * z;
+        }
+    }
 }
 
 /// The hold-phase health check `Simulation::run` performs every
@@ -287,13 +282,14 @@ fn pull_lanes(
     let nsteps = protocol.pull_steps();
     let cap = (nsteps / protocol.sample_stride) as usize + 2;
 
-    let mut com_start = vec![0.0; n];
+    let mut com = vec![0.0; n];
+    lanes_com_z(spring, |i| batch.pos_z_row(i), &mut com);
+    let com_start = com.clone();
     let mut work = vec![0.0; n];
     let mut prev_force = vec![0.0; n];
     let mut samples: Vec<Vec<WorkSample>> = (0..n).map(|_| Vec::with_capacity(cap)).collect();
     for l in 0..n {
-        com_start[l] = lane_com_z_sim(spring, batch, l);
-        prev_force[l] = spring.kappa() * (spring.guide_z(t0) - lane_com_z_sim(spring, batch, l));
+        prev_force[l] = spring.kappa() * (spring.guide_z(t0) - com[l]);
         samples[l].push(WorkSample {
             t_ps: 0.0,
             guide_disp: 0.0,
@@ -303,27 +299,34 @@ fn pull_lanes(
         });
     }
 
-    let mut bias = batch_spring_bias(spring);
+    let mut bias = batch_spring_bias(spring, n);
     batch.refresh_forces(&mut bias);
     for step in 1..=nsteps {
         batch.step_once(&mut bias);
         #[cfg(feature = "audit")]
         shadows.step_and_check(batch, &failed);
         let t = batch.time_ps();
+        let guide = spring.guide_z(t);
+        lanes_com_z(spring, |i| batch.pos_z_row(i), &mut com);
+        // Work on every lane, failed ones included: their slots return
+        // the error, never these values, and the sweep stays branch-free.
+        for ((w, f), &c) in work.iter_mut().zip(&mut prev_force).zip(&com) {
+            let force = spring.kappa() * (guide - c);
+            // Trapezoid: dW = v · (F_prev + F)/2 · dt.
+            *w += v * 0.5 * (*f + force) * dt;
+            *f = force;
+        }
+        let sample = step % protocol.sample_stride == 0 || step == nsteps;
         for l in 0..n {
             if failed[l].is_some() {
                 continue;
             }
-            let force = spring.kappa() * (spring.guide_z(t) - lane_com_z_sim(spring, batch, l));
-            // Trapezoid: dW = v · (F_prev + F)/2 · dt.
-            work[l] += v * 0.5 * (prev_force[l] + force) * dt;
-            prev_force[l] = force;
             // Under `audit`, the cloned path's per-step sanitizer panic is
             // caught per realization task; the per-lane analogue converts
             // the would-be panic into that slot's error so sibling lanes
             // survive, exactly as sibling tasks do.
             #[cfg(feature = "audit")]
-            if !(work[l].is_finite() && force.is_finite()) {
+            if !(work[l].is_finite() && prev_force[l].is_finite()) {
                 let seed = seeds.stream(l as u64);
                 failed[l] = Some(MdError::NumericalBlowup {
                     step: 0,
@@ -332,13 +335,13 @@ fn pull_lanes(
                 batch.mark_dead(l);
                 continue;
             }
-            if step % protocol.sample_stride == 0 || step == nsteps {
+            if sample {
                 samples[l].push(WorkSample {
                     t_ps: t - t0,
                     guide_disp: v * (t - t0),
-                    com_disp: lane_com_z_sim(spring, batch, l) - com_start[l],
+                    com_disp: com[l] - com_start[l],
                     work: work[l],
-                    force,
+                    force: prev_force[l],
                 });
             }
             if step % 200 == 0 && !batch.lane_is_finite(l) {

@@ -3,14 +3,17 @@
 //! layer (DESIGN.md §14), times a mid-campaign kill + cold restore,
 //! records snapshot sizes, verifies every durable replay stays
 //! bit-identical to the plain engine while timing it, and writes
-//! `BENCH_durability.json`.
+//! `BENCH_durability.json`. Every timing is the median of `ROUNDS`
+//! rounds.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_durability
 //! ```
 //!
 //! There is no exit-code gate: the bit-identity asserts are the gate;
-//! the timings are the report (EXPERIMENTS.md T-durable).
+//! the timings are the report (EXPERIMENTS.md T-durable). CI diffs the
+//! fresh JSON against the committed one with every timing ignored, so
+//! event counts, snapshot counts and snapshot sizes must match exactly.
 
 use spice_gridsim::campaign::Campaign;
 use spice_gridsim::des::DispatchPolicy;
@@ -45,29 +48,37 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn time_best<R>(rounds: u32, mut run: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let r = run();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("at least one round"))
+/// Timed rounds per measurement.
+const ROUNDS: usize = 5;
+
+fn median(mut secs: Vec<f64>) -> f64 {
+    secs.sort_unstable_by(f64::total_cmp);
+    secs[secs.len() / 2]
 }
 
-fn bench_case(label: &'static str, campaign: &Campaign, every_events: u64, rounds: u32) -> Row {
+/// Median wall-clock seconds of `ROUNDS` calls of `run`, and the last
+/// call's result.
+fn time_median<R>(mut run: impl FnMut() -> R) -> (f64, R) {
+    let mut secs = Vec::with_capacity(ROUNDS);
+    let mut out = None;
+    for _ in 0..ROUNDS {
+        let t0 = Instant::now();
+        out = Some(run());
+        secs.push(t0.elapsed().as_secs_f64());
+    }
+    (median(secs), out.expect("at least one round"))
+}
+
+fn bench_case(label: &'static str, campaign: &Campaign, every_events: u64) -> Row {
     let policy = ResiliencePolicy::checkpoint_failover();
     let dispatch = DispatchPolicy::EarliestCompletion;
     let off = Telemetry::disabled();
 
-    let (wall_plain, (plain, stats)) = time_best(rounds, || {
-        run_resilient_with_stats(campaign, &policy, dispatch, &off)
-    });
+    let (wall_plain, (plain, stats)) =
+        time_median(|| run_resilient_with_stats(campaign, &policy, dispatch, &off));
 
     let dir = scratch_dir(label);
-    let (wall_durable, outcome) = time_best(rounds, || {
+    let (wall_durable, outcome) = time_median(|| {
         // Fresh directory every round: leftover generations would turn
         // the next round into a (much cheaper) restore instead of a run.
         let _ = std::fs::remove_dir_all(&dir);
@@ -91,26 +102,29 @@ fn bench_case(label: &'static str, campaign: &Campaign, every_events: u64, round
 
     // Kill mid-campaign, then time the cold restart: recovery scan +
     // snapshot load + telemetry replay + the remaining half of the run.
+    // Each round kills afresh, so every timed resume starts from the same
+    // snapshot directory.
     let kill_at = stats.events_processed / 2;
-    let (_, wall_recover) = {
+    let crash_cfg = DurableConfig {
+        every_events,
+        crash: CrashPlan::KillAfterEvents(kill_at),
+        ..DurableConfig::new(&dir)
+    };
+    let resume_cfg = DurableConfig {
+        every_events,
+        ..DurableConfig::new(&dir)
+    };
+    let mut recover_s = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
         let _ = std::fs::remove_dir_all(&dir);
-        let crash_cfg = DurableConfig {
-            every_events,
-            crash: CrashPlan::KillAfterEvents(kill_at),
-            ..DurableConfig::new(&dir)
-        };
         match run_resilient_durable(campaign, &policy, dispatch, &off, &crash_cfg) {
             Err(DurabilityError::InjectedCrash { .. }) => {}
             other => panic!("{label}: expected the injected kill, got {other:?}"),
         }
-        let resume_cfg = DurableConfig {
-            every_events,
-            ..DurableConfig::new(&dir)
-        };
-        let (wall, resumed) = time_best(1, || {
-            run_resilient_durable(campaign, &policy, dispatch, &off, &resume_cfg)
-                .expect("recovery run completes")
-        });
+        let t0 = Instant::now();
+        let resumed = run_resilient_durable(campaign, &policy, dispatch, &off, &resume_cfg)
+            .expect("recovery run completes");
+        recover_s.push(t0.elapsed().as_secs_f64());
         assert_eq!(
             resumed.result, plain,
             "{label}: recovered replay diverged from the plain engine"
@@ -123,8 +137,8 @@ fn bench_case(label: &'static str, campaign: &Campaign, every_events: u64, round
                 "{label}: recovery must resume from a snapshot, not restart"
             );
         }
-        (resumed, wall)
-    };
+    }
+    let wall_recover = median(recover_s);
     let _ = std::fs::remove_dir_all(&dir);
 
     let row = Row {
@@ -157,10 +171,10 @@ fn main() {
     let paper = Campaign::sc05_outage_phase(2005);
     let synth = Campaign::synthetic(10_000, 12, 11);
     let rows = [
-        bench_case("paper/64", &paper, 64, 5),
-        bench_case("paper/256", &paper, 256, 5),
-        bench_case("synthetic-10k/1k", &synth, 1_024, 3),
-        bench_case("synthetic-10k/8k", &synth, 8_192, 3),
+        bench_case("paper/64", &paper, 64),
+        bench_case("paper/256", &paper, 256),
+        bench_case("synthetic-10k/1k", &synth, 1_024),
+        bench_case("synthetic-10k/8k", &synth, 8_192),
     ];
 
     let row_json = |r: &Row| {

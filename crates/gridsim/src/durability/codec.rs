@@ -9,18 +9,79 @@
 
 use super::DurabilityError;
 
-/// FNV-1a 64-bit hash — the snapshot checksum. Not cryptographic; it
-/// exists to catch torn writes and bit rot loudly, not adversaries.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
 }
 
-/// Append-only encoder.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte lane"))
+}
+
+/// XXH64 with seed 0 — the snapshot checksum and the configuration
+/// fingerprint. Four independent 8-byte lanes per 32-byte stripe keep
+/// the multiplier busy where a byte-serial hash waits on one dependent
+/// multiply per byte. Not cryptographic; it exists to catch torn writes
+/// and bit rot loudly, not adversaries.
+pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh_round(*a, le_u64(lane));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| {
+            (h ^ xxh_round(0, a)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, le_u64(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let w = u32::from_le_bytes(tail[..4].try_into().expect("4-byte word"));
+        h = (h ^ u64::from(w).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Append-only encoder. [`Enc::clear`] keeps the allocation, so one
+/// encoder reused across snapshots stops growing once it has held the
+/// largest.
 #[derive(Default)]
 pub(crate) struct Enc {
     buf: Vec<u8>,
@@ -31,12 +92,24 @@ impl Enc {
         Enc::default()
     }
 
+    #[cfg(test)]
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     pub(crate) fn bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Empty the buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Overwrite the 8 bytes at `offset` — a header field whose value is
+    /// known only after the payload behind it has been written.
+    pub(crate) fn patch_u64(&mut self, offset: usize, v: u64) {
+        self.buf[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     pub(crate) fn put_u8(&mut self, v: u8) {
@@ -62,6 +135,17 @@ impl Enc {
     /// Raw IEEE-754 bits — the only lossless f64 representation.
     pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Tag byte 0 for `None`, 1 followed by the value for `Some`.
+    pub(crate) fn put_opt_f64(&mut self, v: Option<f64>) {
+        match v {
+            Some(x) => {
+                self.put_u8(1);
+                self.put_f64(x);
+            }
+            None => self.put_u8(0),
+        }
     }
 
     pub(crate) fn put_str(&mut self, s: &str) {
@@ -163,6 +247,14 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
+    pub(crate) fn take_opt_f64(&mut self) -> Result<Option<f64>, DurabilityError> {
+        Ok(match self.take_u8()? {
+            0 => None,
+            1 => Some(self.take_f64()?),
+            t => return Err(DurabilityError::Corrupt(format!("invalid option tag {t}"))),
+        })
+    }
+
     pub(crate) fn take_str(&mut self) -> Result<String, DurabilityError> {
         let n = self.take_len(1)?;
         let b = self.take(n)?;
@@ -243,12 +335,39 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn xxh64_matches_reference_vectors() {
+        // XXH64, seed 0.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+        let all: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(xxh64(&all), 0x1FAC_BE84_06CD_904B);
         // Sensitivity: one flipped bit changes the sum.
-        assert_ne!(fnv1a(b"foobar"), fnv1a(b"foobas"));
+        assert_ne!(xxh64(b"foobar"), xxh64(b"foobas"));
+    }
+
+    #[test]
+    fn xxh64_low_word_matches_zstd_frame_checksums() {
+        // `zstd -C` ends each frame with the low 32 bits of the content's
+        // XXH64 (seed 0). These lengths take every path: 8- and 4-byte
+        // tail words, single tail bytes, with and without whole stripes.
+        for (n, low) in [
+            (8usize, 0xc6f9_0092u32),
+            (12, 0x33af_5133),
+            (31, 0xcc4a_6119),
+            (33, 0xba58_8784),
+            (47, 0xc5ad_205e),
+            (63, 0x31c7_493c),
+            (64, 0xf6ee_b01f),
+            (100, 0x170f_e531),
+            (1000, 0x33f1_a3fb),
+        ] {
+            let bytes: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(xxh64(&bytes) as u32, low, "{n} bytes");
+        }
     }
 }

@@ -21,15 +21,20 @@
 //! * snapshots are written atomically (temp sibling + flush + rename) —
 //!   a crash mid-write never damages the previous generation set;
 //! * every file carries a versioned header (magic, format version,
-//!   generation, configuration fingerprint, payload length, FNV-1a
-//!   checksum) so truncated, bit-flipped, mismatched or future-format
-//!   files fail loudly with a typed [`DurabilityError`];
+//!   generation, configuration fingerprint, payload length, XXH64
+//!   checksum) so truncated, bit-flipped, renamed, mismatched or
+//!   other-format files fail loudly with a typed [`DurabilityError`];
 //! * recovery degrades gracefully: the newest *intact* generation wins,
 //!   and every rejected newer file is reported (with its reason) in the
 //!   [`RecoveryReport`].
 //!
-//! Checkpoint-subsystem activity (`checkpoint.write` / restore spans)
-//! lands on the **separate** telemetry handle in
+//! A snapshot is encoded straight from the live engine into one buffer
+//! that the runner reuses across snapshots: no intermediate copy of the
+//! engine, and no second copy of the payload behind the header.
+//!
+//! Checkpoint-subsystem activity (`checkpoint.write` with its
+//! `checkpoint.encode` and `checkpoint.sync` children, and
+//! `checkpoint.restore`) lands on the **separate** telemetry handle in
 //! [`DurableConfig::telemetry`], never on the campaign handle — so the
 //! campaign's own telemetry export stays bit-identical whether or not
 //! the run was interrupted.
@@ -40,7 +45,7 @@ mod writer;
 use crate::campaign::Campaign;
 use crate::des::DispatchPolicy;
 use crate::resilience::{Engine, EngineImage, EngineStats, ResiliencePolicy, ResilientResult};
-use codec::{fnv1a, Dec, Enc};
+use codec::{xxh64, Dec, Enc};
 use spice_telemetry::{intern, EventKind, MetricValue, Telemetry};
 use std::fmt;
 use std::fs;
@@ -48,9 +53,18 @@ use std::path::{Path, PathBuf};
 
 /// First 8 bytes of every snapshot file.
 const MAGIC: [u8; 8] = *b"SPICEDUR";
-/// On-disk format version. Bump on any change to the header or payload
-/// layout ([`EngineImage::encode`] or the telemetry section).
-const FORMAT_VERSION: u32 = 1;
+/// On-disk format version. Bump on any change to the header, the
+/// checksum, or the payload layout ([`Engine::encode`] or the telemetry
+/// section). Version 2 replaced version 1's FNV-1a checksum and
+/// fingerprint with XXH64; the layout is unchanged.
+const FORMAT_VERSION: u32 = 2;
+/// Header bytes before the payload: magic, version, generation,
+/// fingerprint, payload length, checksum.
+const HEADER_LEN: usize = 44;
+/// Offset of the header's payload-length field.
+const PAYLOAD_LEN_AT: usize = 28;
+/// Offset of the header's checksum field.
+const CHECKSUM_AT: usize = 36;
 
 /// Everything that can go wrong writing, finding or restoring a
 /// snapshot. Each header check failure is a distinct variant so the
@@ -88,8 +102,10 @@ pub enum DurabilityError {
         /// Fingerprint recorded in the file.
         found: u64,
     },
-    /// The payload is structurally invalid: truncated mid-field, an
-    /// impossible tag, a lying length prefix, or trailing garbage.
+    /// The file is structurally invalid: a header naming another
+    /// generation than its file name, or a payload truncated mid-field,
+    /// with an impossible tag, a lying length prefix, or trailing
+    /// garbage.
     Corrupt(String),
     /// The configured [`CrashPlan`] fired — the simulated process death
     /// the crash harness uses in place of a real `kill -9`.
@@ -200,7 +216,9 @@ pub struct DurableConfig {
     /// is what makes stale-generation recovery possible.
     pub retain: usize,
     /// Telemetry handle for the checkpoint subsystem itself
-    /// (`checkpoint.write` / `checkpoint.restore` spans and counters).
+    /// (`checkpoint.write` spans with `checkpoint.encode` and
+    /// `checkpoint.sync` children, `checkpoint.restore` instants, and
+    /// counters).
     /// Deliberately separate from the campaign telemetry handle so the
     /// campaign export stays bit-identical across interruptions.
     pub telemetry: Telemetry,
@@ -345,7 +363,7 @@ fn fingerprint(campaign: &Campaign, policy: &ResiliencePolicy, dispatch: Dispatc
         DispatchPolicy::RoundRobin => 1,
         DispatchPolicy::Random => 2,
     });
-    fnv1a(e.bytes())
+    xxh64(e.bytes())
 }
 
 fn encode_telemetry(e: &mut Enc, t: &Telemetry) {
@@ -494,15 +512,47 @@ fn import_telemetry(t: &Telemetry, img: &TelemetryImage) {
     }
 }
 
-/// Read and fully validate one snapshot file against the resuming
-/// configuration's fingerprint `fp`.
-fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
-    let bytes = fs::read(path)?;
-    let mut d = Dec::new(&bytes);
+/// Fill `e` with the complete snapshot file for generation `generation`:
+/// the header with placeholder length and checksum, the payload (the
+/// engine, then the campaign telemetry stream) encoded straight from the
+/// live engine behind it, then the two placeholders patched in place —
+/// the payload is written once and never copied.
+fn encode_snapshot(
+    e: &mut Enc,
+    generation: u64,
+    fp: u64,
+    engine: &Engine<'_>,
+    campaign_telemetry: &Telemetry,
+) {
+    e.clear();
+    e.put_raw(&MAGIC);
+    e.put_u32(FORMAT_VERSION);
+    e.put_u64(generation);
+    e.put_u64(fp);
+    e.put_u64(0);
+    e.put_u64(0);
+    debug_assert_eq!(e.bytes().len(), HEADER_LEN);
+    engine.encode(e);
+    encode_telemetry(e, campaign_telemetry);
+    let payload = &e.bytes()[HEADER_LEN..];
+    let (len, checksum) = (payload.len() as u64, xxh64(payload));
+    e.patch_u64(PAYLOAD_LEN_AT, len);
+    e.patch_u64(CHECKSUM_AT, checksum);
+}
+
+/// Fully validate the bytes of snapshot file `generation` against the
+/// resuming configuration's fingerprint `fp`. The checksum is verified
+/// before any of the payload is decoded.
+fn decode_snapshot(
+    bytes: &[u8],
+    generation: u64,
+    fp: u64,
+) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
+    let mut d = Dec::new(bytes);
     let magic = d
         .take_bytes(8)
         .map_err(|_| DurabilityError::BadMagic {
-            found: bytes.clone(),
+            found: bytes.to_vec(),
         })?
         .to_vec();
     if magic != MAGIC {
@@ -515,7 +565,12 @@ fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), 
             supported: FORMAT_VERSION,
         });
     }
-    let _generation = d.take_u64()?;
+    let file_generation = d.take_u64()?;
+    if file_generation != generation {
+        return Err(DurabilityError::Corrupt(format!(
+            "header names generation {file_generation} but the file is generation {generation}"
+        )));
+    }
     let file_fp = d.take_u64()?;
     if file_fp != fp {
         return Err(DurabilityError::Mismatch {
@@ -532,7 +587,7 @@ fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), 
         )));
     }
     let payload = d.take_bytes(payload_len)?;
-    let actual = fnv1a(payload);
+    let actual = xxh64(payload);
     if actual != checksum {
         return Err(DurabilityError::Checksum {
             expected: checksum,
@@ -546,30 +601,13 @@ fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), 
     Ok((image, telemetry))
 }
 
-/// Serialize `image` + the campaign telemetry stream and write it
-/// atomically as generation `generation`.
-fn write_snapshot(
-    dir: &Path,
+/// Read and fully validate snapshot file `generation` at `path`.
+fn load_snapshot(
+    path: &Path,
     generation: u64,
     fp: u64,
-    image: &EngineImage,
-    campaign_telemetry: &Telemetry,
-) -> Result<u64, DurabilityError> {
-    let mut payload = Enc::new();
-    image.encode(&mut payload);
-    encode_telemetry(&mut payload, campaign_telemetry);
-    let payload = payload.into_bytes();
-    let mut file = Enc::new();
-    file.put_raw(&MAGIC);
-    file.put_u32(FORMAT_VERSION);
-    file.put_u64(generation);
-    file.put_u64(fp);
-    file.put_usize(payload.len());
-    file.put_u64(fnv1a(&payload));
-    file.put_raw(&payload);
-    let bytes = file.into_bytes();
-    writer::atomic_write(&writer::snapshot_path(dir, generation), &bytes)?;
-    Ok(bytes.len() as u64)
+) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
+    decode_snapshot(&fs::read(path)?, generation, fp)
 }
 
 /// Execute a campaign crash-safely: resume from the newest intact
@@ -618,7 +656,7 @@ pub fn run_resilient_durable(
     let mut skipped: Vec<(u64, String)> = Vec::new();
     let mut restored: Option<(u64, EngineImage, TelemetryImage)> = None;
     for (generation, path) in writer::list_generations(&cfg.dir)?.iter().rev() {
-        match load_snapshot(path, fp) {
+        match load_snapshot(path, *generation, fp) {
             Ok((image, tele)) => {
                 restored = Some((*generation, image, tele));
                 break;
@@ -651,14 +689,22 @@ pub fn run_resilient_durable(
     };
 
     let mut snapshots_written = 0u64;
+    // The one snapshot buffer, reused by every write of this run.
+    let mut file = Enc::new();
     loop {
         let events = engine.events();
         let generation = events / cfg.every_events;
         if events > 0 && events % cfg.every_events == 0 && generation > last_generation {
             ckpt_track.enter_at("checkpoint.write", events);
-            let image = engine.freeze();
-            let bytes = write_snapshot(&cfg.dir, generation, fp, &image, telemetry)?;
+            ckpt_track.enter_at("checkpoint.encode", events);
+            encode_snapshot(&mut file, generation, fp, &engine, telemetry);
+            ckpt_track.exit_at("checkpoint.encode", events);
+            ckpt_track.enter_at("checkpoint.sync", events);
+            writer::atomic_write(&writer::snapshot_path(&cfg.dir, generation), file.bytes())?;
+            writer::retain_newest(&cfg.dir, cfg.retain)?;
+            ckpt_track.exit_at("checkpoint.sync", events);
             ckpt_track.exit_at("checkpoint.write", events);
+            let bytes = file.bytes().len() as u64;
             ckpt_track.instant_at(
                 "checkpoint.written",
                 events,
@@ -669,7 +715,6 @@ pub fn run_resilient_durable(
             );
             cfg.telemetry.counter("checkpoint.writes").incr();
             cfg.telemetry.counter("checkpoint.bytes").add(bytes);
-            writer::retain_newest(&cfg.dir, cfg.retain)?;
             last_generation = generation;
             snapshots_written += 1;
             // Write-stage fault injection: the fault lands *after* the
@@ -906,7 +951,7 @@ mod tests {
         let p = super::writer::snapshot_path(&dir, 1);
         fs::write(&p, b"definitely not a snapshot").unwrap();
         assert!(matches!(
-            load_snapshot(&p, 0),
+            load_snapshot(&p, 1, 0),
             Err(DurabilityError::BadMagic { .. })
         ));
         // A future format version.
@@ -916,9 +961,9 @@ mod tests {
         e.put_u64(1);
         e.put_u64(0);
         e.put_usize(0);
-        e.put_u64(fnv1a(b""));
+        e.put_u64(xxh64(b""));
         fs::write(&p, e.into_bytes()).unwrap();
-        match load_snapshot(&p, 0) {
+        match load_snapshot(&p, 1, 0) {
             Err(DurabilityError::Version { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 9);
                 assert_eq!(supported, FORMAT_VERSION);
@@ -945,7 +990,7 @@ mod tests {
             DispatchPolicy::RoundRobin,
         );
         assert!(matches!(
-            load_snapshot(&super::writer::snapshot_path(&dir, 1), other_fp),
+            load_snapshot(&super::writer::snapshot_path(&dir, 1), 1, other_fp),
             Err(DurabilityError::Mismatch { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -981,5 +1026,242 @@ mod tests {
             base,
             fingerprint(&c, &ResiliencePolicy::retry_only(), DispatchPolicy::Random)
         );
+    }
+
+    /// XXH64 of the snapshot payload at fixed event boundaries of the
+    /// SC05 outage campaign, campaign telemetry on. The digests were
+    /// taken from the payload of the engine-image encoder this encoder
+    /// replaced, so they pin the payload layout byte for byte.
+    #[test]
+    fn payload_bytes_match_the_golden_digests() {
+        const GOLDEN: [(u64, u64); 10] = [
+            (0, 0xf2ef_c3e1_3ed8_9e5d),
+            (1, 0xbc05_02d0_9152_daf3),
+            (7, 0x9b43_54cd_42cb_dfc6),
+            (64, 0x11a6_b1a1_4ab6_6baf),
+            (100, 0xb22c_460c_1688_67ad),
+            (128, 0x3c58_acbd_c500_31b4),
+            (192, 0x37a4_ff41_a474_9794),
+            (256, 0x6150_fee7_7242_5eeb),
+            (320, 0x75d1_9511_31c4_e7e2),
+            (365, 0x4f90_bc51_3ebf_59a6),
+        ];
+        let c = Campaign::sc05_outage_phase(2005);
+        let policy = ResiliencePolicy::checkpoint_failover();
+        let t = Telemetry::enabled();
+        let mut engine = Engine::new(&c, &policy, DispatchPolicy::EarliestCompletion, &t);
+        engine.prologue();
+        let mut e = Enc::new();
+        for (events, digest) in GOLDEN {
+            while engine.events() < events {
+                assert!(engine.step(), "campaign ended before event {events}");
+            }
+            encode_snapshot(&mut e, 1, 0, &engine, &t);
+            let payload = &e.bytes()[HEADER_LEN..];
+            assert_eq!(xxh64(payload), digest, "payload at event {events}");
+        }
+        assert!(
+            !engine.step(),
+            "the last boundary is the end of the campaign"
+        );
+    }
+
+    /// The newest snapshot file of an SC05 outage run killed at event
+    /// 200 under a 64-event cadence, with its generation and the run's
+    /// fingerprint.
+    fn sc05_snapshot(tag: &str) -> (Vec<u8>, u64, u64) {
+        let c = Campaign::sc05_outage_phase(2005);
+        let policy = ResiliencePolicy::checkpoint_failover();
+        let dispatch = DispatchPolicy::EarliestCompletion;
+        let dir = scratch_dir(tag);
+        let mut cfg = DurableConfig::new(&dir);
+        cfg.every_events = 64;
+        cfg.crash = CrashPlan::KillAfterEvents(200);
+        run_resilient_durable(&c, &policy, dispatch, &Telemetry::disabled(), &cfg)
+            .expect_err("the kill must fire");
+        let (generation, path) = super::writer::list_generations(&dir)
+            .unwrap()
+            .pop()
+            .expect("a snapshot was written");
+        let bytes = fs::read(path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        (bytes, generation, fingerprint(&c, &policy, dispatch))
+    }
+
+    #[test]
+    fn every_byte_flip_and_truncation_is_a_typed_error() {
+        let (mut bytes, generation, fp) = sc05_snapshot("fuzz");
+        assert_eq!(generation, 3);
+        decode_snapshot(&bytes, generation, fp).expect("the intact snapshot loads");
+        for at in 0..bytes.len() {
+            bytes[at] ^= 0xFF;
+            match decode_snapshot(&bytes, generation, fp) {
+                Ok(_) => panic!("a flip of byte {at} loaded"),
+                // Bytes 12..20 hold the generation.
+                Err(DurabilityError::Corrupt(why)) if (12..20).contains(&at) => {
+                    assert!(why.contains("generation"), "byte {at}: {why}");
+                }
+                Err(e) if (12..20).contains(&at) => panic!("byte {at}: {e:?}"),
+                Err(
+                    DurabilityError::BadMagic { .. }
+                    | DurabilityError::Version { .. }
+                    | DurabilityError::Mismatch { .. }
+                    | DurabilityError::Corrupt(_)
+                    | DurabilityError::Checksum { .. },
+                ) => {}
+                Err(e) => panic!("byte {at}: unexpected error {e:?}"),
+            }
+            bytes[at] ^= 0xFF;
+        }
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_snapshot(&bytes[..cut], generation, fp).is_err(),
+                "a truncation to {cut} bytes loaded"
+            );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_under_another_generation_name_is_skipped() {
+        let c = small_campaign();
+        let policy = ResiliencePolicy::retry_only();
+        let plain =
+            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let dir = scratch_dir("renamed");
+        let mut cfg = DurableConfig::new(&dir);
+        cfg.every_events = 50;
+        cfg.crash = CrashPlan::KillAfterEvents(120);
+        run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::RoundRobin,
+            &Telemetry::disabled(),
+            &cfg,
+        )
+        .expect_err("the kill must fire");
+        // Generation 2's file, copied under generation 9's name.
+        fs::copy(
+            super::writer::snapshot_path(&dir, 2),
+            super::writer::snapshot_path(&dir, 9),
+        )
+        .unwrap();
+        cfg.crash = CrashPlan::None;
+        let out = run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::RoundRobin,
+            &Telemetry::disabled(),
+            &cfg,
+        )
+        .expect("resume");
+        assert_eq!(out.recovery.resumed_from, Some(2));
+        assert_eq!(out.recovery.skipped.len(), 1);
+        assert_eq!(out.recovery.skipped[0].0, 9);
+        assert!(
+            out.recovery.skipped[0].1.contains("generation 2"),
+            "{}",
+            out.recovery.skipped[0].1
+        );
+        assert_eq!(out.result, plain);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_one_files_are_skipped_and_the_run_starts_fresh() {
+        let c = small_campaign();
+        let policy = ResiliencePolicy::checkpoint_failover();
+        let plain = crate::resilience::run_resilient_with_dispatch(
+            &c,
+            &policy,
+            DispatchPolicy::EarliestCompletion,
+        );
+        let dir = scratch_dir("v1");
+        let mut cfg = DurableConfig::new(&dir);
+        cfg.every_events = 64;
+        cfg.crash = CrashPlan::KillAfterEvents(150);
+        run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::EarliestCompletion,
+            &Telemetry::disabled(),
+            &cfg,
+        )
+        .expect_err("the kill must fire");
+        // Stamp every file on disk as format version 1.
+        for (_, path) in super::writer::list_generations(&dir).unwrap() {
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            fs::write(&path, bytes).unwrap();
+        }
+        cfg.crash = CrashPlan::None;
+        let out = run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::EarliestCompletion,
+            &Telemetry::disabled(),
+            &cfg,
+        )
+        .expect("a fresh run");
+        let why = DurabilityError::Version {
+            found: 1,
+            supported: 2,
+        }
+        .to_string();
+        assert_eq!(out.recovery.resumed_from, None);
+        assert_eq!(out.recovery.resumed_events, 0);
+        assert_eq!(out.recovery.skipped, [(2, why.clone()), (1, why)]);
+        assert_eq!(out.result, plain);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_write_spans_split_encode_from_sync() {
+        let c = small_campaign();
+        let dir = scratch_dir("spans");
+        let mut cfg = DurableConfig::new(&dir);
+        cfg.every_events = 100;
+        cfg.telemetry = Telemetry::enabled();
+        let out = run_resilient_durable(
+            &c,
+            &ResiliencePolicy::retry_only(),
+            DispatchPolicy::EarliestCompletion,
+            &Telemetry::disabled(),
+            &cfg,
+        )
+        .expect("uninterrupted run");
+        let snap = cfg.telemetry.snapshot();
+        let track = snap
+            .tracks
+            .iter()
+            .find(|t| t.name == "checkpoint")
+            .expect("checkpoint track");
+        let first: Vec<(EventKind, &str, u64)> = track
+            .events
+            .iter()
+            .take(7)
+            .map(|ev| (ev.kind, ev.name, ev.logical))
+            .collect();
+        assert_eq!(
+            first,
+            [
+                (EventKind::Enter, "checkpoint.write", 100),
+                (EventKind::Enter, "checkpoint.encode", 100),
+                (EventKind::Exit, "checkpoint.encode", 100),
+                (EventKind::Enter, "checkpoint.sync", 100),
+                (EventKind::Exit, "checkpoint.sync", 100),
+                (EventKind::Exit, "checkpoint.write", 100),
+                (EventKind::Instant, "checkpoint.written", 100),
+            ]
+        );
+        let writes = |name: &str| {
+            track
+                .events
+                .iter()
+                .filter(|ev| ev.kind == EventKind::Enter && ev.name == name)
+                .count() as u64
+        };
+        assert_eq!(writes("checkpoint.encode"), out.recovery.snapshots_written);
+        assert_eq!(writes("checkpoint.sync"), out.recovery.snapshots_written);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

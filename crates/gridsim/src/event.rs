@@ -4,6 +4,8 @@
 //! at equal times pop in insertion order (FIFO tie-break via a sequence
 //! counter), so simulations are bit-reproducible.
 
+use crate::durability::codec::{Dec, Enc};
+use crate::durability::DurabilityError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -190,13 +192,13 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A serializable image of an [`EventQueue`]: clock, counters, and every
-/// pending entry with its *original* FIFO sequence number, sorted in pop
-/// order `(time, seq)`. Restoring through [`EventQueue::from_image`]
-/// reproduces the exact pop sequence of the imaged queue — including
+/// A decoded snapshot of an [`EventQueue`]: clock, counters, and every
+/// pending entry with its *original* FIFO sequence number, in pop order
+/// `(time, seq)`. Restoring through [`EventQueue::from_image`]
+/// reproduces the exact pop sequence of the encoded queue — including
 /// same-time ties, which `schedule()` would renumber and so cannot
 /// rebuild.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct QueueImage<E> {
     /// Clock of the last popped event (hours).
     pub(crate) now: f64,
@@ -208,27 +210,53 @@ pub(crate) struct QueueImage<E> {
     pub(crate) entries: Vec<(f64, u64, E)>,
 }
 
-impl<E: Clone> EventQueue<E> {
-    /// Capture the queue's full state. Entries come out sorted by
-    /// `(time, seq)` — the pop order — so two images of equal queues
-    /// compare equal even though the backing heap layout may differ.
-    pub(crate) fn image(&self) -> QueueImage<E> {
-        let mut entries: Vec<(f64, u64, E)> = self
-            .heap
-            .iter()
-            .map(|e| (e.time.hours(), e.seq, e.payload.clone()))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        QueueImage {
-            now: self.now.hours(),
-            seq: self.seq,
-            peak: self.peak,
-            entries,
+impl<E> QueueImage<E> {
+    /// Read what [`EventQueue::encode`] wrote. `take` reads one payload
+    /// and `payload_min_bytes` is the fewest bytes it can occupy, which
+    /// bounds the entry count before anything is allocated.
+    pub(crate) fn decode(
+        d: &mut Dec<'_>,
+        payload_min_bytes: usize,
+        mut take: impl FnMut(&mut Dec<'_>) -> Result<E, DurabilityError>,
+    ) -> Result<QueueImage<E>, DurabilityError> {
+        let now = d.take_f64()?;
+        let seq = d.take_u64()?;
+        let peak = d.take_usize()?;
+        let mut entries = Vec::with_capacity(d.take_len(16 + payload_min_bytes)?);
+        for _ in 0..entries.capacity() {
+            let t = d.take_f64()?;
+            let entry_seq = d.take_u64()?;
+            entries.push((t, entry_seq, take(d)?));
         }
+        Ok(QueueImage {
+            now,
+            seq,
+            peak,
+            entries,
+        })
     }
 }
 
 impl<E> EventQueue<E> {
+    /// Append the queue's full state to a snapshot: clock, sequence
+    /// counter, peak, then every pending entry as `(time, seq)` followed
+    /// by what `put` writes for its payload. Entries go out in pop order
+    /// `(time, seq)`, so equal queues encode to equal bytes whatever the
+    /// layout of their heaps.
+    pub(crate) fn encode(&self, e: &mut Enc, mut put: impl FnMut(&mut Enc, &E)) {
+        e.put_f64(self.now.hours());
+        e.put_u64(self.seq);
+        e.put_usize(self.peak);
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
+        entries.sort_unstable_by(|a, b| a.time.cmp(&b.time).then(a.seq.cmp(&b.seq)));
+        e.put_usize(entries.len());
+        for entry in entries {
+            e.put_f64(entry.time.hours());
+            e.put_u64(entry.seq);
+            put(e, &entry.payload);
+        }
+    }
+
     /// Rebuild a queue from an [`QueueImage`], preserving every entry's
     /// original sequence number, the clock, the sequence counter and the
     /// peak — `schedule()` is bypassed entirely (it would renumber
@@ -325,8 +353,21 @@ mod tests {
         assert_eq!(q.len(), 3);
     }
 
+    fn encoded(q: &EventQueue<u32>) -> Vec<u8> {
+        let mut e = Enc::new();
+        q.encode(&mut e, |e, &p| e.put_u32(p));
+        e.into_bytes()
+    }
+
+    fn decoded(bytes: &[u8]) -> EventQueue<u32> {
+        let mut d = Dec::new(bytes);
+        let img = QueueImage::decode(&mut d, 4, |d| d.take_u32()).expect("decode");
+        d.finish().expect("the queue consumes its bytes exactly");
+        EventQueue::from_image(img)
+    }
+
     #[test]
-    fn image_round_trip_preserves_pop_order_and_counters() {
+    fn snapshot_round_trip_preserves_pop_order_and_counters() {
         let mut q = EventQueue::new();
         // Same-time ties plus distinct times, with some already popped so
         // the clock and stale low seqs are exercised.
@@ -337,34 +378,34 @@ mod tests {
         q.schedule(SimTime::from_hours(2.0), 200);
         q.pop(); // pops 100 @ 0.5, clock now 0.5
 
-        let img = q.image();
+        let bytes = encoded(&q);
+        let mut d = Dec::new(&bytes);
+        let img = QueueImage::decode(&mut d, 4, |d| d.take_u32()).expect("decode");
         assert_eq!(img.now, 0.5);
         assert_eq!(img.seq, 6);
         assert_eq!(img.peak, 6);
-        let mut restored = EventQueue::from_image(img.clone());
+        let mut restored = EventQueue::from_image(img);
         assert_eq!(restored.now().hours(), 0.5);
         assert_eq!(restored.len(), q.len());
         assert_eq!(restored.peak_len(), q.peak_len());
-        let a: Vec<(f64, i32)> =
+        // The restored queue encodes to the same bytes.
+        assert_eq!(encoded(&restored), bytes);
+        let a: Vec<(f64, u32)> =
             std::iter::from_fn(|| q.pop().map(|(t, e)| (t.hours(), e))).collect();
-        let b: Vec<(f64, i32)> =
+        let b: Vec<(f64, u32)> =
             std::iter::from_fn(|| restored.pop().map(|(t, e)| (t.hours(), e))).collect();
         assert_eq!(a, b, "restored queue pops bit-identically, ties included");
         assert_eq!(b, [(1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3), (2.0, 200)]);
 
-        // An image of the restored queue equals the original image.
-        let q2 = EventQueue::from_image(img.clone());
-        assert_eq!(q2.image(), img);
-
         // New scheduling after restore continues the FIFO counter.
-        let mut q3 = EventQueue::from_image(img);
+        let mut q3 = decoded(&bytes);
         q3.schedule(SimTime::from_hours(1.0), 999);
         while let Some((t, e)) = q3.pop() {
             if e == 999 {
                 assert_eq!(t.hours(), 1.0);
                 break;
             }
-            assert!(e < 999, "pre-image entries pop before the new tie");
+            assert!(e < 999, "pre-snapshot entries pop before the new tie");
         }
     }
 

@@ -341,9 +341,9 @@ pub struct EngineStats {
 
 /// DES event payload. Dense `u32` indices keep the payload at 16 bytes
 /// and make every lookup a direct array access — no id→index scans on
-/// the per-event path. `Copy` so the durability layer can image the
-/// event queue without draining it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the per-event path. `Copy` so the snapshot encoder reads queued
+/// payloads by value without draining the queue.
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A job (first submission or retry) enters the dispatcher.
     Submit(u32),
@@ -367,7 +367,7 @@ enum Ev {
     Poke,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct JobState {
     /// Current attempt, 1-based.
     attempt: u32,
@@ -1207,7 +1207,7 @@ impl<'a> Engine<'a> {
     /// when the queue is exhausted and the campaign is complete. The
     /// state between two `step` calls is an *event boundary*: everything
     /// observable is a pure function of the engine fields, which is what
-    /// makes [`Engine::freeze`] at this point sufficient for bit-exact
+    /// makes [`Engine::encode`] at this point sufficient for bit-exact
     /// resumption.
     pub(crate) fn step(&mut self) -> bool {
         self.drain_due_pokes();
@@ -1338,35 +1338,112 @@ impl<'a> Engine<'a> {
         (result, stats)
     }
 
-    /// Capture the complete evolving state of the replay at an event
-    /// boundary (between two [`Engine::step`] calls). Everything *not*
-    /// in the image — site indexes, outage windows, connectivity tables,
-    /// the fit cache, scratch buffers, telemetry handles — is a pure
-    /// function of the campaign/policy/dispatch inputs and is rebuilt by
-    /// [`Engine::new`] inside [`Engine::thaw`].
-    pub(crate) fn freeze(&self) -> EngineImage {
-        EngineImage {
-            states: self.states.clone(),
-            records: self.records.clone(),
-            failures: self.failures.clone(),
-            abandoned: self.abandoned.clone(),
-            jobs_per_site: self.jobs_per_site.clone(),
-            backlog_cpu_h: self.backlog_cpu_h.clone(),
-            rr_cursor: self.rr_cursor,
-            total_retries: self.total_retries,
-            queue: self.q.image(),
-            vseq: self.vseq,
-            poke_pending: self.poke_pending.iter().map(|(&k, &v)| (k, v)).collect(),
-            poke_marked: self.poke_marked.iter().copied().collect(),
-            phys_at: self.phys_at.iter().copied().collect(),
-            events_processed: self.events_processed,
-            schedulers: self.schedulers.iter().map(SiteScheduler::image).collect(),
+    /// Append the complete evolving state of the replay at an event
+    /// boundary (between two [`Engine::step`] calls) to a snapshot
+    /// payload, straight from the live fields — no intermediate copy.
+    /// Everything *not* written — site indexes, outage windows,
+    /// connectivity tables, the fit cache, scratch buffers, telemetry
+    /// handles — is a pure function of the campaign/policy/dispatch
+    /// inputs and is rebuilt by [`Engine::new`] inside [`Engine::thaw`].
+    /// The write order *is* the on-disk payload layout, read back by
+    /// [`EngineImage::decode`]; any change to it must bump the snapshot
+    /// format version in [`crate::durability`].
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        e.put_usize(self.states.len());
+        for st in &self.states {
+            e.put_u32(st.attempt);
+            e.put_f64(st.remaining);
+            e.put_f64(st.consumed_ref_cpu_h);
+            e.put_f64(st.backlog_contrib);
+            e.put_usize(st.site_failures.len());
+            for &(si, n) in &st.site_failures {
+                e.put_u32(si);
+                e.put_u32(n);
+            }
+            match st.running {
+                Some((si, start)) => {
+                    e.put_u8(1);
+                    e.put_usize(si);
+                    e.put_f64(start);
+                }
+                None => e.put_u8(0),
+            }
+            match st.last_site {
+                Some(si) => {
+                    e.put_u8(1);
+                    e.put_usize(si);
+                }
+                None => e.put_u8(0),
+            }
+            e.put_bool(st.done);
+            e.put_bool(st.abandoned);
+        }
+        e.put_usize(self.records.len());
+        for r in &self.records {
+            e.put_u32(r.job);
+            e.put_u32(r.site);
+            e.put_f64(r.submitted);
+            e.put_f64(r.started);
+            e.put_f64(r.finished);
+            e.put_u32(r.procs);
+            e.put_u32(r.attempts);
+            e.put_f64(r.lost_cpu_hours);
+        }
+        e.put_usize(self.failures.len());
+        for f in &self.failures {
+            e.put_u32(f.job);
+            e.put_u32(f.site);
+            e.put_u32(f.attempt);
+            e.put_f64(f.time);
+            e.put_u8(failure_kind_tag(f.kind));
+            e.put_f64(f.lost_cpu_hours);
+            e.put_f64(f.saved_hours);
+        }
+        e.put_usize(self.abandoned.len());
+        for &j in &self.abandoned {
+            e.put_u32(j);
+        }
+        e.put_usize(self.jobs_per_site.len());
+        for &n in &self.jobs_per_site {
+            e.put_usize(n);
+        }
+        e.put_usize(self.backlog_cpu_h.len());
+        for &b in &self.backlog_cpu_h {
+            e.put_f64(b);
+        }
+        e.put_usize(self.rr_cursor);
+        e.put_u32(self.total_retries);
+        self.q.encode(e, |e, &(stamp, ev)| {
+            e.put_u64(stamp);
+            encode_ev(e, ev);
+        });
+        e.put_u64(self.vseq);
+        e.put_usize(self.poke_pending.len());
+        for (&(t_bits, first), &(si, count)) in &self.poke_pending {
+            e.put_u64(t_bits);
+            e.put_u64(first);
+            e.put_u32(si);
+            e.put_u32(count);
+        }
+        e.put_usize(self.poke_marked.len());
+        for &t_bits in &self.poke_marked {
+            e.put_u64(t_bits);
+        }
+        e.put_usize(self.phys_at.len());
+        for &(t_bits, stamp) in &self.phys_at {
+            e.put_u64(t_bits);
+            e.put_u64(stamp);
+        }
+        e.put_u64(self.events_processed);
+        e.put_usize(self.schedulers.len());
+        for s in &self.schedulers {
+            s.encode(e);
         }
     }
 
     /// Rebuild a mid-campaign engine from an [`EngineImage`]. The
-    /// campaign, policy and dispatch must be the ones the image was
-    /// frozen from (the durability layer enforces this with a
+    /// campaign, policy and dispatch must be the ones the snapshot was
+    /// encoded from (the durability layer enforces this with a
     /// configuration fingerprint). A thawed engine must *not* run
     /// [`Engine::prologue`] — the restored queue already holds the
     /// initial event population's unpopped remainder.
@@ -1503,119 +1580,11 @@ fn decode_ev(d: &mut Dec<'_>) -> Result<Ev, DurabilityError> {
     })
 }
 
-fn encode_opt_f64(e: &mut Enc, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            e.put_u8(1);
-            e.put_f64(x);
-        }
-        None => e.put_u8(0),
-    }
-}
-
-fn decode_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>, DurabilityError> {
-    Ok(match d.take_u8()? {
-        0 => None,
-        1 => Some(d.take_f64()?),
-        t => return Err(DurabilityError::Corrupt(format!("invalid option tag {t}"))),
-    })
-}
-
-fn encode_scheduler(e: &mut Enc, s: &SchedulerImage) {
-    e.put_u32(s.capacity);
-    e.put_u32(s.free);
-    e.put_u32(s.used);
-    e.put_u64(s.seq);
-    e.put_usize(s.eligible.len());
-    for &(seq, ji, procs) in &s.eligible {
-        e.put_u64(seq);
-        e.put_u32(ji);
-        e.put_u32(procs);
-    }
-    e.put_usize(s.pending.len());
-    for &(seq, ji, procs) in &s.pending {
-        e.put_u64(seq);
-        e.put_u32(ji);
-        e.put_u32(procs);
-    }
-    e.put_usize(s.promote.len());
-    for &(t, seq) in &s.promote {
-        e.put_f64(t);
-        e.put_u64(seq);
-    }
-    e.put_usize(s.ready.len());
-    for &(t, seq) in &s.ready {
-        e.put_f64(t);
-        e.put_u64(seq);
-    }
-    e.put_usize(s.run_order.len());
-    for &(ji, procs, start_seq) in &s.run_order {
-        e.put_u32(ji);
-        e.put_u32(procs);
-        e.put_u64(start_seq);
-    }
-    e.put_usize(s.finish.len());
-    for &(t, start_seq, ji) in &s.finish {
-        e.put_f64(t);
-        e.put_u64(start_seq);
-        e.put_u32(ji);
-    }
-    e.put_u64(s.start_seq);
-    encode_opt_f64(e, s.down_until);
-    e.put_usize(s.peak_queued);
-}
-
-fn decode_scheduler(d: &mut Dec<'_>) -> Result<SchedulerImage, DurabilityError> {
-    let capacity = d.take_u32()?;
-    let free = d.take_u32()?;
-    let used = d.take_u32()?;
-    let seq = d.take_u64()?;
-    let mut eligible = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..eligible.capacity() {
-        eligible.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
-    }
-    let mut pending = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..pending.capacity() {
-        pending.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
-    }
-    let mut promote = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..promote.capacity() {
-        promote.push((d.take_f64()?, d.take_u64()?));
-    }
-    let mut ready = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..ready.capacity() {
-        ready.push((d.take_f64()?, d.take_u64()?));
-    }
-    let mut run_order = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..run_order.capacity() {
-        run_order.push((d.take_u32()?, d.take_u32()?, d.take_u64()?));
-    }
-    let mut finish = Vec::with_capacity(d.take_len(20)?);
-    for _ in 0..finish.capacity() {
-        finish.push((d.take_f64()?, d.take_u64()?, d.take_u32()?));
-    }
-    Ok(SchedulerImage {
-        capacity,
-        free,
-        used,
-        seq,
-        eligible,
-        pending,
-        promote,
-        ready,
-        run_order,
-        finish,
-        start_seq: d.take_u64()?,
-        down_until: decode_opt_f64(d)?,
-        peak_queued: d.take_usize()?,
-    })
-}
-
-/// The serializable evolving state of a resilient replay, produced by
-/// [`Engine::freeze`] and consumed by [`Engine::thaw`]. Field order in
-/// [`EngineImage::encode`] *is* the on-disk payload layout — any change
-/// to it must bump the snapshot format version in [`crate::durability`].
-#[derive(Debug, Clone, PartialEq)]
+/// The evolving state of a resilient replay as decoded from a snapshot
+/// payload ([`Engine::encode`] wrote it), consumed by [`Engine::thaw`].
+/// Restore-only: snapshots are encoded from the live engine, never
+/// through an image.
+#[derive(Debug)]
 pub(crate) struct EngineImage {
     states: Vec<JobState>,
     records: Vec<JobRecord>,
@@ -1635,114 +1604,14 @@ pub(crate) struct EngineImage {
 }
 
 impl EngineImage {
-    /// Events resolved at the moment of the freeze — names the snapshot's
-    /// generation.
+    /// Events resolved when the snapshot was encoded — names the
+    /// snapshot's generation.
     pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Append the image to `e` in the fixed payload layout.
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        e.put_usize(self.states.len());
-        for st in &self.states {
-            e.put_u32(st.attempt);
-            e.put_f64(st.remaining);
-            e.put_f64(st.consumed_ref_cpu_h);
-            e.put_f64(st.backlog_contrib);
-            e.put_usize(st.site_failures.len());
-            for &(si, n) in &st.site_failures {
-                e.put_u32(si);
-                e.put_u32(n);
-            }
-            match st.running {
-                Some((si, start)) => {
-                    e.put_u8(1);
-                    e.put_usize(si);
-                    e.put_f64(start);
-                }
-                None => e.put_u8(0),
-            }
-            match st.last_site {
-                Some(si) => {
-                    e.put_u8(1);
-                    e.put_usize(si);
-                }
-                None => e.put_u8(0),
-            }
-            e.put_bool(st.done);
-            e.put_bool(st.abandoned);
-        }
-        e.put_usize(self.records.len());
-        for r in &self.records {
-            e.put_u32(r.job);
-            e.put_u32(r.site);
-            e.put_f64(r.submitted);
-            e.put_f64(r.started);
-            e.put_f64(r.finished);
-            e.put_u32(r.procs);
-            e.put_u32(r.attempts);
-            e.put_f64(r.lost_cpu_hours);
-        }
-        e.put_usize(self.failures.len());
-        for f in &self.failures {
-            e.put_u32(f.job);
-            e.put_u32(f.site);
-            e.put_u32(f.attempt);
-            e.put_f64(f.time);
-            e.put_u8(failure_kind_tag(f.kind));
-            e.put_f64(f.lost_cpu_hours);
-            e.put_f64(f.saved_hours);
-        }
-        e.put_usize(self.abandoned.len());
-        for &j in &self.abandoned {
-            e.put_u32(j);
-        }
-        e.put_usize(self.jobs_per_site.len());
-        for &n in &self.jobs_per_site {
-            e.put_usize(n);
-        }
-        e.put_usize(self.backlog_cpu_h.len());
-        for &b in &self.backlog_cpu_h {
-            e.put_f64(b);
-        }
-        e.put_usize(self.rr_cursor);
-        e.put_u32(self.total_retries);
-        e.put_f64(self.queue.now);
-        e.put_u64(self.queue.seq);
-        e.put_usize(self.queue.peak);
-        e.put_usize(self.queue.entries.len());
-        for &(t, seq, (stamp, ev)) in &self.queue.entries {
-            e.put_f64(t);
-            e.put_u64(seq);
-            e.put_u64(stamp);
-            encode_ev(e, ev);
-        }
-        e.put_u64(self.vseq);
-        e.put_usize(self.poke_pending.len());
-        for &((t_bits, first), (si, count)) in &self.poke_pending {
-            e.put_u64(t_bits);
-            e.put_u64(first);
-            e.put_u32(si);
-            e.put_u32(count);
-        }
-        e.put_usize(self.poke_marked.len());
-        for &t_bits in &self.poke_marked {
-            e.put_u64(t_bits);
-        }
-        e.put_usize(self.phys_at.len());
-        for &(t_bits, stamp) in &self.phys_at {
-            e.put_u64(t_bits);
-            e.put_u64(stamp);
-        }
-        e.put_u64(self.events_processed);
-        e.put_usize(self.schedulers.len());
-        for s in &self.schedulers {
-            encode_scheduler(e, s);
-        }
-    }
-
-    /// Decode an image from the fixed payload layout. Every structural
-    /// violation is a [`DurabilityError::Corrupt`].
+    /// Decode an image from the payload layout [`Engine::encode`] writes.
+    /// Every structural violation is a [`DurabilityError::Corrupt`].
     pub(crate) fn decode(d: &mut Dec<'_>) -> Result<EngineImage, DurabilityError> {
         let mut states = Vec::with_capacity(d.take_len(40)?);
         for _ in 0..states.capacity() {
@@ -1819,22 +1688,8 @@ impl EngineImage {
         }
         let rr_cursor = d.take_usize()?;
         let total_retries = d.take_u32()?;
-        let q_now = d.take_f64()?;
-        let q_seq = d.take_u64()?;
-        let q_peak = d.take_usize()?;
-        let mut entries = Vec::with_capacity(d.take_len(25)?);
-        for _ in 0..entries.capacity() {
-            let t = d.take_f64()?;
-            let seq = d.take_u64()?;
-            let stamp = d.take_u64()?;
-            entries.push((t, seq, (stamp, decode_ev(d)?)));
-        }
-        let queue = QueueImage {
-            now: q_now,
-            seq: q_seq,
-            peak: q_peak,
-            entries,
-        };
+        // A payload is a stamp and at least an event tag.
+        let queue = QueueImage::decode(d, 9, |d| Ok((d.take_u64()?, decode_ev(d)?)))?;
         let vseq = d.take_u64()?;
         let mut poke_pending = Vec::with_capacity(d.take_len(24)?);
         for _ in 0..poke_pending.capacity() {
@@ -1854,7 +1709,7 @@ impl EngineImage {
         let events_processed = d.take_u64()?;
         let mut schedulers = Vec::with_capacity(d.take_len(33)?);
         for _ in 0..schedulers.capacity() {
-            schedulers.push(decode_scheduler(d)?);
+            schedulers.push(SchedulerImage::decode(d)?);
         }
         Ok(EngineImage {
             states,
@@ -2150,11 +2005,26 @@ mod tests {
         }
     }
 
+    fn encoded(engine: &Engine<'_>) -> Vec<u8> {
+        let mut enc = Enc::new();
+        engine.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn decoded(bytes: &[u8]) -> EngineImage {
+        let mut dec = Dec::new(bytes);
+        let img = EngineImage::decode(&mut dec).expect("decode a freshly encoded payload");
+        dec.finish()
+            .expect("the image consumes its payload exactly");
+        img
+    }
+
     #[test]
-    fn freeze_thaw_resumes_bit_identically_at_every_boundary_class() {
-        // Freeze at a spread of event indices (early, mid, late), thaw
-        // into a fresh engine and finish: results must be bit-identical
-        // to the uninterrupted run — the acceptance property the whole
+    fn snapshot_thaw_resumes_bit_identically_at_every_boundary_class() {
+        // Encode at a spread of event indices (early, mid, late), decode,
+        // thaw into a fresh engine and finish: the thawed engine encodes
+        // to the same bytes, and its results are bit-identical to the
+        // uninterrupted run — the acceptance property the whole
         // durability layer rests on.
         let mut c = Campaign::paper_batch_phase(5);
         c.outages = vec![Outage::security_breach(3, 24.0, 2.0)];
@@ -2166,10 +2036,20 @@ mod tests {
             let mut live = Engine::new(&c, &policy, DispatchPolicy::EarliestCompletion, &t);
             live.prologue();
             while live.events() < kill_at && live.step() {}
-            let img = live.freeze();
+            let bytes = encoded(&live);
             drop(live);
-            let mut resumed =
-                Engine::thaw(&c, &policy, DispatchPolicy::EarliestCompletion, &t, img);
+            let mut resumed = Engine::thaw(
+                &c,
+                &policy,
+                DispatchPolicy::EarliestCompletion,
+                &t,
+                decoded(&bytes),
+            );
+            assert_eq!(
+                encoded(&resumed),
+                bytes,
+                "re-encoding after thaw at event {kill_at} changed the bytes"
+            );
             while resumed.step() {}
             let (result, stats) = resumed.epilogue();
             assert_eq!(result, baseline, "diverged after thaw at event {kill_at}");
@@ -2178,7 +2058,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_image_codec_round_trips_mid_campaign_state() {
+    fn engine_payload_round_trips_mid_campaign_state() {
         let mut c = Campaign::paper_batch_phase(17);
         c.outages = vec![Outage::security_breach(3, 24.0, 2.0)];
         let policy = ResiliencePolicy::retry_only();
@@ -2186,21 +2066,13 @@ mod tests {
         let mut e = Engine::new(&c, &policy, DispatchPolicy::RoundRobin, &t);
         e.prologue();
         for _ in 0..150 {
-            assert!(e.step(), "campaign ended before the freeze point");
+            assert!(e.step(), "campaign ended before the snapshot point");
         }
-        let img = e.freeze();
-        let mut enc = Enc::new();
-        img.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        let back = EngineImage::decode(&mut dec).expect("decode freshly encoded image");
-        dec.finish().expect("image consumes its payload exactly");
-        assert_eq!(back, img);
-        // Encoding is a pure function of the image: re-encoding the
-        // decoded image reproduces the bytes.
-        let mut enc2 = Enc::new();
-        back.encode(&mut enc2);
-        assert_eq!(enc2.into_bytes(), bytes);
+        let bytes = encoded(&e);
+        // Encoding is a pure function of the state: the engine thawed
+        // from the decoded payload re-encodes to the same bytes.
+        let back = Engine::thaw(&c, &policy, DispatchPolicy::RoundRobin, &t, decoded(&bytes));
+        assert_eq!(encoded(&back), bytes);
         // Truncated payloads fail loudly, never panic.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             let mut short = Dec::new(&bytes[..cut]);

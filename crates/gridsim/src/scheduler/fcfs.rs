@@ -18,6 +18,8 @@
 //! the same call — a single forward pass in submission order starts
 //! exactly the same jobs in exactly the same order.
 
+use crate::durability::codec::{Dec, Enc};
+use crate::durability::DurabilityError;
 use crate::event::SimTime;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -343,45 +345,51 @@ impl SiteScheduler {
         self.peak_queued
     }
 
-    /// Capture the scheduler's full state for an engine checkpoint.
-    /// Heap contents come out sorted by key (their pop order) so equal
-    /// schedulers produce byte-equal images regardless of internal heap
-    /// layout; `run_order` is preserved verbatim because
+    /// Append the scheduler's full state to an engine snapshot. Heap
+    /// contents go out as sorted key lists (their pop order), so equal
+    /// schedulers encode to equal bytes whatever the layout of their
+    /// heaps; `run_order` goes out verbatim because
     /// [`SiteScheduler::kill_running`] ordering depends on it.
-    pub(crate) fn image(&self) -> SchedulerImage {
-        let queued_list = |m: &BTreeMap<u64, Queued>| -> Vec<(u64, u32, u32)> {
-            m.iter().map(|(&s, q)| (s, q.job_id, q.procs)).collect()
-        };
-        let heap_keys = |h: &BinaryHeap<Reverse<(SimTime, u64)>>| -> Vec<(f64, u64)> {
-            let mut v: Vec<(f64, u64)> = h.iter().map(|&Reverse((t, s))| (t.hours(), s)).collect();
-            v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            v
-        };
-        let mut finish: Vec<(f64, u64, u32)> = self
-            .finish_heap
-            .iter()
-            .map(|&Reverse((t, s, j))| (t.hours(), s, j))
-            .collect();
-        finish.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        SchedulerImage {
-            capacity: self.capacity,
-            free: self.free,
-            used: self.used,
-            seq: self.seq,
-            eligible: queued_list(&self.eligible),
-            pending: queued_list(&self.pending),
-            promote: heap_keys(&self.promote),
-            ready: heap_keys(&self.ready_heap),
-            run_order: self
-                .run_order
-                .iter()
-                .map(|r| (r.job_id, r.procs, r.start_seq))
-                .collect(),
-            finish,
-            start_seq: self.start_seq,
-            down_until: self.down_until,
-            peak_queued: self.peak_queued,
+    /// [`SchedulerImage::decode`] reads it back.
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        e.put_u32(self.capacity);
+        e.put_u32(self.free);
+        e.put_u32(self.used);
+        e.put_u64(self.seq);
+        for queued in [&self.eligible, &self.pending] {
+            e.put_usize(queued.len());
+            for (&seq, q) in queued {
+                e.put_u64(seq);
+                e.put_u32(q.job_id);
+                e.put_u32(q.procs);
+            }
         }
+        for heap in [&self.promote, &self.ready_heap] {
+            let mut keys: Vec<(SimTime, u64)> = heap.iter().map(|k| k.0).collect();
+            keys.sort_unstable();
+            e.put_usize(keys.len());
+            for (t, seq) in keys {
+                e.put_f64(t.hours());
+                e.put_u64(seq);
+            }
+        }
+        e.put_usize(self.run_order.len());
+        for r in &self.run_order {
+            e.put_u32(r.job_id);
+            e.put_u32(r.procs);
+            e.put_u64(r.start_seq);
+        }
+        let mut finish: Vec<(SimTime, u64, u32)> = self.finish_heap.iter().map(|k| k.0).collect();
+        finish.sort_unstable();
+        e.put_usize(finish.len());
+        for (t, start_seq, job_id) in finish {
+            e.put_f64(t.hours());
+            e.put_u64(start_seq);
+            e.put_u32(job_id);
+        }
+        e.put_u64(self.start_seq);
+        e.put_opt_f64(self.down_until);
+        e.put_usize(self.peak_queued);
     }
 
     /// Rebuild a scheduler from an image. The derived indices
@@ -445,10 +453,10 @@ impl SiteScheduler {
     }
 }
 
-/// Serializable state of one [`SiteScheduler`] (see
-/// [`SiteScheduler::image`]). Plain tuples only, so the durability codec
-/// can write it without reaching into scheduler internals.
-#[derive(Debug, Clone, PartialEq)]
+/// Decoded snapshot state of one [`SiteScheduler`], as
+/// [`SiteScheduler::encode`] wrote it; [`SiteScheduler::from_image`]
+/// rebuilds the scheduler from it.
+#[derive(Debug)]
 pub(crate) struct SchedulerImage {
     /// Total processors.
     pub(crate) capacity: u32,
@@ -477,6 +485,56 @@ pub(crate) struct SchedulerImage {
     pub(crate) down_until: Option<f64>,
     /// Lifetime queued-count high-water mark.
     pub(crate) peak_queued: usize,
+}
+
+impl SchedulerImage {
+    /// Read what [`SiteScheduler::encode`] wrote. Every structural
+    /// violation is a [`DurabilityError::Corrupt`].
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<SchedulerImage, DurabilityError> {
+        let capacity = d.take_u32()?;
+        let free = d.take_u32()?;
+        let used = d.take_u32()?;
+        let seq = d.take_u64()?;
+        let mut eligible = Vec::with_capacity(d.take_len(16)?);
+        for _ in 0..eligible.capacity() {
+            eligible.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
+        }
+        let mut pending = Vec::with_capacity(d.take_len(16)?);
+        for _ in 0..pending.capacity() {
+            pending.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
+        }
+        let mut promote = Vec::with_capacity(d.take_len(16)?);
+        for _ in 0..promote.capacity() {
+            promote.push((d.take_f64()?, d.take_u64()?));
+        }
+        let mut ready = Vec::with_capacity(d.take_len(16)?);
+        for _ in 0..ready.capacity() {
+            ready.push((d.take_f64()?, d.take_u64()?));
+        }
+        let mut run_order = Vec::with_capacity(d.take_len(16)?);
+        for _ in 0..run_order.capacity() {
+            run_order.push((d.take_u32()?, d.take_u32()?, d.take_u64()?));
+        }
+        let mut finish = Vec::with_capacity(d.take_len(20)?);
+        for _ in 0..finish.capacity() {
+            finish.push((d.take_f64()?, d.take_u64()?, d.take_u32()?));
+        }
+        Ok(SchedulerImage {
+            capacity,
+            free,
+            used,
+            seq,
+            eligible,
+            pending,
+            promote,
+            ready,
+            run_order,
+            finish,
+            start_seq: d.take_u64()?,
+            down_until: d.take_opt_f64()?,
+            peak_queued: d.take_usize()?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -650,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trip_is_observably_identical() {
+    fn snapshot_round_trip_is_observably_identical() {
         // Build a scheduler mid-flight: running jobs (one preempted, so a
         // stale finish-heap entry exists), eligible + pending queued
         // entries, an outage window, and history in every counter.
@@ -664,9 +722,21 @@ mod tests {
         s.submit(2, 30, 1.0);
         s.set_down_until(0.5);
 
-        let img = s.image();
+        let mut enc = Enc::new();
+        s.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut d = Dec::new(&bytes);
+        let img = SchedulerImage::decode(&mut d).expect("decode");
+        d.finish()
+            .expect("the scheduler consumes its bytes exactly");
         let mut r = SiteScheduler::from_image(&img);
-        assert_eq!(r.image(), img, "image(from_image(img)) == img");
+        let mut again = Enc::new();
+        r.encode(&mut again);
+        assert_eq!(
+            again.into_bytes(),
+            bytes,
+            "encode(from_image(decode(b))) == b"
+        );
         assert_eq!(r.free_procs(), s.free_procs());
         assert_eq!(r.queued(), s.queued());
         assert_eq!(r.running(), s.running());

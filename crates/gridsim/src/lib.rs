@@ -5,7 +5,7 @@
 //! NGS), including every infrastructure phenomenon §V reports:
 //!
 //! * [`event`] — a deterministic discrete-event engine (binary heap,
-//!   FIFO tie-breaking).
+//!   FIFO tie-breaking), and the resilient engine's ordered agenda.
 //! * [`resource`] / [`job`] — sites with processor counts and speed
 //!   factors; jobs with processor and wall-time demands.
 //! * [`scheduler`] — per-site FCFS batch queues with backfill, stochastic
@@ -32,7 +32,7 @@
 //! * [`resilience`] — fault-tolerant campaign execution: failure
 //!   injection, explicit Drain/Kill outage semantics, checkpoint/restart
 //!   and retry-with-failover, with goodput/badput accounting. The engine
-//!   is fully indexed (events carry dense indices, heap-backed site
+//!   is fully indexed (events carry dense indices, width-indexed site
 //!   schedulers, allocation-free dispatch) so campaigns of 10⁵–10⁶ jobs
 //!   replay in seconds.
 //! * [`durability`] — crash-safe checkpoint/restore of the resilient

@@ -243,6 +243,22 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
+    /// A length-prefixed list of items of at least `min_item_bytes`
+    /// each (the prefix checked as [`Dec::take_len`] checks it), read by
+    /// `take`.
+    pub(crate) fn take_vec<T>(
+        &mut self,
+        min_item_bytes: usize,
+        mut take: impl FnMut(&mut Dec<'a>) -> Result<T, DurabilityError>,
+    ) -> Result<Vec<T>, DurabilityError> {
+        let n = self.take_len(min_item_bytes)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(take(self)?);
+        }
+        Ok(items)
+    }
+
     pub(crate) fn take_f64(&mut self) -> Result<f64, DurabilityError> {
         Ok(f64::from_bits(self.take_u64()?))
     }

@@ -56,8 +56,10 @@ const MAGIC: [u8; 8] = *b"SPICEDUR";
 /// On-disk format version. Bump on any change to the header, the
 /// checksum, or the payload layout ([`Engine::encode`] or the telemetry
 /// section). Version 2 replaced version 1's FNV-1a checksum and
-/// fingerprint with XXH64; the layout is unchanged.
-const FORMAT_VERSION: u32 = 2;
+/// fingerprint with XXH64. Version 3 writes each fact of the engine
+/// once (DESIGN.md §14.1) and drops the telemetry section's leading
+/// "enabled" flag.
+const FORMAT_VERSION: u32 = 3;
 /// Header bytes before the payload: magic, version, generation,
 /// fingerprint, payload length, checksum.
 const HEADER_LEN: usize = 44;
@@ -367,7 +369,6 @@ fn fingerprint(campaign: &Campaign, policy: &ResiliencePolicy, dispatch: Dispatc
 }
 
 fn encode_telemetry(e: &mut Enc, t: &Telemetry) {
-    e.put_bool(t.is_enabled());
     let snap = t.snapshot();
     e.put_usize(snap.tracks.len());
     for tr in &snap.tracks {
@@ -424,63 +425,42 @@ fn encode_telemetry(e: &mut Enc, t: &Telemetry) {
 }
 
 fn decode_telemetry(d: &mut Dec<'_>) -> Result<TelemetryImage, DurabilityError> {
-    let _was_enabled = d.take_bool()?;
-    let mut tracks = Vec::with_capacity(d.take_len(16)?);
-    for _ in 0..tracks.capacity() {
+    let tracks = d.take_vec(16, |d| {
         let name = d.take_str()?;
         let key = d.take_u64()?;
-        let mut events = Vec::with_capacity(d.take_len(17)?);
-        for _ in 0..events.capacity() {
-            let kind = match d.take_u8()? {
-                0 => EventKind::Enter,
-                1 => EventKind::Exit,
-                2 => EventKind::Instant,
-                t => {
-                    return Err(DurabilityError::Corrupt(format!(
-                        "invalid span-event kind tag {t}"
-                    )))
-                }
-            };
-            let ename = d.take_str()?;
-            let logical = d.take_u64()?;
-            let mut attrs = Vec::with_capacity(d.take_len(16)?);
-            for _ in 0..attrs.capacity() {
-                attrs.push((d.take_str()?, d.take_str()?));
-            }
-            events.push(TeleEvent {
-                kind,
-                name: ename,
-                logical,
-                attrs,
-            });
-        }
-        tracks.push((name, key, events));
-    }
-    let mut metrics = Vec::with_capacity(d.take_len(9)?);
-    for _ in 0..metrics.capacity() {
+        let events = d.take_vec(17, |d| {
+            Ok(TeleEvent {
+                kind: match d.take_u8()? {
+                    0 => EventKind::Enter,
+                    1 => EventKind::Exit,
+                    2 => EventKind::Instant,
+                    t => {
+                        return Err(DurabilityError::Corrupt(format!(
+                            "invalid span-event kind tag {t}"
+                        )))
+                    }
+                },
+                name: d.take_str()?,
+                logical: d.take_u64()?,
+                attrs: d.take_vec(16, |d| Ok((d.take_str()?, d.take_str()?)))?,
+            })
+        })?;
+        Ok((name, key, events))
+    })?;
+    let metrics = d.take_vec(9, |d| {
         let name = d.take_str()?;
         let value = match d.take_u8()? {
             0 => MetricValue::Counter(d.take_u64()?),
             1 => MetricValue::Gauge(d.take_f64()?),
-            2 => {
-                let mut bounds = Vec::with_capacity(d.take_len(8)?);
-                for _ in 0..bounds.capacity() {
-                    bounds.push(d.take_f64()?);
-                }
-                let mut counts = Vec::with_capacity(d.take_len(8)?);
-                for _ in 0..counts.capacity() {
-                    counts.push(d.take_u64()?);
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    sum: d.take_f64()?,
-                }
-            }
+            2 => MetricValue::Histogram {
+                bounds: d.take_vec(8, Dec::take_f64)?,
+                counts: d.take_vec(8, Dec::take_u64)?,
+                sum: d.take_f64()?,
+            },
             t => return Err(DurabilityError::Corrupt(format!("invalid metric tag {t}"))),
         };
-        metrics.push((name, value));
-    }
+        Ok((name, value))
+    })?;
     Ok(TelemetryImage { tracks, metrics })
 }
 
@@ -541,12 +521,13 @@ fn encode_snapshot(
 }
 
 /// Fully validate the bytes of snapshot file `generation` against the
-/// resuming configuration's fingerprint `fp`. The checksum is verified
-/// before any of the payload is decoded.
+/// resuming configuration's fingerprint `fp` and its `campaign`. The
+/// checksum is verified before any of the payload is decoded.
 fn decode_snapshot(
     bytes: &[u8],
     generation: u64,
     fp: u64,
+    campaign: &Campaign,
 ) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
     let mut d = Dec::new(bytes);
     let magic = d
@@ -595,7 +576,7 @@ fn decode_snapshot(
         });
     }
     let mut pd = Dec::new(payload);
-    let image = EngineImage::decode(&mut pd)?;
+    let image = EngineImage::decode(&mut pd, campaign)?;
     let telemetry = decode_telemetry(&mut pd)?;
     pd.finish()?;
     Ok((image, telemetry))
@@ -606,8 +587,9 @@ fn load_snapshot(
     path: &Path,
     generation: u64,
     fp: u64,
+    campaign: &Campaign,
 ) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
-    decode_snapshot(&fs::read(path)?, generation, fp)
+    decode_snapshot(&fs::read(path)?, generation, fp, campaign)
 }
 
 /// Execute a campaign crash-safely: resume from the newest intact
@@ -656,7 +638,7 @@ pub fn run_resilient_durable(
     let mut skipped: Vec<(u64, String)> = Vec::new();
     let mut restored: Option<(u64, EngineImage, TelemetryImage)> = None;
     for (generation, path) in writer::list_generations(&cfg.dir)?.iter().rev() {
-        match load_snapshot(path, *generation, fp) {
+        match load_snapshot(path, *generation, fp, campaign) {
             Ok((image, tele)) => {
                 restored = Some((*generation, image, tele));
                 break;
@@ -779,6 +761,7 @@ pub fn run_resilient_durable(
 mod tests {
     use super::*;
     use crate::failure::Outage;
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -950,8 +933,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let p = super::writer::snapshot_path(&dir, 1);
         fs::write(&p, b"definitely not a snapshot").unwrap();
+        let c = small_campaign();
         assert!(matches!(
-            load_snapshot(&p, 1, 0),
+            load_snapshot(&p, 1, 0, &c),
             Err(DurabilityError::BadMagic { .. })
         ));
         // A future format version.
@@ -963,7 +947,7 @@ mod tests {
         e.put_usize(0);
         e.put_u64(xxh64(b""));
         fs::write(&p, e.into_bytes()).unwrap();
-        match load_snapshot(&p, 1, 0) {
+        match load_snapshot(&p, 1, 0, &c) {
             Err(DurabilityError::Version { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 9);
                 assert_eq!(supported, FORMAT_VERSION);
@@ -972,7 +956,6 @@ mod tests {
         }
         // A snapshot from a different configuration: write one for
         // policy A, try to load it as policy B.
-        let c = small_campaign();
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 80;
         cfg.crash = CrashPlan::KillAfterEvents(80);
@@ -990,7 +973,7 @@ mod tests {
             DispatchPolicy::RoundRobin,
         );
         assert!(matches!(
-            load_snapshot(&super::writer::snapshot_path(&dir, 1), 1, other_fp),
+            load_snapshot(&super::writer::snapshot_path(&dir, 1), 1, other_fp, &c),
             Err(DurabilityError::Mismatch { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -1029,22 +1012,21 @@ mod tests {
     }
 
     /// XXH64 of the snapshot payload at fixed event boundaries of the
-    /// SC05 outage campaign, campaign telemetry on. The digests were
-    /// taken from the payload of the engine-image encoder this encoder
-    /// replaced, so they pin the payload layout byte for byte.
+    /// SC05 outage campaign, campaign telemetry on: they pin the format-3
+    /// payload layout byte for byte.
     #[test]
     fn payload_bytes_match_the_golden_digests() {
         const GOLDEN: [(u64, u64); 10] = [
-            (0, 0xf2ef_c3e1_3ed8_9e5d),
-            (1, 0xbc05_02d0_9152_daf3),
-            (7, 0x9b43_54cd_42cb_dfc6),
-            (64, 0x11a6_b1a1_4ab6_6baf),
-            (100, 0xb22c_460c_1688_67ad),
-            (128, 0x3c58_acbd_c500_31b4),
-            (192, 0x37a4_ff41_a474_9794),
-            (256, 0x6150_fee7_7242_5eeb),
-            (320, 0x75d1_9511_31c4_e7e2),
-            (365, 0x4f90_bc51_3ebf_59a6),
+            (0, 0x8ce3_b6a1_a1b5_e2cb),
+            (1, 0xa1f1_f101_24d8_16e3),
+            (7, 0x677a_3d2d_d537_56ad),
+            (64, 0x8fa7_ca82_03ba_b70e),
+            (100, 0xdc5a_54e4_67cc_298f),
+            (128, 0x193a_d051_c802_16d8),
+            (192, 0x4f40_ed1f_02fb_6dfc),
+            (256, 0x6009_e7d3_f75a_3277),
+            (320, 0xb057_236f_b4f1_ca8b),
+            (365, 0xc044_263c_e374_1240),
         ];
         let c = Campaign::sc05_outage_phase(2005);
         let policy = ResiliencePolicy::checkpoint_failover();
@@ -1066,36 +1048,64 @@ mod tests {
         );
     }
 
-    /// The newest snapshot file of an SC05 outage run killed at event
-    /// 200 under a 64-event cadence, with its generation and the run's
-    /// fingerprint.
-    fn sc05_snapshot(tag: &str) -> (Vec<u8>, u64, u64) {
-        let c = Campaign::sc05_outage_phase(2005);
-        let policy = ResiliencePolicy::checkpoint_failover();
-        let dispatch = DispatchPolicy::EarliestCompletion;
-        let dir = scratch_dir(tag);
-        let mut cfg = DurableConfig::new(&dir);
+    /// The SC05 outage campaign under the policy and dispatch its
+    /// snapshot tests run.
+    fn sc05() -> (Campaign, ResiliencePolicy, DispatchPolicy) {
+        (
+            Campaign::sc05_outage_phase(2005),
+            ResiliencePolicy::checkpoint_failover(),
+            DispatchPolicy::EarliestCompletion,
+        )
+    }
+
+    /// Run [`sc05`] killed at event 200 under a 64-event cadence into a
+    /// fresh directory, leaving generations 1–3 on disk; the returned
+    /// configuration resumes it.
+    fn sc05_killed(tag: &str) -> DurableConfig {
+        let (c, policy, dispatch) = sc05();
+        let mut cfg = DurableConfig::new(scratch_dir(tag));
         cfg.every_events = 64;
         cfg.crash = CrashPlan::KillAfterEvents(200);
         run_resilient_durable(&c, &policy, dispatch, &Telemetry::disabled(), &cfg)
             .expect_err("the kill must fire");
+        cfg.crash = CrashPlan::None;
+        cfg
+    }
+
+    /// The newest snapshot file of [`sc05_killed`]'s run, with its
+    /// generation and the run's fingerprint.
+    fn sc05_snapshot(tag: &str) -> (Vec<u8>, u64, u64) {
+        let dir = sc05_killed(tag).dir;
         let (generation, path) = super::writer::list_generations(&dir)
             .unwrap()
             .pop()
             .expect("a snapshot was written");
         let bytes = fs::read(path).unwrap();
         fs::remove_dir_all(&dir).unwrap();
+        let (c, policy, dispatch) = sc05();
         (bytes, generation, fingerprint(&c, &policy, dispatch))
+    }
+
+    /// `file` with `payload` behind its header, length and checksum
+    /// fixed to match: a forgery only the payload decoder can catch.
+    fn with_payload(file: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_raw(&file[..HEADER_LEN]);
+        e.put_raw(payload);
+        e.patch_u64(PAYLOAD_LEN_AT, payload.len() as u64);
+        e.patch_u64(CHECKSUM_AT, xxh64(payload));
+        e.into_bytes()
     }
 
     #[test]
     fn every_byte_flip_and_truncation_is_a_typed_error() {
         let (mut bytes, generation, fp) = sc05_snapshot("fuzz");
+        let c = sc05().0;
         assert_eq!(generation, 3);
-        decode_snapshot(&bytes, generation, fp).expect("the intact snapshot loads");
+        decode_snapshot(&bytes, generation, fp, &c).expect("the intact snapshot loads");
         for at in 0..bytes.len() {
             bytes[at] ^= 0xFF;
-            match decode_snapshot(&bytes, generation, fp) {
+            match decode_snapshot(&bytes, generation, fp, &c) {
                 Ok(_) => panic!("a flip of byte {at} loaded"),
                 // Bytes 12..20 hold the generation.
                 Err(DurabilityError::Corrupt(why)) if (12..20).contains(&at) => {
@@ -1115,7 +1125,7 @@ mod tests {
         }
         for cut in 0..bytes.len() {
             assert!(
-                decode_snapshot(&bytes[..cut], generation, fp).is_err(),
+                decode_snapshot(&bytes[..cut], generation, fp, &c).is_err(),
                 "a truncation to {cut} bytes loaded"
             );
         }
@@ -1175,43 +1185,181 @@ mod tests {
             &policy,
             DispatchPolicy::EarliestCompletion,
         );
-        let dir = scratch_dir("v1");
-        let mut cfg = DurableConfig::new(&dir);
-        cfg.every_events = 64;
-        cfg.crash = CrashPlan::KillAfterEvents(150);
-        run_resilient_durable(
-            &c,
-            &policy,
-            DispatchPolicy::EarliestCompletion,
-            &Telemetry::disabled(),
-            &cfg,
-        )
-        .expect_err("the kill must fire");
-        // Stamp every file on disk as format version 1.
-        for (_, path) in super::writer::list_generations(&dir).unwrap() {
-            let mut bytes = fs::read(&path).unwrap();
-            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-            fs::write(&path, bytes).unwrap();
+        for version in [1u32, 2] {
+            let dir = scratch_dir(&format!("v{version}"));
+            let mut cfg = DurableConfig::new(&dir);
+            cfg.every_events = 64;
+            cfg.crash = CrashPlan::KillAfterEvents(150);
+            run_resilient_durable(
+                &c,
+                &policy,
+                DispatchPolicy::EarliestCompletion,
+                &Telemetry::disabled(),
+                &cfg,
+            )
+            .expect_err("the kill must fire");
+            // Stamp every file on disk as an older format version.
+            for (_, path) in super::writer::list_generations(&dir).unwrap() {
+                let mut bytes = fs::read(&path).unwrap();
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
+                fs::write(&path, bytes).unwrap();
+            }
+            cfg.crash = CrashPlan::None;
+            let out = run_resilient_durable(
+                &c,
+                &policy,
+                DispatchPolicy::EarliestCompletion,
+                &Telemetry::disabled(),
+                &cfg,
+            )
+            .expect("a fresh run");
+            let why = DurabilityError::Version {
+                found: version,
+                supported: 3,
+            }
+            .to_string();
+            assert_eq!(out.recovery.resumed_from, None);
+            assert_eq!(out.recovery.resumed_events, 0);
+            assert_eq!(out.recovery.skipped, [(2, why.clone()), (1, why)]);
+            assert_eq!(out.result, plain);
+            fs::remove_dir_all(&dir).unwrap();
         }
-        cfg.crash = CrashPlan::None;
-        let out = run_resilient_durable(
-            &c,
-            &policy,
-            DispatchPolicy::EarliestCompletion,
-            &Telemetry::disabled(),
-            &cfg,
-        )
-        .expect("a fresh run");
-        let why = DurabilityError::Version {
-            found: 1,
-            supported: 2,
-        }
-        .to_string();
-        assert_eq!(out.recovery.resumed_from, None);
-        assert_eq!(out.recovery.resumed_events, 0);
-        assert_eq!(out.recovery.skipped, [(2, why.clone()), (1, why)]);
+    }
+
+    /// Resume [`sc05_killed`]'s run past a generation-3 file that passes
+    /// its checksum but cannot be restored: the file is skipped as
+    /// corrupt, and the run resumes from generation 2 and finishes
+    /// bit-identically to an uninterrupted one.
+    fn assert_resumes_past_a_corrupt_newest_file(cfg: &DurableConfig) {
+        let (c, policy, dispatch) = sc05();
+        let out = run_resilient_durable(&c, &policy, dispatch, &Telemetry::disabled(), cfg)
+            .expect("resume");
+        assert_eq!(out.recovery.resumed_from, Some(2));
+        assert_eq!(out.recovery.skipped.len(), 1);
+        assert_eq!(out.recovery.skipped[0].0, 3);
+        assert!(
+            out.recovery.skipped[0].1.contains("payload corrupt"),
+            "{}",
+            out.recovery.skipped[0].1
+        );
+        let plain = crate::resilience::run_resilient_with_dispatch(&c, &policy, dispatch);
         assert_eq!(out.result, plain);
-        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn a_nan_clock_behind_a_valid_checksum_is_skipped_as_corrupt() {
+        let cfg = sc05_killed("nan_clock");
+        let path = super::writer::snapshot_path(&cfg.dir, 3);
+        let file = fs::read(&path).unwrap();
+        // The engine payload opens with the event count, then the clock.
+        let mut payload = file[HEADER_LEN..].to_vec();
+        payload[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
+        fs::write(&path, with_payload(&file, &payload)).unwrap();
+        assert_resumes_past_a_corrupt_newest_file(&cfg);
+    }
+
+    #[test]
+    fn another_campaigns_engine_under_a_valid_header_is_skipped_as_corrupt() {
+        let cfg = sc05_killed("foreign");
+        let (c, policy, dispatch) = sc05();
+        let other = Campaign::synthetic(100, 4, 1);
+        let t = Telemetry::disabled();
+        let mut engine = Engine::new(&other, &policy, dispatch, &t);
+        engine.prologue();
+        while engine.events() < 50 && engine.step() {}
+        let mut file = Enc::new();
+        encode_snapshot(
+            &mut file,
+            3,
+            fingerprint(&c, &policy, dispatch),
+            &engine,
+            &t,
+        );
+        fs::write(super::writer::snapshot_path(&cfg.dir, 3), file.bytes()).unwrap();
+        assert_resumes_past_a_corrupt_newest_file(&cfg);
+    }
+
+    /// Overwrite 8 bytes at every offset of a real snapshot's engine
+    /// payload with values that are hostile as times, counts, tags and
+    /// indices: decode and thaw never panic. (The payload is decoded
+    /// directly: behind a valid header, a forgery passes its checksum.)
+    #[test]
+    fn overwriting_any_payload_word_never_panics_decode_or_thaw() {
+        let (file, _, _) = sc05_snapshot("sweep");
+        let (c, policy, dispatch) = sc05();
+        let t = Telemetry::disabled();
+        let mut payload = file[HEADER_LEN..].to_vec();
+        let mut panicked = Vec::new();
+        for at in 0..=payload.len() - 8 {
+            let original: [u8; 8] = payload[at..at + 8].try_into().unwrap();
+            for value in [f64::NAN.to_bits(), (-1.0f64).to_bits(), 1, 7] {
+                payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let restore = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if let Ok(image) = EngineImage::decode(&mut Dec::new(&payload), &c) {
+                        Engine::thaw(&c, &policy, dispatch, &t, image);
+                    }
+                }));
+                if restore.is_err() {
+                    panicked.push((at, value));
+                }
+            }
+            payload[at..at + 8].copy_from_slice(&original);
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} overwrites panicked the restore, first {:?}",
+            panicked.len(),
+            &panicked[..panicked.len().min(8)]
+        );
+    }
+
+    /// [`sc05_snapshot`]'s file, taken once per test process.
+    fn sc05_file() -> &'static (Vec<u8>, u64, u64) {
+        static FILE: std::sync::OnceLock<(Vec<u8>, u64, u64)> = std::sync::OnceLock::new();
+        FILE.get_or_init(|| sc05_snapshot("prop"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random bytes behind a valid header and checksum are a typed
+        /// error, never a panic.
+        #[test]
+        fn random_payload_bytes_are_corrupt(
+            bytes in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..512)
+        ) {
+            let (file, generation, fp) = sc05_file();
+            let c = sc05().0;
+            let forged = with_payload(file, &bytes);
+            prop_assert!(matches!(
+                decode_snapshot(&forged, *generation, *fp, &c),
+                Err(DurabilityError::Corrupt(_))
+            ));
+        }
+
+        /// A real payload with forged length prefixes (or any words) at
+        /// random offsets decodes to a typed error or to an image that
+        /// thaws, never a panic.
+        #[test]
+        fn forged_words_in_a_real_payload_never_panic(
+            forgeries in prop::collection::vec((0usize..1 << 20, 0u32..64, 0u64..1 << 16), 1..4)
+        ) {
+            let (file, generation, fp) = sc05_file();
+            let (c, policy, dispatch) = sc05();
+            let mut payload = file[HEADER_LEN..].to_vec();
+            for (at, bits, low) in forgeries {
+                // Small values read as plausible counts; wide ones as
+                // lengths past the payload.
+                let at = at % (payload.len() - 7);
+                let value = (1u64 << bits) - 1 + low;
+                payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            let forged = with_payload(file, &payload);
+            if let Ok((image, _)) = decode_snapshot(&forged, *generation, *fp, &c) {
+                Engine::thaw(&c, &policy, dispatch, &Telemetry::disabled(), image);
+            }
+        }
     }
 
     #[test]

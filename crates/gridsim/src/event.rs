@@ -34,6 +34,18 @@ impl SimTime {
     pub fn after(self, dh: f64) -> SimTime {
         SimTime::from_hours(self.0 + dh)
     }
+
+    /// Read a time a snapshot wrote as raw f64 bits: what
+    /// [`SimTime::from_hours`] would panic on is
+    /// [`DurabilityError::Corrupt`] here.
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<SimTime, DurabilityError> {
+        let h = d.take_f64()?;
+        if h.is_finite() {
+            Ok(SimTime(h))
+        } else {
+            Err(DurabilityError::Corrupt(format!("non-finite time {h}")))
+        }
+    }
 }
 
 impl Eq for SimTime {}
@@ -211,59 +223,52 @@ impl<E> EventQueue<E> {
 /// allocated in increasing order as entries are scheduled. The map's key
 /// is `(time bits, stamp)`, which orders like `(time, stamp)` because
 /// every time is finite and not before the clock, which starts at +0.0
-/// (`schedule` asserts it). Each entry also draws a queue seq from the
-/// agenda's own counter, exactly as [`EventQueue`] numbers its entries,
-/// so the clock, counter, peak and entries encode like an
-/// [`EventQueue`]'s.
+/// (`schedule` asserts it).
 ///
 /// A release costs 16 bytes: its time and stamp. Releases are the first
-/// entries of a fresh agenda and take stamps 1, 2, … in lockstep with
-/// the queue seq, so a release's queue seq is its stamp − 1, and its
+/// entries of a fresh agenda and take stamps 1, 2, …, and a release's
 /// payload is the caller's function of the stamp: entries from the run
-/// come back with payload `None`.
+/// come back with payload `None`. The run is a function of the release
+/// times alone, so a snapshot records only how many releases have popped.
+#[derive(Debug)]
 pub(crate) struct Agenda<E> {
     /// `(time bits, stamp)` of every release, sorted; `head` is the next.
     releases: Vec<(u64, u64)>,
     head: usize,
-    /// `(time bits, stamp) → (queue seq, payload)` for every other entry.
-    scheduled: BTreeMap<(u64, u64), (u64, E)>,
-    /// Next queue seq.
-    seq: u64,
+    /// `(time bits, stamp) → payload` for every other entry.
+    scheduled: BTreeMap<(u64, u64), E>,
     now: SimTime,
     peak: usize,
 }
 
-impl<E: Copy> Agenda<E> {
+impl<E> Agenda<E> {
     /// Empty agenda at time zero.
     pub(crate) fn new() -> Self {
         Agenda {
             releases: Vec::new(),
             head: 0,
             scheduled: BTreeMap::new(),
-            seq: 0,
             now: SimTime::ZERO,
             peak: 0,
         }
     }
 
     /// Load the release run into a fresh agenda: the `i`-th of `times`
-    /// gets stamp `i + 1` and queue seq `i`. The run is reserved exactly
-    /// and sorted once.
+    /// gets stamp `i + 1`. The run is reserved exactly and sorted once.
     ///
     /// # Panics
     /// Panics when anything was scheduled before, or when a time is not
     /// finite or is before zero.
     pub(crate) fn schedule_releases(&mut self, times: impl ExactSizeIterator<Item = f64>) {
-        assert_eq!(self.seq, 0, "releases are the first entries of an agenda");
+        assert_eq!(self.peak, 0, "releases are the first entries of an agenda");
         self.releases.reserve_exact(times.len());
-        for t in times {
+        for (stamp, t) in (1..).zip(times) {
             let t = SimTime::from_hours(t);
             assert_not_past(t, self.now);
-            self.seq += 1;
-            self.releases.push((t.hours().to_bits(), self.seq));
+            self.releases.push((t.hours().to_bits(), stamp));
         }
         self.releases.sort_unstable();
-        self.peak = self.peak.max(self.len());
+        self.peak = self.len();
     }
 
     /// Schedule `payload` at `t` under the caller's `stamp`.
@@ -285,11 +290,8 @@ impl<E: Copy> Agenda<E> {
     }
 
     fn insert(&mut self, t: SimTime, stamp: u64, payload: E) {
-        let clash = self
-            .scheduled
-            .insert((t.hours().to_bits(), stamp), (self.seq, payload));
+        let clash = self.scheduled.insert((t.hours().to_bits(), stamp), payload);
         assert!(clash.is_none(), "stamp {stamp} is already pending");
-        self.seq += 1;
         self.peak = self.peak.max(self.len());
     }
 
@@ -311,7 +313,7 @@ impl<E: Copy> Agenda<E> {
             self.head += 1;
             None
         } else {
-            self.scheduled.pop_first().map(|(_, (_, payload))| payload)
+            self.scheduled.pop_first().map(|(_, payload)| payload)
         };
         let t = SimTime(f64::from_bits(t_bits));
         #[cfg(feature = "audit")]
@@ -324,9 +326,7 @@ impl<E: Copy> Agenda<E> {
     /// not included.
     pub(crate) fn scheduled_at(&self, t: f64) -> impl Iterator<Item = &E> {
         let t = t.to_bits();
-        self.scheduled
-            .range((t, 0)..=(t, u64::MAX))
-            .map(|(_, (_, payload))| payload)
+        self.scheduled.range((t, 0)..=(t, u64::MAX)).map(|(_, p)| p)
     }
 
     /// Is any entry scheduled at exactly `t` with a stamp in `stamps`?
@@ -339,27 +339,6 @@ impl<E: Copy> Agenda<E> {
             .is_some()
     }
 
-    /// Every pending entry in pop order: `(time bits, stamp, queue seq,
-    /// payload)`, where the payload of a release is `None`. A linear
-    /// merge of the release run and the map.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, u64, u64, Option<&E>)> {
-        let mut releases = self.releases[self.head..].iter().peekable();
-        let mut scheduled = self.scheduled.iter().peekable();
-        std::iter::from_fn(move || {
-            let from_run = match (releases.peek(), scheduled.peek()) {
-                (Some(&&r), Some(&(&s, _))) => r < s,
-                (r, _) => r.is_some(),
-            };
-            if from_run {
-                let &(t_bits, stamp) = releases.next()?;
-                Some((t_bits, stamp, stamp - 1, None))
-            } else {
-                let (&(t_bits, stamp), (seq, payload)) = scheduled.next()?;
-                Some((t_bits, stamp, *seq, Some(payload)))
-            }
-        })
-    }
-
     /// Number of pending entries, releases included.
     pub(crate) fn len(&self) -> usize {
         self.releases.len() - self.head + self.scheduled.len()
@@ -370,96 +349,74 @@ impl<E: Copy> Agenda<E> {
         self.peak
     }
 
-    /// Append the agenda to a snapshot in [`EventQueue`]'s layout: clock,
-    /// queue seq counter, peak, then every pending entry in pop order as
-    /// `(time, queue seq)` followed by what `put` writes for its stamp
-    /// and payload (`None` for a release). Stamps and queue seqs both
-    /// grow as entries are scheduled, so pop order is also `(time, queue
-    /// seq)` order, the order an [`EventQueue`] pops. [`QueueImage::decode`]
-    /// reads it back.
-    pub(crate) fn encode(&self, e: &mut Enc, mut put: impl FnMut(&mut Enc, u64, Option<&E>)) {
+    /// Append the agenda to a snapshot: clock, peak, how many releases
+    /// have popped, then every scheduled entry in pop order as `(time,
+    /// stamp)` followed by what `put` writes for its payload. The release
+    /// run is not written: [`Agenda::decode`] rebuilds it from the same
+    /// release times.
+    pub(crate) fn encode(&self, e: &mut Enc, mut put: impl FnMut(&mut Enc, &E)) {
         e.put_f64(self.now.hours());
-        e.put_u64(self.seq);
         e.put_usize(self.peak);
-        e.put_usize(self.len());
-        for (t_bits, stamp, seq, payload) in self.entries() {
+        e.put_usize(self.head);
+        e.put_usize(self.scheduled.len());
+        for (&(t_bits, stamp), payload) in &self.scheduled {
             e.put_u64(t_bits);
-            e.put_u64(seq);
-            put(e, stamp, payload);
+            e.put_u64(stamp);
+            put(e, payload);
         }
     }
 
-    /// Rebuild an agenda from a decoded snapshot, keeping every entry's
-    /// stamp and queue seq, the clock, the counter and the peak.
-    /// `release(stamp)` is the payload of the release with that stamp,
-    /// `None` past the run; an entry whose payload and queue seq are the
-    /// ones its stamp derives goes back into the release run, every
-    /// other entry into the map.
-    pub(crate) fn from_image(img: QueueImage<(u64, E)>, release: impl Fn(u64) -> Option<E>) -> Self
-    where
-        E: PartialEq,
-    {
-        let mut agenda = Agenda {
-            seq: img.seq,
-            now: SimTime::from_hours(img.now),
-            peak: img.peak,
-            ..Agenda::new()
-        };
-        for (t, seq, (stamp, payload)) in img.entries {
-            let key = (SimTime::from_hours(t).hours().to_bits(), stamp);
-            if seq.checked_add(1) == Some(stamp) && release(stamp) == Some(payload) {
-                agenda.releases.push(key);
-            } else {
-                agenda.scheduled.insert(key, (seq, payload));
-            }
-        }
-        agenda.releases.sort_unstable();
-        agenda
-    }
-}
-
-/// A decoded snapshot of an event queue ([`Agenda::encode`] writes the
-/// layout): clock, counters, and every pending entry with its *original*
-/// FIFO sequence number, in pop order `(time, seq)`. Restoring through
-/// [`Agenda::from_image`] reproduces the exact pop sequence of the
-/// encoded queue — including same-time ties, which scheduling anew
-/// would renumber and so cannot rebuild.
-#[derive(Debug)]
-pub(crate) struct QueueImage<E> {
-    /// Clock of the last popped event (hours).
-    pub(crate) now: f64,
-    /// Next sequence number to assign.
-    pub(crate) seq: u64,
-    /// Lifetime high-water mark.
-    pub(crate) peak: usize,
-    /// `(time hours, entry seq, payload)` in pop order.
-    pub(crate) entries: Vec<(f64, u64, E)>,
-}
-
-impl<E> QueueImage<E> {
-    /// Read what [`Agenda::encode`] wrote. `take` reads one payload and
-    /// `payload_min_bytes` is the fewest bytes it can occupy, which
-    /// bounds the entry count before anything is allocated.
+    /// Read what [`Agenda::encode`] wrote, rebuilding the release run
+    /// from `releases`, the times [`Agenda::schedule_releases`] loaded.
+    /// `take` reads one payload and `payload_min_bytes` is the fewest
+    /// bytes it can occupy. A clock that is not a finite time at or after
+    /// +0.0, a pending entry before the clock, entries out of pop order
+    /// and more popped releases than the run holds are
+    /// [`DurabilityError::Corrupt`], so the restored agenda keeps every
+    /// invariant [`Agenda::schedule`] asserts.
     pub(crate) fn decode(
         d: &mut Dec<'_>,
+        releases: impl ExactSizeIterator<Item = f64>,
         payload_min_bytes: usize,
         mut take: impl FnMut(&mut Dec<'_>) -> Result<E, DurabilityError>,
-    ) -> Result<QueueImage<E>, DurabilityError> {
-        let now = d.take_f64()?;
-        let seq = d.take_u64()?;
-        let peak = d.take_usize()?;
-        let mut entries = Vec::with_capacity(d.take_len(16 + payload_min_bytes)?);
-        for _ in 0..entries.capacity() {
-            let t = d.take_f64()?;
-            let entry_seq = d.take_u64()?;
-            entries.push((t, entry_seq, take(d)?));
+    ) -> Result<Agenda<E>, DurabilityError> {
+        let corrupt = |why: &str| Err(DurabilityError::Corrupt(format!("agenda: {why}")));
+        let now = SimTime::decode(d)?;
+        if now < SimTime::ZERO {
+            return corrupt("clock before zero");
         }
-        Ok(QueueImage {
-            now,
-            seq,
-            peak,
-            entries,
-        })
+        let peak = d.take_usize()?;
+        let head = d.take_usize()?;
+        let mut agenda = Agenda::new();
+        agenda.schedule_releases(releases);
+        match agenda.releases.get(head) {
+            Some(&(t_bits, _)) if SimTime(f64::from_bits(t_bits)) < now => {
+                return corrupt("a pending release is before the clock")
+            }
+            None if head > agenda.releases.len() => {
+                return corrupt("more releases popped than the run holds")
+            }
+            _ => {}
+        }
+        for _ in 0..d.take_len(16 + payload_min_bytes)? {
+            let t = SimTime::decode(d)?;
+            let key = (t.hours().to_bits(), d.take_u64()?);
+            if t < now {
+                return corrupt("an entry is before the clock");
+            }
+            if agenda
+                .scheduled
+                .last_key_value()
+                .is_some_and(|(&k, _)| k >= key)
+            {
+                return corrupt("entries out of pop order");
+            }
+            agenda.scheduled.insert(key, take(d)?);
+        }
+        agenda.head = head;
+        agenda.now = now;
+        agenda.peak = peak;
+        Ok(agenda)
     }
 }
 
@@ -551,19 +508,22 @@ mod tests {
 
     fn encoded(a: &Agenda<u32>) -> Vec<u8> {
         let mut e = Enc::new();
-        a.encode(&mut e, |e, stamp, p| {
-            e.put_u64(stamp);
-            e.put_u32(payload(stamp, p));
-        });
+        a.encode(&mut e, |e, &p| e.put_u32(p));
         e.into_bytes()
     }
 
-    fn image(bytes: &[u8]) -> QueueImage<(u64, u32)> {
+    /// The sample agenda's release times, in stamp order.
+    const RELEASES: [f64; 3] = [1.0, 0.5, 1.0];
+
+    fn decode(bytes: &[u8]) -> Result<Agenda<u32>, DurabilityError> {
         let mut d = Dec::new(bytes);
-        let img =
-            QueueImage::decode(&mut d, 12, |d| Ok((d.take_u64()?, d.take_u32()?))).expect("decode");
-        d.finish().expect("the agenda consumes its bytes exactly");
-        img
+        let a = Agenda::decode(&mut d, RELEASES.into_iter(), 4, |d| d.take_u32())?;
+        d.finish()?;
+        Ok(a)
+    }
+
+    fn decoded(bytes: &[u8]) -> Agenda<u32> {
+        decode(bytes).expect("decode a freshly encoded agenda")
     }
 
     fn drain(a: &mut Agenda<u32>) -> Vec<(f64, u64, u32)> {
@@ -579,7 +539,7 @@ mod tests {
     /// engine's do; three of them tie with the releases at 1.0.
     fn sample_agenda() -> Agenda<u32> {
         let mut a = Agenda::new();
-        a.schedule_releases([1.0, 0.5, 1.0].into_iter());
+        a.schedule_releases(RELEASES.into_iter());
         for (stamp, p) in [(7, 0), (8, 1), (9, 2)] {
             a.schedule(SimTime::from_hours(1.0), stamp, p);
         }
@@ -649,63 +609,77 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_pop_order_and_counters() {
-        let mut a = sample_agenda();
-        a.pop(); // pops 100 @ 0.25, clock now 0.25
-
-        let bytes = encoded(&a);
-        let img = image(&bytes);
-        assert_eq!(img.now, 0.25);
-        assert_eq!(img.seq, 8);
-        assert_eq!(img.peak, 8);
-        let mut restored = Agenda::from_image(img, release_payload);
-        assert_eq!(restored.len(), a.len());
-        assert_eq!(restored.peak_len(), a.peak_len());
-        // The releases went back into the run, not the map.
-        assert_eq!(restored.scheduled_at(1.0).count(), 3);
-        // The restored agenda encodes to the same bytes.
-        assert_eq!(encoded(&restored), bytes);
-        let b = drain(&mut restored);
-        assert_eq!(
-            drain(&mut a),
-            b,
-            "restored agenda pops bit-identically, ties included"
-        );
-        assert_eq!(
-            b,
-            [
-                (0.5, 2, 1002),
-                (1.0, 1, 1001),
-                (1.0, 3, 1003),
-                (1.0, 7, 0),
-                (1.0, 8, 1),
-                (1.0, 9, 2),
-                (2.0, 11, 200),
-            ]
-        );
-
-        // New scheduling after restore continues the queue seq and pops
-        // after every pre-snapshot tie.
-        let mut a3 = Agenda::from_image(image(&bytes), release_payload);
-        a3.schedule(SimTime::from_hours(1.0), 12, 999);
-        let after = drain(&mut a3);
-        assert_eq!(after[6], (1.0, 12, 999));
-        assert_eq!(after[7], (2.0, 11, 200));
-        let mut again = Agenda::from_image(image(&bytes), release_payload);
-        again.schedule(SimTime::from_hours(3.0), 12, 7);
-        assert_eq!(image(&encoded(&again)).seq, 9, "the queue seq continues");
+        let order = drain(&mut sample_agenda());
+        // Snapshot after a scheduled entry pops (100 @ 0.25), then after a
+        // release pops too (stamp 2 @ 0.5): the run restores at its head.
+        for popped in 1..=2 {
+            let mut live = sample_agenda();
+            for _ in 0..popped {
+                live.pop();
+            }
+            let bytes = encoded(&live);
+            let mut restored = decoded(&bytes);
+            assert_eq!(restored.len(), live.len());
+            assert_eq!(restored.peak_len(), live.peak_len());
+            assert_eq!(
+                restored.scheduled_at(1.0).count(),
+                3,
+                "the releases at 1.0 stay in the run"
+            );
+            assert_eq!(encoded(&restored), bytes);
+            // An entry scheduled after the restore pops after every tie
+            // already pending, as it does on the live agenda.
+            for agenda in [&mut live, &mut restored] {
+                agenda.schedule(SimTime::from_hours(1.0), 12, 999);
+            }
+            let rest = drain(&mut restored);
+            assert_eq!(
+                drain(&mut live),
+                rest,
+                "restored agenda pops bit-identically, ties included"
+            );
+            let mut expected = order[popped..].to_vec();
+            expected.insert(expected.len() - 1, (1.0, 12, 999));
+            assert_eq!(rest, expected);
+        }
     }
 
     #[test]
-    fn a_run_entry_that_its_stamp_does_not_derive_is_restored_to_the_map() {
-        // Stamp 2's payload is not the one its stamp derives: it must be
-        // restored verbatim, so it goes into the map.
-        let mut a = Agenda::new();
-        a.schedule(SimTime::from_hours(1.0), 2, 5);
-        let bytes = encoded(&a);
-        let mut restored = Agenda::from_image(image(&bytes), release_payload);
-        assert_eq!(restored.scheduled_at(1.0).copied().collect::<Vec<_>>(), [5]);
-        assert_eq!(encoded(&restored), bytes);
-        assert_eq!(drain(&mut restored), [(1.0, 2, 5)]);
+    fn a_forged_agenda_is_corrupt() {
+        // Clock, peak, popped releases, then `(time, stamp, payload)`
+        // entries, over the sample run (releases at 0.5, 1.0, 1.0).
+        let forged = |now: f64, popped: u64, entries: &[(f64, u64)]| {
+            let mut e = Enc::new();
+            e.put_f64(now);
+            e.put_usize(8);
+            e.put_u64(popped);
+            e.put_usize(entries.len());
+            for &(t, stamp) in entries {
+                e.put_f64(t);
+                e.put_u64(stamp);
+                e.put_u32(0);
+            }
+            decode(&e.into_bytes())
+        };
+        assert!(forged(0.25, 0, &[(1.0, 7), (1.0, 8)]).is_ok());
+        assert!(forged(1.0, 3, &[]).is_ok());
+        for (case, agenda) in [
+            ("NaN clock", forged(f64::NAN, 0, &[])),
+            ("negative clock", forged(-1.0, 0, &[])),
+            ("-0.0 clock", forged(-0.0, 0, &[])),
+            ("entry before the clock", forged(0.25, 0, &[(0.125, 7)])),
+            ("-0.0 entry", forged(0.0, 0, &[(-0.0, 7)])),
+            ("infinite entry", forged(0.25, 0, &[(f64::INFINITY, 7)])),
+            (
+                "entries out of order",
+                forged(0.25, 0, &[(1.0, 8), (1.0, 7)]),
+            ),
+            ("a repeated entry", forged(0.25, 0, &[(1.0, 7), (1.0, 7)])),
+            ("release before the clock", forged(0.75, 0, &[])),
+            ("popped releases past the run", forged(1.0, 4, &[])),
+        ] {
+            assert!(matches!(agenda, Err(DurabilityError::Corrupt(_))), "{case}");
+        }
     }
 
     #[cfg(feature = "audit")]

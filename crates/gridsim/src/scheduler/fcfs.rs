@@ -65,9 +65,6 @@ pub struct SiteScheduler {
     /// `(ready, seq, job_id, procs)` min-heap; `try_start` promotes them
     /// into `eligible` once their ready time passes.
     pending: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
-    /// `(ready, seq)` over all queued entries, lazily pruned — serves
-    /// `next_ready`.
-    ready_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Running jobs in legacy Vec order (push + swap_remove), so
     /// `kill_running` returns bit-identical ordering.
     run_order: Vec<Running>,
@@ -94,7 +91,6 @@ impl SiteScheduler {
             eligible: BTreeMap::new(),
             eligible_len: 0,
             pending: BinaryHeap::new(),
-            ready_heap: BinaryHeap::new(),
             run_order: Vec::new(),
             run_index: BTreeMap::new(),
             finish_heap: BinaryHeap::new(),
@@ -126,7 +122,6 @@ impl SiteScheduler {
         self.seq += 1;
         let ready = SimTime::from_hours(ready);
         self.pending.push(Reverse((ready, seq, job_id, procs)));
-        self.ready_heap.push(Reverse((ready, seq)));
         self.peak_queued = self.peak_queued.max(self.queued());
     }
 
@@ -164,26 +159,15 @@ impl SiteScheduler {
     /// submission order — an outage with `Kill` semantics loses queued
     /// submissions too (the middleware that held them is down).
     pub fn evict_queued(&mut self) -> Vec<u32> {
-        let mut evicted = self.queued_entries();
-        evicted.sort_unstable_by_key(|&(seq, _, _)| seq);
-        self.eligible.clear();
-        self.eligible_len = 0;
-        self.pending.clear();
-        self.ready_heap.clear();
-        evicted.into_iter().map(|(_, id, _)| id).collect()
-    }
-
-    /// Every queued entry as `(seq, job_id, procs)`, eligible first, in
-    /// no set order within either part.
-    fn queued_entries(&self) -> Vec<(u64, u32, u32)> {
-        let eligible = self.eligible.iter().flat_map(|(&procs, jobs)| {
-            jobs.iter().map(move |(&seq, &job_id)| (seq, job_id, procs))
-        });
+        let eligible = std::mem::take(&mut self.eligible).into_values().flatten();
         let pending = self
             .pending
-            .iter()
-            .map(|&Reverse((_, seq, job_id, procs))| (seq, job_id, procs));
-        eligible.chain(pending).collect()
+            .drain()
+            .map(|Reverse((_, seq, id, _))| (seq, id));
+        let mut evicted: Vec<(u64, u32)> = eligible.chain(pending).collect();
+        evicted.sort_unstable();
+        self.eligible_len = 0;
+        evicted.into_iter().map(|(_, id)| id).collect()
     }
 
     /// Terminate one running job before its scheduled finish (node crash
@@ -302,21 +286,6 @@ impl SiteScheduler {
         None
     }
 
-    /// Earliest ready time among queued jobs, if any. Only tests call
-    /// this, so whether a `ready_heap` entry is still queued is checked
-    /// by scanning the pending heap, not through an index.
-    pub fn next_ready(&mut self) -> Option<f64> {
-        while let Some(&Reverse((t, seq))) = self.ready_heap.peek() {
-            let queued = self.eligible.values().any(|jobs| jobs.contains_key(&seq))
-                || self.pending.iter().any(|p| p.0 .1 == seq);
-            if queued {
-                return Some(t.hours());
-            }
-            self.ready_heap.pop();
-        }
-        None
-    }
-
     /// Free processors.
     pub fn free_procs(&self) -> u32 {
         self.free
@@ -343,45 +312,34 @@ impl SiteScheduler {
         self.peak_queued
     }
 
-    /// Append the scheduler's full state to an engine snapshot. Heap
-    /// contents go out as sorted key lists (their pop order), so equal
-    /// schedulers encode to equal bytes whatever the layout of their
-    /// heaps; `run_order` goes out verbatim because
-    /// [`SiteScheduler::kill_running`] ordering depends on it.
-    /// [`SchedulerImage::decode`] reads it back.
-    ///
-    /// The eligible and pending queues go out as `(seq, job_id, procs)`
-    /// lists in submission order, then the pending entries' `(ready,
-    /// seq)` keys once more, in pop order, as the promotion heap.
+    /// Append the scheduler's state to an engine snapshot;
+    /// [`SiteScheduler::decode`] reads it back. The eligible queue goes
+    /// out in width-index order as `(seq, job_id, procs)`, and the heaps
+    /// as their sorted keys (their pop order), so equal schedulers encode
+    /// to equal bytes whatever the layout of their heaps; `run_order`
+    /// goes out verbatim because [`SiteScheduler::kill_running`] ordering
+    /// depends on it.
     pub(crate) fn encode(&self, e: &mut Enc) {
         e.put_u32(self.capacity);
         e.put_u32(self.free);
         e.put_u32(self.used);
         e.put_u64(self.seq);
-        let mut queued = self.queued_entries();
-        let pending = queued.split_off(self.eligible_len);
-        for mut entries in [queued, pending] {
-            entries.sort_unstable();
-            e.put_usize(entries.len());
-            for (seq, job_id, procs) in entries {
+        e.put_usize(self.eligible_len);
+        for (&procs, jobs) in &self.eligible {
+            for (&seq, &job_id) in jobs {
                 e.put_u64(seq);
                 e.put_u32(job_id);
                 e.put_u32(procs);
             }
         }
-        let promote: Vec<(SimTime, u64)> = self
-            .pending
-            .iter()
-            .map(|&Reverse((t, seq, _, _))| (t, seq))
-            .collect();
-        let ready: Vec<(SimTime, u64)> = self.ready_heap.iter().map(|k| k.0).collect();
-        for mut keys in [promote, ready] {
-            keys.sort_unstable();
-            e.put_usize(keys.len());
-            for (t, seq) in keys {
-                e.put_f64(t.hours());
-                e.put_u64(seq);
-            }
+        let mut pending: Vec<(SimTime, u64, u32, u32)> = self.pending.iter().map(|k| k.0).collect();
+        pending.sort_unstable();
+        e.put_usize(pending.len());
+        for (ready, seq, job_id, procs) in pending {
+            e.put_f64(ready.hours());
+            e.put_u64(seq);
+            e.put_u32(job_id);
+            e.put_u32(procs);
         }
         e.put_usize(self.run_order.len());
         for r in &self.run_order {
@@ -402,150 +360,55 @@ impl SiteScheduler {
         e.put_usize(self.peak_queued);
     }
 
-    /// Rebuild a scheduler from an image. The derived indices (the
-    /// width index, `run_index`) are recomputed; everything observable —
-    /// start order, kill order, next finish/ready, free-proc counts — is
-    /// bit-identical to the imaged scheduler.
-    pub(crate) fn from_image(img: &SchedulerImage) -> SiteScheduler {
-        let mut eligible: BTreeMap<u32, BTreeMap<u64, u32>> = BTreeMap::new();
-        for &(seq, job_id, procs) in &img.eligible {
-            eligible.entry(procs).or_default().insert(seq, job_id);
-        }
-        let run_order: Vec<Running> = img
-            .run_order
-            .iter()
-            .map(|&(job_id, procs, start_seq)| Running {
-                job_id,
-                procs,
-                start_seq,
-            })
-            .collect();
-        let run_index = run_order
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.job_id, i))
-            .collect();
-        SiteScheduler {
-            capacity: img.capacity,
-            free: img.free,
-            used: img.used,
-            seq: img.seq,
-            eligible_len: eligible.values().map(BTreeMap::len).sum(),
-            eligible,
-            pending: img
-                .pending
-                .iter()
-                .map(|&(t, seq, job_id, procs)| {
-                    Reverse((SimTime::from_hours(t), seq, job_id, procs))
-                })
-                .collect(),
-            ready_heap: img
-                .ready
-                .iter()
-                .map(|&(t, s)| Reverse((SimTime::from_hours(t), s)))
-                .collect(),
-            run_order,
-            run_index,
-            finish_heap: img
-                .finish
-                .iter()
-                .map(|&(t, s, j)| Reverse((SimTime::from_hours(t), s, j)))
-                .collect(),
-            start_seq: img.start_seq,
-            down_until: img.down_until,
-            peak_queued: img.peak_queued,
-        }
-    }
-}
-
-/// Decoded snapshot state of one [`SiteScheduler`], as
-/// [`SiteScheduler::encode`] wrote it; [`SiteScheduler::from_image`]
-/// rebuilds the scheduler from it.
-#[derive(Debug)]
-pub(crate) struct SchedulerImage {
-    /// Total processors.
-    pub(crate) capacity: u32,
-    /// Free processors.
-    pub(crate) free: u32,
-    /// Processors in use.
-    pub(crate) used: u32,
-    /// Next submission sequence number.
-    pub(crate) seq: u64,
-    /// Eligible queue: `(seq, job_id, procs)` ascending by seq.
-    pub(crate) eligible: Vec<(u64, u32, u32)>,
-    /// Pending queue `(ready, seq, job_id, procs)`, ascending by seq: the
-    /// payload's pending list joined with its promotion-heap keys.
-    pub(crate) pending: Vec<(f64, u64, u32, u32)>,
-    /// Ready-heap keys `(ready, seq)` in pop order (stale entries kept —
-    /// lazy pruning is part of the observable peek behaviour).
-    pub(crate) ready: Vec<(f64, u64)>,
-    /// Running set `(job_id, procs, start_seq)` in exact Vec order.
-    pub(crate) run_order: Vec<(u32, u32, u64)>,
-    /// Finish-heap keys `(finish, start_seq, job_id)` in pop order.
-    pub(crate) finish: Vec<(f64, u64, u32)>,
-    /// Next start sequence number.
-    pub(crate) start_seq: u64,
-    /// Outage end, if the site is down.
-    pub(crate) down_until: Option<f64>,
-    /// Lifetime queued-count high-water mark.
-    pub(crate) peak_queued: usize,
-}
-
-impl SchedulerImage {
-    /// Read what [`SiteScheduler::encode`] wrote. Every structural
-    /// violation is a [`DurabilityError::Corrupt`], including a pending
-    /// list and promotion heap that do not hold the same entries.
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<SchedulerImage, DurabilityError> {
+    /// Read what [`SiteScheduler::encode`] wrote, rebuilding the derived
+    /// indices (the eligible count, `run_index`); everything observable —
+    /// start order, kill order, next finish, free-proc counts — is
+    /// bit-identical to the encoded scheduler. Every structural violation,
+    /// a non-finite time included, is a [`DurabilityError::Corrupt`].
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<SiteScheduler, DurabilityError> {
         let capacity = d.take_u32()?;
         let free = d.take_u32()?;
         let used = d.take_u32()?;
         let seq = d.take_u64()?;
-        let mut eligible = Vec::with_capacity(d.take_len(16)?);
-        for _ in 0..eligible.capacity() {
-            eligible.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
+        let mut eligible: BTreeMap<u32, BTreeMap<u64, u32>> = BTreeMap::new();
+        for (seq, job_id, procs) in
+            d.take_vec(16, |d| Ok((d.take_u64()?, d.take_u32()?, d.take_u32()?)))?
+        {
+            eligible.entry(procs).or_default().insert(seq, job_id);
         }
-        let mut pending = Vec::with_capacity(d.take_len(16)?);
-        for _ in 0..pending.capacity() {
-            pending.push((d.take_u64()?, d.take_u32()?, d.take_u32()?));
-        }
-        let mut promote = Vec::with_capacity(d.take_len(16)?);
-        for _ in 0..promote.capacity() {
-            promote.push((d.take_f64()?, d.take_u64()?));
-        }
-        pending.sort_unstable_by_key(|&(seq, _, _)| seq);
-        promote.sort_unstable_by_key(|&(_, seq)| seq);
-        if pending.len() != promote.len() || pending.iter().zip(&promote).any(|(p, k)| p.0 != k.1) {
-            return Err(DurabilityError::Corrupt(
-                "pending queue and promotion heap hold different entries".into(),
-            ));
-        }
-        let pending = pending
-            .into_iter()
-            .zip(promote)
-            .map(|((seq, job_id, procs), (ready, _))| (ready, seq, job_id, procs))
-            .collect();
-        let mut ready = Vec::with_capacity(d.take_len(16)?);
-        for _ in 0..ready.capacity() {
-            ready.push((d.take_f64()?, d.take_u64()?));
-        }
-        let mut run_order = Vec::with_capacity(d.take_len(16)?);
-        for _ in 0..run_order.capacity() {
-            run_order.push((d.take_u32()?, d.take_u32()?, d.take_u64()?));
-        }
-        let mut finish = Vec::with_capacity(d.take_len(20)?);
-        for _ in 0..finish.capacity() {
-            finish.push((d.take_f64()?, d.take_u64()?, d.take_u32()?));
-        }
-        Ok(SchedulerImage {
+        let pending = d.take_vec(24, |d| {
+            Ok(Reverse((
+                SimTime::decode(d)?,
+                d.take_u64()?,
+                d.take_u32()?,
+                d.take_u32()?,
+            )))
+        })?;
+        let run_order: Vec<Running> = d.take_vec(16, |d| {
+            Ok(Running {
+                job_id: d.take_u32()?,
+                procs: d.take_u32()?,
+                start_seq: d.take_u64()?,
+            })
+        })?;
+        let finish = d.take_vec(20, |d| {
+            Ok(Reverse((SimTime::decode(d)?, d.take_u64()?, d.take_u32()?)))
+        })?;
+        Ok(SiteScheduler {
             capacity,
             free,
             used,
             seq,
+            eligible_len: eligible.values().map(BTreeMap::len).sum(),
             eligible,
-            pending,
-            ready,
+            pending: BinaryHeap::from(pending),
+            run_index: run_order
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.job_id, i))
+                .collect(),
             run_order,
-            finish,
+            finish_heap: BinaryHeap::from(finish),
             start_seq: d.take_u64()?,
             down_until: d.take_opt_f64()?,
             peak_queued: d.take_usize()?,
@@ -592,8 +455,8 @@ mod tests {
         let mut s = SiteScheduler::new(100);
         s.submit(1, 10, 5.0);
         assert!(start(&mut s, 0.0, |_| 1.0).is_empty());
-        assert_eq!(s.next_ready(), Some(5.0));
-        assert_eq!(start(&mut s, 5.0, |_| 1.0).len(), 1);
+        assert!(start(&mut s, 4.5, |_| 1.0).is_empty());
+        assert_eq!(start(&mut s, 5.0, |_| 1.0), [(1, 6.0)]);
     }
 
     #[test]
@@ -657,11 +520,17 @@ mod tests {
         let mut s = SiteScheduler::new(10);
         s.submit(1, 5, 0.0);
         s.submit(2, 5, 3.0);
+        s.submit(3, 20, 0.0); // too wide: eligible but never starts
+        assert_eq!(start(&mut s, 0.0, |_| 1.0), [(1, 1.0)]);
+        s.submit(4, 5, 0.0);
         let evicted = s.evict_queued();
-        assert_eq!(evicted, vec![1, 2], "eviction preserves submission order");
+        assert_eq!(evicted, [2, 3, 4], "eviction preserves submission order");
         assert_eq!(s.queued(), 0);
-        assert!(s.idle());
-        assert_eq!(s.next_ready(), None);
+        assert_eq!(s.running(), 1);
+        assert!(
+            start(&mut s, 5.0, |_| 1.0).is_empty(),
+            "nothing evicted becomes ready later"
+        );
     }
 
     #[test]
@@ -742,23 +611,17 @@ mod tests {
         s.encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut d = Dec::new(&bytes);
-        let img = SchedulerImage::decode(&mut d).expect("decode");
+        let mut r = SiteScheduler::decode(&mut d).expect("decode");
         d.finish()
             .expect("the scheduler consumes its bytes exactly");
-        let mut r = SiteScheduler::from_image(&img);
         let mut again = Enc::new();
         r.encode(&mut again);
-        assert_eq!(
-            again.into_bytes(),
-            bytes,
-            "encode(from_image(decode(b))) == b"
-        );
+        assert_eq!(again.into_bytes(), bytes, "encode(decode(b)) == b");
         assert_eq!(r.free_procs(), s.free_procs());
         assert_eq!(r.queued(), s.queued());
         assert_eq!(r.running(), s.running());
         assert_eq!(r.peak_queued(), s.peak_queued());
         assert_eq!(r.next_finish(), s.next_finish());
-        assert_eq!(r.next_ready(), s.next_ready());
 
         // Drive both replicas forward identically: starts, finishes and
         // kill order must match exactly.
@@ -857,24 +720,5 @@ mod tests {
                 assert_matches_legacy_scan(512, &jobs, 60, &format!("campaign seed {seed}"));
         }
         assert!(backfills > 100, "only {backfills} starts backfilled");
-    }
-
-    #[test]
-    fn a_pending_list_that_disagrees_with_its_promotion_keys_is_corrupt() {
-        let mut s = SiteScheduler::new(10);
-        s.submit(7, 5, 3.0); // pending until t = 3
-        let mut enc = Enc::new();
-        s.encode(&mut enc);
-        let mut bytes = enc.into_bytes();
-        assert!(SchedulerImage::decode(&mut Dec::new(&bytes)).is_ok());
-        // capacity, free, used (4 bytes each), seq (8), the empty
-        // eligible list (8), the one-entry pending list (8 + 16) and the
-        // promotion list's length and ready time (8 + 8) come before the
-        // promotion key's seq.
-        bytes[68] ^= 1;
-        assert!(matches!(
-            SchedulerImage::decode(&mut Dec::new(&bytes)),
-            Err(DurabilityError::Corrupt(_))
-        ));
     }
 }

@@ -1,7 +1,7 @@
 //! Statistical error of the JE estimate, with the paper's cost
 //! normalization.
 
-use crate::pmf::{Estimator, PmfCurve};
+use crate::pmf::{grid_point, Estimator};
 use spice_smd::WorkTrajectory;
 use spice_stats::rng::seed_stream;
 
@@ -10,7 +10,18 @@ use spice_stats::rng::seed_stream;
 /// individual work samples).
 ///
 /// Returns `(guide_disp, sigma)` per grid point. Deterministic under
-/// `seed`.
+/// `seed`. Each resample's curve is the Φ that
+/// [`crate::pmf::PmfCurve::estimate`] gives for the drawn trajectories,
+/// computed without copying them: every trajectory is interpolated onto
+/// the grid once, into a table of work values, and a resample reads the
+/// rows its draws pick. As in `PmfCurve::estimate`, a grid point no drawn
+/// trajectory covers is left out of that resample's curve, and point
+/// `j`'s σ is taken over the resamples whose curves have a `j`-th point;
+/// the output grid is the first resample's.
+///
+/// # Panics
+/// Panics on fewer than two trajectories, a degenerate grid, no
+/// resamples, or trajectories pulled in different directions.
 pub fn pmf_bootstrap_sigma(
     trajectories: &[WorkTrajectory],
     span: f64,
@@ -24,37 +35,73 @@ pub fn pmf_bootstrap_sigma(
         trajectories.len() >= 2,
         "need ≥2 realizations for error bars"
     );
+    assert!(span > 0.0 && npoints >= 2, "degenerate PMF grid");
     let n = trajectories.len();
-    // Collect bootstrap PMFs.
-    let mut replicate_phis: Vec<Vec<f64>> = Vec::with_capacity(resamples);
-    let mut grid: Option<Vec<f64>> = None;
-    let mut resample = Vec::with_capacity(n);
+    // The grid runs in the pulling direction, which every resample's
+    // first trajectory must agree on for one table to serve them all.
+    let sign = trajectories[0].v_a_per_ns.signum();
+    assert!(
+        trajectories
+            .iter()
+            .all(|t| t.v_a_per_ns.signum().to_bits() == sign.to_bits()),
+        "bootstrap ensemble mixes pulling directions"
+    );
+    let grid: Vec<f64> = (0..npoints)
+        .map(|k| grid_point(sign, span, k, npoints))
+        .collect();
+    // works[t * npoints + k]: trajectory t's work at grid point k.
+    let works: Vec<Option<f64>> = trajectories
+        .iter()
+        .flat_map(|t| grid.iter().map(move |&s| t.work_at(s)))
+        .collect();
+
+    // Each resample's curve: up to `npoints` gauged Φ values, `len` of them.
+    let mut phis = vec![0.0; resamples * npoints];
+    let mut lens = Vec::with_capacity(resamples);
+    let mut out_grid = Vec::with_capacity(npoints);
+    let mut draws = Vec::with_capacity(n);
+    let mut point_works = Vec::with_capacity(n);
     for r in 0..resamples {
-        resample.clear();
-        for k in 0..n {
-            let idx = (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize;
-            resample.push(trajectories[idx].clone());
+        draws.clear();
+        draws.extend((0..n).map(|k| (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize));
+        let curve = &mut phis[r * npoints..(r + 1) * npoints];
+        let mut len = 0;
+        for (k, &s) in grid.iter().enumerate() {
+            point_works.clear();
+            point_works.extend(draws.iter().filter_map(|&t| works[t * npoints + k]));
+            if point_works.is_empty() {
+                continue;
+            }
+            if r == 0 {
+                out_grid.push(s);
+            }
+            curve[len] = estimator.free_energy(&point_works, kt);
+            len += 1;
         }
-        let pmf = PmfCurve::estimate(&resample, span, npoints, kt, estimator);
-        if grid.is_none() {
-            grid = Some(pmf.points.iter().map(|p| p.guide_disp).collect());
-        }
-        replicate_phis.push(pmf.points.iter().map(|p| p.phi).collect());
-    }
-    let grid = grid.expect("at least one replicate");
-    let npts = grid.len();
-    let mut out = Vec::with_capacity(npts);
-    let mut column = Vec::with_capacity(resamples);
-    for j in 0..npts {
-        column.clear();
-        for rep in &replicate_phis {
-            if j < rep.len() {
-                column.push(rep[j]);
+        // Gauge: Φ(0) = 0 at the curve's first point.
+        if let Some(&first) = curve[..len].first() {
+            for phi in &mut curve[..len] {
+                *phi -= first;
             }
         }
-        out.push((grid[j], spice_stats::std_dev(&column)));
+        lens.push(len);
     }
-    out
+    assert!(!lens.is_empty(), "at least one replicate");
+    let mut column = Vec::with_capacity(resamples);
+    out_grid
+        .iter()
+        .enumerate()
+        .map(|(j, &s)| {
+            column.clear();
+            column.extend(
+                lens.iter()
+                    .enumerate()
+                    .filter(|&(_, &len)| j < len)
+                    .map(|(r, _)| phis[r * npoints + j]),
+            );
+            (s, spice_stats::std_dev(&column))
+        })
+        .collect()
 }
 
 /// Scalar statistical error of a curve: RMS of the per-point bootstrap
@@ -97,8 +144,123 @@ pub fn cost_normalized_sigma(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmf::PmfCurve;
+    use proptest::prelude::*;
     use spice_md::units::KT_300;
     use spice_smd::WorkSample;
+
+    /// The clone-and-estimate bootstrap: each resample clones its drawn
+    /// trajectories and runs `PmfCurve::estimate` on them. The oracle
+    /// `pmf_bootstrap_sigma` must match bit for bit.
+    fn cloned_bootstrap_sigma(
+        trajectories: &[WorkTrajectory],
+        span: f64,
+        npoints: usize,
+        kt: f64,
+        estimator: Estimator,
+        resamples: usize,
+        seed: u64,
+    ) -> Vec<(f64, f64)> {
+        let n = trajectories.len();
+        let mut replicate_phis: Vec<Vec<f64>> = Vec::with_capacity(resamples);
+        let mut grid: Option<Vec<f64>> = None;
+        let mut resample = Vec::with_capacity(n);
+        for r in 0..resamples {
+            resample.clear();
+            for k in 0..n {
+                let idx = (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize;
+                resample.push(trajectories[idx].clone());
+            }
+            let pmf = PmfCurve::estimate(&resample, span, npoints, kt, estimator);
+            if grid.is_none() {
+                grid = Some(pmf.points.iter().map(|p| p.guide_disp).collect());
+            }
+            replicate_phis.push(pmf.points.iter().map(|p| p.phi).collect());
+        }
+        let grid = grid.expect("at least one replicate");
+        let mut out = Vec::with_capacity(grid.len());
+        let mut column = Vec::with_capacity(resamples);
+        for (j, &s) in grid.iter().enumerate() {
+            column.clear();
+            for rep in &replicate_phis {
+                if j < rep.len() {
+                    column.push(rep[j]);
+                }
+            }
+            out.push((s, spice_stats::std_dev(&column)));
+        }
+        out
+    }
+
+    /// An ensemble whose trajectories start and end at different guide
+    /// displacements (some past 0, all short of a 12 Å grid), pulled in
+    /// direction `sign`, with random-walk work.
+    fn ragged_ensemble(n: usize, sign: f64, seed: u64) -> Vec<WorkTrajectory> {
+        let g = spice_md::rng::GaussianStream::new(seed);
+        (0..n)
+            .map(|r| {
+                let draw = seed_stream(seed, r as u64);
+                let start = if draw.is_multiple_of(4) { 0.3 } else { 0.0 };
+                let len = 3 + (draw >> 8) as usize % 40;
+                let mut acc = 0.0;
+                WorkTrajectory {
+                    kappa_pn_per_a: 100.0,
+                    v_a_per_ns: sign * 12.5,
+                    seed: r as u64,
+                    samples: (0..len)
+                        .map(|i| {
+                            let s = start + i as f64 * 0.25;
+                            acc += 1.5 * g.sample(r as u64, i as u64) * 0.25;
+                            WorkSample {
+                                t_ps: s,
+                                guide_disp: sign * s,
+                                com_disp: sign * s,
+                                work: 1.5 * s + acc,
+                                force: 1.5,
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The table bootstrap reproduces the clone-and-estimate one bit
+        /// for bit, for every estimator and ensemble size, on grids that
+        /// run past some trajectories' ends (so resamples drop different
+        /// points, and the first resample sets the output grid).
+        #[test]
+        fn table_bootstrap_matches_cloned_bitwise(
+            seed in 0u64..u32::MAX as u64,
+            span in 1.0f64..12.0,
+            npoints in 2usize..24,
+            resamples in 1usize..24,
+        ) {
+            let sign = if seed.is_multiple_of(2) { 1.0 } else { -1.0 };
+            for n in [2usize, 6, 24, 72] {
+                let ens = ragged_ensemble(n, sign, seed);
+                for est in [Estimator::Jarzynski, Estimator::Cumulant, Estimator::MeanWork] {
+                    let bits = |v: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+                        v.into_iter().map(|(s, sd)| (s.to_bits(), sd.to_bits())).collect()
+                    };
+                    let want = cloned_bootstrap_sigma(&ens, span, npoints, KT_300, est, resamples, seed);
+                    let got = pmf_bootstrap_sigma(&ens, span, npoints, KT_300, est, resamples, seed);
+                    prop_assert_eq!(bits(got), bits(want), "n={} {:?}", n, est);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mixes pulling directions")]
+    fn bootstrap_rejects_mixed_directions() {
+        let mut ens = ragged_ensemble(4, 1.0, 3);
+        ens[2].v_a_per_ns = -12.5;
+        pmf_bootstrap_sigma(&ens, 5.0, 6, KT_300, Estimator::Jarzynski, 10, 1);
+    }
 
     fn ensemble(n: usize, sigma: f64, seed: u64) -> Vec<WorkTrajectory> {
         let g = spice_md::rng::GaussianStream::new(seed);

@@ -22,6 +22,31 @@ pub enum Estimator {
     MeanWork,
 }
 
+impl Estimator {
+    /// Φ at one grid point from the works of the realizations that cover
+    /// it (non-empty). The cumulant needs two samples and falls back to
+    /// the single work value below that.
+    pub fn free_energy(self, works: &[f64], kt: f64) -> f64 {
+        match self {
+            Estimator::Jarzynski => jarzynski_free_energy(works, kt),
+            Estimator::Cumulant => {
+                if works.len() >= 2 {
+                    cumulant_free_energy(works, kt)
+                } else {
+                    works[0]
+                }
+            }
+            Estimator::MeanWork => mean_work(works),
+        }
+    }
+}
+
+/// Guide displacement of point `k` of the uniform `npoints` grid over
+/// `[0, span]`, in the pulling direction `sign`.
+pub(crate) fn grid_point(sign: f64, span: f64, k: usize, npoints: usize) -> f64 {
+    sign * span * k as f64 / (npoints - 1) as f64
+}
+
 /// One grid point of a PMF curve.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 pub struct PmfPoint {
@@ -76,7 +101,7 @@ impl PmfCurve {
         let mut works = Vec::with_capacity(trajectories.len());
         let mut coms = Vec::with_capacity(trajectories.len());
         for k in 0..npoints {
-            let s = sign * span * k as f64 / (npoints - 1) as f64;
+            let s = grid_point(sign, span, k, npoints);
             works.clear();
             coms.clear();
             for t in trajectories {
@@ -90,21 +115,10 @@ impl PmfCurve {
             if works.is_empty() {
                 continue;
             }
-            let phi = match estimator {
-                Estimator::Jarzynski => jarzynski_free_energy(&works, kt),
-                Estimator::Cumulant => {
-                    if works.len() >= 2 {
-                        cumulant_free_energy(&works, kt)
-                    } else {
-                        works[0]
-                    }
-                }
-                Estimator::MeanWork => mean_work(&works),
-            };
             points.push(PmfPoint {
                 guide_disp: s,
                 com_disp: spice_stats::mean(&coms),
-                phi,
+                phi: estimator.free_energy(&works, kt),
                 n: works.len(),
                 mean_work: mean_work(&works),
             });

@@ -8,6 +8,50 @@
 use crate::topology::{Angle, Bond, BondKind, Dihedral};
 use crate::vec3::Vec3;
 
+// Each term's force expression is written once, in the `#[inline(always)]`
+// helpers below; the scalar kernels here and the lane tiers of
+// `md::batch` both call them, so the two paths produce the same bits. The
+// helpers are branch-free over lanes (a select, never an early return) and
+// free of libm calls: the one transcendental per angle (`acos`) and per
+// dihedral (`atan2`, `sin`) is taken by the caller between a helper's
+// geometry and its force, so the lane tiers can make it one scalar call
+// per lane between two vectorized passes.
+
+/// FENE extension cap: from 99 % of R0 on, the bond continues linearly
+/// with the force at the cap. Steep enough to restore any transient
+/// over-extension, finite enough to stay integrable at production time
+/// steps (a hard clamp here is a numerical bomb: one rare over-extension
+/// event would kick velocities beyond recovery).
+const FENE_X_CAP: f64 = 0.99;
+
+/// FENE force magnitude at the cap, `k · 0.99 R0 / (1 − 0.99²)`.
+#[inline(always)]
+fn fene_cap_force(b: &Bond) -> f64 {
+    b.k * (FENE_X_CAP * b.r0) / (1.0 - FENE_X_CAP * FENE_X_CAP)
+}
+
+/// Force on bead `j` of bond `b` (bead `i` takes its negation) at
+/// separation `d = p_j − p_i`, `r = |d|`. NaN at `r == 0`, where the
+/// direction is undefined and the kernels add nothing.
+#[inline(always)]
+pub(crate) fn bond_force(b: &Bond, d: Vec3, r: f64) -> Vec3 {
+    let dir = d / r;
+    let coeff = match b.kind {
+        // F_j = -dU/dr · dir = -2k (r - r0) dir
+        BondKind::Harmonic => -2.0 * b.k * (r - b.r0),
+        BondKind::Fene => {
+            let x = r / b.r0;
+            if x >= FENE_X_CAP {
+                -fene_cap_force(b)
+            } else {
+                // dU/dr = k r / (1 - x²)
+                -b.k * r / (1.0 - x * x)
+            }
+        }
+    };
+    dir * coeff
+}
+
 /// Accumulate bond forces; returns bond energy (kcal/mol).
 pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
     let mut energy = 0.0;
@@ -23,65 +67,91 @@ pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f
             }
             continue;
         }
-        let dir = d / r;
-        match b.kind {
+        energy += match b.kind {
             BondKind::Harmonic => {
                 let dr = r - b.r0;
-                energy += b.k * dr * dr;
-                // F_j = -dU/dr · dir = -2k (r - r0) dir
-                let f = dir * (-2.0 * b.k * dr);
-                forces[b.j] += f;
-                forces[b.i] -= f;
+                b.k * dr * dr
             }
             BondKind::Fene => {
                 let x = r / b.r0;
-                // Cap at 99% extension: beyond it, continue linearly with
-                // the force at the cap. Steep enough to restore any
-                // transient over-extension, finite enough to stay
-                // integrable at production time steps (a hard clamp here
-                // is a numerical bomb: one rare over-extension event would
-                // kick velocities beyond recovery).
-                const X_CAP: f64 = 0.99;
-                if x >= X_CAP {
-                    let f_cap = b.k * (X_CAP * b.r0) / (1.0 - X_CAP * X_CAP);
-                    let e_cap = -0.5 * b.k * b.r0 * b.r0 * (1.0 - X_CAP * X_CAP).ln();
-                    energy += e_cap + f_cap * (r - X_CAP * b.r0);
-                    let f = dir * (-f_cap);
-                    forces[b.j] += f;
-                    forces[b.i] -= f;
-                    continue;
+                if x >= FENE_X_CAP {
+                    let f_cap = fene_cap_force(b);
+                    let e_cap = -0.5 * b.k * b.r0 * b.r0 * (1.0 - FENE_X_CAP * FENE_X_CAP).ln();
+                    e_cap + f_cap * (r - FENE_X_CAP * b.r0)
+                } else {
+                    -0.5 * b.k * b.r0 * b.r0 * (1.0 - x * x).ln()
                 }
-                energy += -0.5 * b.k * b.r0 * b.r0 * (1.0 - x * x).ln();
-                // dU/dr = k r / (1 - x²)
-                let f = dir * (-b.k * r / (1.0 - x * x));
-                forces[b.j] += f;
-                forces[b.i] -= f;
             }
-        }
+        };
+        let f = bond_force(b, d, r);
+        forces[b.j] += f;
+        forces[b.i] -= f;
     }
     energy
+}
+
+/// Geometry of one harmonic angle `i–j–k`: the arms from the apex `j`,
+/// their lengths and the clamped cos θ.
+#[derive(Clone, Copy)]
+pub(crate) struct AngleGeometry {
+    rij: Vec3,
+    rkj: Vec3,
+    nij: f64,
+    nkj: f64,
+    /// cos θ, clamped to [-1, 1]; θ = `cos_t.acos()`.
+    pub(crate) cos_t: f64,
+}
+
+impl AngleGeometry {
+    #[inline(always)]
+    pub(crate) fn new(pi: Vec3, pj: Vec3, pk: Vec3) -> Self {
+        let rij = pi - pj;
+        let rkj = pk - pj;
+        let (nij, nkj) = (rij.norm(), rkj.norm());
+        let cos_t = (rij.dot(rkj) / (nij * nkj)).clamp(-1.0, 1.0);
+        AngleGeometry {
+            rij,
+            rkj,
+            nij,
+            nkj,
+            cos_t,
+        }
+    }
+
+    /// A zero-length arm: θ is undefined and the kernels add nothing.
+    #[inline(always)]
+    pub(crate) fn degenerate(&self) -> bool {
+        // spice-lint: allow(N002) exact-zero bond-length guard: degenerate angle
+        self.nij == 0.0 || self.nkj == 0.0
+    }
+
+    /// Forces on the end beads `i` and `k` of angle `a` at bend
+    /// `theta = cos_t.acos()`; the apex `j` takes minus their sum.
+    #[inline(always)]
+    pub(crate) fn forces(&self, a: &Angle, theta: f64) -> (Vec3, Vec3) {
+        let (rij, rkj, nij, nkj, cos_t) = (self.rij, self.rkj, self.nij, self.nkj, self.cos_t);
+        let dt = theta - a.theta0;
+        // dU/dθ = 2k dθ ; chain rule via standard angle-force expressions.
+        let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
+        let coeff = 2.0 * a.k * dt / sin_t;
+        let fi = (rkj / (nij * nkj) - rij * (cos_t / (nij * nij))) * coeff;
+        let fk = (rij / (nij * nkj) - rkj * (cos_t / (nkj * nkj))) * coeff;
+        (fi, fk)
+    }
 }
 
 /// Accumulate harmonic-angle forces; returns angle energy (kcal/mol).
 pub fn angle_forces(angles: &[Angle], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
     let mut energy = 0.0;
     for a in angles {
-        let rij = positions[a.i] - positions[a.j];
-        let rkj = positions[a.k_idx] - positions[a.j];
-        let (nij, nkj) = (rij.norm(), rkj.norm());
-        // spice-lint: allow(N002) exact-zero bond-length guard: degenerate angle
-        if nij == 0.0 || nkj == 0.0 {
+        let g = AngleGeometry::new(positions[a.i], positions[a.j], positions[a.k_idx]);
+        if g.degenerate() {
             continue;
         }
-        let cos_t = (rij.dot(rkj) / (nij * nkj)).clamp(-1.0, 1.0);
-        let theta = cos_t.acos();
+        let theta = g.cos_t.acos();
         let dt = theta - a.theta0;
         energy += a.k * dt * dt;
-        // dU/dθ = 2k dθ ; chain rule via standard angle-force expressions.
-        let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
-        let coeff = 2.0 * a.k * dt / sin_t;
-        let fi = (rkj / (nij * nkj) - rij * (cos_t / (nij * nij))) * coeff;
-        let fk = (rij / (nij * nkj) - rkj * (cos_t / (nkj * nkj))) * coeff;
+        let (fi, fk) = g.forces(a, theta);
         forces[a.i] += fi;
         forces[a.k_idx] += fk;
         forces[a.j] -= fi + fk;
@@ -89,26 +159,61 @@ pub fn angle_forces(angles: &[Angle], positions: &[Vec3], forces: &mut [Vec3]) -
     energy
 }
 
-/// Accumulate cosine-dihedral forces; returns dihedral energy (kcal/mol).
-pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
-    let mut energy = 0.0;
-    for d in dihedrals {
-        let b1 = positions[d.j] - positions[d.i];
-        let b2 = positions[d.k_idx] - positions[d.j];
-        let b3 = positions[d.l] - positions[d.k_idx];
+/// Geometry of one cosine dihedral `i–j–k–l`: the three bond vectors, the
+/// two plane normals and their lengths.
+#[derive(Clone, Copy)]
+pub(crate) struct DihedralGeometry {
+    b1: Vec3,
+    b2: Vec3,
+    b3: Vec3,
+    n1: Vec3,
+    n2: Vec3,
+    n1n: f64,
+    n2n: f64,
+    b2n: f64,
+}
+
+impl DihedralGeometry {
+    #[inline(always)]
+    pub(crate) fn new(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3) -> Self {
+        let b1 = pj - pi;
+        let b2 = pk - pj;
+        let b3 = pl - pk;
         let n1 = b1.cross(b2);
         let n2 = b2.cross(b3);
-        let (n1n, n2n, b2n) = (n1.norm(), n2.norm(), b2.norm());
-        if n1n < 1e-10 || n2n < 1e-10 || b2n < 1e-10 {
-            continue; // collinear degenerate geometry
+        DihedralGeometry {
+            b1,
+            b2,
+            b3,
+            n1,
+            n2,
+            n1n: n1.norm(),
+            n2n: n2.norm(),
+            b2n: b2.norm(),
         }
-        let cos_phi = (n1.dot(n2) / (n1n * n2n)).clamp(-1.0, 1.0);
-        let sin_phi = n1.cross(n2).dot(b2) / (n1n * n2n * b2n);
-        let phi = sin_phi.atan2(cos_phi);
-        let nf = d.n as f64;
-        energy += d.k * (1.0 + (nf * phi - d.delta).cos());
-        // dU/dφ = -k n sin(nφ - δ)
-        let du_dphi = -d.k * nf * (nf * phi - d.delta).sin();
+    }
+
+    /// Collinear beads: φ is undefined and the kernels add nothing.
+    #[inline(always)]
+    pub(crate) fn degenerate(&self) -> bool {
+        self.n1n < 1e-10 || self.n2n < 1e-10 || self.b2n < 1e-10
+    }
+
+    /// `(cos φ, sin φ)`, cos φ clamped to [-1, 1]; φ = `sin.atan2(cos)`.
+    #[inline(always)]
+    pub(crate) fn cos_sin(&self) -> (f64, f64) {
+        let (n1, n2) = (self.n1, self.n2);
+        let cos_phi = (n1.dot(n2) / (self.n1n * self.n2n)).clamp(-1.0, 1.0);
+        let sin_phi = n1.cross(n2).dot(self.b2) / (self.n1n * self.n2n * self.b2n);
+        (cos_phi, sin_phi)
+    }
+
+    /// Forces on `i`, `j`, `k`, `l` for `du_dphi` = dU/dφ (see
+    /// [`dihedral_du_dphi`]).
+    #[inline(always)]
+    pub(crate) fn forces(&self, du_dphi: f64) -> [Vec3; 4] {
+        let (b1, b2, b3, n1, n2) = (self.b1, self.b2, self.b3, self.n1, self.n2);
+        let (n1n, n2n, b2n) = (self.n1n, self.n2n, self.b2n);
         // Standard analytic gradient (see e.g. Allen & Tildesley):
         let fi = n1 * (du_dphi * b2n / (n1n * n1n));
         let fl = n2 * (-du_dphi * b2n / (n2n * n2n));
@@ -116,6 +221,36 @@ pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut 
         let q = b3.dot(b2) / (b2n * b2n);
         let fj = fi * (-(1.0 + p)) + fl * q;
         let fk = fl * (-(1.0 + q)) + fi * p;
+        [fi, fj, fk, fl]
+    }
+}
+
+/// dU/dφ = -k n sin(nφ - δ) of dihedral `d` at torsion `phi`: the libm
+/// part of the dihedral force, called once per dihedral (and per lane).
+#[inline(always)]
+pub(crate) fn dihedral_du_dphi(d: &Dihedral, phi: f64) -> f64 {
+    let nf = d.n as f64;
+    -d.k * nf * (nf * phi - d.delta).sin()
+}
+
+/// Accumulate cosine-dihedral forces; returns dihedral energy (kcal/mol).
+pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
+    let mut energy = 0.0;
+    for d in dihedrals {
+        let g = DihedralGeometry::new(
+            positions[d.i],
+            positions[d.j],
+            positions[d.k_idx],
+            positions[d.l],
+        );
+        if g.degenerate() {
+            continue; // collinear degenerate geometry
+        }
+        let (cos_phi, sin_phi) = g.cos_sin();
+        let phi = sin_phi.atan2(cos_phi);
+        let nf = d.n as f64;
+        energy += d.k * (1.0 + (nf * phi - d.delta).cos());
+        let [fi, fj, fk, fl] = g.forces(dihedral_du_dphi(d, phi));
         forces[d.i] += fi;
         forces[d.j] += fj;
         forces[d.k_idx] += fk;

@@ -6,6 +6,8 @@
 //! time. The md- and smd-level pins use fixtures without an external
 //! field; this one covers it.
 
+mod common;
+
 use spice::core::config::Scale;
 use spice::core::pipeline::pore_simulation;
 use spice::smd::{run_ensemble_batched, run_ensemble_cloned};
@@ -52,6 +54,48 @@ fn assert_batched_equals_cloned(n: usize, master: u64) {
             assert_eq!(bits(sb), bits(sc), "n={n} slot {slot} sample {k}");
         }
     }
+}
+
+/// FNV-1a over the bit patterns of every work sample of every slot, seeds
+/// included; a failed slot hashes its error text.
+fn ensemble_digest<E: std::fmt::Display>(
+    ensemble: &[Result<spice::smd::WorkTrajectory, E>],
+) -> u64 {
+    ensemble.iter().fold(common::FNV_OFFSET, |mut h, slot| {
+        match slot {
+            Ok(t) => {
+                h = common::fnv1a(h, &t.seed.to_le_bytes());
+                for s in &t.samples {
+                    for v in [s.t_ps, s.guide_disp, s.com_disp, s.work, s.force] {
+                        h = common::fnv1a(h, &v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            Err(e) => h = common::fnv1a(h, e.to_string().as_bytes()),
+        }
+        h
+    })
+}
+
+/// Golden digest of the 17-lane batched Test-pore ensemble. The pin below
+/// compares the batched path with the cloned one, so a change that moved
+/// both together would pass it; this one would not. (The value comes from
+/// x86_64 with glibc's libm.)
+#[test]
+fn batched_pore_ensemble_golden_digest() {
+    let protocol = Scale::Test.protocol(100.0, 100.0);
+    let batched = run_ensemble_batched(
+        |seed| pore_simulation(Scale::Test, seed),
+        &protocol,
+        17,
+        SeedSequence::new(20050512),
+        Scale::Test.decorrelation_steps(),
+    );
+    assert_eq!(
+        ensemble_digest(&batched),
+        0xeccb_bab8_c26e_9d57,
+        "17-lane batched Test-pore ensemble moved"
+    );
 }
 
 #[test]

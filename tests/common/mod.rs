@@ -7,6 +7,18 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// FNV-1a offset basis: the digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a digest `h`: a golden digest that moves
+/// when any input byte moves.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A uniquely named scratch directory that cleans up after itself.
 ///
 /// Uniqueness comes from the process id plus a per-process counter, and

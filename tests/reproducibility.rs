@@ -2,6 +2,8 @@
 //! identical science, independent of thread scheduling. This is what lets
 //! a federated campaign be audited after the fact.
 
+mod common;
+
 use spice::core::config::Scale;
 use spice::core::pipeline::{pore_simulation, run_cell};
 use spice::gridsim::campaign::Campaign;
@@ -49,6 +51,33 @@ fn pmf_cell_bitwise_reproducible() {
     assert_eq!(a.curve.points, b.curve.points);
     assert_eq!(a.sigma_stat_raw.to_bits(), b.sigma_stat_raw.to_bits());
     assert_eq!(a.sigma_stat_norm.to_bits(), b.sigma_stat_norm.to_bits());
+}
+
+/// FNV-1a over the bit patterns of `values`.
+fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(common::FNV_OFFSET, |h, v| {
+        common::fnv1a(h, &v.to_bits().to_le_bytes())
+    })
+}
+
+/// Golden bits of one Test-scale cell: Φ, the mean-work curve and the raw
+/// bootstrap σ. The pin above compares two runs of the same code, so a
+/// change that moved the ensemble or the estimators in both would pass it;
+/// this one would not. (The values come from x86_64 with glibc's libm.)
+#[test]
+fn pmf_cell_golden_bits() {
+    let cell = run_cell(Scale::Test, 100.0, 100.0, SeedSequence::new(7));
+    let phi = bits_digest(cell.curve.points.iter().map(|p| p.phi));
+    let mean_work = bits_digest(cell.mean_work_curve.points.iter().map(|p| p.phi));
+    assert_eq!(
+        (phi, mean_work, cell.sigma_stat_raw.to_bits()),
+        (
+            0x06a7_d213_0144_d8ce,
+            0x124c_8d68_add8_0924,
+            0x3fe3_2296_04a4_c430
+        ),
+        "Test-scale cell (κ=100, v=100, seed 7) moved"
+    );
 }
 
 /// Grid campaigns replay exactly under both executors.

@@ -1,10 +1,11 @@
 //! Batched SoA ensemble throughput, machine-readable: times
 //! `run_ensemble_cloned` against `run_ensemble_batched` on two fixtures
 //! (single restrained bead; 12-bead bonded/charged chain) at 64+
-//! replicas and on the system the pipeline runs (the Bench-scale strand
-//! in the pore, 24 replicas, the protocol `run_cell` uses),
-//! spot-checks that the two paths stay bit-identical, and writes
-//! `BENCH_ensemble_batch.json`.
+//! replicas and on the system the pipeline runs (the strand in the pore
+//! with the protocol `run_cell` uses: the Bench-scale 12-base strand at
+//! 24 replicas, and the Test-scale 8-base strand at 6 replicas, which
+//! the batched engine pads to 8 lanes), spot-checks that the two paths
+//! stay bit-identical, and writes `BENCH_ensemble_batch.json`.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_ensemble_batch
@@ -14,8 +15,8 @@
 //! tier floor — ≥5× realizations/sec on AVX-512 (the committed-baseline
 //! hardware), with lower floors on narrower ISAs where the lane sweep
 //! simply has fewer f64 slots per vector (2.5× AVX2, 1.2× generic). The
-//! pore row reports the speedup the Fig. 4 sweep gets and is outside the
-//! gate. The bit-identity assert has no floor anywhere: both paths must
+//! pore rows report the speedup a Bench and a Test sweep cell get and
+//! are outside the gate. The bit-identity assert has no floor anywhere: both paths must
 //! produce the same f64 bits on every sample.
 
 use spice_core::pipeline::pore_simulation;
@@ -105,7 +106,7 @@ fn proto() -> PullProtocol {
 /// One benchmarked system: its replica factory and the protocol and
 /// decorrelation hold its ensembles run.
 struct Case {
-    factory: fn(u64) -> Simulation,
+    factory: Box<dyn Fn(u64) -> Simulation + Sync>,
     protocol: PullProtocol,
     decorrelation_steps: u64,
 }
@@ -113,25 +114,25 @@ struct Case {
 impl Case {
     fn fixture(factory: fn(u64) -> Simulation) -> Self {
         Case {
-            factory,
+            factory: Box::new(factory),
             protocol: proto(),
             decorrelation_steps: DECORRELATION_STEPS,
         }
     }
 
-    /// The 12-base strand in the pore as a Bench-scale `run_cell` runs
-    /// it: κ = 100 pN/Å on the v = 100 Å/ns column.
-    fn pore() -> Self {
+    /// The strand in the pore as a `run_cell` at `scale` runs it:
+    /// κ = 100 pN/Å on the v = 100 Å/ns column.
+    fn pore(scale: Scale) -> Self {
         Case {
-            factory: |seed| pore_simulation(Scale::Bench, seed),
-            protocol: Scale::Bench.protocol(100.0, 100.0),
-            decorrelation_steps: Scale::Bench.decorrelation_steps(),
+            factory: Box::new(move |seed| pore_simulation(scale, seed)),
+            protocol: scale.protocol(100.0, 100.0),
+            decorrelation_steps: scale.decorrelation_steps(),
         }
     }
 
     fn cloned(&self, replicas: usize) -> Vec<Result<WorkTrajectory, MdError>> {
         run_ensemble_cloned(
-            self.factory,
+            &self.factory,
             &self.protocol,
             replicas,
             SeedSequence::new(BENCH_SEED),
@@ -141,7 +142,7 @@ impl Case {
 
     fn batched(&self, replicas: usize) -> Vec<Result<WorkTrajectory, MdError>> {
         run_ensemble_batched(
-            self.factory,
+            &self.factory,
             &self.protocol,
             replicas,
             SeedSequence::new(BENCH_SEED),
@@ -242,17 +243,20 @@ fn main() {
 
     let bead = Case::fixture(bead_factory);
     let chain = Case::fixture(chain_factory);
-    let pore = Case::pore();
+    let pore = Case::pore(Scale::Bench);
+    let test_pore = Case::pore(Scale::Test);
     assert_bit_identical("bead", &bead, 8);
     assert_bit_identical("chain", &chain, 8);
     assert_bit_identical("pore", &pore, 24);
-    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas; pore, 24)");
+    assert_bit_identical("test pore", &test_pore, 6);
+    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas; pore, 24; test pore, 6)");
 
     let rows = [
         bench_case("bead/64", &bead, 64, 5),
         bench_case("bead/128", &bead, 128, 5),
         bench_case("chain12/64", &chain, 64, 5),
         bench_case("pore12/24", &pore, 24, 3),
+        bench_case("pore8/6", &test_pore, 6, 7),
     ];
 
     let best = rows

@@ -63,7 +63,7 @@ impl Scale {
     }
 
     /// Post-clone decorrelation steps when a cell amortizes equilibration
-    /// via checkpoint/clone (`run_ensemble_cloned`): each realization is
+    /// via checkpoint/clone (`run_ensemble_batched`): each realization is
     /// forked from the shared equilibrated snapshot and held this many
     /// extra steps under its own noise stream before pulling. Sized at a
     /// few thermostat relaxation times (γ = 5 ps⁻¹, dt = 0.01 ps →
@@ -104,18 +104,15 @@ impl Scale {
         }
     }
 
-    /// Minimum realizations per cell before [`run_cell`] routes the
-    /// ensemble through the batched SoA engine
-    /// (`spice_smd::run_ensemble_batched_traced`) instead of the cloned
-    /// per-replica path. The two paths are bit-identical, so the switch
-    /// is purely a throughput decision: lane sweeps only amortize their
-    /// fixed costs once enough replicas share the loop. `Test` (6
-    /// realizations) stays on the cloned path; `Bench` (24) and `Paper`
-    /// (72) batch.
+    /// Minimum realizations per cell for the batched SoA engine
+    /// (`spice_smd::run_ensemble_batched_traced`) over the cloned
+    /// per-replica path: 1, since the batched engine pads its lanes to
+    /// whole SIMD vectors and wins at every scale. [`run_cell`] batches
+    /// every cell; this stays for callers that mirror its routing.
     ///
     /// [`run_cell`]: crate::pipeline::run_cell
     pub fn batch_min_realizations(self) -> usize {
-        16
+        1
     }
 
     /// The pulling protocol for one paper-unit (κ [pN/Å], v [Å/ns]) cell

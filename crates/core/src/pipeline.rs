@@ -11,10 +11,7 @@ use spice_md::units::KT_300;
 use spice_md::Simulation;
 use spice_pore::build::{PoreSystemBuilder, SmdSelection};
 use spice_pore::dna::DnaParams;
-use spice_smd::{
-    partition_outcomes, run_ensemble_batched_traced, run_ensemble_cloned_traced, PullProtocol,
-    WorkTrajectory,
-};
+use spice_smd::{partition_outcomes, run_ensemble_batched_traced, PullProtocol, WorkTrajectory};
 use spice_stats::rng::SeedSequence;
 use spice_telemetry::Telemetry;
 
@@ -91,7 +88,7 @@ pub fn run_cell(scale: Scale, kappa: f64, v_label: f64, seeds: SeedSequence) -> 
 /// [`run_cell`] with telemetry: the whole cell runs under a
 /// `core.run_cell` span on the `("core.cell", track_key)` track, the
 /// ensemble and its realizations trace through
-/// [`run_ensemble_cloned_traced`] (same `track_key`), and the estimation
+/// [`run_ensemble_batched_traced`] (same `track_key`), and the estimation
 /// stages land as instants once the work values are in. With
 /// `Telemetry::disabled()` this *is* `run_cell` — identical results
 /// either way.
@@ -108,31 +105,18 @@ pub fn run_cell_traced(
     let protocol = scale.protocol(kappa, v_label);
     // Clone-amortized ensemble: one shared equilibration per cell, each
     // realization forked from the snapshot with a fresh noise stream plus
-    // a short decorrelation hold (see DESIGN.md). Large cells route
-    // through the batched SoA engine — bit-identical to the cloned path,
-    // but all replicas advance through one vectorized loop.
-    let n = scale.realizations();
-    let results = if n >= scale.batch_min_realizations() {
-        run_ensemble_batched_traced(
-            |seed| pore_simulation(scale, seed),
-            &protocol,
-            n,
-            seeds,
-            scale.decorrelation_steps(),
-            telemetry,
-            track_key,
-        )
-    } else {
-        run_ensemble_cloned_traced(
-            |seed| pore_simulation(scale, seed),
-            &protocol,
-            n,
-            seeds,
-            scale.decorrelation_steps(),
-            telemetry,
-            track_key,
-        )
-    };
+    // a short decorrelation hold (see DESIGN.md), all realizations
+    // advancing as lanes of one vectorized loop (the batched SoA engine,
+    // bit-identical to stepping each clone on its own).
+    let results = run_ensemble_batched_traced(
+        |seed| pore_simulation(scale, seed),
+        &protocol,
+        scale.realizations(),
+        seeds,
+        scale.decorrelation_steps(),
+        telemetry,
+        track_key,
+    );
     let (mut trajectories, failures) = partition_outcomes(results);
     let n_failed = failures.len();
     if let Some(first) = failures.first() {

@@ -49,10 +49,14 @@ pub fn pmf_bootstrap_sigma(
     let grid: Vec<f64> = (0..npoints)
         .map(|k| grid_point(sign, span, k, npoints))
         .collect();
-    // works[t * npoints + k]: trajectory t's work at grid point k.
+    // works[t * npoints + k]: trajectory t's work at grid point k, from
+    // one forward walk per trajectory.
     let works: Vec<Option<f64>> = trajectories
         .iter()
-        .flat_map(|t| grid.iter().map(move |&s| t.work_at(s)))
+        .flat_map(|t| {
+            let mut walk = t.walk();
+            grid.iter().map(move |&s| walk.at(s).map(|(work, _)| work))
+        })
         .collect();
 
     // Each resample's curve: up to `npoints` gauged Φ values, `len` of them.

@@ -100,16 +100,16 @@ impl PmfCurve {
         let mut points = Vec::with_capacity(npoints);
         let mut works = Vec::with_capacity(trajectories.len());
         let mut coms = Vec::with_capacity(trajectories.len());
+        // One forward walk per trajectory along the grid.
+        let mut walks: Vec<_> = trajectories.iter().map(WorkTrajectory::walk).collect();
         for k in 0..npoints {
             let s = grid_point(sign, span, k, npoints);
             works.clear();
             coms.clear();
-            for t in trajectories {
-                if let Some(w) = t.work_at(s) {
+            for walk in &mut walks {
+                if let Some((w, c)) = walk.at(s) {
                     works.push(w);
-                    if let Some(c) = t.com_at(s) {
-                        coms.push(c);
-                    }
+                    coms.push(c);
                 }
             }
             if works.is_empty() {

@@ -51,7 +51,25 @@
 //! Replicas that go non-finite ("dead" lanes) keep computing lane-local
 //! garbage in the hot kernels (no per-lane branching) but are excluded
 //! from rebuild unions, mirroring the scalar engine where NaN
-//! displacements never trigger a rebuild.
+//! displacements never trigger a rebuild. A lane that has moved past the
+//! skin to positions a cell list cannot bin (a non-finite coordinate, or
+//! a blown-up grid) *faults*: its scalar twin rebuilds its own list at
+//! that step and `CellList::bin` panics, so the lane is taken out of the
+//! batch and reported through [`BatchSim::lane_faulted`] instead of
+//! panicking the whole batch.
+//!
+//! # Pad lanes
+//!
+//! The lane stride `r` is the replica count rounded up to a multiple of
+//! [`LANE_PAD`] (one AVX-512 vector of `f64`), so no lane loop runs a
+//! scalar remainder: 6 replicas run as 8 lanes, 17 as 24. Each pad lane
+//! is a bitwise copy of lane [`PAD_SOURCE`] — same start state, same
+//! thermostat seed and coefficients — and the bias callback sweeps whole
+//! rows, so it gets the same spring too. Lane kernels never mix lanes, so
+//! a pad lane computes its source's bits step for step and cannot change
+//! a real lane's. Pad lanes are never live: they take no part in rebuild
+//! unions or triggers, cannot fault, and are not counted by
+//! [`BatchSim::n_lanes`].
 
 use crate::forces::nonbonded::{DebyeHuckel, LjParams};
 use crate::forces::{ExternalPotential, ForceField};
@@ -60,6 +78,13 @@ use crate::rng::{gauss_from, gauss_hash};
 use crate::sim::Simulation;
 use crate::units;
 use crate::vec3::Vec3;
+
+/// The lane stride is padded to a multiple of this many lanes: one
+/// AVX-512 register of `f64` (two AVX2 registers).
+pub const LANE_PAD: usize = 8;
+
+/// The real lane every pad lane copies.
+pub const PAD_SOURCE: usize = 0;
 
 /// Per-lane BAOAB thermostat parameters, extracted from each replica's
 /// integrator via [`Simulation::langevin_params`].
@@ -75,34 +100,18 @@ pub struct LaneThermostat {
 
 /// Per-eval bias access for one batch: read lane positions, add lane
 /// forces. Handed to the bias callback so the SMD spring can act on every
-/// lane inside the batched force evaluation.
+/// lane inside the batched force evaluation. Rows span the whole stride:
+/// a bias must act on pad lanes too, so they stay copies of their source.
 pub struct LaneForces<'a> {
     pos: &'a [f64],
     frc: &'a mut [f64],
-    n: usize,
     r: usize,
 }
 
 impl LaneForces<'_> {
-    /// Particles per replica.
-    pub fn n_particles(&self) -> usize {
-        self.n
-    }
-
-    /// Replica lanes in the batch.
-    pub fn n_lanes(&self) -> usize {
+    /// Lanes per row, pad lanes included.
+    pub fn stride(&self) -> usize {
         self.r
-    }
-
-    /// Position of particle `i` in lane `l`.
-    #[inline]
-    pub fn pos(&self, i: usize, l: usize) -> Vec3 {
-        let b = i * 3 * self.r;
-        Vec3::new(
-            self.pos[b + l],
-            self.pos[b + self.r + l],
-            self.pos[b + 2 * self.r + l],
-        )
     }
 
     /// z-coordinates of particle `i` in every lane (the SMD reaction
@@ -118,15 +127,6 @@ impl LaneForces<'_> {
     pub fn force_z_row(&mut self, i: usize) -> &mut [f64] {
         let b = (i * 3 + 2) * self.r;
         &mut self.frc[b..b + self.r]
-    }
-
-    /// Add a force vector to particle `i` in lane `l`.
-    #[inline]
-    pub fn add_force(&mut self, i: usize, l: usize, f: Vec3) {
-        let b = i * 3 * self.r;
-        self.frc[b + l] += f.x;
-        self.frc[b + self.r + l] += f.y;
-        self.frc[b + 2 * self.r + l] += f.z;
     }
 }
 
@@ -157,6 +157,9 @@ struct BatchPairs {
 /// start from its exact state) plus per-lane thermostat parameters.
 pub struct BatchSim {
     n: usize,
+    /// Real replica lanes, `0..replicas`; lanes `replicas..r` are pad lanes.
+    replicas: usize,
+    /// Lane stride of every SoA row: `replicas` rounded up to [`LANE_PAD`].
     r: usize,
     dt: f64,
     step: u64,
@@ -168,7 +171,11 @@ pub struct BatchSim {
     masses: Vec<f64>,
     charges: Vec<f64>,
     species: Vec<u32>,
+    /// Lanes whose positions feed rebuilds: real lanes not yet marked
+    /// dead or faulted. Pad lanes are never live.
     alive: Vec<bool>,
+    /// Real lanes taken out because a rebuild could not bin them.
+    faulted: Vec<bool>,
     /// Per-lane thermostat coefficients (SoA so the O-step sweeps lanes).
     seeds: Vec<u64>,
     c1: Vec<f64>,
@@ -192,11 +199,13 @@ pub struct BatchSim {
 
 impl BatchSim {
     /// Build a batch of `lanes.len()` replicas, each starting from
-    /// `template`'s exact positions/velocities/step. The template's
-    /// integrator and bias are discarded; per-lane thermostats come from
-    /// `lanes`. Call [`refresh_forces`](Self::refresh_forces) before the
-    /// first [`step_once`](Self::step_once) (mirroring how the scalar
-    /// driver refreshes on bias installation).
+    /// `template`'s exact positions/velocities/step, padded to a stride
+    /// of whole [`LANE_PAD`] vectors with copies of lane [`PAD_SOURCE`].
+    /// The template's integrator and bias are discarded; per-lane
+    /// thermostats come from `lanes`. Call
+    /// [`refresh_forces`](Self::refresh_forces) before the first
+    /// [`step_once`](Self::step_once) (mirroring how the scalar driver
+    /// refreshes on bias installation).
     ///
     /// # Panics
     /// Panics when `lanes` is empty.
@@ -204,7 +213,9 @@ impl BatchSim {
         assert!(!lanes.is_empty(), "batch needs at least one lane");
         let (system, ff, dt, step) = template.into_parts();
         let n = system.len();
-        let r = lanes.len();
+        let replicas = lanes.len();
+        let r = replicas.next_multiple_of(LANE_PAD);
+        let thermostat = |l: usize| lanes[if l < replicas { l } else { PAD_SOURCE }];
 
         let mut pos = vec![0.0; 3 * n * r];
         let mut vel = vec![0.0; 3 * n * r];
@@ -229,7 +240,7 @@ impl BatchSim {
         let mut c1 = Vec::with_capacity(r);
         let mut c2 = Vec::with_capacity(r);
         let mut kt = Vec::with_capacity(r);
-        for t in lanes {
+        for t in (0..r).map(thermostat) {
             let c1_l = (-t.gamma * dt).exp();
             seeds.push(t.noise_seed);
             c1.push(c1_l);
@@ -268,6 +279,7 @@ impl BatchSim {
 
         BatchSim {
             n,
+            replicas,
             r,
             dt,
             step,
@@ -278,7 +290,8 @@ impl BatchSim {
             masses: system.masses().to_vec(),
             charges: system.charges().to_vec(),
             species: system.species().to_vec(),
-            alive: vec![true; r],
+            alive: (0..r).map(|l| l < replicas).collect(),
+            faulted: vec![false; r],
             seeds,
             c1,
             sigma,
@@ -296,8 +309,15 @@ impl BatchSim {
         self.n
     }
 
-    /// Replica lanes in the batch.
+    /// Replica lanes in the batch, pad lanes excluded.
     pub fn n_lanes(&self) -> usize {
+        self.replicas
+    }
+
+    /// Lanes per SoA row: [`n_lanes`](Self::n_lanes) rounded up to a
+    /// multiple of [`LANE_PAD`]. Lanes past `n_lanes()` are pad lanes;
+    /// the per-lane accessors below read them too.
+    pub fn stride(&self) -> usize {
         self.r
     }
 
@@ -339,6 +359,13 @@ impl BatchSim {
         self.alive[l] = false;
     }
 
+    /// Did lane `l` fault? A rebuild found it past the skin at positions
+    /// a cell list cannot bin, where its scalar twin's `CellList::bin`
+    /// panics. A faulted lane is dead from that step on.
+    pub fn lane_faulted(&self, l: usize) -> bool {
+        self.faulted[l]
+    }
+
     /// True when every coordinate and velocity of lane `l` is finite —
     /// the per-lane analogue of `System::is_finite`.
     pub fn lane_is_finite(&self, l: usize) -> bool {
@@ -369,6 +396,25 @@ impl BatchSim {
             self.vel[b + self.r + l],
             self.vel[b + 2 * self.r + l],
         )
+    }
+
+    /// The first `(pad lane, particle)` whose position or velocity is not
+    /// lane [`PAD_SOURCE`]'s bit for bit, or `None` while every pad lane
+    /// is still a copy: a lane kernel that leaked one lane's data into
+    /// another would break it. Two NaNs count as equal, since a source
+    /// lane gone non-finite holds garbage whose NaN payloads need not
+    /// agree.
+    pub fn pad_divergence(&self) -> Option<(usize, usize)> {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let r = self.r;
+        (self.replicas..r)
+            .flat_map(|p| (0..self.n).map(move |i| (p, i)))
+            .find(|&(p, i)| {
+                (3 * i..3 * i + 3).any(|row| {
+                    let (k, src) = (row * r + p, row * r + PAD_SOURCE);
+                    !same(self.pos[k], self.pos[src]) || !same(self.vel[k], self.vel[src])
+                })
+            })
     }
 
     /// z-coordinates of particle `i` in every lane.
@@ -452,6 +498,7 @@ impl BatchSim {
             pos,
             frc,
             alive,
+            faulted,
             ff,
             nb,
             charges,
@@ -496,25 +543,28 @@ impl BatchSim {
                 };
                 if stale {
                     bp.candidates.clear();
-                    // Index form kept: the lane id `l` also feeds `gather_lane`.
-                    #[allow(clippy::needless_range_loop)]
                     for l in 0..r {
                         if !alive[l] {
                             continue;
                         }
                         gather_lane(pos, lane_pos, n, r, l);
-                        // A lane can go non-finite before the driver's
-                        // periodic health check notices; the scalar engine
-                        // never rebuilds such a replica (NaN displacements
-                        // compare false), so exclude it from the union.
-                        if !lane_pos.iter().all(|p| p.is_finite()) {
-                            continue;
+                        match CellList::try_bin(lane_pos, bp.radius) {
+                            Ok(cells) => {
+                                cells.collect_pairs(lane_pos, bp.radius, &mut bp.candidates)
+                            }
+                            // Moved past the skin to positions no cell list
+                            // can bin: the scalar twin rebuilds now and
+                            // panics, so the lane faults.
+                            Err(_) if maxd2[l] > bp.limit2 => {
+                                alive[l] = false;
+                                faulted[l] = true;
+                            }
+                            // Non-finite without having moved past the skin
+                            // (NaN displacements compare false): the twin
+                            // does not rebuild, so leave the lane out of
+                            // the union until its health check fails it.
+                            Err(_) => {}
                         }
-                        CellList::bin(lane_pos, bp.radius).collect_pairs(
-                            lane_pos,
-                            bp.radius,
-                            &mut bp.candidates,
-                        );
                     }
                     bp.candidates.sort_unstable();
                     bp.candidates.dedup();
@@ -574,7 +624,7 @@ impl BatchSim {
             );
         }
 
-        let mut lf = LaneForces { pos, frc, n, r };
+        let mut lf = LaneForces { pos, frc, r };
         bias(t_ps, &mut lf);
     }
 }
@@ -583,7 +633,8 @@ impl std::fmt::Debug for BatchSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchSim")
             .field("particles", &self.n)
-            .field("lanes", &self.r)
+            .field("lanes", &self.replicas)
+            .field("stride", &self.r)
             .field("step", &self.step)
             .field("dt_ps", &self.dt)
             .field("rebuilds", &self.rebuilds)
@@ -1467,7 +1518,7 @@ mod tests {
         let mut bsim = BatchSim::new(template, lanes);
         let mut bias_fn = move |t: f64, lf: &mut LaneForces<'_>| {
             if let Some((k, z0, v)) = bias {
-                for l in 0..lf.n_lanes() {
+                for l in 0..lf.stride() {
                     let dz = lf.pos_z_row(0)[l] - (z0 + v * t);
                     lf.force_z_row(0)[l] += -2.0 * k * dz;
                 }
@@ -1559,7 +1610,7 @@ mod tests {
             bsim.step_once(&mut no_bias);
         }
         // Poison lane 1 mid-run the way a blowup would and mark it dead.
-        let r = bsim.n_lanes();
+        let r = bsim.stride();
         for row in 0..3 * bsim.n_particles() {
             bsim.pos[row * r + 1] = f64::NAN;
             bsim.vel[row * r + 1] = f64::NAN;
@@ -1584,6 +1635,104 @@ mod tests {
         let bsim = batch_run(restrained_parts, &lanes, None, 10, 0.01);
         assert!(bsim.lane_is_finite(0) && bsim.lane_is_finite(1));
         assert!(bsim.any_alive());
+    }
+
+    fn lane_bits(bsim: &BatchSim, l: usize) -> (Vec<[u64; 3]>, Vec<[u64; 3]>) {
+        (
+            bits(&bsim.lane_positions(l)),
+            bits(&bsim.lane_velocities(l)),
+        )
+    }
+
+    #[test]
+    fn pad_lanes_copy_their_source_bitwise() {
+        let bias = Some((3.0, 0.5, 2.0));
+        let lanes = lane_set(&[7, 13, 19]);
+        let bsim = batch_run(|| chain_parts(8), &lanes, bias, 150, 0.01);
+        assert_eq!((bsim.n_lanes(), bsim.stride()), (3, LANE_PAD));
+        assert!(bsim.rebuild_count() >= 1, "test must exercise rebuilds");
+        for p in bsim.n_lanes()..bsim.stride() {
+            assert_eq!(
+                lane_bits(&bsim, p),
+                lane_bits(&bsim, PAD_SOURCE),
+                "pad lane {p}"
+            );
+        }
+        assert_eq!(bsim.pad_divergence(), None);
+        let full = batch_run(|| chain_parts(8), &lane_set(&[1; LANE_PAD]), None, 0, 0.01);
+        assert_eq!(full.stride(), LANE_PAD, "a whole vector is not padded");
+    }
+
+    /// A bias that writes into one pad lane (a kernel leaking lane data)
+    /// breaks the copy, and `pad_divergence` names the lane.
+    #[test]
+    fn pad_divergence_finds_a_leak_into_a_pad_lane() {
+        let leak = |_t: f64, lf: &mut LaneForces<'_>| lf.force_z_row(2)[6] += 1e-9;
+        let (sys, ff) = chain_parts(6);
+        let template = Simulation::new(sys, ff, Box::new(LangevinBaoab::new(300.0, 5.0, 0)), 0.01);
+        let mut bsim = BatchSim::new(template, &lane_set(&[7, 13, 19]));
+        bsim.refresh_forces(&mut { leak });
+        bsim.step_once(&mut { leak });
+        assert_eq!(bsim.pad_divergence().map(|(p, _)| p), Some(6));
+    }
+
+    /// Pad lanes never feed the shared pair list: once their source lane
+    /// is dead, they wander on as its unpoisoned trajectory, and the
+    /// batch with no live lane left never rebuilds again.
+    #[test]
+    fn pad_lanes_never_trigger_a_rebuild() {
+        let lanes = lane_set(&[5]);
+        let (sys, ff) = chain_parts(10);
+        let template = Simulation::new(sys, ff, Box::new(LangevinBaoab::new(300.0, 5.0, 0)), 0.005);
+        let mut bsim = BatchSim::new(template, &lanes);
+        let mut no_bias = |_t: f64, _lf: &mut LaneForces<'_>| {};
+        bsim.refresh_forces(&mut no_bias);
+        for _ in 0..20 {
+            bsim.step_once(&mut no_bias);
+        }
+        let r = bsim.stride();
+        for row in 0..3 * bsim.n_particles() {
+            bsim.pos[row * r + PAD_SOURCE] = f64::NAN;
+            bsim.vel[row * r + PAD_SOURCE] = f64::NAN;
+        }
+        bsim.mark_dead(PAD_SOURCE);
+        let rebuilds = bsim.rebuild_count();
+        for _ in 0..230 {
+            bsim.step_once(&mut no_bias);
+        }
+        assert!(bsim.lane_is_finite(r - 1), "pad lanes keep their own state");
+        assert_eq!(bsim.rebuild_count(), rebuilds);
+    }
+
+    /// A live lane that jumps to positions no cell list can bin faults at
+    /// the rebuild it triggers, where its scalar twin's `CellList::bin`
+    /// panics, and the other lanes go on bit for bit.
+    #[test]
+    fn an_unbinnable_lane_faults_instead_of_panicking() {
+        let lanes = lane_set(&[3, 9, 27]);
+        for poison in [f64::INFINITY, 1e12] {
+            let (sys, ff) = chain_parts(8);
+            let template =
+                Simulation::new(sys, ff, Box::new(LangevinBaoab::new(300.0, 5.0, 0)), 0.01);
+            let mut bsim = BatchSim::new(template, &lanes);
+            let mut no_bias = |_t: f64, _lf: &mut LaneForces<'_>| {};
+            bsim.refresh_forces(&mut no_bias);
+            for _ in 0..40 {
+                bsim.step_once(&mut no_bias);
+            }
+            let r = bsim.stride();
+            bsim.pos[r + 1] = poison;
+            bsim.step_once(&mut no_bias);
+            assert!(bsim.lane_faulted(1), "poison {poison}");
+            assert!(!bsim.lane_faulted(0) && !bsim.lane_faulted(2));
+            for _ in 0..159 {
+                bsim.step_once(&mut no_bias);
+            }
+            for l in [0, 2] {
+                let (p, v) = scalar_run(|| chain_parts(8), &lanes[l], None, 200, 0.01);
+                assert_lane_matches(&bsim, l, &p, &v, "faulted-lane");
+            }
+        }
     }
 
     /// Every bonded term family on one 7-bead strand: harmonic and FENE
@@ -1676,7 +1825,7 @@ mod tests {
             0.01,
         );
         let mut bsim = BatchSim::new(template, &lanes);
-        let r = bsim.n_lanes();
+        let r = bsim.stride();
         for (l, case) in cases.iter().enumerate() {
             for (i, p) in case.iter().enumerate() {
                 let b = i * 3 * r;

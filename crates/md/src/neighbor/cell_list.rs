@@ -26,8 +26,19 @@ impl CellList {
     /// Bin `positions` into cells of edge `cutoff` (minimum 1e-6).
     ///
     /// # Panics
-    /// Panics if `cutoff <= 0` or positions are empty or non-finite.
+    /// Panics if `cutoff <= 0`, positions are empty, or
+    /// [`try_bin`](Self::try_bin) rejects them.
     pub fn bin(positions: &[Vec3], cutoff: f64) -> Self {
+        Self::try_bin(positions, cutoff).expect("positions a cell list can bin")
+    }
+
+    /// [`bin`](Self::bin), returning why the positions cannot be binned
+    /// instead of panicking: a non-finite coordinate, or a grid so large
+    /// that the coordinates have blown up.
+    ///
+    /// # Panics
+    /// Panics if `cutoff <= 0` or positions are empty.
+    pub fn try_bin(positions: &[Vec3], cutoff: f64) -> Result<Self, String> {
         assert!(cutoff > 0.0, "cell list cutoff must be positive");
         assert!(
             !positions.is_empty(),
@@ -36,26 +47,31 @@ impl CellList {
         let mut lo = positions[0];
         let mut hi = positions[0];
         for &p in positions {
-            assert!(p.is_finite(), "non-finite position in cell list");
+            if !p.is_finite() {
+                return Err("non-finite position in cell list".into());
+            }
             lo = lo.min(p);
             hi = hi.max(p);
         }
         // Pad so upper-boundary particles land strictly inside the grid.
         let pad = 1e-9 * (1.0 + hi.norm() + lo.norm());
         let extent = hi - lo + Vec3::new(pad, pad, pad);
+        // Saturating, so coordinates too large for a `usize` grid count
+        // read as the oversized grid they are.
         let dims = [
-            ((extent.x / cutoff).floor() as usize + 1).max(1),
-            ((extent.y / cutoff).floor() as usize + 1).max(1),
-            ((extent.z / cutoff).floor() as usize + 1).max(1),
+            ((extent.x / cutoff).floor() as usize).saturating_add(1),
+            ((extent.y / cutoff).floor() as usize).saturating_add(1),
+            ((extent.z / cutoff).floor() as usize).saturating_add(1),
         ];
-        let ncells = dims[0] * dims[1] * dims[2];
         // A sane simulation never needs more cells than ~particles; an
         // enormous grid means coordinates have blown up — fail loudly
         // instead of attempting a multi-terabyte allocation.
-        assert!(
-            ncells <= 100_000_000,
-            "cell grid of {ncells} cells (dims {dims:?}) — coordinates have likely blown up"
-        );
+        let ncells = dims[0].saturating_mul(dims[1]).saturating_mul(dims[2]);
+        if ncells > 100_000_000 {
+            return Err(format!(
+                "cell grid of {ncells} cells (dims {dims:?}) — coordinates have likely blown up"
+            ));
+        }
         let mut heads = vec![-1i32; ncells];
         let mut next = vec![-1i32; positions.len()];
         let cl = CellList {
@@ -70,7 +86,7 @@ impl CellList {
             next[i] = heads[c];
             heads[c] = i as i32;
         }
-        CellList { heads, next, ..cl }
+        Ok(CellList { heads, next, ..cl })
     }
 
     #[inline]

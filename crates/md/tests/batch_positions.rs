@@ -1,7 +1,8 @@
 //! Property test pinning `BatchSim` lane trajectories to independent
 //! scalar `Simulation`s: for any noise-seed base, step count, and
-//! replica count in {1, 3, 64}, every lane's final positions *and*
-//! velocities must match its scalar twin bitwise. Two fixtures: a
+//! replica count in {1, 3, 6, 12, 64} (padded to 8, 8, 8, 16 and 64
+//! lanes), every lane's final positions *and* velocities must match its
+//! scalar twin bitwise. Two fixtures: a
 //! bonded, charged chain with WCA + Debye–Hückel non-bonded terms (the
 //! shared tiered pair list, union rebuilds and the pair tiers), and a
 //! strand carrying every bonded family (harmonic and FENE bonds, one
@@ -118,11 +119,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Lane trajectories are bitwise equal to scalar replays across
-    /// replica counts {1, 3, 64}, on both fixtures.
+    /// replica counts {1, 3, 6, 12, 64}, on both fixtures.
     #[test]
     fn lanes_match_scalar_bitwise(base in 1u64..u32::MAX as u64, steps in 60u64..140) {
         for (name, parts) in [("chain", chain_parts as Parts), ("bonded", bonded_parts)] {
-            for n in [1usize, 3, 64] {
+            for n in [1usize, 3, 6, 12, 64] {
                 let lanes: Vec<LaneThermostat> = (0..n).map(|l| lane_thermostat(base, l)).collect();
                 let (sys, ff) = parts();
                 let template =

@@ -19,7 +19,15 @@
 //! whose state goes non-finite gets the same `MdError` in its result
 //! slot (detected on the same step, with the same message) while the
 //! remaining lanes continue unperturbed; the failed lane is excluded
-//! from neighbor-list rebuilds from that point on.
+//! from neighbor-list rebuilds from that point on. A lane that faults
+//! (`BatchSim::lane_faulted`: a rebuild could not bin it, where its
+//! cloned twin's cell list panics) gets the error the cloned path's
+//! panic isolation gives that twin.
+//!
+//! The batch runs on a lane stride padded to whole SIMD vectors
+//! (`spice_md::batch::LANE_PAD`); the pad lanes copy lane
+//! `spice_md::batch::PAD_SOURCE` and never reach a result, a span or the
+//! replica gauge.
 //!
 //! Batched runs require every replica's integrator to be BAOAB Langevin
 //! (the only stochastic state the lane kernels replicate). When
@@ -30,6 +38,8 @@ use crate::ensemble::{equilibrate_master, run_ensemble_cloned_traced};
 use crate::protocol::PullProtocol;
 use crate::pulling::SmdSpring;
 use crate::work::{WorkSample, WorkTrajectory};
+#[cfg(feature = "audit")]
+use spice_md::batch::PAD_SOURCE;
 use spice_md::batch::{BatchSim, LaneForces, LaneThermostat};
 #[cfg(feature = "audit")]
 use spice_md::checkpoint::Snapshot;
@@ -73,11 +83,13 @@ where
 /// [`run_ensemble_batched`] with telemetry attached.
 ///
 /// Emits the same `smd.equilibrate` span as the cloned path, one
-/// `batch.realization` span per lane on its `("smd.realization", i)`
-/// track, an `smd.batch.replicas` gauge, and an `smd.batch.rebuilds`
-/// counter for the shared pair list. Per-step MD probes are not emitted
-/// — the batched loop has no per-replica force evaluations to probe;
-/// replica-grain timing comes from the lane spans instead.
+/// `batch.realization` span per realization on its
+/// `("smd.realization", i)` track, an `smd.batch.replicas` gauge (the
+/// realizations, not the padded lane stride), and an
+/// `smd.batch.rebuilds` counter for the shared pair list. Per-step MD
+/// probes are not emitted — the batched loop has no per-replica force
+/// evaluations to probe; replica-grain timing comes from the lane spans
+/// instead.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ensemble_batched_traced<F>(
     factory: F,
@@ -99,20 +111,26 @@ where
     // One factory call per realization, exactly as the cloned path makes:
     // lane i's thermostat is whatever `factory(seeds.stream(i))` installs.
     // Any non-Langevin integrator defeats lane replication — fall back.
-    let mut lane_sims: Vec<Simulation> = (0..n).map(|i| factory(seeds.stream(i as u64))).collect();
-    let lanes: Option<Vec<LaneThermostat>> = lane_sims
-        .iter()
-        .map(|s| {
-            s.langevin_params()
+    // Lane 0's simulation is kept as the restore template; the others are
+    // dropped as soon as their thermostat is read.
+    let mut template = None;
+    let lanes: Option<Vec<LaneThermostat>> = (0..n)
+        .map(|i| {
+            let sim = factory(seeds.stream(i as u64));
+            let lane = sim
+                .langevin_params()
                 .map(|(temperature, gamma, noise_seed)| LaneThermostat {
                     temperature,
                     gamma,
                     noise_seed,
-                })
+                });
+            if i == 0 {
+                template = Some(sim);
+            }
+            lane
         })
         .collect();
-    let Some(lanes) = lanes else {
-        drop(lane_sims);
+    let (Some(lanes), Some(mut template)) = (lanes, template) else {
         return run_ensemble_cloned_traced(
             factory,
             protocol,
@@ -129,10 +147,7 @@ where
         Err(slots) => return slots,
     };
 
-    // Lane 0's simulation doubles as the restore template — the same
-    // `factory(seed) → restore` every clone performs.
-    let mut template = lane_sims.swap_remove(0);
-    drop(lane_sims);
+    // The same `factory(seed) → restore` every clone performs.
     if let Err(e) = snap.restore(&mut template) {
         // Every clone would hit the identical incompatibility; restore is
         // deterministic, so fail each remaining slot the same way.
@@ -182,10 +197,11 @@ where
     // Post-clone decorrelation: held spring, per-lane noise streams. The
     // cloned path's `sim.run(steps)` health-checks every
     // `blowup_check_stride = 100` *global* steps.
-    let mut hold_bias = batch_spring_bias(&hold, n);
+    let mut hold_bias = batch_spring_bias(&hold, batch.stride());
     batch.refresh_forces(&mut hold_bias);
     for _ in 0..decorrelation_steps {
         batch.step_once(&mut hold_bias);
+        record_faults(&mut batch, seeds, &mut failed);
         #[cfg(feature = "audit")]
         shadows.step_and_check(&batch, &failed);
         if batch.step_count().is_multiple_of(100) {
@@ -218,12 +234,12 @@ where
     results
 }
 
-/// Build the batched bias closure for one spring over `lanes` lanes: the
-/// exact per-lane replica of [`SmdSpring::apply`] (same COM fold, same
-/// force split), swept across lanes.
-fn batch_spring_bias(spring: &SmdSpring, lanes: usize) -> impl FnMut(f64, &mut LaneForces<'_>) {
+/// Build the batched bias closure for one spring over a lane stride of
+/// `stride`: the exact per-lane replica of [`SmdSpring::apply`] (same COM
+/// fold, same force split), swept across every lane, pad lanes included.
+fn batch_spring_bias(spring: &SmdSpring, stride: usize) -> impl FnMut(f64, &mut LaneForces<'_>) {
     let spring = spring.clone();
-    let mut f_com = vec![0.0; lanes];
+    let mut f_com = vec![0.0; stride];
     move |t_ps: f64, lf: &mut LaneForces<'_>| {
         let guide = spring.guide_z(t_ps);
         lanes_com_z(&spring, |i| lf.pos_z_row(i), &mut f_com);
@@ -246,6 +262,30 @@ fn lanes_com_z<'a>(spring: &SmdSpring, z_row: impl Fn(usize) -> &'a [f64], com: 
     for (&i, &w) in spring.group().iter().zip(spring.mass_frac()) {
         for (c, &z) in com.iter_mut().zip(z_row(i)) {
             *c += w * z;
+        }
+    }
+}
+
+/// The error the cloned path's panic isolation gives realization `l`.
+fn panicked(l: usize, seeds: SeedSequence) -> MdError {
+    let seed = seeds.stream(l as u64);
+    MdError::NumericalBlowup {
+        step: 0,
+        what: format!("cloned realization {l} (seed {seed}) panicked"),
+    }
+}
+
+/// Fail every lane whose cloned twin panicked this step: the lanes that
+/// faulted and, under `audit`, those whose state went non-finite (the
+/// twin's per-step `md.finite_state` sanitizer panics on the step that
+/// produced it).
+fn record_faults(batch: &mut BatchSim, seeds: SeedSequence, failed: &mut [Option<MdError>]) {
+    for (l, slot) in failed.iter_mut().enumerate() {
+        if slot.is_none()
+            && (batch.lane_faulted(l) || (cfg!(feature = "audit") && !batch.lane_is_finite(l)))
+        {
+            *slot = Some(panicked(l, seeds));
+            batch.mark_dead(l);
         }
     }
 }
@@ -299,10 +339,11 @@ fn pull_lanes(
         });
     }
 
-    let mut bias = batch_spring_bias(spring, n);
+    let mut bias = batch_spring_bias(spring, batch.stride());
     batch.refresh_forces(&mut bias);
     for step in 1..=nsteps {
         batch.step_once(&mut bias);
+        record_faults(batch, seeds, &mut failed);
         #[cfg(feature = "audit")]
         shadows.step_and_check(batch, &failed);
         let t = batch.time_ps();
@@ -327,11 +368,7 @@ fn pull_lanes(
             // survive, exactly as sibling tasks do.
             #[cfg(feature = "audit")]
             if !(work[l].is_finite() && prev_force[l].is_finite()) {
-                let seed = seeds.stream(l as u64);
-                failed[l] = Some(MdError::NumericalBlowup {
-                    step: 0,
-                    what: format!("cloned realization {l} (seed {seed}) panicked"),
-                });
+                failed[l] = Some(panicked(l, seeds));
                 batch.mark_dead(l);
                 continue;
             }
@@ -373,7 +410,9 @@ fn pull_lanes(
 /// lanes are re-run as ordinary cloned `Simulation`s in lockstep with the
 /// batch, and their full state is compared bitwise every
 /// [`AUDIT_REPLAY_STRIDE`] steps. Any SoA-kernel divergence — layout bug,
-/// reordered reduction, contracted FMA — trips the sanitizer.
+/// reordered reduction, contracted FMA — trips the sanitizer. On the same
+/// stride every pad lane must still be a bitwise copy of its source
+/// lane, which catches a kernel that leaks one lane's data into another.
 #[cfg(feature = "audit")]
 struct Shadows {
     replays: Vec<(usize, Simulation)>,
@@ -411,6 +450,16 @@ impl Shadows {
     }
 
     fn step_and_check(&mut self, batch: &BatchSim, failed: &[Option<MdError>]) {
+        if batch.step_count().is_multiple_of(AUDIT_REPLAY_STRIDE) && failed[PAD_SOURCE].is_none() {
+            if let Some((p, i)) = batch.pad_divergence() {
+                // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant
+                panic!(
+                    "spice-audit[smd.batch_pad_lanes]: pad lane {p} diverged from its \
+                     source lane {PAD_SOURCE} at step {} particle {i}",
+                    batch.step_count()
+                );
+            }
+        }
         // A failed lane's garbage no longer has a meaningful twin.
         self.replays.retain(|(l, _)| failed[*l].is_none());
         for (l, sim) in &mut self.replays {

@@ -39,4 +39,4 @@ pub use ensemble::{
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;
 pub use runner::{anchor_and_hold, pull_from, run_pull, run_reverse_pull, PullOutcome};
-pub use work::{segment_trajectory, WorkSample, WorkTrajectory};
+pub use work::{segment_trajectory, SampleWalk, WorkSample, WorkTrajectory};

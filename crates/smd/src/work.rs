@@ -6,6 +6,7 @@
 //! series of [`WorkSample`]s along the guide coordinate.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One sample along a pulling realization.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
@@ -51,12 +52,30 @@ impl WorkTrajectory {
     /// Work interpolated at guide displacement `s` (linear between
     /// samples). `None` outside the sampled range.
     pub fn work_at(&self, s: f64) -> Option<f64> {
-        interpolate(&self.samples, s, |w| w.work)
+        self.walk().at(s).map(|(work, _)| work)
     }
 
     /// COM displacement interpolated at guide displacement `s`.
     pub fn com_at(&self, s: f64) -> Option<f64> {
-        interpolate(&self.samples, s, |w| w.com_disp)
+        self.walk().at(s).map(|(_, com)| com)
+    }
+
+    /// A forward walk interpolating this trajectory at a rising sequence
+    /// of guide displacements, such as a PMF grid.
+    pub fn walk(&self) -> SampleWalk<'_> {
+        // Handle descending (negative-velocity) trajectories by flipping
+        // the coordinate so it is ascending; the query flips with it, so
+        // an out-of-range query stays out of range.
+        let sign = self
+            .samples
+            .last()
+            .map_or(1.0, |last| if last.guide_disp >= 0.0 { 1.0 } else { -1.0 });
+        SampleWalk {
+            samples: &self.samples,
+            sign,
+            next: 1,
+            last_target: f64::NEG_INFINITY,
+        }
     }
 
     /// Basic integrity checks: time and guide displacement must be
@@ -69,33 +88,62 @@ impl WorkTrajectory {
     }
 }
 
-fn interpolate(samples: &[WorkSample], s: f64, f: impl Fn(&WorkSample) -> f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let last = samples.last().expect("samples non-empty: checked above");
-    // Handle descending (negative-velocity) trajectories by flipping the
-    // coordinate so it is ascending; the query flips with it, so an
-    // out-of-range query stays out of range.
-    let sign = if last.guide_disp >= 0.0 { 1.0 } else { -1.0 };
-    let key = |w: &WorkSample| w.guide_disp * sign;
-    let target = s * sign;
-    if target < key(&samples[0]) - 1e-9 || target > key(last) + 1e-9 {
-        return None;
-    }
-    let mut prev = &samples[0];
-    for cur in &samples[1..] {
-        if key(cur) >= target {
-            let span = key(cur) - key(prev);
-            if span <= 0.0 {
-                return Some(f(cur));
-            }
-            let w = (target - key(prev)) / span;
-            return Some(f(prev) * (1.0 - w) + f(cur) * w);
+/// Linear interpolation of (work, COM displacement) along one
+/// trajectory, queried at a sequence of guide displacements in one
+/// forward pass: each query resumes the search for its bracketing samples
+/// where the previous one stopped, so an ascending grid reads every
+/// sample once, and a query below the previous one searches again from
+/// the start. Every answer has the bits of a search from the first
+/// sample.
+#[derive(Debug, Clone)]
+pub struct SampleWalk<'a> {
+    samples: &'a [WorkSample],
+    /// +1 for an ascending trajectory, −1 for a descending one.
+    sign: f64,
+    /// Where the search resumes: every sample from index 1 up to here
+    /// falls short of `last_target`.
+    next: usize,
+    last_target: f64,
+}
+
+impl SampleWalk<'_> {
+    /// `(work, com_disp)` interpolated at guide displacement `s`; `None`
+    /// outside the sampled range.
+    pub fn at(&mut self, s: f64) -> Option<(f64, f64)> {
+        let (first, last) = (self.samples.first()?, self.samples.last()?);
+        let sign = self.sign;
+        let key = |w: &WorkSample| w.guide_disp * sign;
+        let target = s * sign;
+        if target < key(first) - 1e-9 || target > key(last) + 1e-9 {
+            return None;
         }
-        prev = cur;
+        // Samples short of the previous target fall short of any target
+        // at least as large; anything else (a smaller or NaN target)
+        // searches again from the start.
+        if matches!(
+            target.partial_cmp(&self.last_target),
+            None | Some(Ordering::Less)
+        ) {
+            self.next = 1;
+        }
+        self.last_target = target;
+        while let Some(cur) = self.samples.get(self.next) {
+            if key(cur) >= target {
+                let prev = &self.samples[self.next - 1];
+                let span = key(cur) - key(prev);
+                if span <= 0.0 {
+                    return Some((cur.work, cur.com_disp));
+                }
+                let w = (target - key(prev)) / span;
+                return Some((
+                    prev.work * (1.0 - w) + cur.work * w,
+                    prev.com_disp * (1.0 - w) + cur.com_disp * w,
+                ));
+            }
+            self.next += 1;
+        }
+        Some((last.work, last.com_disp))
     }
-    Some(f(last))
 }
 
 /// Split a long trajectory into sub-trajectories of guide length
@@ -148,6 +196,95 @@ pub fn segment_trajectory(traj: &WorkTrajectory, segment_len: f64) -> Vec<WorkTr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use spice_stats::rng::seed_stream;
+
+    /// The scan the walk replaced, kept as its oracle: `f` at guide
+    /// displacement `s`, searching from the first sample.
+    fn interpolate(samples: &[WorkSample], s: f64, f: impl Fn(&WorkSample) -> f64) -> Option<f64> {
+        if samples.is_empty() {
+            return None;
+        }
+        let last = samples.last().expect("samples non-empty: checked above");
+        let sign = if last.guide_disp >= 0.0 { 1.0 } else { -1.0 };
+        let key = |w: &WorkSample| w.guide_disp * sign;
+        let target = s * sign;
+        if target < key(&samples[0]) - 1e-9 || target > key(last) + 1e-9 {
+            return None;
+        }
+        let mut prev = &samples[0];
+        for cur in &samples[1..] {
+            if key(cur) >= target {
+                let span = key(cur) - key(prev);
+                if span <= 0.0 {
+                    return Some(f(cur));
+                }
+                let w = (target - key(prev)) / span;
+                return Some(f(prev) * (1.0 - w) + f(cur) * w);
+            }
+            prev = cur;
+        }
+        Some(f(last))
+    }
+
+    /// A trajectory of `len` samples pulled in direction `sign`, with
+    /// random steps (a fifth of them zero, so some samples share a guide
+    /// displacement), work and COM.
+    fn random_traj(seed: u64, len: usize, sign: f64) -> WorkTrajectory {
+        let u = |k: u64| (seed_stream(seed, k) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut guide = 0.3 * u(0) - 0.1;
+        let samples = (0..len as u64)
+            .map(|i| {
+                let step = u(3 * i + 1);
+                guide += if step < 0.2 { 0.0 } else { step };
+                WorkSample {
+                    t_ps: i as f64,
+                    guide_disp: sign * guide,
+                    com_disp: sign * (guide + u(3 * i + 2) - 0.5),
+                    work: 10.0 * u(3 * i + 3) - 5.0,
+                    force: 0.0,
+                }
+            })
+            .collect();
+        WorkTrajectory {
+            kappa_pn_per_a: 100.0,
+            v_a_per_ns: sign * 12.5,
+            seed,
+            samples,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The walk answers every query with `interpolate`'s bits, on
+        /// ascending and descending trajectories, over an ascending grid
+        /// that runs past both ends and over the same grid reversed.
+        #[test]
+        fn walk_matches_interpolate_bitwise(
+            seed in 0u64..u32::MAX as u64,
+            len in 0usize..30,
+            npoints in 1usize..40,
+        ) {
+            for sign in [1.0, -1.0] {
+                let t = random_traj(seed, len, sign);
+                let reach = t.guide_span().abs() + 0.5;
+                let grid: Vec<f64> = (0..npoints)
+                    .map(|k| sign * (reach * k as f64 / npoints as f64 - 0.25))
+                    .collect();
+                let reversed: Vec<f64> = grid.iter().rev().copied().collect();
+                for queries in [grid, reversed] {
+                    let mut walk = t.walk();
+                    for &s in &queries {
+                        let want = interpolate(&t.samples, s, |w| w.work)
+                            .zip(interpolate(&t.samples, s, |w| w.com_disp));
+                        let bits = |p: Option<(f64, f64)>| p.map(|(a, b)| (a.to_bits(), b.to_bits()));
+                        prop_assert_eq!(bits(walk.at(s)), bits(want), "sign {} s {}", sign, s);
+                    }
+                }
+            }
+        }
+    }
 
     fn linear_traj(n: usize, slope: f64) -> WorkTrajectory {
         WorkTrajectory {

@@ -9,13 +9,32 @@
 mod common;
 
 use spice::core::config::Scale;
-use spice::core::pipeline::pore_simulation;
-use spice::smd::{run_ensemble_batched, run_ensemble_cloned};
+use spice::core::pipeline::{pore_simulation, PULL_START_Z};
+use spice::md::batch::PAD_SOURCE;
+use spice::md::{MdError, Simulation};
+use spice::pore::build::{PoreSystemBuilder, SmdSelection};
+use spice::pore::dna::DnaParams;
+use spice::pore::solvent::Solvent;
+use spice::smd::{run_ensemble_batched, run_ensemble_cloned, WorkSample, WorkTrajectory};
 use spice::stats::rng::SeedSequence;
 
-fn assert_batched_equals_cloned(n: usize, master: u64) {
+type Slots = Vec<Result<WorkTrajectory, MdError>>;
+
+fn sample_bits(t: &WorkTrajectory) -> Vec<[u64; 5]> {
+    let bits =
+        |s: &WorkSample| [s.t_ps, s.guide_disp, s.com_disp, s.work, s.force].map(f64::to_bits);
+    t.samples.iter().map(bits).collect()
+}
+
+/// Run `n` realizations of the Test protocol through both runners and
+/// assert every slot agrees: the same trajectory bit for bit, or the same
+/// error text. Returns the batched slots.
+fn assert_batched_equals_cloned(
+    factory: impl Fn(u64) -> Simulation + Sync + Copy,
+    n: usize,
+    master: u64,
+) -> Slots {
     let protocol = Scale::Test.protocol(100.0, 100.0);
-    let factory = |seed| pore_simulation(Scale::Test, seed);
     let decorrelation = Scale::Test.decorrelation_steps();
     let cloned = run_ensemble_cloned(
         factory,
@@ -47,20 +66,20 @@ fn assert_batched_equals_cloned(n: usize, master: u64) {
         assert_eq!(b.v_a_per_ns.to_bits(), c.v_a_per_ns.to_bits());
         assert!(!b.samples.is_empty(), "n={n} slot {slot} pulled");
         assert_eq!(b.samples.len(), c.samples.len(), "n={n} slot {slot}");
-        for (k, (sb, sc)) in b.samples.iter().zip(&c.samples).enumerate() {
-            let bits = |s: &spice::smd::WorkSample| {
-                [s.t_ps, s.guide_disp, s.com_disp, s.work, s.force].map(f64::to_bits)
-            };
-            assert_eq!(bits(sb), bits(sc), "n={n} slot {slot} sample {k}");
+        for (k, (sb, sc)) in sample_bits(b).iter().zip(&sample_bits(c)).enumerate() {
+            assert_eq!(sb, sc, "n={n} slot {slot} sample {k}");
         }
     }
+    batched
+}
+
+fn test_pore(seed: u64) -> Simulation {
+    pore_simulation(Scale::Test, seed)
 }
 
 /// FNV-1a over the bit patterns of every work sample of every slot, seeds
 /// included; a failed slot hashes its error text.
-fn ensemble_digest<E: std::fmt::Display>(
-    ensemble: &[Result<spice::smd::WorkTrajectory, E>],
-) -> u64 {
+fn ensemble_digest<E: std::fmt::Display>(ensemble: &[Result<WorkTrajectory, E>]) -> u64 {
     ensemble.iter().fold(common::FNV_OFFSET, |mut h, slot| {
         match slot {
             Ok(t) => {
@@ -100,9 +119,77 @@ fn batched_pore_ensemble_golden_digest() {
 
 #[test]
 fn batched_equals_cloned_on_the_pore_system() {
-    // 3 lanes is narrower than any vector; 17 fills AVX-512 twice with a
-    // one-lane tail.
-    for n in [3, 17] {
-        assert_batched_equals_cloned(n, 20050512);
+    // Every remainder mod 8: 1–7 and 9 lanes pad up to a whole vector
+    // (12 to two), 8 fills one exactly, 17 pads to three.
+    for n in (1..=9).chain([12, 17]) {
+        assert_batched_equals_cloned(test_pore, n, 20050512);
+    }
+}
+
+/// The Test pore system with its thermostat at `temperature` (the same
+/// builder chain as `pore_simulation`; the force field does not depend on
+/// the solvent temperature).
+fn pore_at(temperature: f64, seed: u64) -> Simulation {
+    PoreSystemBuilder::new()
+        .dna(DnaParams {
+            n_bases: Scale::Test.dna_bases(),
+            ..DnaParams::default()
+        })
+        .dna_start_z(PULL_START_Z)
+        .smd_selection(SmdSelection::WholeStrand)
+        .solvent(Solvent {
+            temperature,
+            ..Solvent::default()
+        })
+        .build()
+        .into_simulation(0.01, seed)
+}
+
+/// A runaway thermostat on the lane the pad lanes copy blows that
+/// realization up; every slot, its error text included, must match the
+/// cloned runner, and the other lanes' bits must not move. At 1e30 K the
+/// first step throws the strand ~10¹¹ Å apart, a grid no cell list will
+/// build; at ∞ K its coordinates go infinite. Either way the cloned twin
+/// panics inside its own pair-list rebuild on that step, which the
+/// batched lane reports as a fault, while the pad lanes carry the
+/// blown-up state to the end of the pull. Without lane faults the first
+/// case panics the whole batch and the second fails at a later health
+/// check with another message. Six replicas run padded to eight lanes,
+/// eight unpadded.
+#[test]
+fn failure_slots_match_the_cloned_path() {
+    let master = 20050512;
+    let runaway_seed = SeedSequence::new(master).stream(PAD_SOURCE as u64);
+    let (warm, built) = (pore_at(300.0, 1), test_pore(1));
+    assert_eq!(warm.system().velocities(), built.system().velocities());
+    for n in [6, 8] {
+        let healthy = run_ensemble_batched(
+            test_pore,
+            &Scale::Test.protocol(100.0, 100.0),
+            n,
+            SeedSequence::new(master),
+            Scale::Test.decorrelation_steps(),
+        );
+        for temperature in [1e30, f64::INFINITY] {
+            let factory = |seed| {
+                if seed == runaway_seed {
+                    pore_at(temperature, seed)
+                } else {
+                    test_pore(seed)
+                }
+            };
+            let batched = assert_batched_equals_cloned(factory, n, master);
+            let case = format!("n={n} T={temperature:e}");
+            match &batched[PAD_SOURCE] {
+                Err(e) => assert!(e.to_string().contains("panicked"), "{case}: {e}"),
+                Ok(_) => panic!("{case}: the runaway lane survived"),
+            }
+            for (slot, (b, h)) in batched.iter().zip(&healthy).enumerate() {
+                if slot != PAD_SOURCE {
+                    let (b, h) = (b.as_ref().expect("survivor"), h.as_ref().expect("healthy"));
+                    assert_eq!(sample_bits(b), sample_bits(h), "{case} slot {slot}");
+                }
+            }
+        }
     }
 }

@@ -151,14 +151,11 @@ impl Case {
     }
 }
 
-fn time_best(rounds: u32, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+/// Seconds one call of `run` takes.
+fn timed(run: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    run();
+    t0.elapsed().as_secs_f64()
 }
 
 struct Row {
@@ -181,19 +178,31 @@ impl Row {
     }
 }
 
+/// Time `rounds` rounds of each arm, alternating cloned and batched round
+/// by round so that a change of host speed lands on both arms alike, and
+/// keep each arm's best. Each timed call follows an untimed call of the
+/// same arm: timed straight after the other arm, the bead rows' ratios
+/// spread more than twice as wide (EXPERIMENTS.md).
 fn bench_case(label: &'static str, case: &Case, replicas: usize, rounds: u32) -> Row {
-    let wall_s_cloned = time_best(rounds, || {
+    let cloned = || {
         assert!(
             case.cloned(replicas).iter().all(Result::is_ok),
             "{label}: cloned realization failed"
         );
-    });
-    let wall_s_batched = time_best(rounds, || {
+    };
+    let batched = || {
         assert!(
             case.batched(replicas).iter().all(Result::is_ok),
             "{label}: batched realization failed"
         );
-    });
+    };
+    let (mut wall_s_cloned, mut wall_s_batched) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        cloned();
+        wall_s_cloned = wall_s_cloned.min(timed(cloned));
+        batched();
+        wall_s_batched = wall_s_batched.min(timed(batched));
+    }
     let p = &case.protocol;
     let row = Row {
         label,

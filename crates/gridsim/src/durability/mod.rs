@@ -18,8 +18,9 @@
 //! Robustness properties, each exercised by the deterministic
 //! crash-injection harness ([`CrashPlan`]):
 //!
-//! * snapshots are written atomically (temp sibling + flush + rename) —
-//!   a crash mid-write never damages the previous generation set;
+//! * snapshots are written atomically (temp sibling + flush + rename +
+//!   directory flush) — a crash mid-write never damages the previous
+//!   generation set;
 //! * every file carries a versioned header (magic, format version,
 //!   generation, configuration fingerprint, payload length, XXH64
 //!   checksum) so truncated, bit-flipped, renamed, mismatched or
@@ -30,7 +31,12 @@
 //!
 //! A snapshot is encoded straight from the live engine into one buffer
 //! that the runner reuses across snapshots: no intermediate copy of the
-//! engine, and no second copy of the payload behind the header.
+//! engine, and no second copy of the payload behind the header. The DES
+//! thread writes the buffer into the snapshot's temp file and hands the
+//! open file to the run's writer thread, which flushes, renames and
+//! prunes while the DES resolves the next events; the runner collects
+//! each generation's outcome at the next hand-off and drains the writer
+//! before it returns.
 //!
 //! Checkpoint-subsystem activity (`checkpoint.write` with its
 //! `checkpoint.encode` and `checkpoint.sync` children, and
@@ -46,7 +52,7 @@ use crate::campaign::Campaign;
 use crate::des::DispatchPolicy;
 use crate::resilience::{Engine, EngineImage, EngineStats, ResiliencePolicy, ResilientResult};
 use codec::{xxh64, Dec, Enc};
-use spice_telemetry::{intern, EventKind, MetricValue, Telemetry};
+use spice_telemetry::{intern, EventKind, MetricValue, Telemetry, Track};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -172,10 +178,11 @@ pub enum CrashPlan {
     /// Never crash.
     None,
     /// Die (return [`DurabilityError::InjectedCrash`]) once the engine
-    /// has resolved `.0` events — between two event boundaries, exactly
-    /// like a `kill -9` landing mid-campaign.
+    /// has resolved `.0` events — between two event boundaries, like a
+    /// `kill -9` landing mid-campaign, except that the snapshot in
+    /// flight is published first.
     KillAfterEvents(u64),
-    /// After writing snapshot `generation`, truncate it to its first
+    /// Once snapshot `generation` is published, truncate it to its first
     /// `keep_bytes` bytes and die — a torn write the checksum must
     /// catch on recovery.
     TornWrite {
@@ -184,15 +191,15 @@ pub enum CrashPlan {
         /// Bytes of the file that survive.
         keep_bytes: u64,
     },
-    /// After writing snapshot `generation`, invert one byte at `byte`
-    /// and die — silent corruption the checksum must catch.
+    /// Once snapshot `generation` is published, invert one byte at
+    /// `byte` and die — silent corruption the checksum must catch.
     ChecksumFlip {
         /// Generation whose file is corrupted.
         generation: u64,
         /// Offset of the inverted byte.
         byte: u64,
     },
-    /// After writing snapshot `after_generation`, delete the newest
+    /// Once snapshot `after_generation` is published, delete the newest
     /// `drop_newest` snapshot files and die — recovery must fall back
     /// to the newest surviving generation.
     StaleGeneration {
@@ -219,8 +226,8 @@ pub struct DurableConfig {
     pub retain: usize,
     /// Telemetry handle for the checkpoint subsystem itself
     /// (`checkpoint.write` spans with `checkpoint.encode` and
-    /// `checkpoint.sync` children, `checkpoint.restore` instants, and
-    /// counters).
+    /// `checkpoint.sync` children, recorded as each generation is
+    /// published; `checkpoint.restore` instants; and counters).
     /// Deliberately separate from the campaign telemetry handle so the
     /// campaign export stays bit-identical across interruptions.
     pub telemetry: Telemetry,
@@ -606,7 +613,8 @@ fn load_snapshot(
 /// campaign started with.
 ///
 /// # Errors
-/// [`DurabilityError::Io`] on filesystem failure, and
+/// [`DurabilityError::Io`] on filesystem failure (a failed publish on
+/// the writer thread surfaces at the next snapshot or at the end), and
 /// [`DurabilityError::InjectedCrash`] when `cfg.crash` fires. Unreadable
 /// snapshots never error here — they degrade recovery to an older
 /// generation and are reported in [`RecoveryReport::skipped`].
@@ -647,7 +655,7 @@ pub fn run_resilient_durable(
         }
     }
 
-    let (mut engine, mut last_generation, resumed_from, resumed_events) = match restored {
+    let (mut engine, last_generation, resumed_from, resumed_events) = match restored {
         Some((generation, image, tele)) => {
             let events = image.events_processed();
             import_telemetry(telemetry, &tele);
@@ -670,80 +678,23 @@ pub fn run_resilient_durable(
         }
     };
 
-    let mut snapshots_written = 0u64;
-    // The one snapshot buffer, reused by every write of this run.
-    let mut file = Enc::new();
-    loop {
-        let events = engine.events();
-        let generation = events / cfg.every_events;
-        if events > 0 && events % cfg.every_events == 0 && generation > last_generation {
-            ckpt_track.enter_at("checkpoint.write", events);
-            ckpt_track.enter_at("checkpoint.encode", events);
-            encode_snapshot(&mut file, generation, fp, &engine, telemetry);
-            ckpt_track.exit_at("checkpoint.encode", events);
-            ckpt_track.enter_at("checkpoint.sync", events);
-            writer::atomic_write(&writer::snapshot_path(&cfg.dir, generation), file.bytes())?;
-            writer::retain_newest(&cfg.dir, cfg.retain)?;
-            ckpt_track.exit_at("checkpoint.sync", events);
-            ckpt_track.exit_at("checkpoint.write", events);
-            let bytes = file.bytes().len() as u64;
-            ckpt_track.instant_at(
-                "checkpoint.written",
-                events,
-                vec![
-                    ("generation", generation.to_string()),
-                    ("bytes", bytes.to_string()),
-                ],
-            );
-            cfg.telemetry.counter("checkpoint.writes").incr();
-            cfg.telemetry.counter("checkpoint.bytes").add(bytes);
-            last_generation = generation;
-            snapshots_written += 1;
-            // Write-stage fault injection: the fault lands *after* the
-            // successful write, as if the process died with its final
-            // I/O torn or the storage lied.
-            match cfg.crash {
-                CrashPlan::TornWrite {
-                    generation: g,
-                    keep_bytes,
-                } if g == generation => {
-                    writer::truncate_file(&writer::snapshot_path(&cfg.dir, g), keep_bytes)?;
-                    return Err(DurabilityError::InjectedCrash {
-                        after_events: events,
-                    });
-                }
-                CrashPlan::ChecksumFlip {
-                    generation: g,
-                    byte,
-                } if g == generation => {
-                    writer::flip_byte(&writer::snapshot_path(&cfg.dir, g), byte)?;
-                    return Err(DurabilityError::InjectedCrash {
-                        after_events: events,
-                    });
-                }
-                CrashPlan::StaleGeneration {
-                    after_generation,
-                    drop_newest,
-                } if after_generation == generation => {
-                    writer::drop_newest(&cfg.dir, drop_newest)?;
-                    return Err(DurabilityError::InjectedCrash {
-                        after_events: events,
-                    });
-                }
-                _ => {}
-            }
-        }
-        if let CrashPlan::KillAfterEvents(n) = cfg.crash {
-            if events >= n {
-                return Err(DurabilityError::InjectedCrash {
-                    after_events: events,
-                });
-            }
-        }
-        if !engine.step() {
-            break;
-        }
-    }
+    // One writer thread per run publishes the snapshots. It is drained
+    // before the scope ends, whatever stopped the run, and the scope
+    // joins it.
+    let snapshots_written = std::thread::scope(|s| {
+        let mut snapshots = Snapshots {
+            cfg,
+            fp,
+            track: ckpt_track,
+            file: Enc::new(),
+            publisher: writer::Publisher::spawn(s, &cfg.dir, cfg.retain),
+            published: 0,
+        };
+        let ended = snapshots.run(&mut engine, telemetry, last_generation);
+        // A failed publish precedes whatever stopped the DES after that
+        // generation's hand-off, so its error wins.
+        snapshots.collect().and(ended).map(|()| snapshots.published)
+    })?;
     let (result, stats) = engine.epilogue();
     Ok(DurableOutcome {
         result,
@@ -755,6 +706,122 @@ pub fn run_resilient_durable(
             snapshots_written,
         },
     })
+}
+
+/// The DES thread's side of a durable run's snapshots: the one buffer
+/// each is encoded into, the writer thread each is handed to, and the
+/// telemetry of each published generation.
+struct Snapshots<'a> {
+    cfg: &'a DurableConfig,
+    fp: u64,
+    track: Track,
+    file: Enc,
+    publisher: writer::Publisher,
+    published: u64,
+}
+
+impl Snapshots<'_> {
+    /// Resolve `engine`'s events to the end of the campaign, snapshotting
+    /// at every cadence boundary past `last_generation`, unless a write,
+    /// a publish or the crash plan stops the run first.
+    fn run(
+        &mut self,
+        engine: &mut Engine<'_>,
+        telemetry: &Telemetry,
+        mut last_generation: u64,
+    ) -> Result<(), DurabilityError> {
+        let cfg = self.cfg;
+        loop {
+            let events = engine.events();
+            let generation = events / cfg.every_events;
+            if events > 0 && events.is_multiple_of(cfg.every_events) && generation > last_generation
+            {
+                encode_snapshot(&mut self.file, generation, self.fp, engine, telemetry);
+                let written = writer::write_temp(&cfg.dir, generation, self.file.bytes())?;
+                self.collect()?;
+                self.publisher.hand_off(written);
+                last_generation = generation;
+                // Write-stage fault injection: the fault lands on the
+                // published file, as if the process died with its final
+                // I/O torn or the storage lied.
+                match cfg.crash {
+                    CrashPlan::TornWrite {
+                        generation: g,
+                        keep_bytes,
+                    } if g == generation => {
+                        self.collect()?;
+                        writer::truncate_file(&writer::snapshot_path(&cfg.dir, g), keep_bytes)?;
+                        return Err(DurabilityError::InjectedCrash {
+                            after_events: events,
+                        });
+                    }
+                    CrashPlan::ChecksumFlip {
+                        generation: g,
+                        byte,
+                    } if g == generation => {
+                        self.collect()?;
+                        writer::flip_byte(&writer::snapshot_path(&cfg.dir, g), byte)?;
+                        return Err(DurabilityError::InjectedCrash {
+                            after_events: events,
+                        });
+                    }
+                    CrashPlan::StaleGeneration {
+                        after_generation,
+                        drop_newest,
+                    } if after_generation == generation => {
+                        self.collect()?;
+                        writer::drop_newest(&cfg.dir, drop_newest)?;
+                        return Err(DurabilityError::InjectedCrash {
+                            after_events: events,
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            if let CrashPlan::KillAfterEvents(n) = cfg.crash {
+                if events >= n {
+                    return Err(DurabilityError::InjectedCrash {
+                        after_events: events,
+                    });
+                }
+            }
+            if !engine.step() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Wait for the snapshot in flight, if there is one, and record its
+    /// `checkpoint.*` group once it is published — all of it stamped
+    /// with the events resolved when it was encoded.
+    fn collect(&mut self) -> Result<(), DurabilityError> {
+        let Some(published) = self.publisher.collect()? else {
+            return Ok(());
+        };
+        let events = published.generation * self.cfg.every_events;
+        let track = &self.track;
+        track.enter_at("checkpoint.write", events);
+        track.enter_at("checkpoint.encode", events);
+        track.exit_at("checkpoint.encode", events);
+        track.enter_at("checkpoint.sync", events);
+        track.exit_at("checkpoint.sync", events);
+        track.exit_at("checkpoint.write", events);
+        track.instant_at(
+            "checkpoint.written",
+            events,
+            vec![
+                ("generation", published.generation.to_string()),
+                ("bytes", published.bytes.to_string()),
+            ],
+        );
+        self.cfg.telemetry.counter("checkpoint.writes").incr();
+        self.cfg
+            .telemetry
+            .counter("checkpoint.bytes")
+            .add(published.bytes);
+        self.published += 1;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -798,14 +865,25 @@ mod tests {
         assert_eq!(out.result, plain);
         assert_eq!(out.recovery.resumed_from, None);
         assert!(out.recovery.skipped.is_empty());
-        assert!(out.recovery.snapshots_written >= 2);
-        let on_disk = super::writer::list_generations(&dir).unwrap();
-        assert!(
-            on_disk.len() <= 2,
-            "retention must cap generations, found {}",
-            on_disk.len()
-        );
+        let written = out.recovery.snapshots_written;
+        assert!(written >= 2);
+        assert_eq!(written, out.stats.events_processed / 64);
+        assert_holds_newest(&dir, written, 2);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `dir` holds exactly the newest `min(retain, newest)` of
+    /// generations `1..=newest`, and nothing else (no `.tmp` file).
+    fn assert_holds_newest(dir: &Path, newest: u64, retain: u64) {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort_unstable();
+        let expected: Vec<String> = (newest.saturating_sub(retain) + 1..=newest)
+            .map(|g| format!("ckpt-{g:08}.spice"))
+            .collect();
+        assert_eq!(names, expected);
     }
 
     #[test]
@@ -833,6 +911,7 @@ mod tests {
             err,
             DurabilityError::InjectedCrash { after_events: 137 }
         ));
+        assert_holds_newest(&dir, 2, 3);
         cfg.crash = CrashPlan::None;
         let out = run_resilient_durable(
             &c,
@@ -845,7 +924,54 @@ mod tests {
         assert_eq!(out.recovery.resumed_from, Some(2), "resumed from event 100");
         assert_eq!(out.recovery.resumed_events, 100);
         assert_eq!(out.result, plain);
+        let newest = out.stats.events_processed / 50;
+        assert_eq!(out.recovery.snapshots_written, newest - 2);
+        assert_holds_newest(&dir, newest, 3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory squatting on generation 2's name fails the writer
+    /// thread's rename; one squatting on its temp name fails the DES
+    /// thread's create. Either way the run returns `Io`, with no panic
+    /// and no hang, and once the squatter is gone a resumed run finishes
+    /// bit-identically to the plain replay.
+    #[test]
+    fn a_squatted_snapshot_name_fails_the_run_and_a_resume_recovers() {
+        let c = small_campaign();
+        let policy = ResiliencePolicy::retry_only();
+        let plain =
+            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        for squatted in ["ckpt-00000002.spice", "ckpt-00000002.spice.tmp"] {
+            let dir = scratch_dir("squat");
+            let squatter = dir.join(squatted);
+            fs::create_dir_all(&squatter).unwrap();
+            let mut cfg = DurableConfig::new(&dir);
+            cfg.every_events = 50;
+            let run = || {
+                run_resilient_durable(
+                    &c,
+                    &policy,
+                    DispatchPolicy::RoundRobin,
+                    &Telemetry::disabled(),
+                    &cfg,
+                )
+            };
+            match run() {
+                Err(DurabilityError::Io(e)) => {
+                    assert_eq!(
+                        e.kind(),
+                        std::io::ErrorKind::IsADirectory,
+                        "{squatted}: {e}"
+                    )
+                }
+                other => panic!("{squatted}: expected an I/O error, got {other:?}"),
+            }
+            fs::remove_dir(&squatter).unwrap();
+            let out = run().expect("resume once the squatter is gone");
+            assert_eq!(out.recovery.resumed_from, Some(1), "{squatted}");
+            assert_eq!(out.result, plain, "{squatted}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -1,9 +1,16 @@
-//! Atomic snapshot files and generation management.
+//! Atomic snapshot files, the writer thread that publishes them, and
+//! generation management.
 //!
 //! Snapshots are named `ckpt-<generation 08d>.spice` and written via the
-//! classic temp-file + rename protocol: the payload lands in a `.tmp`
-//! sibling, is flushed to disk, and only then renamed over the final
-//! name. A crash at any byte therefore leaves either the previous
+//! classic temp-file + rename protocol, split across two threads at the
+//! point where the kernel holds the bytes. The DES thread creates a
+//! `.tmp` sibling and writes the payload into it ([`write_temp`]); the
+//! run's writer thread ([`Publisher`]) then flushes the file, renames it
+//! over the real name, flushes the directory and prunes old generations,
+//! one generation at a time and in hand-off order, while the DES resolves
+//! the next events. A name therefore appears only after its bytes are
+//! flushed, and its directory entry is flushed before the next
+//! generation's file is. A crash at any byte leaves either the previous
 //! generation set intact or a stray `.tmp` that recovery ignores — never
 //! a half-written `.spice` file under the real name. (Torn final files
 //! are still *handled* — the checksum rejects them — because this module
@@ -13,6 +20,8 @@
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::Scope;
 
 /// File name of generation `generation` under `dir`.
 pub(crate) fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
@@ -42,22 +51,127 @@ pub(crate) fn list_generations(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// Write `bytes` to `path` atomically: temp sibling, flush, rename.
+/// A snapshot whose bytes the kernel holds in its temp sibling: not yet
+/// flushed, and not yet under its generation's name.
+pub(crate) struct Written {
+    generation: u64,
+    bytes: u64,
+    file: fs::File,
+    tmp: PathBuf,
+}
+
+/// A snapshot the writer thread has made durable under its name.
+pub(crate) struct Published {
+    /// Its generation.
+    pub(crate) generation: u64,
+    /// Its file size.
+    pub(crate) bytes: u64,
+}
+
+/// The DES thread's half of the atomic write: create generation
+/// `generation`'s temp sibling under `dir` and write `bytes` into it.
 /// The temp name embeds the final file name, so concurrent campaigns in
 /// one directory (different generations) never collide.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "snapshot path has no name"))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    {
-        // spice-lint: allow(W001) this is the atomic-writer protocol itself: temp sibling + flush + rename
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+pub(crate) fn write_temp(dir: &Path, generation: u64, bytes: &[u8]) -> io::Result<Written> {
+    let tmp = dir.join(format!("ckpt-{generation:08}.spice.tmp"));
+    // spice-lint: allow(W001) this is the atomic-writer protocol itself: the temp sibling `publish` flushes and renames
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    Ok(Written {
+        generation,
+        bytes: bytes.len() as u64,
+        file,
+        tmp,
+    })
+}
+
+/// The writer thread's half: flush the bytes, rename the temp sibling
+/// over the generation's name, flush the directory so the new entry
+/// survives a power cut, then delete every generation but the newest
+/// `retain`.
+fn publish(dir: &Path, retain: usize, written: Written) -> io::Result<Published> {
+    let Written {
+        generation,
+        bytes,
+        file,
+        tmp,
+    } = written;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, snapshot_path(dir, generation))?;
+    sync_dir(dir)?;
+    retain_newest(dir, retain)?;
+    Ok(Published { generation, bytes })
+}
+
+/// Flush `dir`'s entries. Unix only: elsewhere a directory cannot be
+/// opened as a file, and a rename is as durable as the platform makes it.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    Ok(())
+}
+
+/// The DES thread's end of a durable run's writer thread, which
+/// publishes each handed-off snapshot and sends back its outcome. Both
+/// channels are rendezvous channels, and a hand-off waits until the
+/// previous outcome is collected, so at most one snapshot is in flight.
+pub(crate) struct Publisher {
+    jobs: SyncSender<Written>,
+    outcomes: Receiver<io::Result<Published>>,
+    in_flight: bool,
+}
+
+impl Publisher {
+    /// Start the writer thread on `scope`: it publishes into `dir`,
+    /// keeping the newest `retain` generations, until this end is
+    /// dropped (the scope then joins it).
+    pub(crate) fn spawn<'scope, 'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        dir: &'env Path,
+        retain: usize,
+    ) -> Publisher {
+        let (jobs, inbox) = mpsc::sync_channel::<Written>(0);
+        let (outbox, outcomes) = mpsc::sync_channel(0);
+        scope.spawn(move || {
+            for written in inbox {
+                if outbox.send(publish(dir, retain, written)).is_err() {
+                    break;
+                }
+            }
+        });
+        Publisher {
+            jobs,
+            outcomes,
+            in_flight: false,
+        }
+    }
+
+    /// Hand `written` to the writer thread. The previous hand-off's
+    /// outcome must have been collected.
+    pub(crate) fn hand_off(&mut self, written: Written) {
+        assert!(
+            !self.in_flight,
+            "collect the snapshot in flight before handing off the next"
+        );
+        self.jobs
+            .send(written)
+            .expect("the writer thread runs until its publisher is dropped");
+        self.in_flight = true;
+    }
+
+    /// Wait for the snapshot in flight, if there is one: what was
+    /// published, or why publishing it failed.
+    pub(crate) fn collect(&mut self) -> io::Result<Option<Published>> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(None);
+        }
+        self.outcomes
+            .recv()
+            .expect("the writer thread answers every hand-off")
+            .map(Some)
+    }
 }
 
 /// Delete every snapshot except the newest `retain` generations.
@@ -118,20 +232,29 @@ mod tests {
         d
     }
 
+    /// Both halves of the atomic write on this thread, keeping every
+    /// generation.
+    fn write_now(dir: &Path, generation: u64, bytes: &[u8]) {
+        publish(dir, usize::MAX, write_temp(dir, generation, bytes).unwrap()).unwrap();
+    }
+
+    fn generations(dir: &Path) -> Vec<u64> {
+        list_generations(dir)
+            .unwrap()
+            .into_iter()
+            .map(|g| g.0)
+            .collect()
+    }
+
     #[test]
     fn generation_files_list_in_order_and_ignore_strays() {
         let d = scratch_dir("list");
         for generation in [3u64, 1, 20] {
-            atomic_write(&snapshot_path(&d, generation), b"payload").unwrap();
+            write_now(&d, generation, b"payload");
         }
         fs::write(d.join("ckpt-00000007.spice.tmp"), b"torn").unwrap();
         fs::write(d.join("notes.txt"), b"x").unwrap();
-        let generations: Vec<u64> = list_generations(&d)
-            .unwrap()
-            .into_iter()
-            .map(|g| g.0)
-            .collect();
-        assert_eq!(generations, [1, 3, 20]);
+        assert_eq!(generations(&d), [1, 3, 20]);
         fs::remove_dir_all(&d).unwrap();
     }
 
@@ -139,15 +262,10 @@ mod tests {
     fn retention_keeps_only_the_newest_k() {
         let d = scratch_dir("retain");
         for generation in 1..=5u64 {
-            atomic_write(&snapshot_path(&d, generation), b"p").unwrap();
+            write_now(&d, generation, b"p");
         }
         retain_newest(&d, 2).unwrap();
-        let generations: Vec<u64> = list_generations(&d)
-            .unwrap()
-            .into_iter()
-            .map(|g| g.0)
-            .collect();
-        assert_eq!(generations, [4, 5]);
+        assert_eq!(generations(&d), [4, 5]);
         // Retaining more than exist is a no-op.
         retain_newest(&d, 10).unwrap();
         assert_eq!(list_generations(&d).unwrap().len(), 2);
@@ -155,10 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_leaves_no_tmp_and_injectors_corrupt_in_place() {
+    fn publish_leaves_no_tmp_and_injectors_corrupt_in_place() {
         let d = scratch_dir("inject");
         let p = snapshot_path(&d, 1);
-        atomic_write(&p, &[0u8, 1, 2, 3, 4, 5, 6, 7]).unwrap();
+        write_now(&d, 1, &[0u8, 1, 2, 3, 4, 5, 6, 7]);
         assert!(list_generations(&d).unwrap().len() == 1);
         assert!(
             !d.join("ckpt-00000001.spice.tmp").exists(),
@@ -168,14 +286,41 @@ mod tests {
         assert_eq!(fs::read(&p).unwrap(), [0, 1, 2]);
         flip_byte(&p, 1).unwrap();
         assert_eq!(fs::read(&p).unwrap(), [0, 0xFE, 2]);
-        atomic_write(&snapshot_path(&d, 2), b"x").unwrap();
+        write_now(&d, 2, b"x");
         drop_newest(&d, 1).unwrap();
-        let generations: Vec<u64> = list_generations(&d)
-            .unwrap()
-            .into_iter()
-            .map(|g| g.0)
-            .collect();
-        assert_eq!(generations, [1]);
+        assert_eq!(generations(&d), [1]);
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// The writer thread publishes each hand-off in order and reports a
+    /// failed rename through `collect`, whether the next hand-off or a
+    /// final drain asks for it.
+    #[test]
+    fn the_writer_thread_publishes_in_order_and_reports_failures() {
+        let d = scratch_dir("thread");
+        // A directory squatting on generation 3's name fails its rename.
+        fs::create_dir(snapshot_path(&d, 3)).unwrap();
+        std::thread::scope(|s| {
+            let mut publisher = Publisher::spawn(s, &d, 2);
+            assert!(publisher.collect().unwrap().is_none(), "nothing in flight");
+            for generation in 1..=3u64 {
+                let written = write_temp(&d, generation, &vec![7; generation as usize]).unwrap();
+                if let Some(p) = publisher.collect().unwrap() {
+                    assert_eq!((p.generation, p.bytes), (generation - 1, generation - 1));
+                }
+                publisher.hand_off(written);
+            }
+            let err = publisher
+                .collect()
+                .err()
+                .expect("the squatted rename fails");
+            assert_eq!(err.kind(), io::ErrorKind::IsADirectory, "{err}");
+            assert!(publisher.collect().unwrap().is_none(), "drained");
+        });
+        // Retention kept generation 2 and the squatter's name.
+        fs::remove_dir(snapshot_path(&d, 3)).unwrap();
+        assert_eq!(generations(&d), [2]);
+        assert!(d.join("ckpt-00000003.spice.tmp").exists());
         fs::remove_dir_all(&d).unwrap();
     }
 }

@@ -104,22 +104,27 @@ impl Snapshot {
         serde_json::from_str(&raw).map_err(Into::into)
     }
 
-    /// Save to a file atomically: the JSON lands in a temp sibling and
-    /// is renamed into place, so a crash mid-save never leaves a torn
-    /// snapshot under the real name.
+    /// Save to a file atomically: the JSON lands in a temp sibling, is
+    /// flushed to disk and renamed into place, and the directory is
+    /// flushed after the rename, so a crash mid-save never leaves a torn
+    /// snapshot under the real name and a saved name survives a power
+    /// cut.
     pub fn save(&self, path: &std::path::Path) -> Result<(), MdError> {
         let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
             MdError::Checkpoint(format!("snapshot path {} has no file name", path.display()))
         })?;
         let tmp = path.with_file_name(format!("{file_name}.tmp"));
-        {
-            // spice-lint: allow(W001) this is the atomic-writer protocol itself: temp sibling + rename
-            let f = std::fs::File::create(&tmp)?;
-            let mut w = std::io::BufWriter::new(f);
-            self.write_json(&mut w)?;
-            w.flush()?;
+        // spice-lint: allow(W001) this is the atomic-writer protocol itself: temp sibling + flush + rename
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        self.write_json(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // Unix only: elsewhere a directory cannot be opened as a file.
+        if cfg!(unix) {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
         }
-        std::fs::rename(&tmp, path).map_err(Into::into)
+        Ok(())
     }
 
     /// Load from a file.

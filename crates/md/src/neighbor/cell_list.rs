@@ -8,6 +8,21 @@
 use super::PairList;
 use crate::vec3::Vec3;
 
+/// Cells per particle a grid may hold before [`CellList::try_bin`]
+/// rejects it, above [`MIN_CELL_CAP`]. The workspace's tests build at
+/// most 1,224 (7 particles scattered in a 12 Å box) and the Fig. 4 pore
+/// systems at most 0.67, so a grid past the cap is a system blowing up.
+/// It then fails on its first oversized rebuild, rather than allocating
+/// and sweeping ever larger grids (up to [`MAX_CELL_CAP`] cells) on every
+/// rebuild while its coordinates grow.
+const MAX_CELLS_PER_PARTICLE: usize = 4096;
+/// Cells any grid may hold, however few its particles (the largest grid
+/// the tests build has 71,874 cells for 100 particles).
+const MIN_CELL_CAP: usize = 1 << 16;
+/// Cells no grid may exceed, however many its particles (400 MB of
+/// chain heads).
+const MAX_CELL_CAP: usize = 100_000_000;
+
 /// A rebuilt-per-call cell grid. Construction is cheap (a few Vec fills),
 /// so the typical usage is [`CellList::build`] whenever the Verlet list
 /// needs refreshing.
@@ -33,8 +48,9 @@ impl CellList {
     }
 
     /// [`bin`](Self::bin), returning why the positions cannot be binned
-    /// instead of panicking: a non-finite coordinate, or a grid so large
-    /// that the coordinates have blown up.
+    /// instead of panicking: a non-finite coordinate, or a grid of more
+    /// cells than its particle count allows (coordinates that have blown
+    /// up).
     ///
     /// # Panics
     /// Panics if `cutoff <= 0` or positions are empty.
@@ -63,13 +79,18 @@ impl CellList {
             ((extent.y / cutoff).floor() as usize).saturating_add(1),
             ((extent.z / cutoff).floor() as usize).saturating_add(1),
         ];
-        // A sane simulation never needs more cells than ~particles; an
-        // enormous grid means coordinates have blown up — fail loudly
-        // instead of attempting a multi-terabyte allocation.
+        // A sane simulation never needs many more cells than particles;
+        // a grid past the cap means coordinates have blown up — fail
+        // loudly instead of allocating and sweeping it.
         let ncells = dims[0].saturating_mul(dims[1]).saturating_mul(dims[2]);
-        if ncells > 100_000_000 {
+        let cap = positions
+            .len()
+            .saturating_mul(MAX_CELLS_PER_PARTICLE)
+            .clamp(MIN_CELL_CAP, MAX_CELL_CAP);
+        if ncells > cap {
             return Err(format!(
-                "cell grid of {ncells} cells (dims {dims:?}) — coordinates have likely blown up"
+                "cell grid of {ncells} cells (dims {dims:?}) for {} particles — coordinates have likely blown up",
+                positions.len()
             ));
         }
         let mut heads = vec![-1i32; ncells];

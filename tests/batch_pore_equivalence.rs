@@ -147,13 +147,15 @@ fn pore_at(temperature: f64, seed: u64) -> Simulation {
 
 /// A runaway thermostat on the lane the pad lanes copy blows that
 /// realization up; every slot, its error text included, must match the
-/// cloned runner, and the other lanes' bits must not move. At 1e30 K the
-/// first step throws the strand ~10¹¹ Å apart, a grid no cell list will
-/// build; at ∞ K its coordinates go infinite. Either way the cloned twin
-/// panics inside its own pair-list rebuild on that step, which the
+/// cloned runner, and the other lanes' bits must not move. At 1e12 K the
+/// strand flies apart step by step until its grid passes the cell list's
+/// cap for 8 beads (65,536 cells); at 1e30 K the first step throws it ~10¹¹ Å
+/// apart, a grid no cell list will build; at ∞ K its coordinates go
+/// infinite. Each time the cloned twin panics inside its own pair-list
+/// rebuild, on the first rebuild the cell list rejects, which the
 /// batched lane reports as a fault, while the pad lanes carry the
-/// blown-up state to the end of the pull. Without lane faults the first
-/// case panics the whole batch and the second fails at a later health
+/// blown-up state to the end of the pull. Without lane faults the 1e30 K
+/// case panics the whole batch and the ∞ K case fails at a later health
 /// check with another message. Six replicas run padded to eight lanes,
 /// eight unpadded.
 #[test]
@@ -170,7 +172,7 @@ fn failure_slots_match_the_cloned_path() {
             SeedSequence::new(master),
             Scale::Test.decorrelation_steps(),
         );
-        for temperature in [1e30, f64::INFINITY] {
+        for temperature in [1e12, 1e30, f64::INFINITY] {
             let factory = |seed| {
                 if seed == runaway_seed {
                     pore_at(temperature, seed)

@@ -6,6 +6,7 @@ use spice_core::config::Scale;
 use spice_core::experiments::imd_qos;
 use spice_gridsim::network::{Path, QosProfile};
 use spice_steering::imd::{simulate_session, ImdConfig};
+use spice_telemetry::Telemetry;
 
 fn qos(c: &mut Criterion) {
     let report = imd_qos::run(Scale::Bench, BENCH_SEED);
@@ -20,7 +21,7 @@ fn qos(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("simulate", name), &profile, |b, &p| {
             let path = Path::new(vec![p.link()]);
             let cfg = ImdConfig::default();
-            b.iter(|| simulate_session(&cfg, &path, &path));
+            b.iter(|| simulate_session(&cfg, &path, &path, &Telemetry::disabled(), 0));
         });
     }
     g.finish();

@@ -4,17 +4,22 @@
 //! can enforce the "instrumentation is free unless you turn it on"
 //! contract from DESIGN.md §12.
 //!
-//! Three arms, interleaved round-robin so machine noise hits all arms
-//! equally, best-of-N throughput per arm (best-of filters scheduler
-//! jitter, which is the only thing that differs between repeats of a
-//! deterministic simulation):
+//! Three arms:
 //!
 //! * **plain** — no telemetry anywhere (the default production path);
-//! * **disabled** — `Telemetry::disabled()` attached, i.e. the exact
-//!   path every `*_traced` delegation takes: one `Option` check per
-//!   step;
+//! * **disabled** — `Telemetry::disabled()` attached, i.e. the path an
+//!   operation runs when its caller passes the disabled handle: one
+//!   `Option` check per step;
 //! * **enabled** — live handle with a track, bound kernel counters and
 //!   an installed force-eval probe (the worst realistic case).
+//!
+//! Every round times each arm once. The arm order rotates from round to
+//! round, and each timed call follows an untimed call of the same arm,
+//! so no arm always inherits another arm's cache and clock state. An
+//! arm's overhead is the median over rounds of its throughput loss
+//! against the plain arm of the same round: pairing within a round
+//! keeps the host's slower and faster phases out of the overhead, which
+//! unpaired best-of timings let in.
 //!
 //! The gate compares plain vs disabled. Exits nonzero when the gate
 //! fails, so `cargo bench -p spice-bench --bench bench_telemetry` is a
@@ -27,6 +32,7 @@
 use spice_md::forces::{ForceField, LjParams, NonBonded, Restraint};
 use spice_md::integrate::LangevinBaoab;
 use spice_md::{Simulation, System, Topology, Vec3};
+use spice_stats::descriptive::median;
 use spice_telemetry::{ProbePoint, Telemetry};
 use std::time::Instant;
 
@@ -78,6 +84,8 @@ enum Arm {
     Enabled,
 }
 
+const ARMS: [Arm; 3] = [Arm::Plain, Arm::Disabled, Arm::Enabled];
+
 /// Steps/sec through the full integration loop under one arm.
 fn time_steps(n: usize, steps: u64, arm: Arm) -> f64 {
     let mut sim = chain_simulation(n, 1);
@@ -127,19 +135,52 @@ fn time_force_evals(n: usize, iters: u64) -> f64 {
     iters as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Steps/sec of each arm (indexed as [`ARMS`]) in each of `rounds`
+/// rounds, the arm order rotated by one every round and each timed call
+/// preceded by an untimed call of the same arm.
+fn paired_rounds(n: usize, steps: u64, rounds: usize) -> Vec<[f64; 3]> {
+    (0..rounds)
+        .map(|r| {
+            let mut sps = [0.0; 3];
+            for k in 0..ARMS.len() {
+                let a = (r + k) % ARMS.len();
+                time_steps(n, steps, ARMS[a]);
+                sps[a] = time_steps(n, steps, ARMS[a]);
+            }
+            sps
+        })
+        .collect()
+}
+
 struct Row {
     n_beads: usize,
-    sps_plain: f64,
-    sps_disabled: f64,
-    sps_enabled: f64,
+    rounds: usize,
+    /// Median steps/sec of each arm, indexed as [`ARMS`].
+    sps: [f64; 3],
+    /// Median over rounds of the disabled arm's paired overhead (%).
+    disabled_overhead_pct: f64,
+    /// Median over rounds of the enabled arm's paired overhead (%).
+    enabled_overhead_pct: f64,
 }
 
 impl Row {
-    fn disabled_overhead_pct(&self) -> f64 {
-        (1.0 - self.sps_disabled / self.sps_plain) * 100.0
-    }
-    fn enabled_overhead_pct(&self) -> f64 {
-        (1.0 - self.sps_enabled / self.sps_plain) * 100.0
+    fn measure(n: usize, steps: u64, rounds: usize) -> Row {
+        let per_round = paired_rounds(n, steps, rounds);
+        let arm = |a: usize| median(&per_round.iter().map(|r| r[a]).collect::<Vec<_>>());
+        let overhead = |a: usize| {
+            let paired: Vec<f64> = per_round
+                .iter()
+                .map(|r| (1.0 - r[a] / r[0]) * 100.0)
+                .collect();
+            median(&paired)
+        };
+        Row {
+            n_beads: n,
+            rounds,
+            sps: [arm(0), arm(1), arm(2)],
+            disabled_overhead_pct: overhead(1),
+            enabled_overhead_pct: overhead(2),
+        }
     }
 }
 
@@ -167,24 +208,14 @@ fn baseline_evals_per_sec() -> Option<f64> {
 fn main() {
     let mut rows = Vec::new();
     for &n in &[12usize, 256] {
-        let (steps, rounds) = if n <= 64 { (100_000, 5) } else { (4_000, 3) };
-        let (mut plain, mut disabled, mut enabled) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..rounds {
-            plain = plain.max(time_steps(n, steps, Arm::Plain));
-            disabled = disabled.max(time_steps(n, steps, Arm::Disabled));
-            enabled = enabled.max(time_steps(n, steps, Arm::Enabled));
-        }
-        let row = Row {
-            n_beads: n,
-            sps_plain: plain,
-            sps_disabled: disabled,
-            sps_enabled: enabled,
-        };
+        let (steps, rounds) = if n <= 64 { (100_000, 9) } else { (4_000, 7) };
+        let row = Row::measure(n, steps, rounds);
+        let [plain, disabled, enabled] = row.sps;
         eprintln!(
-            "n={n}: steps/sec plain {plain:.0}, disabled-attached {disabled:.0} \
-             ({:+.2}%), enabled {enabled:.0} ({:+.2}%)",
-            row.disabled_overhead_pct(),
-            row.enabled_overhead_pct()
+            "n={n}: median steps/sec over {rounds} rounds: plain {plain:.0}, \
+             disabled-attached {disabled:.0} ({:+.2}% paired), enabled {enabled:.0} \
+             ({:+.2}% paired)",
+            row.disabled_overhead_pct, row.enabled_overhead_pct
         );
         rows.push(row);
     }
@@ -196,19 +227,20 @@ fn main() {
     // Gate: the disabled handle must be free (< 2% on every size).
     let overhead_ok = rows
         .iter()
-        .all(|r| r.disabled_overhead_pct() < GATE_OVERHEAD_PCT);
+        .all(|r| r.disabled_overhead_pct < GATE_OVERHEAD_PCT);
 
     let row_json = |r: &Row| {
         format!(
-            "    {{\"n_beads\": {}, \"steps_per_sec_plain\": {:.1}, \
+            "    {{\"n_beads\": {}, \"rounds\": {}, \"steps_per_sec_plain\": {:.1}, \
              \"steps_per_sec_disabled\": {:.1}, \"steps_per_sec_enabled\": {:.1}, \
              \"disabled_overhead_pct\": {:.3}, \"enabled_overhead_pct\": {:.3}}}",
             r.n_beads,
-            r.sps_plain,
-            r.sps_disabled,
-            r.sps_enabled,
-            r.disabled_overhead_pct(),
-            r.enabled_overhead_pct(),
+            r.rounds,
+            r.sps[0],
+            r.sps[1],
+            r.sps[2],
+            r.disabled_overhead_pct,
+            r.enabled_overhead_pct,
         )
     };
     let json = format!(

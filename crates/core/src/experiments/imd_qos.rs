@@ -8,6 +8,7 @@ use crate::report::Report;
 use spice_gridsim::network::tcp::{mathis_throughput_mbps, DEFAULT_MSS};
 use spice_gridsim::network::{Link, Path, QosProfile};
 use spice_steering::imd::{simulate_session, ImdConfig};
+use spice_telemetry::Telemetry;
 
 /// Slowdown as a function of degrading loss on an otherwise-lightpath
 /// link: the QoS sweep series.
@@ -30,7 +31,7 @@ pub fn loss_sweep(scale: Scale, seed: u64) -> Vec<(f64, f64)> {
             let mut link: Link = QosProfile::TransAtlanticLightpath.link();
             link.loss = loss;
             let p = Path::new(vec![link]);
-            let stats = simulate_session(&cfg, &p, &p);
+            let stats = simulate_session(&cfg, &p, &p, &Telemetry::disabled(), 0);
             (loss, stats.slowdown())
         })
         .collect()

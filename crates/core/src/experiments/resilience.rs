@@ -17,6 +17,7 @@ use spice_gridsim::campaign::Campaign;
 use spice_gridsim::des::run_des;
 use spice_gridsim::metrics::loss_by_kind;
 use spice_gridsim::resilience::{run_resilient, ResiliencePolicy, ResilientResult};
+use spice_telemetry::Telemetry;
 
 /// The SC05-outage campaign: the 72-job production set under the §V-C-4
 /// outage history, with every 12th simulation steering-coupled (the
@@ -50,9 +51,10 @@ pub fn run(master_seed: u64) -> Report {
     // Failure-free, outage-free baseline for makespan inflation.
     let baseline = run_des(&Campaign::paper_batch_phase(master_seed));
 
-    let naive = run_resilient(&campaign, &ResiliencePolicy::naive());
-    let retry = run_resilient(&campaign, &ResiliencePolicy::retry_only());
-    let ckpt = run_resilient(&campaign, &ResiliencePolicy::checkpoint_failover());
+    let off = Telemetry::disabled();
+    let naive = run_resilient(&campaign, &ResiliencePolicy::naive(), &off);
+    let retry = run_resilient(&campaign, &ResiliencePolicy::retry_only(), &off);
+    let ckpt = run_resilient(&campaign, &ResiliencePolicy::checkpoint_failover(), &off);
 
     let mut r = Report::new(
         "T-resil",
@@ -144,9 +146,10 @@ mod tests {
 
     fn makespans(seed: u64) -> (f64, f64, f64) {
         let c = sc05_campaign(seed);
-        let naive = run_resilient(&c, &ResiliencePolicy::naive());
-        let retry = run_resilient(&c, &ResiliencePolicy::retry_only());
-        let ckpt = run_resilient(&c, &ResiliencePolicy::checkpoint_failover());
+        let off = Telemetry::disabled();
+        let naive = run_resilient(&c, &ResiliencePolicy::naive(), &off);
+        let retry = run_resilient(&c, &ResiliencePolicy::retry_only(), &off);
+        let ckpt = run_resilient(&c, &ResiliencePolicy::checkpoint_failover(), &off);
         (
             naive.result.makespan_hours,
             retry.result.makespan_hours,

@@ -15,6 +15,7 @@ use spice_stats::rng::SeedSequence;
 use spice_steering::imd::{simulate_session, ImdConfig, ImdStats};
 use spice_steering::service::GridService;
 use spice_steering::{HapticDevice, SteeringHook, Visualizer};
+use spice_telemetry::Telemetry;
 
 /// What the interactive phase produced.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -95,8 +96,9 @@ pub fn run_interactive(scale: Scale, master_seed: u64) -> InteractiveResult {
     };
     let lightpath = Path::new(vec![QosProfile::TransAtlanticLightpath.link()]);
     let commodity = Path::new(vec![QosProfile::TransAtlanticCommodity.link()]);
-    let s_lp = simulate_session(&cfg, &lightpath, &lightpath);
-    let s_gp = simulate_session(&cfg, &commodity, &commodity);
+    let off = Telemetry::disabled();
+    let s_lp = simulate_session(&cfg, &lightpath, &lightpath, &off, 0);
+    let s_gp = simulate_session(&cfg, &commodity, &commodity, &off, 0);
 
     InteractiveResult {
         frames: hook.frames_emitted(),

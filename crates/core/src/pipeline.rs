@@ -81,6 +81,7 @@ pub struct SweepResult {
 }
 
 /// Run one (κ, v) ensemble and estimate its PMF.
+/// e2ebench's `fig4_bench` and `sweep_small` call this untraced form.
 pub fn run_cell(scale: Scale, kappa: f64, v_label: f64, seeds: SeedSequence) -> PmfCell {
     run_cell_traced(scale, kappa, v_label, seeds, &Telemetry::disabled(), 0)
 }

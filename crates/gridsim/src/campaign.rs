@@ -523,6 +523,7 @@ mod tests {
         let r = crate::resilience::run_resilient(
             &c,
             &crate::resilience::ResiliencePolicy::checkpoint_failover(),
+            &spice_telemetry::Telemetry::disabled(),
         );
         assert_eq!(
             r.result.records.len() + r.abandoned.len(),

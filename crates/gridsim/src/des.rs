@@ -14,7 +14,8 @@
 //! block new starts and every job succeeds on its first attempt.
 
 use crate::campaign::{Campaign, CampaignResult};
-use crate::resilience::{run_resilient_with_dispatch, ResiliencePolicy};
+use crate::resilience::{run_resilient_with_stats, ResiliencePolicy};
+use spice_telemetry::Telemetry;
 
 /// Job-placement policy of the federation dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,9 @@ pub fn run_des(campaign: &Campaign) -> CampaignResult {
 /// Execute a campaign with an explicit dispatch policy (scheduling
 /// ablation: how much does broker intelligence buy on a federation?).
 pub fn run_des_with_policy(campaign: &Campaign, policy: DispatchPolicy) -> CampaignResult {
-    run_resilient_with_dispatch(campaign, &ResiliencePolicy::none(), policy).result
+    let none = ResiliencePolicy::none();
+    let (replay, _) = run_resilient_with_stats(campaign, &none, policy, &Telemetry::disabled());
+    replay.result
 }
 
 #[cfg(test)]

@@ -159,6 +159,18 @@ impl Enc {
     }
 }
 
+/// `i` if it indexes one of the campaign's `len` `what` (jobs, sites,
+/// outages), else `Corrupt`: the restored engine never dereferences it.
+pub(crate) fn index_in(i: usize, len: usize, what: &str) -> Result<usize, DurabilityError> {
+    if i < len {
+        Ok(i)
+    } else {
+        Err(DurabilityError::Corrupt(format!(
+            "{what} index {i} in a campaign of {len}"
+        )))
+    }
+}
+
 /// Cursor-based decoder over a snapshot payload. Every read is
 /// bounds-checked; running off the end or hitting an invalid tag is a
 /// [`DurabilityError::Corrupt`], never a panic — a half-written snapshot
@@ -227,6 +239,13 @@ impl<'a> Dec<'a> {
     pub(crate) fn take_usize(&mut self) -> Result<usize, DurabilityError> {
         usize::try_from(self.take_u64()?)
             .map_err(|_| DurabilityError::Corrupt("length exceeds usize".to_string()))
+    }
+
+    /// A `u32` index into one of the campaign's `len` `what`, checked
+    /// by [`index_in`].
+    pub(crate) fn take_index(&mut self, len: usize, what: &str) -> Result<u32, DurabilityError> {
+        let i = self.take_u32()?;
+        index_in(i as usize, len, what).map(|_| i)
     }
 
     /// A length prefix about to drive a `Vec` allocation: reject lengths

@@ -282,7 +282,7 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone)]
 pub struct DurableOutcome {
     /// Campaign outcome — bit-identical to an uninterrupted
-    /// [`crate::resilience::run_resilient_with_dispatch`] run.
+    /// [`crate::resilience::run_resilient_with_stats`] run.
     pub result: ResilientResult,
     /// Engine scale counters, also bit-identical.
     pub stats: EngineStats,
@@ -602,7 +602,7 @@ fn load_snapshot(
 /// Execute a campaign crash-safely: resume from the newest intact
 /// snapshot in `cfg.dir` (if any), checkpoint every `cfg.every_events`
 /// resolved events, and finish with results **bit-identical** to an
-/// uninterrupted [`crate::resilience::run_resilient_with_dispatch_traced`]
+/// uninterrupted [`crate::resilience::run_resilient_with_stats`]
 /// run — records, failure listing, telemetry export and engine stats
 /// alike, under every dispatch and resilience policy.
 ///
@@ -844,12 +844,20 @@ mod tests {
         c
     }
 
+    /// The uninterrupted, untraced replay a durable run must match.
+    fn plain_run(
+        c: &Campaign,
+        policy: &ResiliencePolicy,
+        dispatch: DispatchPolicy,
+    ) -> ResilientResult {
+        crate::resilience::run_resilient_with_stats(c, policy, dispatch, &Telemetry::disabled()).0
+    }
+
     #[test]
     fn uninterrupted_durable_run_matches_plain_run_and_checkpoints() {
         let c = small_campaign();
         let policy = ResiliencePolicy::checkpoint_failover();
-        let plain =
-            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let plain = plain_run(&c, &policy, DispatchPolicy::RoundRobin);
         let dir = scratch_dir("plain");
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 64;
@@ -890,11 +898,7 @@ mod tests {
     fn kill_and_resume_is_bit_identical() {
         let c = small_campaign();
         let policy = ResiliencePolicy::retry_only();
-        let plain = crate::resilience::run_resilient_with_dispatch(
-            &c,
-            &policy,
-            DispatchPolicy::EarliestCompletion,
-        );
+        let plain = plain_run(&c, &policy, DispatchPolicy::EarliestCompletion);
         let dir = scratch_dir("kill");
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 50;
@@ -939,8 +943,7 @@ mod tests {
     fn a_squatted_snapshot_name_fails_the_run_and_a_resume_recovers() {
         let c = small_campaign();
         let policy = ResiliencePolicy::retry_only();
-        let plain =
-            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let plain = plain_run(&c, &policy, DispatchPolicy::RoundRobin);
         for squatted in ["ckpt-00000002.spice", "ckpt-00000002.spice.tmp"] {
             let dir = scratch_dir("squat");
             let squatter = dir.join(squatted);
@@ -978,8 +981,7 @@ mod tests {
     fn torn_write_falls_back_to_previous_generation() {
         let c = small_campaign();
         let policy = ResiliencePolicy::checkpoint_failover();
-        let plain =
-            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::Random);
+        let plain = plain_run(&c, &policy, DispatchPolicy::Random);
         let dir = scratch_dir("torn");
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 40;
@@ -1020,8 +1022,7 @@ mod tests {
     fn flipped_byte_is_caught_by_the_checksum() {
         let c = small_campaign();
         let policy = ResiliencePolicy::naive();
-        let plain =
-            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let plain = plain_run(&c, &policy, DispatchPolicy::RoundRobin);
         let dir = scratch_dir("flip");
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 60;
@@ -1261,8 +1262,7 @@ mod tests {
     fn a_snapshot_under_another_generation_name_is_skipped() {
         let c = small_campaign();
         let policy = ResiliencePolicy::retry_only();
-        let plain =
-            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let plain = plain_run(&c, &policy, DispatchPolicy::RoundRobin);
         let dir = scratch_dir("renamed");
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 50;
@@ -1306,11 +1306,7 @@ mod tests {
     fn version_one_files_are_skipped_and_the_run_starts_fresh() {
         let c = small_campaign();
         let policy = ResiliencePolicy::checkpoint_failover();
-        let plain = crate::resilience::run_resilient_with_dispatch(
-            &c,
-            &policy,
-            DispatchPolicy::EarliestCompletion,
-        );
+        let plain = plain_run(&c, &policy, DispatchPolicy::EarliestCompletion);
         for version in [1u32, 2] {
             let dir = scratch_dir(&format!("v{version}"));
             let mut cfg = DurableConfig::new(&dir);
@@ -1368,7 +1364,7 @@ mod tests {
             "{}",
             out.recovery.skipped[0].1
         );
-        let plain = crate::resilience::run_resilient_with_dispatch(&c, &policy, dispatch);
+        let plain = plain_run(&c, &policy, dispatch);
         assert_eq!(out.result, plain);
         fs::remove_dir_all(&cfg.dir).unwrap();
     }
@@ -1383,6 +1379,47 @@ mod tests {
         payload[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
         fs::write(&path, with_payload(&file, &payload)).unwrap();
         assert_resumes_past_a_corrupt_newest_file(&cfg);
+    }
+
+    /// Payload offset of the first index of the first pending event
+    /// tagged `tag`, walking the agenda in the layout `Agenda::encode`
+    /// and `encode_ev` write.
+    fn first_pending_event(payload: &[u8], tag: u8) -> usize {
+        let mut d = Dec::new(payload);
+        // Events resolved, clock, peak, popped releases.
+        d.take_bytes(32).unwrap();
+        for _ in 0..d.take_usize().unwrap() {
+            d.take_bytes(16).unwrap(); // time bits, stamp
+            let at = payload.len() - d.remaining() + 1;
+            let t = d.take_u8().unwrap();
+            if t == tag {
+                return at;
+            }
+            // Submit, Finish, Fail, OutageStart, OutageEnd, Poke.
+            d.take_bytes([4, 12, 13, 4, 4, 0][usize::from(t)]).unwrap();
+        }
+        panic!("no event tagged {tag} is pending");
+    }
+
+    /// A job or site index past the campaign's, forged into a pending
+    /// event of a real payload behind a valid header, is `Corrupt`. An
+    /// unchecked replay indexes past the campaign's jobs (the job of a
+    /// `Finish`, after its site) or sites (the site of an `OutageEnd`).
+    #[test]
+    fn forged_job_and_site_indices_are_skipped_as_corrupt() {
+        let c = sc05().0;
+        let (jobs, sites) = (c.jobs.len() as u32, c.federation.sites.len() as u32);
+        for (tag, event, skip, index) in [("forged_job", 1, 4, jobs), ("forged_site", 4, 0, sites)]
+        {
+            let cfg = sc05_killed(tag);
+            let path = super::writer::snapshot_path(&cfg.dir, 3);
+            let file = fs::read(&path).unwrap();
+            let mut payload = file[HEADER_LEN..].to_vec();
+            let at = first_pending_event(&payload, event) + skip;
+            payload[at..at + 4].copy_from_slice(&index.to_le_bytes());
+            fs::write(&path, with_payload(&file, &payload)).unwrap();
+            assert_resumes_past_a_corrupt_newest_file(&cfg);
+        }
     }
 
     #[test]

@@ -50,6 +50,9 @@
 //! Everything is deterministic under a seed; stochastic elements (queue
 //! waits, jitter, human booking errors, failures) use `spice-stats` seed
 //! streams.
+//!
+//! Tracing is a parameter: [`run_resilient`], [`metrics::resilience_summary`]
+//! and [`trace::failure_listing`] take a `Telemetry` handle.
 
 #![warn(missing_docs)]
 
@@ -81,8 +84,7 @@ pub use failure::{FailureEvent, FailureKind, FailureModel, Outage, OutageIndex};
 pub use federation::{Federation, Grid};
 pub use job::{Job, JobId, JobRecord};
 pub use resilience::{
-    run_resilient, run_resilient_traced, run_resilient_with_dispatch,
-    run_resilient_with_dispatch_traced, run_resilient_with_stats, CheckpointPolicy, EngineStats,
-    OutagePolicy, ResiliencePolicy, ResilientResult, RetryPolicy,
+    run_resilient, run_resilient_with_stats, CheckpointPolicy, EngineStats, OutagePolicy,
+    ResiliencePolicy, ResilientResult, RetryPolicy,
 };
 pub use resource::{Site, SiteId};

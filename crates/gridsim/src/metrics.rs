@@ -6,6 +6,7 @@ use crate::failure::FailureKind;
 use crate::federation::Federation;
 use crate::job::JobRecord;
 use crate::resilience::ResilientResult;
+use spice_telemetry::Telemetry;
 
 /// Per-site utilization over the campaign makespan: committed CPU-hours /
 /// (procs × makespan). Returns `(site_id, utilization)` pairs.
@@ -53,33 +54,28 @@ pub fn wait_summary(result: &CampaignResult) -> (f64, f64, f64) {
 
 /// Resilience summary of a campaign execution: `(goodput CPU-h, badput
 /// CPU-h, badput fraction, mean retries per job, completion fraction)`.
-pub fn resilience_summary(result: &ResilientResult) -> (f64, f64, f64, f64, f64) {
-    (
+///
+/// An enabled `t` also receives the numbers as `grid.*` gauges, plus
+/// per-kind loss counters, so the same JSONL / Chrome trace that carries
+/// the event timeline carries the campaign-level accounting.
+pub fn resilience_summary(result: &ResilientResult, t: &Telemetry) -> (f64, f64, f64, f64, f64) {
+    let summary = (
         result.goodput_cpu_hours,
         result.badput_cpu_hours,
         result.badput_fraction(),
         result.retries_per_job(),
         result.completion_fraction(),
-    )
-}
-
-/// [`resilience_summary`] that *also* exports the numbers as `grid.*`
-/// gauges (plus per-kind loss counters) through `t`'s registry, so the
-/// same JSONL / Chrome trace that carries the event timeline carries the
-/// campaign-level accounting. Returns the same tuple.
-pub fn resilience_summary_traced(
-    result: &ResilientResult,
-    t: &spice_telemetry::Telemetry,
-) -> (f64, f64, f64, f64, f64) {
-    let summary = resilience_summary(result);
-    t.set_gauge("grid.goodput_cpu_hours", summary.0);
-    t.set_gauge("grid.badput_cpu_hours", summary.1);
-    t.set_gauge("grid.badput_fraction", summary.2);
-    t.set_gauge("grid.retries_per_job", summary.3);
-    t.set_gauge("grid.completion_fraction", summary.4);
-    for (kind, events, lost) in loss_by_kind(result) {
-        t.counter(kind.loss_events_counter()).add(events as u64);
-        t.set_gauge(kind.lost_cpu_hours_gauge(), lost);
+    );
+    if t.is_enabled() {
+        t.set_gauge("grid.goodput_cpu_hours", summary.0);
+        t.set_gauge("grid.badput_cpu_hours", summary.1);
+        t.set_gauge("grid.badput_fraction", summary.2);
+        t.set_gauge("grid.retries_per_job", summary.3);
+        t.set_gauge("grid.completion_fraction", summary.4);
+        for (kind, events, lost) in loss_by_kind(result) {
+            t.counter(kind.loss_events_counter()).add(events as u64);
+            t.set_gauge(kind.lost_cpu_hours_gauge(), lost);
+        }
     }
     summary
 }
@@ -156,8 +152,9 @@ mod tests {
         let r = crate::resilience::run_resilient(
             &c,
             &crate::resilience::ResiliencePolicy::checkpoint_failover(),
+            &Telemetry::disabled(),
         );
-        let (good, bad, frac, retries, completion) = resilience_summary(&r);
+        let (good, bad, frac, retries, completion) = resilience_summary(&r, &Telemetry::disabled());
         assert!(good > 0.0);
         assert!(bad > 0.0, "sc05 scenario must burn badput");
         assert!((frac - bad / (good + bad)).abs() < 1e-12);

@@ -50,7 +50,7 @@
 
 use crate::campaign::{Campaign, CampaignResult};
 use crate::des::DispatchPolicy;
-use crate::durability::codec::{Dec, Enc};
+use crate::durability::codec::{index_in, Dec, Enc};
 use crate::durability::DurabilityError;
 use crate::event::{Agenda, SimTime};
 use crate::failure::{FailureEvent, FailureKind, FailureModel, OutageIndex};
@@ -465,7 +465,9 @@ impl JobState {
         e.put_bool(self.abandoned);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<JobState, DurabilityError> {
+    /// Read what [`JobState::encode`] wrote; a running or last site
+    /// that is not an index into the campaign's `sites` is `Corrupt`.
+    fn decode(d: &mut Dec<'_>, sites: usize) -> Result<JobState, DurabilityError> {
         Ok(JobState {
             attempt: d.take_u32()?,
             remaining: d.take_f64()?,
@@ -474,12 +476,12 @@ impl JobState {
             site_failures: d.take_vec(8, |d| Ok((d.take_u32()?, d.take_u32()?)))?,
             running: match d.take_u8()? {
                 0 => None,
-                1 => Some((d.take_usize()?, d.take_f64()?)),
+                1 => Some((index_in(d.take_usize()?, sites, "site")?, d.take_f64()?)),
                 t => return Err(DurabilityError::Corrupt(format!("invalid running tag {t}"))),
             },
             last_site: match d.take_u8()? {
                 0 => None,
-                1 => Some(d.take_usize()?),
+                1 => Some(index_in(d.take_usize()?, sites, "site")?),
                 t => {
                     return Err(DurabilityError::Corrupt(format!(
                         "invalid last-site tag {t}"
@@ -1575,22 +1577,25 @@ fn encode_ev(e: &mut Enc, ev: Ev) {
     }
 }
 
-fn decode_ev(d: &mut Dec<'_>) -> Result<Ev, DurabilityError> {
+/// Read what [`encode_ev`] wrote; a job, site or outage index past the
+/// campaign's is `Corrupt`.
+fn decode_ev(d: &mut Dec<'_>, campaign: &Campaign) -> Result<Ev, DurabilityError> {
+    let (jobs, sites) = (campaign.jobs.len(), campaign.federation.sites.len());
     Ok(match d.take_u8()? {
-        0 => Ev::Submit(d.take_u32()?),
+        0 => Ev::Submit(d.take_index(jobs, "job")?),
         1 => Ev::Finish {
-            si: d.take_u32()?,
-            ji: d.take_u32()?,
+            si: d.take_index(sites, "site")?,
+            ji: d.take_index(jobs, "job")?,
             attempt: d.take_u32()?,
         },
         2 => Ev::Fail {
-            si: d.take_u32()?,
-            ji: d.take_u32()?,
+            si: d.take_index(sites, "site")?,
+            ji: d.take_index(jobs, "job")?,
             attempt: d.take_u32()?,
             kind: failure_kind_from(d.take_u8()?)?,
         },
-        3 => Ev::OutageStart(d.take_u32()?),
-        4 => Ev::OutageEnd(d.take_u32()?),
+        3 => Ev::OutageStart(d.take_index(campaign.outages.len(), "outage")?),
+        4 => Ev::OutageEnd(d.take_index(sites, "site")?),
         5 => Ev::Poke,
         t => return Err(DurabilityError::Corrupt(format!("invalid event tag {t}"))),
     })
@@ -1644,9 +1649,11 @@ impl EngineImage {
     /// [`Engine::encode`] writes, rebuilding the release run from the
     /// campaign. Every structural violation is a
     /// [`DurabilityError::Corrupt`]: so are per-job and per-site lists
-    /// that do not match the campaign, and every time that the restored
-    /// engine would hold as a [`SimTime`] but is not one. Past that, the
-    /// replay trusts a payload that passes its checksum.
+    /// that do not match the campaign, every time that the restored
+    /// engine would hold as a [`SimTime`] but is not one, and every job,
+    /// site or outage index it would dereference that lies past the
+    /// campaign's lists. Past that, the replay trusts the in-range facts
+    /// of a payload that passes its checksum to agree with one another.
     pub(crate) fn decode(
         d: &mut Dec<'_>,
         campaign: &Campaign,
@@ -1655,18 +1662,22 @@ impl EngineImage {
         let img = EngineImage {
             events_processed: d.take_u64()?,
             // An entry's payload is at least an event tag.
-            agenda: Agenda::decode(d, release_times(campaign), 1, decode_ev)?,
+            agenda: Agenda::decode(d, release_times(campaign), 1, |d| decode_ev(d, campaign))?,
             vseq: d.take_u64()?,
             poke_pending: d
                 .take_vec(24, |d| {
                     Ok((
                         (d.take_u64()?, d.take_u64()?),
-                        (d.take_u32()?, d.take_u32()?),
+                        (d.take_index(sites, "site")?, d.take_u32()?),
                     ))
                 })?
                 .into_iter()
                 .collect(),
-            states: sized(d.take_vec(40, JobState::decode)?, jobs, "job states")?,
+            states: sized(
+                d.take_vec(40, |d| JobState::decode(d, sites))?,
+                jobs,
+                "job states",
+            )?,
             records: d.take_vec(44, |d| {
                 Ok(JobRecord {
                     job: d.take_u32()?,
@@ -1696,7 +1707,7 @@ impl EngineImage {
             rr_cursor: d.take_usize()?,
             total_retries: d.take_u32()?,
             schedulers: sized(
-                d.take_vec(33, SiteScheduler::decode)?,
+                d.take_vec(33, |d| SiteScheduler::decode(d, jobs))?,
                 sites,
                 "site schedulers",
             )?,
@@ -1725,56 +1736,33 @@ impl EngineImage {
 
 /// Execute a campaign under a resilience policy with the greedy
 /// dispatcher. Deterministic under the campaign seed.
-pub fn run_resilient(campaign: &Campaign, policy: &ResiliencePolicy) -> ResilientResult {
-    run_resilient_with_dispatch(campaign, policy, DispatchPolicy::EarliestCompletion)
-}
-
-/// [`run_resilient`] with telemetry: the replay runs under a
-/// `grid.campaign` span on the `("grid.campaign", seed)` track (its
-/// logical clock is simulated milliseconds), each job attempt is a
-/// `grid.attempt` span on that job's `("grid.job", id)` track, and
-/// failures, retries, checkpoint restores, abandonments and outages land
-/// as tagged instants. Every popped DES event fires the `DesEvent`
-/// probe. With `Telemetry::disabled()` this *is* [`run_resilient`] —
-/// bit-identical results either way.
-pub fn run_resilient_traced(
+///
+/// With an enabled `telemetry`, the replay runs under a `grid.campaign`
+/// span on the `("grid.campaign", seed)` track (its logical clock is
+/// simulated milliseconds), each job attempt is a `grid.attempt` span on
+/// that job's `("grid.job", id)` track, and failures, retries, checkpoint
+/// restores, abandonments and outages land as tagged instants. Every
+/// popped DES event fires the `DesEvent` probe. The result is
+/// bit-identical with `Telemetry::disabled()`.
+pub fn run_resilient(
     campaign: &Campaign,
     policy: &ResiliencePolicy,
     telemetry: &Telemetry,
 ) -> ResilientResult {
-    run_resilient_with_dispatch_traced(
+    run_resilient_with_stats(
         campaign,
         policy,
         DispatchPolicy::EarliestCompletion,
         telemetry,
     )
+    .0
 }
 
-/// Execute a campaign under a resilience policy with an explicit
-/// dispatch policy.
-pub fn run_resilient_with_dispatch(
-    campaign: &Campaign,
-    policy: &ResiliencePolicy,
-    dispatch: DispatchPolicy,
-) -> ResilientResult {
-    run_resilient_with_dispatch_traced(campaign, policy, dispatch, &Telemetry::disabled())
-}
-
-/// [`run_resilient_with_dispatch`] with telemetry (see
-/// [`run_resilient_traced`]).
-pub fn run_resilient_with_dispatch_traced(
-    campaign: &Campaign,
-    policy: &ResiliencePolicy,
-    dispatch: DispatchPolicy,
-    telemetry: &Telemetry,
-) -> ResilientResult {
-    run_resilient_with_stats(campaign, policy, dispatch, telemetry).0
-}
-
-/// [`run_resilient_with_dispatch_traced`] returning the replay *and* the
-/// engine's own scale counters ([`EngineStats`]): events processed, the
-/// global event-queue high-water mark and the deepest per-site batch
-/// queue. The replay itself is bit-identical to every other entry point.
+/// [`run_resilient`] with an explicit dispatch policy, returning the
+/// replay *and* the engine's own scale counters ([`EngineStats`]):
+/// events processed, the global event-queue high-water mark and the
+/// deepest per-site batch queue. e2ebench's `des_large` and
+/// `durable_10k` workloads call it.
 pub fn run_resilient_with_stats(
     campaign: &Campaign,
     policy: &ResiliencePolicy,
@@ -1825,7 +1813,7 @@ mod tests {
     fn failure_free_policy_matches_plain_des() {
         let c = Campaign::paper_batch_phase(11);
         let plain = crate::des::run_des(&c);
-        let resilient = run_resilient(&c, &ResiliencePolicy::none());
+        let resilient = run_resilient(&c, &ResiliencePolicy::none(), &Telemetry::disabled());
         assert_eq!(plain, resilient.result);
         assert!(resilient.failures.is_empty());
         assert!(resilient.abandoned.is_empty());
@@ -1842,8 +1830,8 @@ mod tests {
             ResiliencePolicy::retry_only(),
             ResiliencePolicy::checkpoint_failover(),
         ] {
-            let a = run_resilient(&c, &policy);
-            let b = run_resilient(&c, &policy);
+            let a = run_resilient(&c, &policy, &Telemetry::disabled());
+            let b = run_resilient(&c, &policy, &Telemetry::disabled());
             assert_eq!(a, b);
         }
     }
@@ -1851,7 +1839,11 @@ mod tests {
     #[test]
     fn failures_actually_occur_and_are_recovered() {
         let c = Campaign::paper_batch_phase(5);
-        let r = run_resilient(&c, &ResiliencePolicy::checkpoint_failover());
+        let r = run_resilient(
+            &c,
+            &ResiliencePolicy::checkpoint_failover(),
+            &Telemetry::disabled(),
+        );
         assert!(!r.failures.is_empty(), "sc05 model must produce failures");
         assert_eq!(r.result.records.len(), 72, "all jobs must complete");
         assert!(r.total_retries > 0);
@@ -1872,7 +1864,7 @@ mod tests {
         c.outages = vec![Outage::new(0, 20.0, 80.0, OutageCause::Hardware)];
         let mut kill = ResiliencePolicy::retry_only();
         kill.failures = FailureModel::none();
-        let killed = run_resilient(&c, &kill);
+        let killed = run_resilient(&c, &kill, &Telemetry::disabled());
         assert!(
             killed
                 .failures
@@ -1882,7 +1874,7 @@ mod tests {
         );
         let mut drain = kill;
         drain.outage = OutagePolicy::Drain;
-        let drained = run_resilient(&c, &drain);
+        let drained = run_resilient(&c, &drain, &Telemetry::disabled());
         assert!(drained.failures.is_empty());
         assert_eq!(drained.result.records.len(), 72);
     }
@@ -1909,8 +1901,8 @@ mod tests {
         ckpt.failures = crashy;
         ckpt.retry.max_retries = 100;
         ckpt.retry.backoff_factor = 1.0;
-        let a = run_resilient(&c, &scratch);
-        let b = run_resilient(&c, &ckpt);
+        let a = run_resilient(&c, &scratch, &Telemetry::disabled());
+        let b = run_resilient(&c, &ckpt, &Telemetry::disabled());
         assert!(!a.failures.is_empty() && !b.failures.is_empty());
         let saved_b: f64 = b.failures.iter().map(|f| f.saved_hours).sum();
         assert!(saved_b > 0.0, "checkpoints must save progress");
@@ -1945,7 +1937,7 @@ mod tests {
             crash_rate_per_hour: 0.0,
             gateway_drop_rate_per_hour: 0.0,
         };
-        let r = run_resilient(&c, &policy);
+        let r = run_resilient(&c, &policy, &Telemetry::disabled());
         assert!(r.result.records.is_empty());
         assert_eq!(r.abandoned.len(), 8);
         assert_eq!(r.completion_fraction(), 0.0);
@@ -1964,7 +1956,11 @@ mod tests {
         for j in c.jobs.iter_mut() {
             j.coupled = true;
         }
-        let r = run_resilient(&c, &ResiliencePolicy::checkpoint_failover());
+        let r = run_resilient(
+            &c,
+            &ResiliencePolicy::checkpoint_failover(),
+            &Telemetry::disabled(),
+        );
         let hpcx = 5;
         for rec in &r.result.records {
             assert_ne!(rec.site, hpcx, "coupled job completed on HPCx");
@@ -1981,7 +1977,7 @@ mod tests {
     fn naive_same_site_retry_never_migrates() {
         let mut c = Campaign::paper_batch_phase(21);
         c.outages = vec![Outage::security_breach(3, 12.0, 1.0)];
-        let r = run_resilient(&c, &ResiliencePolicy::naive());
+        let r = run_resilient(&c, &ResiliencePolicy::naive(), &Telemetry::disabled());
         // Each failed job's later attempts stay on the site of its first
         // attempt.
         for rec in &r.result.records {

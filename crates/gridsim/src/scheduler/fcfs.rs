@@ -364,35 +364,41 @@ impl SiteScheduler {
     /// indices (the eligible count, `run_index`); everything observable —
     /// start order, kill order, next finish, free-proc counts — is
     /// bit-identical to the encoded scheduler. Every structural violation,
-    /// a non-finite time included, is a [`DurabilityError::Corrupt`].
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<SiteScheduler, DurabilityError> {
+    /// a non-finite time included, is a [`DurabilityError::Corrupt`], and
+    /// so is a queued, running or finishing job id that is not an index
+    /// into the campaign's `jobs`.
+    pub(crate) fn decode(d: &mut Dec<'_>, jobs: usize) -> Result<SiteScheduler, DurabilityError> {
         let capacity = d.take_u32()?;
         let free = d.take_u32()?;
         let used = d.take_u32()?;
         let seq = d.take_u64()?;
         let mut eligible: BTreeMap<u32, BTreeMap<u64, u32>> = BTreeMap::new();
-        for (seq, job_id, procs) in
-            d.take_vec(16, |d| Ok((d.take_u64()?, d.take_u32()?, d.take_u32()?)))?
-        {
+        for (seq, job_id, procs) in d.take_vec(16, |d| {
+            Ok((d.take_u64()?, d.take_index(jobs, "job")?, d.take_u32()?))
+        })? {
             eligible.entry(procs).or_default().insert(seq, job_id);
         }
         let pending = d.take_vec(24, |d| {
             Ok(Reverse((
                 SimTime::decode(d)?,
                 d.take_u64()?,
-                d.take_u32()?,
+                d.take_index(jobs, "job")?,
                 d.take_u32()?,
             )))
         })?;
         let run_order: Vec<Running> = d.take_vec(16, |d| {
             Ok(Running {
-                job_id: d.take_u32()?,
+                job_id: d.take_index(jobs, "job")?,
                 procs: d.take_u32()?,
                 start_seq: d.take_u64()?,
             })
         })?;
         let finish = d.take_vec(20, |d| {
-            Ok(Reverse((SimTime::decode(d)?, d.take_u64()?, d.take_u32()?)))
+            Ok(Reverse((
+                SimTime::decode(d)?,
+                d.take_u64()?,
+                d.take_index(jobs, "job")?,
+            )))
         })?;
         Ok(SiteScheduler {
             capacity,
@@ -611,12 +617,14 @@ mod tests {
         s.encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut d = Dec::new(&bytes);
-        let mut r = SiteScheduler::decode(&mut d).expect("decode");
+        let mut r = SiteScheduler::decode(&mut d, 5).expect("decode");
         d.finish()
             .expect("the scheduler consumes its bytes exactly");
         let mut again = Enc::new();
         r.encode(&mut again);
         assert_eq!(again.into_bytes(), bytes, "encode(decode(b)) == b");
+        // Job 4 runs: no campaign of four jobs (ids 0..4) holds it.
+        assert!(SiteScheduler::decode(&mut Dec::new(&bytes), 4).is_err());
         assert_eq!(r.free_procs(), s.free_procs());
         assert_eq!(r.queued(), s.queued());
         assert_eq!(r.running(), s.running());

@@ -6,6 +6,7 @@
 use crate::campaign::CampaignResult;
 use crate::federation::Federation;
 use crate::resilience::ResilientResult;
+use spice_telemetry::Telemetry;
 
 /// Render a per-site text Gantt chart of the campaign, `width` columns
 /// wide. Each row is a site; each column a time slice; the glyph encodes
@@ -70,7 +71,35 @@ pub fn job_listing(result: &CampaignResult, federation: &Federation) -> String {
 
 /// One-line-per-failure timeline of a resilient execution, ordered by
 /// event time — the incident log the SC05 coordinators kept by hand.
-pub fn failure_listing(result: &ResilientResult, federation: &Federation) -> String {
+///
+/// An enabled `t` also receives the timeline, so a single JSONL export
+/// captures the whole incident log even for a result that was produced
+/// untraced (or deserialized). Each failure becomes a `grid.failure`
+/// instant on the `("grid.failure_log", 0)` track — deliberately distinct
+/// from the engine's live `("grid.job", id)` tracks so replaying a
+/// listing never duplicates a traced run's events.
+pub fn failure_listing(result: &ResilientResult, federation: &Federation, t: &Telemetry) -> String {
+    if t.is_enabled() {
+        let track = t.track("grid.failure_log", 0);
+        for f in &result.failures {
+            track.instant_at(
+                "grid.failure",
+                crate::resilience::sim_ticks(f.time),
+                vec![
+                    ("job", f.job.to_string()),
+                    ("attempt", f.attempt.to_string()),
+                    // spice-lint: allow(P002) report path: one pass over a finished result, not the DES hot loop
+                    ("site", federation.site(f.site).name.clone()),
+                    ("kind", f.kind.label().to_string()),
+                    ("lost_cpu_hours", format!("{:.3}", f.lost_cpu_hours)),
+                    ("saved_hours", format!("{:.3}", f.saved_hours)),
+                ],
+            );
+        }
+        for id in &result.abandoned {
+            track.instant("grid.abandoned", vec![("job", id.to_string())]);
+        }
+    }
     let mut out =
         String::from("  time   job  att  site          kind          lost-cpu-h  saved-h\n");
     for f in &result.failures {
@@ -93,40 +122,6 @@ pub fn failure_listing(result: &ResilientResult, federation: &Federation) -> Str
         ));
     }
     out
-}
-
-/// [`failure_listing`] that *also* replays the timeline into `t`'s event
-/// stream, so a single JSONL export captures the whole incident log even
-/// for a result that was produced untraced (or deserialized). Each
-/// failure becomes a `grid.failure` instant on the
-/// `("grid.failure_log", 0)` track — deliberately distinct from the
-/// engine's live `("grid.job", id)` tracks so replaying a listing never
-/// duplicates a traced run's events. Returns the same rendered text.
-pub fn failure_listing_traced(
-    result: &ResilientResult,
-    federation: &Federation,
-    t: &spice_telemetry::Telemetry,
-) -> String {
-    let track = t.track("grid.failure_log", 0);
-    for f in &result.failures {
-        track.instant_at(
-            "grid.failure",
-            crate::resilience::sim_ticks(f.time),
-            vec![
-                ("job", f.job.to_string()),
-                ("attempt", f.attempt.to_string()),
-                // spice-lint: allow(P002) report path: one pass over a finished result, not the DES hot loop
-                ("site", federation.site(f.site).name.clone()),
-                ("kind", f.kind.label().to_string()),
-                ("lost_cpu_hours", format!("{:.3}", f.lost_cpu_hours)),
-                ("saved_hours", format!("{:.3}", f.saved_hours)),
-            ],
-        );
-    }
-    for id in &result.abandoned {
-        track.instant("grid.abandoned", vec![("job", id.to_string())]);
-    }
-    failure_listing(result, federation)
 }
 
 #[cfg(test)]
@@ -199,8 +194,12 @@ mod tests {
     #[test]
     fn failure_listing_covers_every_failure() {
         let c = Campaign::sc05_outage_phase(5);
-        let r = run_resilient(&c, &ResiliencePolicy::checkpoint_failover());
-        let listing = failure_listing(&r, &c.federation);
+        let r = run_resilient(
+            &c,
+            &ResiliencePolicy::checkpoint_failover(),
+            &Telemetry::disabled(),
+        );
+        let listing = failure_listing(&r, &c.federation, &Telemetry::disabled());
         let body_lines = listing
             .lines()
             .filter(|l| !l.starts_with("  time") && !l.contains("abandoned"))
@@ -234,7 +233,7 @@ mod tests {
             total_retries: 2,
         };
         let f = Federation::paper_us_uk();
-        let listing = failure_listing(&r, &f);
+        let listing = failure_listing(&r, &f, &Telemetry::disabled());
         assert!(listing.contains("abandoned"));
         assert!(listing.contains('3') && listing.contains('7'));
     }

@@ -168,11 +168,6 @@ impl PmfCurve {
         Some(last.phi)
     }
 
-    /// Largest |Φ| over the grid (scale of the profile).
-    pub fn max_abs_phi(&self) -> f64 {
-        self.points.iter().map(|p| p.phi.abs()).fold(0.0, f64::max)
-    }
-
     /// RMS deviation from another curve over their common grid (requires
     /// identical grids; use for same-sweep comparisons).
     pub fn rms_difference(&self, other: &PmfCurve) -> f64 {

@@ -341,11 +341,6 @@ impl BatchSim {
         &self.masses
     }
 
-    /// Is lane `l` still considered live?
-    pub fn lane_alive(&self, l: usize) -> bool {
-        self.alive[l]
-    }
-
     /// Any live lanes left?
     pub fn any_alive(&self) -> bool {
         self.alive.iter().any(|&a| a)

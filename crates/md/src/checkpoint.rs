@@ -243,6 +243,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        assert!(Snapshot::read_json(deep.as_bytes()).is_err());
+    }
+
+    #[test]
     fn save_is_atomic_and_leaves_no_temp_file() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("spice_ckpt_atomic_{}.json", std::process::id()));

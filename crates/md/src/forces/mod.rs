@@ -100,11 +100,6 @@ impl ForceField {
         &self.topology
     }
 
-    /// Mutable access to the topology (e.g. to redefine groups).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
-    }
-
     /// Pair-kernel work counters; all-zero when there is no non-bonded
     /// term.
     pub fn kernel_counters(&self) -> crate::observables::KernelCounters {

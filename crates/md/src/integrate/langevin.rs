@@ -45,12 +45,6 @@ impl LangevinBaoab {
         self.temperature
     }
 
-    /// Change the target temperature (steering can adjust it live).
-    pub fn set_temperature(&mut self, t: f64) {
-        assert!(t > 0.0);
-        self.temperature = t;
-    }
-
     /// Friction coefficient (ps⁻¹).
     pub fn gamma(&self) -> f64 {
         self.gamma

@@ -276,11 +276,6 @@ impl Simulation {
         self.last_bias_energy
     }
 
-    /// Integrator name (diagnostics).
-    pub fn integrator_name(&self) -> &str {
-        self.integrator.name()
-    }
-
     /// Overwrite the step counter (checkpoint restore).
     pub(crate) fn set_step(&mut self, step: u64) {
         self.step = step;

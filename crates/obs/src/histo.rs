@@ -203,15 +203,6 @@ impl LogHistogram {
         sum
     }
 
-    /// Approximate mean (NaN when empty).
-    pub fn approx_mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.approx_sum() / self.count as f64
-        }
-    }
-
     /// The `q`-quantile under the nearest-rank definition (`q` clamped
     /// to `[0, 1]`): the representative of the bucket holding the
     /// `ceil(q·n)`-th smallest value, clamped to the exact `[min, max]`.

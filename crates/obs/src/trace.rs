@@ -236,11 +236,6 @@ impl TraceModel {
         })
     }
 
-    /// All tracks with the given name, in key order.
-    pub fn tracks_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a TraceTrack> {
-        self.tracks.iter().filter(move |t| t.track == name)
-    }
-
     /// Total event count across all tracks.
     pub fn event_count(&self) -> usize {
         self.tracks.iter().map(|t| t.events.len()).sum()

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use spice_gridsim::network::{Path, QosProfile};
-use spice_steering::{simulate_session_traced, ImdConfig};
+use spice_steering::{simulate_session, ImdConfig};
 use spice_telemetry::Telemetry;
 
 /// A miniature traced campaign with every trace feature the reports
@@ -48,7 +48,7 @@ fn build_trace() -> String {
         (1, QosProfile::TransAtlanticCommodity),
     ] {
         let path = Path::new(vec![profile.link()]);
-        simulate_session_traced(&cfg, &path, &path, &t, key);
+        simulate_session(&cfg, &path, &path, &t, key);
     }
     t.jsonl()
 }

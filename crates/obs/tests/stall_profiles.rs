@@ -6,7 +6,7 @@
 
 use spice_gridsim::network::{Path, QosProfile};
 use spice_obs::{detect, StallConfig, TraceModel};
-use spice_steering::{simulate_session_traced, ImdConfig};
+use spice_steering::{simulate_session, ImdConfig};
 use spice_telemetry::Telemetry;
 
 /// Run one traced session over `profile` and return the trace model
@@ -15,7 +15,7 @@ fn traced_session(profile: QosProfile, key: u64) -> (TraceModel, u64) {
     let t = Telemetry::enabled();
     let path = Path::new(vec![profile.link()]);
     let cfg = ImdConfig::default();
-    let stats = simulate_session_traced(&cfg, &path, &path, &t, key);
+    let stats = simulate_session(&cfg, &path, &path, &t, key);
     (TraceModel::from_snapshot(&t.snapshot()), stats.retransmits)
 }
 

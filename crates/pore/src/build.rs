@@ -21,16 +21,17 @@ pub enum SmdSelection {
     WholeStrand,
 }
 
+/// Pore-wall stiffness (kcal mol⁻¹ Å⁻²).
+const WALL_K: f64 = 5.0;
+/// Effective bead radius against the wall (Å).
+const WALL_BEAD_RADIUS: f64 = 2.5;
+
 /// Builder for the pore + DNA system.
 #[derive(Debug, Clone)]
 pub struct PoreSystemBuilder {
     geometry: PoreGeometry,
     dna: DnaParams,
     solvent: Solvent,
-    /// Pore-wall stiffness (kcal mol⁻¹ Å⁻²).
-    wall_k: f64,
-    /// Effective bead radius against the wall (Å).
-    wall_bead_radius: f64,
     /// Total constriction-ring charge (e); 0 disables the ring.
     ring_charge: f64,
     /// z of the leading DNA bead at build time.
@@ -52,8 +53,6 @@ impl PoreSystemBuilder {
             geometry: PoreGeometry::alpha_hemolysin(),
             dna: DnaParams::default(),
             solvent: Solvent::kcl_1m_300k(),
-            wall_k: 5.0,
-            wall_bead_radius: 2.5,
             ring_charge: -8.0,
             dna_start_z: 80.0,
             smd: SmdSelection::LeadBead,
@@ -75,12 +74,6 @@ impl PoreSystemBuilder {
     /// Override the solvent.
     pub fn solvent(mut self, s: Solvent) -> Self {
         self.solvent = s;
-        self
-    }
-
-    /// Override the wall stiffness.
-    pub fn wall_stiffness(mut self, k: f64) -> Self {
-        self.wall_k = k;
         self
     }
 
@@ -153,8 +146,8 @@ impl PoreSystemBuilder {
             })
             .with_external(PoreWall::new(
                 self.geometry.clone(),
-                self.wall_k,
-                self.wall_bead_radius,
+                WALL_K,
+                WALL_BEAD_RADIUS,
             ))
             .with_external(MembraneSlab::new(self.geometry.clone(), 10.0))
             // Keep strays bounded in bulk solution above/below the pore.

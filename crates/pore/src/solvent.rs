@@ -38,14 +38,6 @@ impl Solvent {
         }
     }
 
-    /// 0.1 M KCl at 300 K: λ_D ≈ 9.6 Å.
-    pub fn kcl_0p1m_300k() -> Self {
-        Solvent {
-            debye_length: 9.6,
-            ..Self::kcl_1m_300k()
-        }
-    }
-
     /// Debye length (Å) for a 1:1 electrolyte of molarity `c` at 300 K in
     /// water: λ_D = 3.04/√c.
     pub fn debye_length_for_molarity(c: f64) -> f64 {

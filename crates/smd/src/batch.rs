@@ -59,6 +59,7 @@ const AUDIT_REPLAY_STRIDE: u64 = 64;
 /// Bit-identical to the cloned path for every seed (slot `i` carries the
 /// same `WorkTrajectory` or the same error). Falls back to the cloned
 /// path when the factory's integrator is not BAOAB Langevin.
+/// e2ebench's `traced_cell` calls this untraced form.
 pub fn run_ensemble_batched<F>(
     factory: F,
     protocol: &PullProtocol,

@@ -119,7 +119,7 @@ where
 /// no-op; either way the trajectories are bit-identical to the untraced
 /// path.
 #[allow(clippy::too_many_arguments)]
-pub fn run_ensemble_cloned_traced<F>(
+pub(crate) fn run_ensemble_cloned_traced<F>(
     factory: F,
     protocol: &PullProtocol,
     n: usize,

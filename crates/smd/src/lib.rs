@@ -20,6 +20,9 @@
 //!   pull, record.
 //! * [`ensemble`] — rayon-parallel ensembles of independent realizations,
 //!   the in-process analogue of the paper's 72-simulation grid campaign.
+//! * [`batch`] — the cloned ensemble as lanes of one vectorized loop;
+//!   [`run_ensemble_batched_traced`] takes the telemetry handle, and its
+//!   untraced twin stays because e2ebench calls it.
 
 #![warn(missing_docs)]
 
@@ -33,9 +36,7 @@ pub mod runner;
 pub mod work;
 
 pub use batch::{run_ensemble_batched, run_ensemble_batched_traced};
-pub use ensemble::{
-    partition_outcomes, run_ensemble, run_ensemble_cloned, run_ensemble_cloned_traced,
-};
+pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned};
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;
 pub use runner::{anchor_and_hold, pull_from, run_pull, run_reverse_pull, PullOutcome};

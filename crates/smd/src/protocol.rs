@@ -76,12 +76,6 @@ impl PullProtocol {
         (self.pull_distance / (self.velocity().abs() * self.dt_ps)).ceil() as u64
     }
 
-    /// Wall-model cost of one realization, in MD steps — the quantity the
-    /// paper's §IV-C cost normalization is based on (cost ∝ 1/v).
-    pub fn cost_steps(&self) -> u64 {
-        self.equilibration_steps + self.pull_steps()
-    }
-
     /// How many realizations of this protocol fit in the compute budget of
     /// one realization of `reference` (the paper: "In the computational
     /// time that one sample at v = 12.5 Å/ns can be generated, eight

@@ -323,12 +323,6 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
     ScopeTree::build(tokens).test_mask(tokens.len())
 }
 
-/// Mark every token strictly inside a `loop`/`while`/`for` body.
-/// Thin wrapper over the scope tree.
-pub fn loop_body_mask(tokens: &[Token]) -> Vec<bool> {
-    ScopeTree::build(tokens).loop_mask(tokens.len())
-}
-
 /// Sync primitives whose mere mention inside a parallel region is an
 /// R001 hit (type position or constructor — both mean shared state).
 const R001_TYPES: &[&str] = &["Mutex", "RwLock", "RefCell"];

@@ -110,21 +110,18 @@ fn deliver(path: &Path, bytes: u64, rto_ms: f64, seed: u64, msg: &mut u64) -> (f
 
 /// Simulate a coupled session over `out` (sim → vis) and `back`
 /// (vis → sim) network paths.
-pub fn simulate_session(cfg: &ImdConfig, out: &Path, back: &Path) -> ImdStats {
-    simulate_session_traced(cfg, out, back, &Telemetry::disabled(), 0)
-}
-
-/// [`simulate_session`] that also records the session onto `t`: every
-/// completed exchange becomes a `steering.exchange` instant on the
+///
+/// An enabled `t` also records the session: every completed exchange
+/// becomes a `steering.exchange` instant on the
 /// `("steering.session", key)` track, stamped with the session's
 /// cumulative wall-clock milliseconds (compute + stall) as the logical
 /// clock and annotated with that exchange's round-trip and retransmit
 /// count. The inter-arrival gaps of those instants are exactly the
 /// cadence signal the `spice-obs` stall detector consumes: steady on the
-/// lightpath profile, retransmit-inflated on commodity IP. Also bumps
-/// the `steering.exchanges` / `steering.retransmits` counters. The
-/// simulated statistics are bit-identical to the untraced run.
-pub fn simulate_session_traced(
+/// lightpath profile, retransmit-inflated on commodity IP. The
+/// `steering.exchanges` / `steering.retransmits` counters are bumped too.
+/// The simulated statistics are bit-identical either way.
+pub fn simulate_session(
     cfg: &ImdConfig,
     out: &Path,
     back: &Path,
@@ -190,7 +187,7 @@ mod tests {
     fn lightpath_keeps_slowdown_small() {
         let cfg = ImdConfig::default();
         let lp = path(QosProfile::TransAtlanticLightpath);
-        let stats = simulate_session(&cfg, &lp, &lp);
+        let stats = simulate_session(&cfg, &lp, &lp, &Telemetry::disabled(), 0);
         assert!(
             stats.slowdown() < 2.1,
             "lightpath slowdown {} should stay near 1–2 for 100 ms compute bursts",
@@ -204,8 +201,8 @@ mod tests {
         let cfg = ImdConfig::default();
         let lp = path(QosProfile::TransAtlanticLightpath);
         let gp = path(QosProfile::TransAtlanticCommodity);
-        let s_lp = simulate_session(&cfg, &lp, &lp);
-        let s_gp = simulate_session(&cfg, &gp, &gp);
+        let s_lp = simulate_session(&cfg, &lp, &lp, &Telemetry::disabled(), 0);
+        let s_gp = simulate_session(&cfg, &gp, &gp, &Telemetry::disabled(), 0);
         assert!(
             s_gp.slowdown() > s_lp.slowdown(),
             "commodity {} vs lightpath {}",
@@ -222,8 +219,8 @@ mod tests {
         let lossy = Path::new(vec![lossy_link]);
         let clean = path(QosProfile::TransAtlanticLightpath);
         let cfg = ImdConfig::default();
-        let s_lossy = simulate_session(&cfg, &lossy, &lossy);
-        let s_clean = simulate_session(&cfg, &clean, &clean);
+        let s_lossy = simulate_session(&cfg, &lossy, &lossy, &Telemetry::disabled(), 0);
+        let s_clean = simulate_session(&cfg, &clean, &clean, &Telemetry::disabled(), 0);
         assert!(s_lossy.stall_ms > 2.0 * s_clean.stall_ms);
     }
 
@@ -244,12 +241,12 @@ mod tests {
     fn deterministic_under_seed() {
         let cfg = ImdConfig::default();
         let p = path(QosProfile::TransAtlanticCommodity);
-        let a = simulate_session(&cfg, &p, &p);
-        let b = simulate_session(&cfg, &p, &p);
+        let a = simulate_session(&cfg, &p, &p, &Telemetry::disabled(), 0);
+        let b = simulate_session(&cfg, &p, &p, &Telemetry::disabled(), 0);
         assert_eq!(a, b);
         let mut cfg2 = cfg.clone();
         cfg2.seed = 2;
-        let c = simulate_session(&cfg2, &p, &p);
+        let c = simulate_session(&cfg2, &p, &p, &Telemetry::disabled(), 0);
         assert_ne!(a.stall_ms, c.stall_ms);
     }
 
@@ -258,8 +255,8 @@ mod tests {
         let cfg = ImdConfig::default();
         let p = path(QosProfile::TransAtlanticCommodity);
         let t = Telemetry::enabled();
-        let traced = simulate_session_traced(&cfg, &p, &p, &t, 7);
-        let plain = simulate_session(&cfg, &p, &p);
+        let traced = simulate_session(&cfg, &p, &p, &t, 7);
+        let plain = simulate_session(&cfg, &p, &p, &Telemetry::disabled(), 0);
         assert_eq!(traced, plain);
 
         let snap = t.snapshot();
@@ -303,8 +300,8 @@ mod tests {
             steps_per_exchange: 100,
             ..ImdConfig::default()
         };
-        let s_fine = simulate_session(&fine, &p, &p);
-        let s_coarse = simulate_session(&coarse, &p, &p);
+        let s_fine = simulate_session(&fine, &p, &p, &Telemetry::disabled(), 0);
+        let s_coarse = simulate_session(&coarse, &p, &p, &Telemetry::disabled(), 0);
         assert!(s_fine.slowdown() > s_coarse.slowdown());
     }
 }

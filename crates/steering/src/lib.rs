@@ -31,6 +31,8 @@
 //! * [`imd`] — the coupled interactive-MD loop simulator used for the
 //!   QoS study (T-imd): stall and slowdown of a blocking bidirectional
 //!   exchange under latency/jitter/loss, lightpath vs commodity network.
+//!   [`simulate_session`] takes the telemetry handle and the track key
+//!   its exchanges land on; `Telemetry::disabled()` runs it untraced.
 
 #![warn(missing_docs)]
 
@@ -44,7 +46,7 @@ pub mod visualizer;
 
 pub use client::SteeringClient;
 pub use haptic::HapticDevice;
-pub use imd::{simulate_session, simulate_session_traced, ImdConfig, ImdStats};
+pub use imd::{simulate_session, ImdConfig, ImdStats};
 pub use message::{ControlMessage, Frame};
 pub use service::{ComponentId, GridService, LogEntry, SharedService};
 pub use sim_side::SteeringHook;

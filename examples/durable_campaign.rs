@@ -20,9 +20,7 @@
 
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::DispatchPolicy;
-use spice::gridsim::resilience::{
-    run_resilient_with_dispatch_traced, ResiliencePolicy, ResilientResult,
-};
+use spice::gridsim::resilience::{run_resilient_with_stats, ResiliencePolicy, ResilientResult};
 use spice::gridsim::trace::failure_listing;
 use spice::gridsim::{run_resilient_durable, CrashPlan, DurabilityError, DurableConfig};
 use spice::telemetry::Telemetry;
@@ -53,7 +51,7 @@ fn digest(campaign: &Campaign, result: &ResilientResult, telemetry: &Telemetry) 
     eat(serde_json::to_string(result)
         .expect("result serializes")
         .as_bytes());
-    eat(failure_listing(result, &campaign.federation).as_bytes());
+    eat(failure_listing(result, &campaign.federation, &Telemetry::disabled()).as_bytes());
     eat(telemetry.jsonl().as_bytes());
     h
 }
@@ -64,8 +62,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("reference") => {
             let telemetry = Telemetry::enabled();
-            let result =
-                run_resilient_with_dispatch_traced(&campaign, &policy, dispatch, &telemetry);
+            let result = run_resilient_with_stats(&campaign, &policy, dispatch, &telemetry).0;
             println!(
                 "reference: {} records, {} failures",
                 result.result.records.len(),

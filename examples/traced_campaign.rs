@@ -13,12 +13,12 @@
 use spice_core::config::Scale;
 use spice_core::experiments::resilience::sc05_campaign;
 use spice_core::pipeline::{run_cell, run_cell_traced};
-use spice_gridsim::metrics::resilience_summary_traced;
+use spice_gridsim::metrics::resilience_summary;
 use spice_gridsim::network::{Path, QosProfile};
-use spice_gridsim::trace::failure_listing_traced;
-use spice_gridsim::{run_resilient, run_resilient_traced, ResiliencePolicy};
+use spice_gridsim::trace::failure_listing;
+use spice_gridsim::{run_resilient, ResiliencePolicy};
 use spice_stats::rng::SeedSequence;
-use spice_steering::{simulate_session_traced, ImdConfig};
+use spice_steering::{simulate_session, ImdConfig};
 use spice_telemetry::Telemetry;
 
 fn main() {
@@ -40,9 +40,9 @@ fn main() {
     // ---- T-resil: checkpoint+failover under the SC05 outage ----------
     let campaign = sc05_campaign(master_seed);
     let policy = ResiliencePolicy::checkpoint_failover();
-    let resil = run_resilient_traced(&campaign, &policy, &telemetry);
-    let listing = failure_listing_traced(&resil, &campaign.federation, &telemetry);
-    let (goodput, badput, ..) = resilience_summary_traced(&resil, &telemetry);
+    let resil = run_resilient(&campaign, &policy, &telemetry);
+    let listing = failure_listing(&resil, &campaign.federation, &telemetry);
+    let (goodput, badput, ..) = resilience_summary(&resil, &telemetry);
     println!(
         "T-resil ckpt+failover: makespan {:.1} d, goodput {goodput:.0} CPU-h, \
          badput {badput:.0} CPU-h, {} failures",
@@ -67,7 +67,7 @@ fn main() {
         (1u64, QosProfile::TransAtlanticCommodity),
     ] {
         let net = Path::new(vec![profile.link()]);
-        let stats = simulate_session_traced(&imd_cfg, &net, &net, &telemetry, key);
+        let stats = simulate_session(&imd_cfg, &net, &net, &telemetry, key);
         println!(
             "T-imd {:?}: slowdown {:.2}x, {} retransmits over {} exchanges",
             profile,
@@ -86,7 +86,7 @@ fn main() {
         .map(|t| t.final_work())
         .collect();
     assert_eq!(works, works_plain, "telemetry perturbed the SMD ensemble");
-    let resil_plain = run_resilient(&campaign, &policy);
+    let resil_plain = run_resilient(&campaign, &policy, &Telemetry::disabled());
     assert_eq!(resil, resil_plain, "telemetry perturbed the DES campaign");
     println!("\ndeterminism: traced runs bit-identical to untraced reruns ✓");
 

@@ -140,13 +140,14 @@ fn clean_runs_pass_under_audit() {
 #[test]
 fn clean_resilient_runs_pass_under_audit() {
     use spice_gridsim::resilience::{run_resilient, ResiliencePolicy};
+    use spice_telemetry::Telemetry;
     let c = Campaign::sc05_outage_phase(123);
     for p in [
         ResiliencePolicy::naive(),
         ResiliencePolicy::retry_only(),
         ResiliencePolicy::checkpoint_failover(),
     ] {
-        let r = run_resilient(&c, &p);
+        let r = run_resilient(&c, &p, &Telemetry::disabled());
         assert_eq!(
             r.result.records.len() + r.abandoned.len(),
             72,

@@ -81,8 +81,8 @@ fn assert_engines_agree(campaign: &Campaign, policy: &ResiliencePolicy, dispatch
     let old_json = serde_json::to_string(&old_r).expect("serialize reference result");
     assert_eq!(new_json, old_json, "serialized bytes diverged");
     assert_eq!(
-        failure_listing(&new_r, &campaign.federation),
-        failure_listing(&old_r, &campaign.federation)
+        failure_listing(&new_r, &campaign.federation, &off),
+        failure_listing(&old_r, &campaign.federation, &off)
     );
 }
 

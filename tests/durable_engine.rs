@@ -15,10 +15,7 @@ use common::TempDir;
 use proptest::prelude::*;
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::DispatchPolicy;
-use spice::gridsim::resilience::{
-    run_resilient_with_dispatch, run_resilient_with_dispatch_traced, ResiliencePolicy,
-    ResilientResult,
-};
+use spice::gridsim::resilience::{run_resilient_with_stats, ResiliencePolicy, ResilientResult};
 use spice::gridsim::trace::failure_listing;
 use spice::gridsim::{run_resilient_durable, CrashPlan, DurabilityError, DurableConfig};
 use spice::telemetry::Telemetry;
@@ -85,14 +82,11 @@ fn killed_every_kth_event_matches_uninterrupted_for_all_policy_combinations() {
         for (tag, policy) in policies() {
             // Uninterrupted reference: the plain (non-durable) engine.
             let reference_telemetry = Telemetry::enabled();
-            let reference = run_resilient_with_dispatch_traced(
-                &campaign,
-                &policy,
-                dispatch,
-                &reference_telemetry,
-            );
+            let reference =
+                run_resilient_with_stats(&campaign, &policy, dispatch, &reference_telemetry).0;
             let reference_json = serde_json::to_string(&reference).unwrap();
-            let reference_listing = failure_listing(&reference, &campaign.federation);
+            let reference_listing =
+                failure_listing(&reference, &campaign.federation, &Telemetry::disabled());
             let reference_jsonl = reference_telemetry.jsonl();
 
             let dir = TempDir::new(&format!("durable_accept_{tag}"));
@@ -109,7 +103,7 @@ fn killed_every_kth_event_matches_uninterrupted_for_all_policy_combinations() {
                 "[{tag}/{dispatch:?}] restored records differ from uninterrupted"
             );
             assert_eq!(
-                failure_listing(&survivor, &campaign.federation),
+                failure_listing(&survivor, &campaign.federation, &Telemetry::disabled()),
                 reference_listing,
                 "[{tag}/{dispatch:?}] restored failure listing differs"
             );
@@ -129,8 +123,10 @@ fn stale_generation_restore_replays_forward_bit_identically() {
     let campaign = Campaign::sc05_outage_phase(7);
     let policy = ResiliencePolicy::checkpoint_failover();
     let dispatch = DispatchPolicy::EarliestCompletion;
-    let reference =
-        serde_json::to_string(&run_resilient_with_dispatch(&campaign, &policy, dispatch)).unwrap();
+    let reference = serde_json::to_string(
+        &run_resilient_with_stats(&campaign, &policy, dispatch, &Telemetry::disabled()).0,
+    )
+    .unwrap();
 
     let dir = TempDir::new("durable_stale_gen");
     // After generation 3 is written (retain = 3 keeps 1, 2, 3), the two
@@ -188,10 +184,9 @@ proptest! {
         let campaign = Campaign::synthetic(24, 4, seed);
         let (_, policy) = policies()[policy_ix];
         let dispatch = DISPATCHES[dispatch_ix];
-        let reference = serde_json::to_string(&run_resilient_with_dispatch(
-            &campaign, &policy, dispatch,
-        ))
-        .unwrap();
+        let (reference, _) =
+            run_resilient_with_stats(&campaign, &policy, dispatch, &Telemetry::disabled());
+        let reference = serde_json::to_string(&reference).unwrap();
 
         let dir = TempDir::new("durable_prop");
         let cfg = DurableConfig {

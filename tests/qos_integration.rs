@@ -8,6 +8,7 @@ use spice::gridsim::network::tcp::{flows_needed, mathis_throughput_mbps, DEFAULT
 use spice::gridsim::network::{Path, QosProfile};
 use spice::gridsim::resource::paper_federation_sites;
 use spice::steering::imd::{simulate_session, ImdConfig};
+use spice::telemetry::Telemetry;
 
 /// The full §II chain: a 300k-atom simulation on 256 procs, coupled over
 /// each network profile — lightpath keeps the session interactive,
@@ -25,7 +26,7 @@ fn interactivity_argument_chain() {
     };
     let run = |p: QosProfile| {
         let path = Path::new(vec![p.link()]);
-        simulate_session(&cfg, &path, &path)
+        simulate_session(&cfg, &path, &path, &Telemetry::disabled(), 0)
     };
     let lan = run(QosProfile::Lan);
     let lp = run(QosProfile::TransAtlanticLightpath);
@@ -59,8 +60,9 @@ fn gateway_routed_imd_is_worse_under_load() {
     let direct = Path::new(vec![base]);
     let gw = Gateway::psc();
     let routed_loaded = effective_path(base, Some((&gw, 128)));
-    let s_direct = simulate_session(&cfg, &direct, &direct);
-    let s_routed = simulate_session(&cfg, &routed_loaded, &routed_loaded);
+    let off = Telemetry::disabled();
+    let s_direct = simulate_session(&cfg, &direct, &direct, &off, 0);
+    let s_routed = simulate_session(&cfg, &routed_loaded, &routed_loaded, &off, 0);
     assert!(
         s_routed.slowdown() > s_direct.slowdown() * 1.2,
         "loaded gateway {} vs direct {}",

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::failure::{FailureModel, Outage, OutageCause};
 use spice::gridsim::resilience::{run_resilient, ResiliencePolicy, ResilientResult};
+use spice::telemetry::Telemetry;
 
 /// A randomized campaign: the 72-job production set with a random seed
 /// and up to three random outage windows.
@@ -83,7 +84,7 @@ proptest! {
             crash_rate_per_hour: crash,
             gateway_drop_rate_per_hour: crash,
         };
-        let r = run_resilient(&c, &policy(pol, failures));
+        let r = run_resilient(&c, &policy(pol, failures), &Telemetry::disabled());
 
         // Every job either completed or exhausted its retries.
         prop_assert_eq!(
@@ -125,8 +126,8 @@ proptest! {
     ) {
         let c = random_campaign(seed, &[(site, start, dur)]);
         let p = policy(pol, FailureModel::sc05());
-        let a = run_resilient(&c, &p);
-        let b = run_resilient(&c, &p);
+        let a = run_resilient(&c, &p, &Telemetry::disabled());
+        let b = run_resilient(&c, &p, &Telemetry::disabled());
         prop_assert_eq!(a, b);
     }
 }
@@ -141,7 +142,7 @@ fn sc05_scenario_accounts_for_all_jobs_under_all_policies() {
         ResiliencePolicy::retry_only(),
         ResiliencePolicy::checkpoint_failover(),
     ] {
-        let r = run_resilient(&c, &p);
+        let r = run_resilient(&c, &p, &Telemetry::disabled());
         assert_eq!(r.result.records.len() + r.abandoned.len(), 72);
         assert_processor_conservation(&r, &c);
     }

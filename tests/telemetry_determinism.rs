@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spice::core::config::Scale;
 use spice::core::pipeline::{pore_simulation, run_cell, run_cell_traced};
 use spice::gridsim::campaign::Campaign;
-use spice::gridsim::resilience::{run_resilient, run_resilient_traced, ResiliencePolicy};
+use spice::gridsim::resilience::{run_resilient, ResiliencePolicy};
 use spice::stats::rng::SeedSequence;
 use spice::telemetry::Telemetry;
 
@@ -64,9 +64,9 @@ proptest! {
             1 => ResiliencePolicy::retry_only(),
             _ => ResiliencePolicy::checkpoint_failover(),
         };
-        let plain = run_resilient(&campaign, &policy);
+        let plain = run_resilient(&campaign, &policy, &Telemetry::disabled());
         let t = Telemetry::enabled();
-        let traced = run_resilient_traced(&campaign, &policy, &t);
+        let traced = run_resilient(&campaign, &policy, &t);
         // `failures` is in event order; full struct equality covers it,
         // the per-job records and the CPU-hour accounting.
         prop_assert_eq!(&plain, &traced);
@@ -118,7 +118,7 @@ fn telemetry_exports_are_deterministic_across_reruns() {
         let t = Telemetry::enabled();
         run_cell_traced(Scale::Test, 100.0, 100.0, SeedSequence::new(11), &t, 0);
         let campaign = Campaign::paper_batch_phase(11);
-        run_resilient_traced(&campaign, &ResiliencePolicy::checkpoint_failover(), &t);
+        run_resilient(&campaign, &ResiliencePolicy::checkpoint_failover(), &t);
         (t.jsonl(), t.chrome_trace(), t.summary_tree())
     };
     let (jsonl_a, chrome_a, tree_a) = run();

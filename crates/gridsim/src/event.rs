@@ -1,15 +1,15 @@
-//! Deterministic discrete-event engine.
+//! Simulation time and the resilient engine's event agenda.
 //!
-//! Time is simulated hours (f64, totally ordered via `total_cmp`); events
-//! at equal times pop in insertion order (FIFO tie-break via a sequence
-//! counter), so simulations are bit-reproducible. [`EventQueue`] is the
-//! general-purpose heap; [`Agenda`] is the resilient engine's ordered
-//! event set, keyed by the engine's own stamps.
+//! Time is simulated hours (f64, totally ordered via `total_cmp`). The
+//! agenda pops entries in `(time, stamp)` order, where a stamp is the
+//! engine's own scheduling sequence number, so entries at equal times
+//! pop in the order they were scheduled and replays are
+//! bit-reproducible.
 
 use crate::durability::codec::{Dec, Enc};
 use crate::durability::DurabilityError;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Simulation time in hours.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -28,11 +28,6 @@ impl SimTime {
     pub fn from_hours(h: f64) -> Self {
         assert!(h.is_finite(), "simulation time must be finite");
         SimTime(h)
-    }
-
-    /// Time `dh` hours later.
-    pub fn after(self, dh: f64) -> SimTime {
-        SimTime::from_hours(self.0 + dh)
     }
 
     /// Read a time a snapshot wrote as raw f64 bits: what
@@ -62,31 +57,7 @@ impl Ord for SimTime {
     }
 }
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behavior on BinaryHeap (max-heap).
-        other.time.cmp(&self.time).then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// The scheduling-side guard every queue shares.
+/// The scheduling-side guard: nothing is scheduled before the clock.
 fn assert_not_past(t: SimTime, now: SimTime) {
     assert!(
         t >= now,
@@ -115,103 +86,6 @@ fn audit_pop(time: SimTime, now: SimTime) {
             time.hours(),
             now.hours()
         );
-    }
-}
-
-/// A time-ordered event queue with deterministic FIFO tie-breaking.
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: SimTime,
-    peak: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Empty queue at time zero.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            peak: 0,
-        }
-    }
-
-    /// Schedule `payload` at absolute time `t`.
-    ///
-    /// # Panics
-    /// Panics when scheduling into the past (before the last popped
-    /// event).
-    pub fn schedule(&mut self, t: SimTime, payload: E) {
-        assert_not_past(t, self.now);
-        self.heap.push(Entry {
-            time: t,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    /// Schedule `payload` `dh` hours from the current time.
-    pub fn schedule_in(&mut self, dh: f64, payload: E) {
-        let t = self.now.after(dh.max(0.0));
-        self.schedule(t, payload);
-    }
-
-    /// Audit-only scheduling that bypasses the into-the-past assert, so
-    /// injection tests can corrupt the queue and prove the pop-side
-    /// sanitizer fires. Never compiled into normal builds.
-    #[cfg(feature = "audit")]
-    pub fn schedule_unchecked(&mut self, t: SimTime, payload: E) {
-        self.heap.push(Entry {
-            time: t,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    /// Pop the next event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            #[cfg(feature = "audit")]
-            audit_pop(e.time, self.now);
-            self.now = e.time;
-            (e.time, e.payload)
-        })
-    }
-
-    /// The next event to pop — `(time, &payload)` — without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.payload))
-    }
-
-    /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// High-water mark of pending events over the queue's lifetime.
-    pub fn peak_len(&self) -> usize {
-        self.peak
     }
 }
 
@@ -423,76 +297,7 @@ impl<E> Agenda<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_hours(3.0), "c");
-        q.schedule(SimTime::from_hours(1.0), "a");
-        q.schedule(SimTime::from_hours(2.0), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(SimTime::from_hours(5.0), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_hours(2.5), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now().hours(), 2.5);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_hours(1.0), "first");
-        q.pop();
-        q.schedule_in(0.5, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t.hours(), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn rejects_past_scheduling() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_hours(2.0), ());
-        q.pop();
-        q.schedule(SimTime::from_hours(1.0), ());
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime::from_hours(1.0), ());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peak_len_is_a_high_water_mark() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule(SimTime::from_hours(f64::from(i)), i);
-        }
-        for _ in 0..3 {
-            q.pop();
-        }
-        q.schedule(SimTime::from_hours(9.0), 9);
-        assert_eq!(q.peak_len(), 5, "peak never shrinks on pops");
-        assert_eq!(q.len(), 3);
-    }
+    use proptest::prelude::*;
 
     /// The payload of a release in the agenda tests: a function of its
     /// stamp, as the engine derives `OutageStart`/`Submit` from theirs.
@@ -704,11 +509,39 @@ mod tests {
         a.pop();
     }
 
-    #[test]
-    fn negative_relative_delay_clamped() {
-        let mut q = EventQueue::new();
-        q.schedule_in(-5.0, "now");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::ZERO);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The agenda is a total order over the release run and the map
+        /// together: any mix of release times and scheduled entries pops
+        /// in `(time, stamp)` order. Times sit on a half-hour grid so
+        /// ties are common, and scheduled stamps skip, as the engine's
+        /// do around coalesced wakeups.
+        #[test]
+        fn agenda_total_order(
+            releases in prop::collection::vec(0u32..32, 0..24),
+            scheduled in prop::collection::vec((0u32..32, 1u64..4), 1..48),
+        ) {
+            let half_hours = |t: u32| f64::from(t) * 0.5;
+            let mut a = Agenda::new();
+            a.schedule_releases(releases.iter().map(|&t| half_hours(t)));
+            let run = releases.len() as u64;
+            let mut stamp = run;
+            for &(t, skip) in &scheduled {
+                stamp += skip;
+                a.schedule(SimTime::from_hours(half_hours(t)), stamp, stamp);
+            }
+            let mut last = None;
+            let mut popped = 0;
+            while let Some((t, stamp, payload)) = a.pop() {
+                prop_assert_eq!(payload.is_none(), stamp <= run, "only releases lack a payload");
+                if let Some(prev) = last {
+                    prop_assert!(prev < (t, stamp), "{:?} popped after {:?}", (t, stamp), prev);
+                }
+                last = Some((t, stamp));
+                popped += 1;
+            }
+            prop_assert_eq!(popped, releases.len() + scheduled.len());
+        }
     }
 }

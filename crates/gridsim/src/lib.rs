@@ -4,8 +4,8 @@
 //! paper ran on (Fig. 5: US TeraGrid — NCSA, SDSC, PSC — plus the UK
 //! NGS), including every infrastructure phenomenon §V reports:
 //!
-//! * [`event`] — a deterministic discrete-event engine (binary heap,
-//!   FIFO tie-breaking), and the resilient engine's ordered agenda.
+//! * [`event`] — simulation time and the resilient engine's ordered
+//!   event agenda (time order, ties broken by scheduling stamp).
 //! * [`resource`] / [`job`] — sites with processor counts and speed
 //!   factors; jobs with processor and wall-time demands.
 //! * [`scheduler`] — per-site FCFS batch queues with backfill, stochastic
@@ -34,15 +34,13 @@
 //!   and retry-with-failover, with goodput/badput accounting. The engine
 //!   is fully indexed (events carry dense indices, width-indexed site
 //!   schedulers, allocation-free dispatch) so campaigns of 10⁵–10⁶ jobs
-//!   replay in seconds.
+//!   replay in seconds. Golden digests in `tests/des_goldens.rs`, checked
+//!   against the seed engine before it was deleted, pin its outputs.
 //! * [`durability`] — crash-safe checkpoint/restore of the resilient
 //!   engine: atomic generation-numbered snapshots of the live DES,
 //!   graceful recovery to the newest intact file, and a deterministic
 //!   crash-injection harness. A campaign killed at any event boundary
 //!   resumes bit-identically.
-//! * [`reference`] — the frozen pre-rework seed engine, kept as a
-//!   runtime oracle: equivalence tests replay campaigns through both
-//!   engines and require bit-identical results.
 //! * [`metrics`] — utilization, wait-time and makespan accounting.
 //! * [`trace`] — text Gantt charts and job/failure listings of campaign
 //!   runs.
@@ -68,7 +66,6 @@ pub mod hidden_ip;
 pub mod job;
 pub mod metrics;
 pub mod network;
-pub mod reference;
 pub mod resilience;
 pub mod resource;
 pub mod scheduler;
@@ -79,7 +76,7 @@ pub use durability::{
     run_resilient_durable, CrashPlan, DurabilityError, DurableConfig, DurableOutcome,
     RecoveryReport,
 };
-pub use event::{EventQueue, SimTime};
+pub use event::SimTime;
 pub use failure::{FailureEvent, FailureKind, FailureModel, Outage, OutageIndex};
 pub use federation::{Federation, Grid};
 pub use job::{Job, JobId, JobRecord};

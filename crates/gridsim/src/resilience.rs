@@ -32,21 +32,21 @@
 //! candidate scratch buffer plus a `(procs, coupled) → fitting sites`
 //! cache instead of allocating per submit, and outage lookups go through
 //! a per-site [`OutageIndex`]. The seed engine's per-submission poke
-//! *chains* (re-poke at every finish epoch) all converge onto the same
-//! targets on a busy site, so its event count grows as
+//! *chains* (re-poke at every finish epoch) all converged onto the same
+//! targets on a busy site, so its event count grew as
 //! O(jobs × finish-epochs); here the duplicate `(time, site)` pokes are
 //! coalesced into pending-arrival blocks drained in the seed's exact
 //! schedule order (a virtual sequence counter stands in for the seed's
-//! event-queue tie-breaker — see [`Engine::schedule_pokes`]), and a
-//! whole block of chain steps whose site state has stopped changing
-//! collapses to O(1) bookkeeping. The agenda holds one marker per
-//! distinct wakeup instant instead of one event per chain hop, and the
-//! prologue's releases wait in one sorted run beside it. The pre-rework
-//! engine survives verbatim in [`crate::reference`]; equivalence tests
-//! replay campaigns through both and require bit-identical records,
-//! failure logs and summaries (the engines differ only in how many
-//! merged wakeup events they process), so every shortcut here is
-//! behaviour-preserving. See DESIGN.md §13.
+//! event-queue tie-breaker — see `Engine::schedule_pokes`), and a whole
+//! block of chain steps whose site state has stopped changing collapses
+//! to O(1) bookkeeping. The agenda holds one marker per distinct wakeup
+//! instant instead of one event per chain hop, and the prologue's
+//! releases wait in one sorted run beside it. Golden digests in
+//! `tests/des_goldens.rs` pin the records, failure logs, telemetry and
+//! event counts of every dispatch × resilience policy on the paper and
+//! synthetic campaigns. Before the seed engine was deleted, every golden
+//! case gave it the same records, failure log and per-job telemetry, so
+//! every shortcut here is behaviour-preserving. See DESIGN.md §13.
 
 use crate::campaign::{Campaign, CampaignResult};
 use crate::des::DispatchPolicy;

@@ -19,7 +19,7 @@ pub fn jarzynski_free_energy(works: &[f64], kt: f64) -> f64 {
 /// Second-order cumulant approximation:
 /// `ΔF ≈ ⟨W⟩ − Var(W) / (2 kT)` — exact for Gaussian work distributions
 /// (the stiff-spring / linear-response regime; Park et al. 2003, the
-/// paper's Ref. [10]).
+/// paper's Ref. \[10\]).
 pub fn cumulant_free_energy(works: &[f64], kt: f64) -> f64 {
     assert!(kt > 0.0, "kT must be positive");
     if works.len() < 2 {

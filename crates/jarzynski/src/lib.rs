@@ -24,7 +24,7 @@
 //!   validate the whole chain on exactly solvable systems.
 //! * [`crooks`] — bidirectional estimation (Crooks crossing, Bennett
 //!   acceptance ratio).
-//! * [`wham`] — the Weighted Histogram Analysis Method over umbrella
+//! * [`wham`](mod@wham) — the Weighted Histogram Analysis Method over umbrella
 //!   windows, closing the JE ↔ TI ↔ WHAM methodological triangle.
 
 #![warn(missing_docs)]

@@ -14,8 +14,8 @@
 //! - **Cross-platform bit-reproducibility**: trajectories no longer depend
 //!   on the host libm's last-ulp behaviour.
 //! - **Lane vectorization**: the per-replica draw decomposes into a
-//!   counter hash shared by every replica ([`gauss_hash`]) and a
-//!   per-replica tail ([`gauss_from`]) built from IEEE-exact branchless
+//!   counter hash shared by every replica (`gauss_hash`) and a
+//!   per-replica tail (`gauss_from`) built from IEEE-exact branchless
 //!   ops, so the batched integrator sweeps replica lanes through the same
 //!   function the scalar path calls — bit-identical by construction, and
 //!   8-wide under AVX-512.

@@ -46,8 +46,7 @@ pub struct HookContext<'a> {
     pub bias_energy: f64,
 }
 
-/// Observer invoked after every step (or every `stride` steps via
-/// [`Simulation::run_with_hooks`]).
+/// Observer invoked after every step of [`Simulation::run`].
 pub trait StepHook {
     /// Inspect/perturb the state; return [`HookAction::Stop`] to end the
     /// run early.

@@ -114,7 +114,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 /// Parse one JSON document; trailing whitespace is allowed, trailing
-/// content is an error, and so is nesting deeper than [`MAX_DEPTH`].
+/// content is an error, and so is nesting deeper than `MAX_DEPTH` (128).
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),

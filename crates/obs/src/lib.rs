@@ -14,7 +14,7 @@
 //!   paper's §II/III observation (a 256-proc run stalling over commodity
 //!   IP, staying interactive over the lightpath) as inter-arrival-gap
 //!   windows on steering-exchange instants.
-//! * [`diff`] — noise-aware A/B comparison of two exports (benchmark
+//! * [`diff`](mod@diff) — noise-aware A/B comparison of two exports (benchmark
 //!   JSON or telemetry JSONL) for regression gating.
 //! * [`flame`] — collapsed-stack flamegraph export.
 //! * [`report`] — the `spice-trace summary` view: span-duration

@@ -121,7 +121,7 @@ fn run(cmd: &str, cli: &Cli) -> Result<bool, String> {
     match cmd {
         "summary" => {
             let models = load_models(&cli.inputs)?;
-            let r = report::build(&models);
+            let r = report::build(&models)?;
             if cli.format_json {
                 println!("{}", r.to_json().render());
             } else {
@@ -130,7 +130,7 @@ fn run(cmd: &str, cli: &Cli) -> Result<bool, String> {
         }
         "critical-path" => {
             let models = load_models(&cli.inputs)?;
-            let r = report::build(&models);
+            let r = report::build(&models)?;
             if cli.format_json {
                 // The critical_paths member of the summary JSON, alone.
                 let full = r.to_json();

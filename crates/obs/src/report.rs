@@ -12,7 +12,7 @@
 use crate::critical::{self, CriticalStep, TrackGroup};
 use crate::histo::{LogHistogram, QuantileSummary};
 use crate::json::{self, Json};
-use crate::trace::{EvKind, MetricVal, TraceModel};
+use crate::trace::{histogram_count, EvKind, MetricVal, TraceModel};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -99,7 +99,10 @@ fn section(metrics: &BTreeMap<String, MetricVal>, prefix: &str) -> Vec<(String, 
 /// concatenated track-wise; metrics merge by name (counters and
 /// histogram counts add, gauges take the last input's value) so shard
 /// exports combine the way the live registry would have.
-pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
+///
+/// A counter or a histogram's count that sums past `u64::MAX`, within
+/// one input or across them, is an error naming the input and metric.
+pub fn build(inputs: &[(String, TraceModel)]) -> Result<SummaryReport, String> {
     let mut merged = TraceModel::default();
     let mut metrics: BTreeMap<String, MetricVal> = BTreeMap::new();
     let mut durations: BTreeMap<(String, String), LogHistogram> = BTreeMap::new();
@@ -109,8 +112,11 @@ pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
         fold_span_durations(model, &mut durations);
         merged.tracks.extend(model.tracks.iter().cloned());
         for (name, v) in &model.metrics {
+            let overflow = || format!("{label}: metric {name:?} sums past u64::MAX");
             match (metrics.get_mut(name), v) {
-                (Some(MetricVal::Counter(a)), MetricVal::Counter(b)) => *a += b,
+                (Some(MetricVal::Counter(a)), MetricVal::Counter(b)) => {
+                    *a = a.checked_add(*b).ok_or_else(overflow)?;
+                }
                 (Some(MetricVal::Gauge(a)), MetricVal::Gauge(b)) => *a = *b,
                 (
                     Some(MetricVal::Histogram {
@@ -126,7 +132,7 @@ pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
                 ) => {
                     if ba == bb && a.len() == b.len() {
                         for (x, y) in a.iter_mut().zip(b) {
-                            *x += y;
+                            *x = x.checked_add(*y).ok_or_else(overflow)?;
                         }
                         *s += t;
                     } else {
@@ -136,7 +142,10 @@ pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
                         // whose n and sum — the only aggregates the
                         // report surfaces — stay exact; collapsing is
                         // idempotent, so merge order still cannot matter.
-                        let n: u64 = a.iter().sum::<u64>() + b.iter().copied().sum::<u64>();
+                        let n = histogram_count(a)
+                            .zip(histogram_count(b))
+                            .and_then(|(x, y)| x.checked_add(y))
+                            .ok_or_else(overflow)?;
                         *ba = Vec::new();
                         *a = vec![n];
                         *s += t;
@@ -145,6 +154,11 @@ pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
                 _ => {
                     metrics.insert(name.clone(), v.clone());
                 }
+            }
+            // Merged buckets may each fit while their total does not,
+            // and `render_metric` totals them.
+            if let Some(MetricVal::Histogram { counts, .. }) = metrics.get(name) {
+                histogram_count(counts).ok_or_else(overflow)?;
             }
         }
     }
@@ -174,7 +188,7 @@ pub fn build(inputs: &[(String, TraceModel)]) -> SummaryReport {
             report.highlights.push((title.to_string(), entries));
         }
     }
-    report
+    Ok(report)
 }
 
 fn fmt_q(v: f64) -> String {
@@ -357,7 +371,7 @@ mod tests {
 
     #[test]
     fn report_aggregates_quantiles_and_highlights() {
-        let r = build(&[("snapshot".to_string(), demo_model())]);
+        let r = build(&[("snapshot".to_string(), demo_model())]).expect("report builds");
         assert_eq!(r.n_tracks, 4);
         let eq = r
             .span_quantiles
@@ -385,8 +399,8 @@ mod tests {
             t.counter("grid.failures").add(2);
             ("b".to_string(), TraceModel::from_snapshot(&t.snapshot()))
         };
-        let ab = build(&[a.clone(), b.clone()]);
-        let ba = build(&[b, a]);
+        let ab = build(&[a.clone(), b.clone()]).expect("report builds");
+        let ba = build(&[b, a]).expect("report builds");
         assert_eq!(ab.span_quantiles, ba.span_quantiles);
         assert_eq!(ab.highlights, ba.highlights, "counters add commutatively");
         let failures = &ab.highlights[0].1;
@@ -409,20 +423,24 @@ mod tests {
             ("s".to_string(), m)
         };
         // Same layout merges bucket-wise.
-        let same = build(&[shard(&[1.0], &[2, 3], 5.0), shard(&[1.0], &[1, 1], 2.0)]);
+        let same = build(&[shard(&[1.0], &[2, 3], 5.0), shard(&[1.0], &[1, 1], 2.0)])
+            .expect("report builds");
         assert_eq!(same.highlights[0].1[0].1, "n=7 sum=7");
         // Mismatched layouts collapse instead of zip-truncating: n counts
         // every observation from both shards.
         let a = shard(&[1.0], &[2, 3], 5.0);
         let b = shard(&[1.0, 10.0], &[1, 1, 4], 9.0);
-        let ab = build(&[a.clone(), b.clone()]);
+        let ab = build(&[a.clone(), b.clone()]).expect("report builds");
         assert_eq!(ab.highlights[0].1[0].1, "n=11 sum=14");
-        assert_eq!(build(&[b, a]).highlights, ab.highlights);
+        assert_eq!(
+            build(&[b, a]).expect("report builds").highlights,
+            ab.highlights
+        );
     }
 
     #[test]
     fn rendering_is_deterministic() {
-        let r = build(&[("snapshot".to_string(), demo_model())]);
+        let r = build(&[("snapshot".to_string(), demo_model())]).expect("report builds");
         assert_eq!(r.render_text(), r.render_text());
         assert_eq!(r.to_json().render(), r.to_json().render());
         assert!(r.render_text().contains("critical paths"));
@@ -430,7 +448,7 @@ mod tests {
 
     #[test]
     fn empty_input_renders_without_sections() {
-        let r = build(&[("x".to_string(), TraceModel::default())]);
+        let r = build(&[("x".to_string(), TraceModel::default())]).expect("report builds");
         assert_eq!(r.n_tracks, 0);
         assert!(r.highlights.is_empty());
         assert!(r.render_text().starts_with("trace summary"));

@@ -127,7 +127,9 @@ impl TraceModel {
     /// Parse a JSONL export (the output of `Telemetry::jsonl`). Event
     /// lines are grouped back into tracks in first-seen order — which,
     /// for an export, is `(name, key)` order. Unknown line types are an
-    /// error so silent drift between exporter and parser cannot hide.
+    /// error so silent drift between exporter and parser cannot hide,
+    /// and so is a histogram whose counts sum past `u64::MAX`: every
+    /// reader may total a parsed histogram's counts.
     pub fn from_jsonl(text: &str) -> Result<TraceModel, String> {
         let mut model = TraceModel::default();
         for (lineno, line) in text.lines().enumerate() {
@@ -195,10 +197,16 @@ impl TraceModel {
                 "histogram" => {
                     let name = req_str(&obj, "name", lineno)?;
                     let bounds = num_array(&obj, "bounds", lineno)?;
-                    let counts = num_array(&obj, "counts", lineno)?
+                    let counts: Vec<u64> = num_array(&obj, "counts", lineno)?
                         .into_iter()
                         .map(|v| v as u64)
                         .collect();
+                    if histogram_count(&counts).is_none() {
+                        return Err(format!(
+                            "line {}: histogram counts sum past u64::MAX",
+                            lineno + 1
+                        ));
+                    }
                     let sum = obj.get("sum").and_then(Json::as_f64).unwrap_or(f64::NAN);
                     model.metrics.push((
                         name,
@@ -240,6 +248,13 @@ impl TraceModel {
     pub fn event_count(&self) -> usize {
         self.tracks.iter().map(|t| t.events.len()).sum()
     }
+}
+
+/// Observations in a histogram's buckets, or `None` when they sum past
+/// `u64::MAX`: no registry records that many, so only a corrupt or
+/// hostile input does.
+pub(crate) fn histogram_count(counts: &[u64]) -> Option<u64> {
+    counts.iter().try_fold(0u64, |n, &c| n.checked_add(c))
 }
 
 fn req_str(obj: &Json, key: &str, lineno: usize) -> Result<String, String> {

@@ -140,7 +140,7 @@ impl GridService {
     /// `steering.message` instant on the `("steering.service", 0)` track
     /// (the logical clock is the delivered-message sequence number),
     /// bumps the `steering.messages` counter plus a per-kind counter
-    /// (static lowercase names — see [`kind_counter_name`]), and fires
+    /// (static lowercase names — see `kind_counter_name`), and fires
     /// the `SteeringMessage` probe. Delivery-flow accounting also
     /// exports: the `steering.client_lag` histogram (queue depth seen by
     /// each enqueue), the `steering.backlog_watermark` gauge (largest

@@ -6,7 +6,7 @@
 //! Compiled only under `cargo test --features audit`.
 #![cfg(feature = "audit")]
 
-use spice_gridsim::{Campaign, EventQueue, SimTime};
+use spice_gridsim::Campaign;
 use spice_md::forces::{ForceField, Restraint};
 use spice_md::integrate::LangevinBaoab;
 use spice_md::{BiasForce, Simulation, System, Topology, Vec3};
@@ -70,26 +70,6 @@ fn direct_state_corruption_trips_md_sanitizer() {
 #[should_panic(expected = "spice-audit[smd.finite_work]")]
 fn nan_work_trips_smd_sanitizer() {
     spice_smd::audit::check_finite_work(f64::NAN, 0.0, 3);
-}
-
-#[test]
-#[should_panic(expected = "spice-audit[gridsim.event_order]")]
-fn out_of_order_event_trips_des_sanitizer() {
-    let mut q = EventQueue::new();
-    q.schedule(SimTime::from_hours(2.0), "on-time");
-    q.pop();
-    // Bypass the schedule-side assert: the pop-side sanitizer must still
-    // catch the clock running backwards.
-    q.schedule_unchecked(SimTime::from_hours(1.0), "late");
-    q.pop();
-}
-
-#[test]
-#[should_panic(expected = "spice-audit[gridsim.finite_time]")]
-fn nan_event_time_trips_des_sanitizer() {
-    let mut q = EventQueue::new();
-    q.schedule_unchecked(SimTime(f64::NAN), ());
-    q.pop();
 }
 
 #[test]

@@ -4,8 +4,31 @@
 //! and uses a different subset of it, so unused-item lints are off.
 #![allow(dead_code)]
 
+use spice::gridsim::des::DispatchPolicy;
+use spice::gridsim::resilience::ResiliencePolicy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Every dispatch policy, in the order the DES pins list them.
+pub const DISPATCHES: [DispatchPolicy; 3] = [
+    DispatchPolicy::EarliestCompletion,
+    DispatchPolicy::RoundRobin,
+    DispatchPolicy::Random,
+];
+
+/// Every resilience policy with its name, in the order the DES pins
+/// list them.
+pub fn policies() -> [(&'static str, ResiliencePolicy); 4] {
+    [
+        ("none", ResiliencePolicy::none()),
+        ("naive", ResiliencePolicy::naive()),
+        ("retry_only", ResiliencePolicy::retry_only()),
+        (
+            "checkpoint_failover",
+            ResiliencePolicy::checkpoint_failover(),
+        ),
+    ]
+}
 
 /// FNV-1a offset basis: the digest of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

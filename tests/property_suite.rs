@@ -2,7 +2,6 @@
 //! inputs, not just the curated cases in unit tests.
 
 use proptest::prelude::*;
-use spice::gridsim::event::{EventQueue, SimTime};
 use spice::gridsim::scheduler::profile::CapacityProfile;
 use spice::jarzynski::crooks::bar_free_energy;
 use spice::jarzynski::{cumulant_free_energy, jarzynski_free_energy, mean_work};
@@ -140,28 +139,6 @@ proptest! {
                 "earliest_start returned infeasible slot t={t}");
         } else {
             prop_assert!(procs > 64);
-        }
-    }
-
-    /// The event queue is a total order: any mix of times pops sorted,
-    /// equal times pop FIFO.
-    #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0.0f64..100.0, 1..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_hours(t), i);
-        }
-        let mut last_t = f64::NEG_INFINITY;
-        let mut last_seq_at_t = None::<usize>;
-        while let Some((t, seq)) = q.pop() {
-            prop_assert!(t.hours() >= last_t);
-            if t.hours() == last_t {
-                if let Some(prev) = last_seq_at_t {
-                    prop_assert!(seq > prev, "FIFO violated at t={}", t.hours());
-                }
-            }
-            last_t = t.hours();
-            last_seq_at_t = Some(seq);
         }
     }
 }

@@ -25,13 +25,13 @@
 //!    and replicate the BAOAB update's exact parse order. The bonded
 //!    tiers call the same `forces::bonded` helpers as the scalar
 //!    kernels (`bond_force`, `AngleGeometry`, `DihedralGeometry`,
-//!    `dihedral_du_dphi`), each force expression written once. Their
-//!    libm calls (`acos` per angle, `atan2` and `sin` per dihedral) stay
-//!    scalar calls, one per lane, in a pass between two vectorized
-//!    passes: a branch-free `detmath` replacement would vectorize too,
-//!    but it rounds differently from libm and would move every
-//!    trajectory. LLVM never contracts mul+add to FMA without fast-math,
-//!    so vectorized lanes produce the scalar bits.
+//!    `dihedral_du_dphi`), each force expression written once. No force
+//!    calls libm: θ, φ and dU/dφ come from `det_acos`, `det_atan2` and
+//!    `det_sin`, so each bonded tier is one vectorized loop per term. An
+//!    algebraic rewrite (a reciprocal shared by several terms, say)
+//!    belongs in the shared helper, where both paths see it, never in a
+//!    lane kernel alone. LLVM never contracts mul+add to FMA without
+//!    fast-math, so vectorized lanes produce the scalar bits.
 //! 2. **Masked adds instead of branches.** Where a scalar kernel skips
 //!    (pair `r2 == 0` or beyond cutoff; a coincident bonded pair, a
 //!    zero-length angle arm, a collinear dihedral), the lane kernel
@@ -73,6 +73,7 @@
 
 use crate::forces::nonbonded::{DebyeHuckel, LjParams};
 use crate::forces::{ExternalPotential, ForceField};
+use crate::integrate::langevin::ou_decay;
 use crate::neighbor::CellList;
 use crate::rng::{gauss_from, gauss_hash};
 use crate::sim::Simulation;
@@ -241,7 +242,7 @@ impl BatchSim {
         let mut c2 = Vec::with_capacity(r);
         let mut kt = Vec::with_capacity(r);
         for t in (0..r).map(thermostat) {
-            let c1_l = (-t.gamma * dt).exp();
+            let c1_l = ou_decay(t.gamma, dt);
             seeds.push(t.noise_seed);
             c1.push(c1_l);
             c2.push((1.0 - c1_l * c1_l).sqrt());
@@ -670,10 +671,10 @@ mod lanes {
     use crate::vec3::Vec3;
     use std::sync::OnceLock;
 
-    /// Lane rows of scratch the tiers need: the dihedral tier's cos φ,
-    /// sin φ and dU/dφ plus its four force vectors (the bond and pair
-    /// tiers use three rows, the angle tier seven).
-    pub(super) const SCRATCH_ROWS: usize = 15;
+    /// Lane rows of scratch the tiers need: the dihedral tier's four
+    /// force vectors (the bond and pair tiers use three rows, the angle
+    /// tier six).
+    pub(super) const SCRATCH_ROWS: usize = 12;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum SimdTier {
@@ -1137,9 +1138,8 @@ mod lanes {
     simd_dispatch!(bond_tier / bond_tier_impl / bond_tier_gen / bond_tier_avx2 / bond_tier_avx512;
         (bonds: &[Bond], r: usize, pos: &[f64], frc: &mut [f64], scratch: &mut [f64]));
 
-    /// Angle tier swept across lanes in `angle_forces`' order: cos θ
-    /// (vectorized), libm's `acos` once per lane (scalar: the scalar
-    /// kernel's exact bits), then the forces (vectorized), the
+    /// Angle tier swept across lanes in `angle_forces`' order, one
+    /// vectorized pass per angle: geometry, θ by `det_acos`, forces, the
     /// zero-length-arm skip a masked `±0.0`.
     #[inline(always)]
     fn angle_tier_impl(
@@ -1149,21 +1149,14 @@ mod lanes {
         frc: &mut [f64],
         scratch: &mut [f64],
     ) {
-        let (theta, rest) = scratch.split_at_mut(r);
-        let [mut fi, mut fk] = scratch_rows::<2>(rest, r);
+        let [mut fi, mut fk] = scratch_rows::<2>(scratch, r);
         for a in angles {
             let pi = Rows::of(pos, a.i, r);
             let pj = Rows::of(pos, a.j, r);
             let pk = Rows::of(pos, a.k_idx, r);
-            for (l, t) in theta.iter_mut().enumerate() {
-                *t = AngleGeometry::new(pi.at(l), pj.at(l), pk.at(l)).cos_t;
-            }
-            for t in theta.iter_mut() {
-                *t = t.acos();
-            }
-            for (l, &t) in theta.iter().enumerate() {
+            for l in 0..r {
                 let g = AngleGeometry::new(pi.at(l), pj.at(l), pk.at(l));
-                let (f_i, f_k) = g.forces(a, t);
+                let (f_i, f_k) = g.forces(a, g.theta());
                 let live = !g.degenerate();
                 fi.put(l, masked(f_i, live));
                 fk.put(l, masked(f_k, live));
@@ -1178,10 +1171,9 @@ mod lanes {
     simd_dispatch!(angle_tier / angle_tier_impl / angle_tier_gen / angle_tier_avx2 / angle_tier_avx512;
         (angles: &[Angle], r: usize, pos: &[f64], frc: &mut [f64], scratch: &mut [f64]));
 
-    /// Dihedral tier swept across lanes in `dihedral_forces`' order:
-    /// (cos φ, sin φ) (vectorized), libm's `atan2` and `sin` once per
-    /// lane (scalar: the scalar kernel's exact bits), then the forces
-    /// (vectorized), the collinear skip a masked `±0.0`.
+    /// Dihedral tier swept across lanes in `dihedral_forces`' order, one
+    /// vectorized pass per dihedral: geometry, φ by `det_atan2`, dU/dφ by
+    /// `det_sin`, forces, the collinear skip a masked `±0.0`.
     #[inline(always)]
     fn dihedral_tier_impl(
         dihedrals: &[Dihedral],
@@ -1190,25 +1182,15 @@ mod lanes {
         frc: &mut [f64],
         scratch: &mut [f64],
     ) {
-        let (cos, rest) = scratch.split_at_mut(r);
-        let (sin, rest) = rest.split_at_mut(r);
-        let (du, rest) = rest.split_at_mut(r);
-        let [mut fi, mut fj, mut fk, mut fl] = scratch_rows::<4>(rest, r);
+        let [mut fi, mut fj, mut fk, mut fl] = scratch_rows::<4>(scratch, r);
         for d in dihedrals {
             let pi = Rows::of(pos, d.i, r);
             let pj = Rows::of(pos, d.j, r);
             let pk = Rows::of(pos, d.k_idx, r);
             let pl = Rows::of(pos, d.l, r);
-            for (l, (c, s)) in cos.iter_mut().zip(sin.iter_mut()).enumerate() {
+            for l in 0..r {
                 let g = DihedralGeometry::new(pi.at(l), pj.at(l), pk.at(l), pl.at(l));
-                (*c, *s) = g.cos_sin();
-            }
-            for ((u, &c), &s) in du.iter_mut().zip(&*cos).zip(&*sin) {
-                *u = dihedral_du_dphi(d, s.atan2(c));
-            }
-            for (l, &u) in du.iter().enumerate() {
-                let g = DihedralGeometry::new(pi.at(l), pj.at(l), pk.at(l), pl.at(l));
-                let [f_i, f_j, f_k, f_l] = g.forces(u);
+                let [f_i, f_j, f_k, f_l] = g.forces(dihedral_du_dphi(d, g.phi()));
                 let live = !g.degenerate();
                 fi.put(l, masked(f_i, live));
                 fj.put(l, masked(f_j, live));
@@ -1310,8 +1292,10 @@ mod lanes {
         /// DESIGN §16.5: every SIMD tier gives the same bits. The fixture
         /// is the bonded strand spread over 19 lanes (two full AVX-512
         /// vectors and a three-lane tail) with a coincident bonded pair in
-        /// lane 3 and every bead at the origin in lane 5, so the masked
-        /// adds and the FENE cap select run in every tier.
+        /// lane 3, every bead at the origin in lane 5, and in lanes 7 and
+        /// 9 the first two angles at `det_acos`'s select boundaries
+        /// (cos θ = −1 then 1/2, and +1 then −1/2), so the masked adds,
+        /// the FENE cap select and the acos fold run in every tier.
         #[test]
         fn every_simd_tier_gives_the_same_bits() {
             let (sys, ff) = super::super::tests::bonded_parts();
@@ -1337,6 +1321,18 @@ mod lanes {
                 pos[(3 + a) * r + 3] = pos[a * r + 3];
                 for i in 0..n {
                     pos[(i * 3 + a) * r + 5] = 0.0;
+                }
+            }
+            // Beads 0–3 at exactly representable boundary geometry: bead 0
+            // on the far side of the apex or folded back, bead 3 off the
+            // apex (1, 0, 0) along the float nearest 60° or 120°.
+            let y = 0.866_025_403_784_438_7;
+            for (l, b0, b3x) in [(7, -1.0, 0.5), (9, 0.5, 1.5)] {
+                let beads = [[b0, 0.0, 0.0], [0.0; 3], [1.0, 0.0, 0.0], [b3x, y, 0.0]];
+                for (i, p) in beads.iter().enumerate() {
+                    for (a, &c) in p.iter().enumerate() {
+                        pos[(i * 3 + a) * r + l] = c;
+                    }
                 }
             }
             let refp: Vec<f64> = pos.iter().map(|p| p + 0.05).collect();

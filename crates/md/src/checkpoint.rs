@@ -84,7 +84,12 @@ impl Snapshot {
     /// [`MdError::CheckpointVersion`] when the snapshot was written
     /// under a different schema version (or predates versioning —
     /// reported as version 0); [`MdError::Checkpoint`] for structural
-    /// corruption.
+    /// corruption, including a `System` that breaks an invariant
+    /// `System::add_particle` keeps (per-particle arrays of different
+    /// lengths, a mass that is not finite and positive, an inverse mass
+    /// that is not `1.0 / mass`, a non-finite coordinate, velocity, force
+    /// or charge), which would otherwise restore and then panic or poison
+    /// the first step.
     pub fn read_json<R: Read>(mut r: R) -> Result<Snapshot, MdError> {
         let mut raw = String::new();
         r.read_to_string(&mut raw)?;
@@ -101,7 +106,11 @@ impl Snapshot {
                 })
             }
         }
-        serde_json::from_str(&raw).map_err(Into::into)
+        let snap: Snapshot = serde_json::from_str(&raw)?;
+        snap.system
+            .check_invariants()
+            .map_err(|e| MdError::Checkpoint(format!("snapshot system: {e}")))?;
+        Ok(snap)
     }
 
     /// Save to a file atomically: the JSON lands in a temp sibling, is

@@ -1,7 +1,8 @@
 //! Deterministic transcendental kernels for hot simulation paths.
 //!
-//! `ln`, `sin`, `cos`, and `exp` from the platform libm are correctly
-//! rounded (or nearly so) but come with two costs this engine cannot pay:
+//! `ln`, `sin`, `cos`, `exp`, `acos` and `atan2` from the platform libm are
+//! correctly rounded (or nearly so) but come with two costs this engine
+//! cannot pay:
 //!
 //! 1. **Platform dependence.** glibc, musl, and macOS libm disagree in the
 //!    last ulp, so a trajectory digest computed on one platform need not
@@ -27,7 +28,17 @@
 //! Accuracy is a few parts in 1e9 or better — far below thermostat noise
 //! and the statistical error bars of any observable in this codebase, but
 //! NOT a drop-in ulp-for-ulp replacement for libm: switching a call site
-//! changes trajectories the way changing a seed does.
+//! changes trajectories the way changing a seed does. The inverse
+//! trigonometric kernels ([`det_acos`], [`det_atan2`]) are rational or
+//! polynomial fits good to a few ulps of π (under 1e-15 absolute), since
+//! the angle force subtracts θ₀ from their result.
+//!
+//! Every force of the MD step takes its transcendentals from here: the
+//! pair tiers and the pore field (`det_exp`, `det_sincos2pi`), the bonded
+//! terms (`det_acos` per angle, `det_atan2` and `det_sin` per dihedral)
+//! and the Langevin decay `c1 = det_exp(−γ·dt)`. The step's bits
+//! therefore depend on no host libm; the libm calls left in
+//! `md::forces` are energy-only or construction constants.
 
 /// Mantissa bits of sqrt(2), used to fold the significand into
 /// [1/√2, √2] so the ln series converges fast.
@@ -137,6 +148,128 @@ pub fn det_exp(x: f64) -> f64 {
     p * f64::from_bits(((1023 + ki) as u64) << 52)
 }
 
+/// sin(x) for |x| < 2⁵¹·2π: [`det_sincos2pi`]'s sine half at x/(2π), to
+/// the same standard (max absolute error ≈ 6e-10; exactly odd; sin 0 = 0).
+/// The dihedral force's `sin(nφ − δ)`.
+#[inline(always)]
+pub fn det_sin(x: f64) -> f64 {
+    det_sincos2pi(x * (0.5 * std::f64::consts::FRAC_1_PI)).0
+}
+
+/// π/2 split into a head (the f64 nearest π/2) and the tail it drops, so
+/// the angle formulas keep the bits a single f64 would lose.
+const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
+#[allow(clippy::excessive_precision)]
+const PIO2_LO: f64 = 6.123_233_995_736_766_035_87e-17;
+
+/// arccos(x) for x ∈ [-1, 1], in [0, π].
+///
+/// fdlibm's scheme without its branches. asin(t) = t + t·R(t²) with one
+/// rational R(z) = z·P(z)/Q(z), fitted on z ∈ [0, 1/4], serves both
+/// halves of a fold at |x| = 1/2:
+/// * |x| < 1/2: acos x = π/2 − asin x, with z = x²;
+/// * |x| ≥ 1/2: acos |x| = 2·asin s with s = √z, z = (1 − |x|)/2, and
+///   acos(−|x|) = π − 2·asin s.
+///
+/// Both halves are computed and a select picks one, so the cost is one
+/// division, one square root and two short polynomials, and the function
+/// vectorizes in a lane sweep. Max absolute error ≈ 4e-16 against libm;
+/// acos 1 = 0 and acos(−1) = π exactly. Outside [-1, 1] the result is
+/// garbage (callers clamp).
+#[inline(always)]
+pub fn det_acos(x: f64) -> f64 {
+    // fdlibm's e_acos.c coefficients, digits as published.
+    #[allow(clippy::excessive_precision)]
+    const P: [f64; 6] = [
+        1.666_666_666_666_666_574_15e-01,
+        -3.255_658_186_224_009_154_05e-01,
+        2.012_125_321_348_629_258_81e-01,
+        -4.005_553_450_067_941_140_27e-02,
+        7.915_349_942_898_145_321_76e-04,
+        3.479_331_075_960_211_675_70e-05,
+    ];
+    #[allow(clippy::excessive_precision)]
+    const Q: [f64; 4] = [
+        -2.403_394_911_734_414_218_78e+00,
+        2.020_945_760_233_505_694_71e+00,
+        -6.882_839_716_054_532_930_30e-01,
+        7.703_815_055_590_193_527_91e-02,
+    ];
+    let a = x.abs();
+    let small = a < 0.5;
+    let z = if small { x * x } else { (1.0 - a) * 0.5 };
+    let p = z * (P[0] + z * (P[1] + z * (P[2] + z * (P[3] + z * (P[4] + z * P[5])))));
+    let q = 1.0 + z * (Q[0] + z * (Q[1] + z * (Q[2] + z * Q[3])));
+    let r = p / q;
+    let s = z.sqrt();
+    let near_zero = PIO2_HI - (x - (PIO2_LO - x * r));
+    let near_one = 2.0 * (s + s * r);
+    let near_minus_one = 2.0 * PIO2_HI - 2.0 * (s + (s * r - PIO2_LO));
+    let folded = if x > 0.0 { near_one } else { near_minus_one };
+    if small {
+        near_zero
+    } else {
+        folded
+    }
+}
+
+/// atan2(y, x) in [-π, π], for finite `x` and `y` not both zero.
+///
+/// Branch-free octant reduction with one division. With m = min(|x|, |y|)
+/// and M = max(|x|, |y|), the ratio m/M ∈ [0, 1] is folded again at
+/// tan(π/8): above it, atan(m/M) = π/4 + atan((m − M)/(m + M)). The
+/// numerator and denominator are selected before the one division, so
+/// the reduced t satisfies |t| ≤ tan(π/8), where fdlibm's odd degree-23
+/// atan polynomial (fitted on |t| ≤ 7/16) applies. Selects then unfold
+/// the octant (π/2 − a where |y| > |x|, π − a where x < 0), and the sign
+/// of `y` is copied onto the result, so atan2(−y, x) = −atan2(y, x) bit
+/// for bit and atan2(±0, x < 0) = ±π, as in libm. Max absolute error
+/// ≈ 4e-16 against libm; atan2(0, 1) = 0, atan2(1, 1) = π/4 and
+/// atan2(0, −1) = π exactly. x = y = 0 gives NaN (libm gives ±0 or ±π).
+#[inline(always)]
+pub fn det_atan2(y: f64, x: f64) -> f64 {
+    // fdlibm's s_atan.c coefficients, digits as published.
+    #[allow(clippy::excessive_precision)]
+    const T: [f64; 11] = [
+        3.333_333_333_333_293_180_27e-01,
+        -1.999_999_999_987_648_324_76e-01,
+        1.428_571_427_250_346_637_11e-01,
+        -1.111_111_040_546_235_578_80e-01,
+        9.090_887_133_436_506_561_96e-02,
+        -7.691_876_205_044_829_994_95e-02,
+        6.661_073_137_387_531_206_69e-02,
+        -5.833_570_133_790_573_486_45e-02,
+        4.976_877_994_615_932_360_17e-02,
+        -3.653_157_274_421_691_552_70e-02,
+        1.628_582_011_536_578_236_23e-02,
+    ];
+    #[allow(clippy::excessive_precision)]
+    const TAN_PI_8: f64 = 4.142_135_623_730_950_488_02e-01;
+    let (ax, ay) = (x.abs(), y.abs());
+    let (lo, hi) = (ax.min(ay), ax.max(ay));
+    let wide = lo > TAN_PI_8 * hi;
+    let num = if wide { lo - hi } else { lo };
+    let den = if wide { lo + hi } else { hi };
+    let t = num / den;
+    let z = t * t;
+    let w = z * z;
+    let s1 = z * (T[0] + w * (T[2] + w * (T[4] + w * (T[6] + w * (T[8] + w * T[10])))));
+    let s2 = w * (T[1] + w * (T[3] + w * (T[5] + w * (T[7] + w * T[9]))));
+    let atan_t = t - t * (s1 + s2);
+    let octant = if wide {
+        std::f64::consts::FRAC_PI_4 + atan_t
+    } else {
+        atan_t
+    };
+    let quadrant = if ay > ax { PIO2_HI - octant } else { octant };
+    let half = if x < 0.0 {
+        std::f64::consts::PI - quadrant
+    } else {
+        quadrant
+    };
+    half.copysign(y)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +352,160 @@ mod tests {
         max_rel = max_rel.max(rel);
         assert!(max_rel < 1e-11, "exp rel err {max_rel:e}");
         assert_eq!(det_exp(0.0), 1.0);
+    }
+
+    #[test]
+    fn sin_matches_libm_to_budget() {
+        let mut max_abs = 0.0f64;
+        for u in uniforms(100_000) {
+            // nφ − δ for multiplicities up to 6 and any phase, then far out.
+            for x in [u * 8.0 - 4.0, (u - 0.5) * 50.0, (u - 0.5) * 1e4] {
+                max_abs = max_abs.max((det_sin(x) - x.sin()).abs());
+                assert_eq!(det_sin(-x).to_bits(), (-det_sin(x)).to_bits(), "odd at {x}");
+            }
+        }
+        assert!(max_abs < 1e-8, "sin abs err {max_abs:e}");
+        assert_eq!(det_sin(0.0), 0.0);
+        assert!((det_sin(std::f64::consts::FRAC_PI_2) - 1.0).abs() < 1e-8);
+        assert!(det_sin(std::f64::consts::PI).abs() < 1e-8);
+    }
+
+    /// Points of [-1, 1] an acos must get right: uniforms, both ends
+    /// approached over many binades, and both sides of the ±1/2 fold.
+    fn acos_domain() -> Vec<f64> {
+        let mut xs: Vec<f64> = uniforms(200_000).map(|u| 2.0 * u - 1.0).collect();
+        for u in uniforms(2_000) {
+            for k in 1..=50 {
+                let eps = u * (2f64).powi(-k);
+                xs.extend([
+                    1.0 - eps,
+                    eps - 1.0,
+                    0.5 + eps,
+                    0.5 - eps,
+                    eps - 0.5,
+                    -0.5 - eps,
+                ]);
+            }
+        }
+        for x in [0.5f64, -0.5, 1.0, -1.0, 0.0, -0.0] {
+            xs.extend([x, x.next_up(), x.next_down()]);
+        }
+        xs.retain(|x| (-1.0..=1.0).contains(x));
+        xs
+    }
+
+    #[test]
+    fn acos_matches_libm_over_the_whole_domain() {
+        let mut max_abs = 0.0f64;
+        for x in acos_domain() {
+            let err = (det_acos(x) - x.acos()).abs();
+            assert!(
+                err < 1e-14,
+                "acos({x:e}) = {} against libm {}",
+                det_acos(x),
+                x.acos()
+            );
+            max_abs = max_abs.max(err);
+        }
+        assert!(max_abs < 1e-15, "acos abs err {max_abs:e}");
+    }
+
+    #[test]
+    fn acos_landmarks_and_symmetry() {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_3, PI};
+        assert_eq!(det_acos(1.0), 0.0);
+        assert_eq!(det_acos(-1.0), PI);
+        assert_eq!(det_acos(0.0), FRAC_PI_2);
+        assert_eq!(det_acos(-0.0), FRAC_PI_2);
+        assert!((det_acos(0.5) - FRAC_PI_3).abs() < 1e-15);
+        assert!((det_acos(-0.5) - 2.0 * FRAC_PI_3).abs() < 1e-15);
+        // acos(−x) = π − acos(x) across the whole domain, and the result
+        // never leaves [0, π].
+        for x in acos_domain() {
+            let (a, b) = (det_acos(x), det_acos(-x));
+            assert!(
+                (a + b - PI).abs() < 1e-15,
+                "acos({x:e}) + acos(-x) = {}",
+                a + b
+            );
+            assert!((0.0..=PI).contains(&a), "acos({x:e}) = {a}");
+        }
+        // Monotone through the fold: no step where the select switches.
+        for x in [0.5f64, -0.5] {
+            assert!(det_acos(x.next_down()) >= det_acos(x));
+            assert!(det_acos(x) >= det_acos(x.next_up()));
+        }
+    }
+
+    /// (y, x) pairs an atan2 must get right: every direction of the
+    /// circle at radii over many binades, the axes, the diagonals and
+    /// both sides of the tan(π/8) fold in every octant.
+    fn atan2_domain() -> Vec<(f64, f64)> {
+        let mut pts = Vec::new();
+        for (k, u) in uniforms(100_000).enumerate() {
+            let a = (2.0 * u - 1.0) * std::f64::consts::PI;
+            let r = (10f64).powi(k as i32 % 25 - 12);
+            pts.push((r * a.sin(), r * a.cos()));
+        }
+        let t8 = (std::f64::consts::PI / 8.0).tan();
+        for u in uniforms(500) {
+            let m = 1.0 + 9.0 * u;
+            for (y, x) in [(m, 0.0), (0.0, m), (m, m), (m * t8, m), (m, m * t8)] {
+                for (sy, sx) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                    pts.push((sy * y, sx * x));
+                    pts.push((sy * y.next_up(), sx * x));
+                    pts.push((sy * y.next_down(), sx * x));
+                }
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn atan2_matches_libm_over_the_whole_domain() {
+        let mut max_abs = 0.0f64;
+        for (y, x) in atan2_domain() {
+            let err = (det_atan2(y, x) - y.atan2(x)).abs();
+            assert!(
+                err < 1e-14,
+                "atan2({y:e}, {x:e}) = {}, libm {}",
+                det_atan2(y, x),
+                y.atan2(x)
+            );
+            max_abs = max_abs.max(err);
+        }
+        assert!(max_abs < 1e-15, "atan2 abs err {max_abs:e}");
+    }
+
+    #[test]
+    fn atan2_landmarks_and_symmetry() {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+        assert_eq!(det_atan2(0.0, 1.0).to_bits(), 0f64.to_bits());
+        assert_eq!(det_atan2(-0.0, 1.0).to_bits(), (-0f64).to_bits());
+        assert_eq!(det_atan2(0.0, -1.0), PI);
+        assert_eq!(det_atan2(-0.0, -1.0), -PI);
+        assert_eq!(det_atan2(1.0, 0.0), FRAC_PI_2);
+        assert_eq!(det_atan2(-1.0, 0.0), -FRAC_PI_2);
+        assert_eq!(det_atan2(1.0, 1.0), FRAC_PI_4);
+        assert!((det_atan2(1.0, -1.0) - 3.0 * FRAC_PI_4).abs() < 1e-15);
+        for (y, x) in atan2_domain() {
+            let a = det_atan2(y, x);
+            // Odd in y bit for bit; mirror in x to rounding; in [-π, π].
+            assert_eq!(
+                det_atan2(-y, x).to_bits(),
+                (-a).to_bits(),
+                "odd at ({y:e}, {x:e})"
+            );
+            let m = det_atan2(y, -x);
+            assert!(
+                (m - (PI - a.abs()).copysign(y)).abs() < 2e-15,
+                "mirror at ({y:e}, {x:e})"
+            );
+            assert!((-PI..=PI).contains(&a));
+            // Scale-free: scaling both arguments by 4 is exact, so the
+            // bits do not move.
+            assert_eq!(det_atan2(4.0 * y, 4.0 * x).to_bits(), a.to_bits());
+        }
     }
 
     #[test]

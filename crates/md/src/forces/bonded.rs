@@ -5,17 +5,20 @@
 //! Conventions follow CHARMM/NAMD: bond `U = k (r − r0)²`,
 //! angle `U = k (θ − θ0)²`, dihedral `U = k (1 + cos(nφ − δ))`.
 
+use crate::detmath::{det_acos, det_atan2, det_sin};
 use crate::topology::{Angle, Bond, BondKind, Dihedral};
 use crate::vec3::Vec3;
 
 // Each term's force expression is written once, in the `#[inline(always)]`
 // helpers below; the scalar kernels here and the lane tiers of
 // `md::batch` both call them, so the two paths produce the same bits. The
-// helpers are branch-free over lanes (a select, never an early return) and
-// free of libm calls: the one transcendental per angle (`acos`) and per
-// dihedral (`atan2`, `sin`) is taken by the caller between a helper's
-// geometry and its force, so the lane tiers can make it one scalar call
-// per lane between two vectorized passes.
+// helpers are branch-free over lanes (a select, never an early return)
+// and libm-free: θ comes from `detmath::det_acos`, φ from `det_atan2` and
+// the dihedral's dU/dφ from `det_sin`, so a lane tier runs geometry,
+// angle and force in one vectorized loop. Each helper pays one division
+// per distinct denominator and multiplies by the reciprocal. The libm
+// calls left here (the FENE `ln`, the dihedral energy's `cos`) feed the
+// energies only, which the lane tiers never compute.
 
 /// FENE extension cap: from 99 % of R0 on, the bond continues linearly
 /// with the force at the cap. Steep enough to restore any transient
@@ -35,12 +38,12 @@ fn fene_cap_force(b: &Bond) -> f64 {
 /// direction is undefined and the kernels add nothing.
 #[inline(always)]
 pub(crate) fn bond_force(b: &Bond, d: Vec3, r: f64) -> Vec3 {
-    let dir = d / r;
+    let dir = d * (1.0 / r);
     let coeff = match b.kind {
         // F_j = -dU/dr · dir = -2k (r - r0) dir
         BondKind::Harmonic => -2.0 * b.k * (r - b.r0),
         BondKind::Fene => {
-            let x = r / b.r0;
+            let x = r * (1.0 / b.r0);
             if x >= FENE_X_CAP {
                 -fene_cap_force(b)
             } else {
@@ -73,12 +76,14 @@ pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f
                 b.k * dr * dr
             }
             BondKind::Fene => {
-                let x = r / b.r0;
+                let x = r * (1.0 / b.r0);
                 if x >= FENE_X_CAP {
                     let f_cap = fene_cap_force(b);
+                    // spice-lint: allow(N003) energy only: the force is the linear cap
                     let e_cap = -0.5 * b.k * b.r0 * b.r0 * (1.0 - FENE_X_CAP * FENE_X_CAP).ln();
                     e_cap + f_cap * (r - FENE_X_CAP * b.r0)
                 } else {
+                    // spice-lint: allow(N003) energy only: bond_force takes no log
                     -0.5 * b.k * b.r0 * b.r0 * (1.0 - x * x).ln()
                 }
             }
@@ -91,15 +96,17 @@ pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f
 }
 
 /// Geometry of one harmonic angle `i–j–k`: the arms from the apex `j`,
-/// their lengths and the clamped cos θ.
+/// their lengths and reciprocal lengths, and the clamped cos θ.
 #[derive(Clone, Copy)]
 pub(crate) struct AngleGeometry {
     rij: Vec3,
     rkj: Vec3,
     nij: f64,
     nkj: f64,
-    /// cos θ, clamped to [-1, 1]; θ = `cos_t.acos()`.
-    pub(crate) cos_t: f64,
+    inv_ij: f64,
+    inv_kj: f64,
+    /// cos θ, clamped to [-1, 1].
+    cos_t: f64,
 }
 
 impl AngleGeometry {
@@ -108,12 +115,15 @@ impl AngleGeometry {
         let rij = pi - pj;
         let rkj = pk - pj;
         let (nij, nkj) = (rij.norm(), rkj.norm());
-        let cos_t = (rij.dot(rkj) / (nij * nkj)).clamp(-1.0, 1.0);
+        let (inv_ij, inv_kj) = (1.0 / nij, 1.0 / nkj);
+        let cos_t = (rij.dot(rkj) * (inv_ij * inv_kj)).clamp(-1.0, 1.0);
         AngleGeometry {
             rij,
             rkj,
             nij,
             nkj,
+            inv_ij,
+            inv_kj,
             cos_t,
         }
     }
@@ -125,17 +135,25 @@ impl AngleGeometry {
         self.nij == 0.0 || self.nkj == 0.0
     }
 
-    /// Forces on the end beads `i` and `k` of angle `a` at bend
-    /// `theta = cos_t.acos()`; the apex `j` takes minus their sum.
+    /// The bend θ ∈ [0, π].
+    #[inline(always)]
+    pub(crate) fn theta(&self) -> f64 {
+        det_acos(self.cos_t)
+    }
+
+    /// Forces on the end beads `i` and `k` of angle `a` at bend `theta`
+    /// (see [`theta`](Self::theta)); the apex `j` takes minus their sum.
     #[inline(always)]
     pub(crate) fn forces(&self, a: &Angle, theta: f64) -> (Vec3, Vec3) {
-        let (rij, rkj, nij, nkj, cos_t) = (self.rij, self.rkj, self.nij, self.nkj, self.cos_t);
+        let (rij, rkj, cos_t) = (self.rij, self.rkj, self.cos_t);
+        let (inv_ij, inv_kj) = (self.inv_ij, self.inv_kj);
         let dt = theta - a.theta0;
         // dU/dθ = 2k dθ ; chain rule via standard angle-force expressions.
         let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
         let coeff = 2.0 * a.k * dt / sin_t;
-        let fi = (rkj / (nij * nkj) - rij * (cos_t / (nij * nij))) * coeff;
-        let fk = (rij / (nij * nkj) - rkj * (cos_t / (nkj * nkj))) * coeff;
+        let inv_ik = inv_ij * inv_kj;
+        let fi = (rkj * inv_ik - rij * (cos_t * (inv_ij * inv_ij))) * coeff;
+        let fk = (rij * inv_ik - rkj * (cos_t * (inv_kj * inv_kj))) * coeff;
         (fi, fk)
     }
 }
@@ -148,7 +166,7 @@ pub fn angle_forces(angles: &[Angle], positions: &[Vec3], forces: &mut [Vec3]) -
         if g.degenerate() {
             continue;
         }
-        let theta = g.cos_t.acos();
+        let theta = g.theta();
         let dt = theta - a.theta0;
         energy += a.k * dt * dt;
         let (fi, fk) = g.forces(a, theta);
@@ -199,13 +217,15 @@ impl DihedralGeometry {
         self.n1n < 1e-10 || self.n2n < 1e-10 || self.b2n < 1e-10
     }
 
-    /// `(cos φ, sin φ)`, cos φ clamped to [-1, 1]; φ = `sin.atan2(cos)`.
+    /// The torsion φ ∈ [-π, π], from cos φ (clamped to [-1, 1]) and
+    /// sin φ.
     #[inline(always)]
-    pub(crate) fn cos_sin(&self) -> (f64, f64) {
+    pub(crate) fn phi(&self) -> f64 {
         let (n1, n2) = (self.n1, self.n2);
-        let cos_phi = (n1.dot(n2) / (self.n1n * self.n2n)).clamp(-1.0, 1.0);
-        let sin_phi = n1.cross(n2).dot(self.b2) / (self.n1n * self.n2n * self.b2n);
-        (cos_phi, sin_phi)
+        let inv_n = 1.0 / (self.n1n * self.n2n);
+        let cos_phi = (n1.dot(n2) * inv_n).clamp(-1.0, 1.0);
+        let sin_phi = n1.cross(n2).dot(self.b2) * (inv_n / self.b2n);
+        det_atan2(sin_phi, cos_phi)
     }
 
     /// Forces on `i`, `j`, `k`, `l` for `du_dphi` = dU/dφ (see
@@ -217,20 +237,20 @@ impl DihedralGeometry {
         // Standard analytic gradient (see e.g. Allen & Tildesley):
         let fi = n1 * (du_dphi * b2n / (n1n * n1n));
         let fl = n2 * (-du_dphi * b2n / (n2n * n2n));
-        let p = b1.dot(b2) / (b2n * b2n);
-        let q = b3.dot(b2) / (b2n * b2n);
+        let inv_b2n2 = 1.0 / (b2n * b2n);
+        let p = b1.dot(b2) * inv_b2n2;
+        let q = b3.dot(b2) * inv_b2n2;
         let fj = fi * (-(1.0 + p)) + fl * q;
         let fk = fl * (-(1.0 + q)) + fi * p;
         [fi, fj, fk, fl]
     }
 }
 
-/// dU/dφ = -k n sin(nφ - δ) of dihedral `d` at torsion `phi`: the libm
-/// part of the dihedral force, called once per dihedral (and per lane).
+/// dU/dφ = -k n sin(nφ - δ) of dihedral `d` at torsion `phi`.
 #[inline(always)]
 pub(crate) fn dihedral_du_dphi(d: &Dihedral, phi: f64) -> f64 {
     let nf = d.n as f64;
-    -d.k * nf * (nf * phi - d.delta).sin()
+    -d.k * nf * det_sin(nf * phi - d.delta)
 }
 
 /// Accumulate cosine-dihedral forces; returns dihedral energy (kcal/mol).
@@ -246,9 +266,9 @@ pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut 
         if g.degenerate() {
             continue; // collinear degenerate geometry
         }
-        let (cos_phi, sin_phi) = g.cos_sin();
-        let phi = sin_phi.atan2(cos_phi);
+        let phi = g.phi();
         let nf = d.n as f64;
+        // spice-lint: allow(N003) energy only: the force takes det_sin
         energy += d.k * (1.0 + (nf * phi - d.delta).cos());
         let [fi, fj, fk, fl] = g.forces(dihedral_du_dphi(d, phi));
         forces[d.i] += fi;

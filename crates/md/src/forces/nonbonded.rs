@@ -75,6 +75,7 @@ impl LjParams {
     /// Purely repulsive WCA: cutoff at the LJ minimum 2^(1/6)σ, shifted so
     /// the potential is continuous and ≥ 0.
     pub fn wca(sigma: f64, epsilon: f64) -> Self {
+        // spice-lint: allow(N003) construction constant: the cutoff 2^(1/6)σ, computed once
         Self::new(sigma, epsilon, 2.0f64.powf(1.0 / 6.0) * sigma, true)
     }
 
@@ -83,26 +84,30 @@ impl LjParams {
         self.shift_energy
     }
 
-    /// Unshifted pair energy at squared distance `r2` (no cutoff check).
+    /// Unshifted pair energy at squared distance `r2` (no cutoff check),
+    /// by [`energy_force`](Self::energy_force)'s expression, so a shifted
+    /// potential is exactly zero at its cutoff.
     #[inline]
     pub(crate) fn raw_energy(&self, r2: f64) -> f64 {
-        let s2 = self.sigma * self.sigma / r2;
+        let s2 = self.sigma * self.sigma * (1.0 / r2);
         let s6 = s2 * s2 * s2;
         4.0 * self.epsilon * (s6 * s6 - s6)
     }
 
     /// Energy (with shift applied if configured) and the scalar
-    /// `f/r` factor such that `force_on_j = (r_j - r_i) * (f/r)`.
-    #[inline]
+    /// `f/r` factor such that `force_on_j = (r_j - r_i) * (f/r)`. One
+    /// division, `1/r²`, shared by both.
+    #[inline(always)]
     pub fn energy_force(&self, r2: f64) -> (f64, f64) {
-        let s2 = self.sigma * self.sigma / r2;
+        let inv_r2 = 1.0 / r2;
+        let s2 = self.sigma * self.sigma * inv_r2;
         let s6 = s2 * s2 * s2;
         let mut e = 4.0 * self.epsilon * (s6 * s6 - s6);
         if self.shifted {
             e -= self.shift_energy;
         }
         // dU/dr = -24 ε (2 s12 - s6) / r ⇒ f/r = 24 ε (2 s12 - s6) / r²
-        let f_over_r = 24.0 * self.epsilon * (2.0 * s6 * s6 - s6) / r2;
+        let f_over_r = 24.0 * self.epsilon * (2.0 * s6 * s6 - s6) * inv_r2;
         (e, f_over_r)
     }
 }
@@ -135,16 +140,22 @@ impl DebyeHuckel {
     }
 
     /// Same as [`energy_force`](Self::energy_force) with the charge
-    /// prefactor already computed (tiered hot path).
-    #[inline]
+    /// prefactor already computed (tiered hot path). Its one division is
+    /// `1/r²`, the same expression as [`LjParams::energy_force`]'s, so
+    /// where both inline into one pair loop (the LJ+DH tiers) it is
+    /// computed once; `1/r` is `r·(1/r²)`, and `1/λ` is loop-invariant.
+    #[inline(always)]
     pub fn energy_force_pref(&self, pref: f64, r2: f64) -> (f64, f64) {
+        let inv_r2 = 1.0 / r2;
         let r = r2.sqrt();
+        let inv_r = r * inv_r2;
+        let inv_lambda = 1.0 / self.lambda;
         // det_exp, not libm exp: bit-reproducible across platforms and
         // auto-vectorizable when this inlines into a replica-lane sweep.
-        let screen = crate::detmath::det_exp(-r / self.lambda);
-        let e = pref * screen / r;
+        let screen = crate::detmath::det_exp(-r * inv_lambda);
+        let e = pref * screen * inv_r;
         // dU/dr = -pref screen (1/r² + 1/(λ r)) ⇒ f/r = pref·screen·(1/r³ + 1/(λ r²))
-        let f_over_r = pref * screen * (1.0 / (r2 * r) + 1.0 / (self.lambda * r2));
+        let f_over_r = pref * screen * (inv_r2 * (inv_r + inv_lambda));
         (e, f_over_r)
     }
 }

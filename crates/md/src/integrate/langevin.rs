@@ -14,6 +14,16 @@ use crate::rng::GaussianStream;
 use crate::system::System;
 use crate::units;
 
+/// The O-step's velocity decay over one step, `c1 = exp(−γ·dt)`, by
+/// `det_exp`: the one expression the scalar step and `md::batch`'s lane
+/// coefficients both evaluate. Past γ·dt = 708, where `det_exp` leaves its
+/// domain, the decay stays at exp(−708) ≈ 3e-308: the velocity is
+/// forgotten in one step either way.
+#[inline]
+pub(crate) fn ou_decay(gamma: f64, dt: f64) -> f64 {
+    crate::detmath::det_exp((-gamma * dt).max(-708.0))
+}
+
 /// BAOAB Langevin integrator (NVT).
 #[derive(Debug, Clone)]
 pub struct LangevinBaoab {
@@ -60,7 +70,7 @@ impl Integrator for LangevinBaoab {
         eval_forces: &mut ForceEval<'_>,
     ) {
         let half_kick = 0.5 * dt * units::ACCEL;
-        let c1 = (-self.gamma * dt).exp();
+        let c1 = ou_decay(self.gamma, dt);
         let c2_base = (1.0 - c1 * c1).sqrt();
         let kt_acc = units::KB * self.temperature * units::ACCEL;
         let step = step_index;

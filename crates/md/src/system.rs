@@ -236,6 +236,49 @@ impl System {
             && self.velocities.iter().all(|v| v.is_finite())
     }
 
+    /// The invariants [`add_particle`](Self::add_particle) keeps, checked
+    /// on a decoded state: the seven per-particle arrays have one length,
+    /// every mass is finite and positive with `inv_mass` the bits of
+    /// `1.0 / mass`, and every position, velocity, force and charge is
+    /// finite. Names the first violation.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let n = self.positions.len();
+        let lens = [
+            ("velocities", self.velocities.len()),
+            ("forces", self.forces.len()),
+            ("masses", self.masses.len()),
+            ("inv_masses", self.inv_masses.len()),
+            ("charges", self.charges.len()),
+            ("species", self.species.len()),
+        ];
+        if let Some((name, len)) = lens.iter().find(|(_, len)| *len != n) {
+            return Err(format!("{name} has {len} entries, positions {n}"));
+        }
+        for (i, (&m, &inv)) in self.masses.iter().zip(&self.inv_masses).enumerate() {
+            if !(m.is_finite() && m > 0.0) {
+                return Err(format!("particle {i} has mass {m}"));
+            }
+            let want = 1.0 / m;
+            if inv.to_bits() != want.to_bits() {
+                return Err(format!("particle {i}: inv_mass {inv} is not 1/{m}"));
+            }
+        }
+        let vectors = [
+            ("position", &self.positions),
+            ("velocity", &self.velocities),
+            ("force", &self.forces),
+        ];
+        for (what, rows) in vectors {
+            if let Some(i) = rows.iter().position(|v| !v.is_finite()) {
+                return Err(format!("particle {i} has a non-finite {what}"));
+            }
+        }
+        if let Some(i) = self.charges.iter().position(|q| !q.is_finite()) {
+            return Err(format!("particle {i} has a non-finite charge"));
+        }
+        Ok(())
+    }
+
     /// Axis-aligned bounding box of current positions; `None` when empty.
     pub fn bounding_box(&self) -> Option<(Vec3, Vec3)> {
         if self.is_empty() {

@@ -7,7 +7,8 @@
 //! shared tiered pair list, union rebuilds and the pair tiers), and a
 //! strand carrying every bonded family (harmonic and FENE bonds, one
 //! FENE bond past its 0.99 R0 cap, angles, and cosine dihedrals of
-//! multiplicity 1 and 3).
+//! multiplicity 1 and 3). Two more strands start with their angles at
+//! `det_acos`'s select boundaries, |cos θ| = 1/2 and cos θ = ±1.
 
 use proptest::prelude::*;
 use spice_md::batch::{BatchSim, LaneForces, LaneThermostat};
@@ -144,6 +145,95 @@ proptest! {
                     prop_assert_eq!(bits(&bsim.lane_positions(l)), bits(&pos), "{} n={} lane {} positions", name, n, l);
                     prop_assert_eq!(bits(&bsim.lane_velocities(l)), bits(&vel), "{} n={} lane {} velocities", name, n, l);
                 }
+            }
+        }
+    }
+}
+
+/// The f64 nearest √3/2: from the apex (1, 0, 0) with the other arm
+/// along −x, `AngleGeometry::new` computes cos θ = ∓1/2 exactly for an
+/// arm `(±0.5, ARM_Y, 0)`.
+const ARM_Y: f64 = 0.866_025_403_784_438_7;
+
+/// cos θ of the angle `i–j–k` by `AngleGeometry::new`'s expression.
+fn cos_theta(pi: Vec3, pj: Vec3, pk: Vec3) -> f64 {
+    let (rij, rkj) = (pi - pj, pk - pj);
+    (rij.dot(rkj) * ((1.0 / rij.norm()) * (1.0 / rkj.norm()))).clamp(-1.0, 1.0)
+}
+
+/// A four-bead strand whose first angle starts at cos θ = `end`, −1
+/// (straight) or +1 (folded back onto its first arm), both ends of
+/// `det_acos`'s domain, and whose second starts at cos θ = `half`, ±1/2,
+/// its fold.
+fn boundary_parts(end: f64, half: f64) -> (System, ForceField) {
+    let p0 = if end < 0.0 { -1.0 } else { 0.5 };
+    let pos = [
+        Vec3::new(p0, 0.0, 0.0),
+        Vec3::zero(),
+        Vec3::new(1.0, 0.0, 0.0),
+        Vec3::new(1.0 - half, ARM_Y, 0.0),
+    ];
+    let mut sys = System::new();
+    let mut topo = Topology::new();
+    for (i, &p) in pos.iter().enumerate() {
+        sys.add_particle(p, 15.0, 0.0, 0);
+        if i > 0 {
+            topo.add_harmonic_bond(i - 1, i, (p - pos[i - 1]).norm(), 40.0);
+        }
+    }
+    topo.add_angle(0, 1, 2, 2.2, 5.0);
+    topo.add_angle(1, 2, 3, 2.2, 5.0);
+    (sys, ForceField::new(topo))
+}
+
+fn straight_and_half() -> (System, ForceField) {
+    boundary_parts(-1.0, 0.5)
+}
+
+fn folded_and_minus_half() -> (System, ForceField) {
+    boundary_parts(1.0, -0.5)
+}
+
+/// Lanes stay bitwise equal to their scalar twins when the first force
+/// evaluation sits exactly on `det_acos`'s select boundaries: the
+/// vectorized select must pick the branch the scalar one picks.
+#[test]
+fn angles_at_the_acos_select_boundaries_match_scalar_bitwise() {
+    for (parts, end, half) in [
+        (straight_and_half as Parts, -1.0, 0.5),
+        (folded_and_minus_half, 1.0, -0.5),
+    ] {
+        let (sys, _) = parts();
+        let p = sys.positions();
+        assert_eq!(cos_theta(p[0], p[1], p[2]), end);
+        assert_eq!(cos_theta(p[1], p[2], p[3]), half);
+        for (n, steps) in [(3usize, 1u64), (3, 40), (12, 1), (12, 40)] {
+            let lanes: Vec<LaneThermostat> = (0..n).map(|l| lane_thermostat(9, l)).collect();
+            let template = Simulation::new(
+                sys.clone(),
+                parts().1,
+                Box::new(LangevinBaoab::new(300.0, 5.0, 0)),
+                DT,
+            );
+            let mut bsim = BatchSim::new(template, &lanes);
+            let mut no_bias = |_t: f64, _lf: &mut LaneForces<'_>| {};
+            bsim.refresh_forces(&mut no_bias);
+            for _ in 0..steps {
+                bsim.step_once(&mut no_bias);
+            }
+            for (l, t) in lanes.iter().enumerate() {
+                let (pos, vel) = scalar_final(parts, t, steps);
+                assert!(bsim.lane_is_finite(l), "cos {half}: n={n} lane {l} blew up");
+                assert_eq!(
+                    bits(&bsim.lane_positions(l)),
+                    bits(&pos),
+                    "cos {half}: n={n} steps={steps} lane {l} positions"
+                );
+                assert_eq!(
+                    bits(&bsim.lane_velocities(l)),
+                    bits(&vel),
+                    "cos {half}: n={n} steps={steps} lane {l} velocities"
+                );
             }
         }
     }

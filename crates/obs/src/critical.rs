@@ -68,7 +68,11 @@ impl Builder {
             .into_iter()
             .map(|(child_name, b)| b.into_node(child_name))
             .collect();
-        let child_ticks: u64 = children.iter().map(|c| c.total_ticks).sum();
+        // Children that together outweigh u64::MAX outweigh their parent
+        // too, so saturating here leaves the parent no self time.
+        let child_ticks = children
+            .iter()
+            .fold(0u64, |acc, c| acc.saturating_add(c.total_ticks));
         PathNode {
             name,
             count: self.count,
@@ -84,8 +88,9 @@ impl Builder {
 
 /// Fold one track's Enter/Exit stream into `root`. Mirrors the
 /// exporter's summary-tree fold: unmatched exits are dropped, unclosed
-/// spans close at the track's final clock.
-fn fold_track(track: &TraceTrack, root: &mut Builder) {
+/// spans close at the track's final clock. A span whose durations sum
+/// past `u64::MAX` is an error naming the track and the span.
+fn fold_track(track: &TraceTrack, root: &mut Builder) -> Result<(), String> {
     let final_clock = track.events.last().map_or(0, |e| e.logical);
     let mut stack: Vec<(&str, u64)> = Vec::new();
     let close = |root: &mut Builder, stack: &[(&str, u64)], at: u64| {
@@ -94,15 +99,24 @@ fn fold_track(track: &TraceTrack, root: &mut Builder) {
             node = node.children.entry((*name).to_string()).or_default();
         }
         node.count += 1;
-        let entered = stack.last().map_or(0, |(_, t)| *t);
-        node.ticks += at.saturating_sub(entered);
+        let (name, entered) = stack.last().copied().unwrap_or(("", 0));
+        node.ticks = node
+            .ticks
+            .checked_add(at.saturating_sub(entered))
+            .ok_or_else(|| {
+                format!(
+                    "track {:?}: span {name:?} durations sum past u64::MAX",
+                    track.track
+                )
+            })?;
+        Ok::<(), String>(())
     };
     for e in &track.events {
         match e.kind {
             EvKind::Enter => stack.push((&e.name, e.logical)),
             EvKind::Exit => {
                 if !stack.is_empty() {
-                    close(root, &stack, e.logical);
+                    close(root, &stack, e.logical)?;
                     stack.pop();
                 }
             }
@@ -110,35 +124,55 @@ fn fold_track(track: &TraceTrack, root: &mut Builder) {
         }
     }
     while !stack.is_empty() {
-        close(root, &stack, final_clock);
+        close(root, &stack, final_clock)?;
         stack.pop();
     }
+    Ok(())
 }
 
 /// Aggregate every track in the model into per-track-name groups, in
 /// track-name order. Groups with no spans (instant-only tracks) are
 /// omitted.
-pub fn span_groups(model: &TraceModel) -> Vec<TrackGroup> {
+///
+/// # Errors
+/// When a span's durations, or a group's top-level spans together, sum
+/// past `u64::MAX` (only a hostile or corrupt trace gets there: the
+/// logical clock is a u64).
+pub fn try_span_groups(model: &TraceModel) -> Result<Vec<TrackGroup>, String> {
     let mut by_name: BTreeMap<&str, (u64, Builder)> = BTreeMap::new();
     for track in &model.tracks {
         let (n, builder) = by_name.entry(&track.track).or_default();
         *n += 1;
-        fold_track(track, builder);
+        fold_track(track, builder)?;
     }
     by_name
         .into_iter()
         .filter(|(_, (_, b))| !b.children.is_empty())
         .map(|(name, (n_tracks, b))| {
             let mut root = b.into_node(String::new());
-            root.total_ticks = root.children.iter().map(|c| c.total_ticks).sum();
+            root.total_ticks = root
+                .children
+                .iter()
+                .try_fold(0u64, |acc, c| acc.checked_add(c.total_ticks))
+                .ok_or_else(|| format!("track {name:?}: span durations sum past u64::MAX"))?;
             root.self_ticks = 0;
-            TrackGroup {
+            Ok(TrackGroup {
                 track: name.to_string(),
                 n_tracks,
                 root,
-            }
+            })
         })
         .collect()
+}
+
+/// [`try_span_groups`] on a trace known to fit, such as one this process
+/// recorded.
+///
+/// # Panics
+/// When span durations sum past `u64::MAX`; read untrusted traces with
+/// [`try_span_groups`].
+pub fn span_groups(model: &TraceModel) -> Vec<TrackGroup> {
+    try_span_groups(model).expect("span durations of a recorded trace fit in u64")
 }
 
 /// The heaviest root-to-leaf chain of a group: descend through the

@@ -7,7 +7,7 @@
 //! exactly to each group's total and agree with the critical-path
 //! report, which walks the same aggregated tree.
 
-use crate::critical::{span_groups, PathNode};
+use crate::critical::{try_span_groups, PathNode};
 use crate::trace::TraceModel;
 
 fn walk(prefix: &str, node: &PathNode, out: &mut Vec<String>) {
@@ -24,9 +24,13 @@ fn walk(prefix: &str, node: &PathNode, out: &mut Vec<String>) {
 /// nonzero self weight, sorted lexicographically. Deterministic: the
 /// aggregated tree is name-sorted at every level and the final listing
 /// is re-sorted.
-pub fn collapsed(model: &TraceModel) -> String {
+///
+/// # Errors
+/// When span durations sum past `u64::MAX` (see
+/// [`try_span_groups`]).
+pub fn collapsed(model: &TraceModel) -> Result<String, String> {
     let mut lines = Vec::new();
-    for group in span_groups(model) {
+    for group in try_span_groups(model)? {
         for child in &group.root.children {
             walk(&group.track, child, &mut lines);
         }
@@ -36,7 +40,7 @@ pub fn collapsed(model: &TraceModel) -> String {
     if !out.is_empty() {
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -57,7 +61,7 @@ mod tests {
             }
             track.tick(25);
         }
-        let out = collapsed(&TraceModel::from_snapshot(&t.snapshot()));
+        let out = collapsed(&TraceModel::from_snapshot(&t.snapshot())).unwrap();
         assert_eq!(out, "real;run 15\nreal;run;equilibrate 10\n");
     }
 
@@ -79,6 +83,7 @@ mod tests {
         }
         let model = TraceModel::from_snapshot(&t.snapshot());
         let total: u64 = collapsed(&model)
+            .unwrap()
             .lines()
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
@@ -87,7 +92,7 @@ mod tests {
 
     #[test]
     fn empty_model_renders_empty() {
-        assert_eq!(collapsed(&TraceModel::default()), "");
+        assert_eq!(collapsed(&TraceModel::default()).unwrap(), "");
     }
 
     #[test]

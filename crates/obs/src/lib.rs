@@ -36,7 +36,9 @@ pub mod report;
 pub mod stall;
 pub mod trace;
 
-pub use critical::{critical_path, span_groups, CriticalStep, PathNode, TrackGroup};
+pub use critical::{
+    critical_path, span_groups, try_span_groups, CriticalStep, PathNode, TrackGroup,
+};
 pub use diff::{diff, flatten_input, DiffConfig, DiffReport};
 pub use histo::{LogHistogram, QuantileSummary};
 pub use json::Json;

@@ -222,7 +222,7 @@ fn run(cmd: &str, cli: &Cli) -> Result<bool, String> {
             for (_, m) in models {
                 merged.tracks.extend(m.tracks);
             }
-            print!("{}", spice_obs::flame::collapsed(&merged));
+            print!("{}", spice_obs::flame::collapsed(&merged)?);
         }
         other => return Err(format!("unknown subcommand {other:?}\n{USAGE}")),
     }

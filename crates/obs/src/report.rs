@@ -101,7 +101,8 @@ fn section(metrics: &BTreeMap<String, MetricVal>, prefix: &str) -> Vec<(String, 
 /// exports combine the way the live registry would have.
 ///
 /// A counter or a histogram's count that sums past `u64::MAX`, within
-/// one input or across them, is an error naming the input and metric.
+/// one input or across them, is an error naming the input and metric;
+/// so are span durations that do (see [`critical::try_span_groups`]).
 pub fn build(inputs: &[(String, TraceModel)]) -> Result<SummaryReport, String> {
     let mut merged = TraceModel::default();
     let mut metrics: BTreeMap<String, MetricVal> = BTreeMap::new();
@@ -164,7 +165,7 @@ pub fn build(inputs: &[(String, TraceModel)]) -> Result<SummaryReport, String> {
     }
     report.n_tracks = merged.tracks.len();
     report.n_events = merged.event_count();
-    report.groups = critical::span_groups(&merged);
+    report.groups = critical::try_span_groups(&merged)?;
     report.critical_paths = report
         .groups
         .iter()

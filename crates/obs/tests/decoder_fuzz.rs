@@ -2,8 +2,9 @@
 //! flips of real inputs (the committed report goldens and a traced
 //! steering session's JSONL) must come back from `json::parse` and
 //! `TraceModel::from_jsonl` as a value or an `Err`, never as a panic;
-//! metric totals past `u64::MAX` must come back from the `spice-trace`
-//! readers as an `Err`, never as a panic or a wrapped sum.
+//! metric totals and span durations past `u64::MAX` must come back from
+//! the `spice-trace` readers as an `Err`, never as a panic or a wrapped
+//! sum.
 
 use std::sync::OnceLock;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use spice_gridsim::network::{Path, QosProfile};
 use spice_obs::json;
 use spice_obs::trace::TraceModel;
-use spice_obs::{flatten_input, report};
+use spice_obs::{flame, flatten_input, report};
 use spice_steering::{simulate_session, ImdConfig};
 use spice_telemetry::Telemetry;
 
@@ -140,5 +141,53 @@ fn metric_totals_past_u64_max_are_errors() {
     assert_eq!(
         grid[0],
         ("grid.retries".to_string(), (3u64 << 62).to_string())
+    );
+}
+
+/// A JSONL track `g` (key `key`) that enters span `a` at logical 0 and
+/// exits it at `exit`.
+fn span(key: u64, exit: u64) -> String {
+    format!(
+        "{{\"type\":\"enter\",\"track\":\"g\",\"key\":{key},\"name\":\"a\",\"logical\":0}}\n\
+         {{\"type\":\"exit\",\"track\":\"g\",\"key\":{key},\"name\":\"a\",\"logical\":{exit}}}\n"
+    )
+}
+
+/// Span durations that sum past `u64::MAX` — two instances of one span in
+/// one input, the same span in two merged inputs, or two top-level spans
+/// of one track group — are errors in `summary`, `critical-path` and
+/// `flamegraph` (`spice-trace` exits 2 on them), not a panic or a wrapped
+/// total.
+#[test]
+fn span_durations_past_u64_max_are_errors() {
+    let max = u64::MAX;
+    let sibling = span(0, max).replace("\"a\"", "\"b\"");
+    let overflows = [
+        vec![span(0, max) + &span(1, max)],
+        vec![span(0, max), span(1, max)],
+        vec![span(0, max) + &span(1, 1)],
+        vec![span(0, max) + &sibling],
+    ];
+    for inputs in &overflows {
+        let err = summary(inputs).expect_err("a span total past u64::MAX is an error");
+        assert!(err.contains("u64::MAX"), "{err}");
+        let mut merged = TraceModel::default();
+        for text in inputs {
+            merged
+                .tracks
+                .extend(TraceModel::from_jsonl(text).expect("well-formed").tracks);
+        }
+        let err = flame::collapsed(&merged).expect_err("flamegraph rejects it");
+        assert!(err.contains("u64::MAX"), "{err}");
+    }
+    // Below the limit, the durations still add. Logical clocks are
+    // powers of two, which JSON's f64 numbers hold exactly.
+    let (half, quarter) = (1u64 << 63, 1u64 << 62);
+    let fits = summary(&[span(0, half), span(1, quarter)]).expect("2^63 + 2^62 fits");
+    assert_eq!(fits.groups[0].root.total_ticks, 3u64 << 62);
+    let one = TraceModel::from_jsonl(&(span(0, half) + &span(1, quarter))).expect("well-formed");
+    assert_eq!(
+        flame::collapsed(&one).expect("fits"),
+        format!("g;a {}\n", 3u64 << 62)
     );
 }

@@ -93,30 +93,32 @@ impl PoreGeometry {
         // Blend half-widths for the constriction transitions.
         let w = 3.0;
         let mid = self.barrel_hi + (self.constriction_hi - self.barrel_hi) * 0.5;
-        let (z0, width, r0, r1) = if z <= mid {
+        // Each blend's 1/width depends on the geometry alone: the select
+        // picks one of three reciprocals hoisted out of a lane sweep.
+        let (z0, inv_width, r0, r1) = if z <= mid {
             (
                 self.barrel_hi - w,
-                w,
+                1.0 / w,
                 self.barrel_radius,
                 self.constriction_radius,
             )
         } else if z <= self.constriction_hi + w {
             (
                 mid,
-                self.constriction_hi + w - mid,
+                1.0 / (self.constriction_hi + w - mid),
                 self.constriction_radius,
                 self.vestibule_radius,
             )
         } else {
             (
                 self.constriction_hi + w,
-                self.cap_hi - self.constriction_hi - w,
+                1.0 / (self.cap_hi - self.constriction_hi - w),
                 self.vestibule_radius,
                 self.mouth_radius,
             )
         };
-        let (t, dt) = smoothstep((z - z0) / width);
-        (r0 + t * (r1 - r0), dt / width * (r1 - r0))
+        let (t, dt) = smoothstep((z - z0) * inv_width);
+        (r0 + t * (r1 - r0), dt * inv_width * (r1 - r0))
     }
 
     /// Lumen radius at height `z`, *without* corrugation. Outside the pore
@@ -140,11 +142,11 @@ impl PoreGeometry {
     #[inline(always)]
     pub fn radius_and_gradient(&self, z: f64) -> (f64, f64) {
         let (r, dr) = self.smooth_profile(z);
-        let (sin, cos) = det_sincos2pi(z / self.corrugation_period);
+        let inv_period = 1.0 / self.corrugation_period;
+        let (sin, cos) = det_sincos2pi(z * inv_period);
         let ripple = self.corrugation_amplitude * cos;
-        let d_ripple = -self.corrugation_amplitude
-            * (2.0 * std::f64::consts::PI / self.corrugation_period)
-            * sin;
+        let d_ripple =
+            -self.corrugation_amplitude * (2.0 * std::f64::consts::PI * inv_period) * sin;
         // Never let the ripple close the constriction entirely; where the
         // floor holds the radius, it is flat.
         let floor = self.constriction_radius * 0.5;

@@ -19,7 +19,10 @@
 //! inactive term selects exact zeros instead of returning early) and
 //! libm-free (`spice_md::detmath`), so the batched engine sweeps it across
 //! replica lanes as one vectorized loop while the scalar path calls the
-//! same function.
+//! same function. Each pays one division per distinct per-bead
+//! denominator and multiplies by the reciprocal; reciprocals of the
+//! term's own parameters (`1.0 / self.ramp`) are written inline, and
+//! LLVM hoists them out of the lane loop.
 
 use crate::geometry::{smoothstep, PoreGeometry};
 use spice_md::detmath::{det_exp, det_sincos2pi};
@@ -125,15 +128,19 @@ impl ExternalPotential for ConstrictionRing {
         let dz = p.z - self.z0;
         let d2 = dr * dr + dz * dz + self.softening * self.softening;
         let d = d2.sqrt();
+        // One division per distinct denominator: 1/d here, 1/ρ below; the
+        // prefactor and 1/λ are loop-invariant.
+        let inv_d = 1.0 / d;
+        let inv_lambda = 1.0 / self.lambda;
         let pref = COULOMB_KCAL * self.charge * self.bead_charge / self.epsilon_r;
         // det_exp, not libm exp: bit-reproducible and vectorizable.
-        let screen = det_exp(-d / self.lambda);
-        let e = pref * screen / d;
+        let screen = det_exp(-d * inv_lambda);
+        let e = pref * screen * inv_d;
         // dU/dd = -pref·screen (1/d² + 1/(λ d))
-        let du_dd = -pref * screen * (1.0 / d2 + 1.0 / (self.lambda * d));
+        let du_dd = -pref * screen * (inv_d * (inv_d + inv_lambda));
         // d(d)/dρ = -dr/d ; d(d)/dz = dz/d
-        let du_drho = du_dd * (-dr / d);
-        let du_dz = du_dd * (dz / d);
+        let du_drho = du_dd * (-dr * inv_d);
+        let du_dz = du_dd * (dz * inv_d);
         let inv_rho = if rho > 1e-9 { 1.0 / rho } else { 0.0 };
         (
             if on { e } else { 0.0 },
@@ -183,9 +190,10 @@ impl AxialCorrugation {
     /// outside [z_lo, z_hi] and 1 on the plateau without a branch.
     #[inline(always)]
     fn envelope(&self, z: f64) -> (f64, f64) {
-        let (up, d_up) = smoothstep((z - self.z_lo) / self.ramp);
-        let (down, d_down) = smoothstep((self.z_hi - z) / self.ramp);
-        (up * down, (d_up * down - up * d_down) / self.ramp)
+        let inv_ramp = 1.0 / self.ramp;
+        let (up, d_up) = smoothstep((z - self.z_lo) * inv_ramp);
+        let (down, d_down) = smoothstep((self.z_hi - z) * inv_ramp);
+        (up * down, (d_up * down - up * d_down) * inv_ramp)
     }
 }
 
@@ -193,8 +201,9 @@ impl ExternalPotential for AxialCorrugation {
     #[inline(always)]
     fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
         let (env, denv) = self.envelope(p.z);
-        let (s, c) = det_sincos2pi(p.z / self.period);
-        let w = 2.0 * std::f64::consts::PI / self.period;
+        let inv_period = 1.0 / self.period;
+        let (s, c) = det_sincos2pi(p.z * inv_period);
+        let w = 2.0 * std::f64::consts::PI * inv_period;
         let e = self.amplitude * env * s;
         let du_dz = self.amplitude * (denv * s + env * w * c);
         // Outside the envelope e and du_dz are exact zeros already.

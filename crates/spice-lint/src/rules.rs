@@ -67,6 +67,24 @@ pub const RULES: &[RuleInfo] = &[
                  'unset') — keep the comparison and write an allow with that reason.",
     },
     RuleInfo {
+        id: "N003",
+        summary: "libm transcendental method call (.exp() / .ln() / .sin() / .acos() / \
+                  .atan2() / .powf() …) in a force or integrator file of the MD step \
+                  (md::forces, md::integrate, md::batch, pore::potential, \
+                  pore::geometry): use spice_md::detmath, or annotate an energy-only \
+                  or construction-time call",
+        detail: "Every force of the MD step, and the Langevin decay, takes its \
+                 transcendentals from spice_md::detmath (det_exp, det_ln, \
+                 det_sincos2pi, det_sin, det_acos, det_atan2): branch-free \
+                 polynomials over IEEE-exact operations, so the step's bits do not \
+                 depend on the host's libm and the batched engine's lane loops stay \
+                 vectorized. A libm call here moves every golden across platforms \
+                 and, inside a lane sweep, forces a scalar call per lane. Call the \
+                 detmath kernel instead; a call that feeds an energy only (which \
+                 the lane tiers never compute) or a construction-time constant \
+                 keeps libm and carries an inline allow saying so.",
+    },
+    RuleInfo {
         id: "P001",
         summary: "unwrap()/panic! in non-test library code without an allow \
                   annotation; use expect with an invariant message or return Result",
@@ -269,6 +287,10 @@ pub struct FileContext {
     /// True for the batched SoA kernel files (`crates/md/src/batch.rs`,
     /// `crates/smd/src/batch.rs`) whose loop bodies P003 polices.
     pub batch_kernel: bool,
+    /// True for the force and integrator files of the MD step
+    /// (`crates/md/src/{forces,integrate}/`, `crates/md/src/batch.rs`,
+    /// `crates/pore/src/{potential,geometry}.rs`) where N003 bans libm.
+    pub md_step: bool,
 }
 
 impl FileContext {
@@ -286,10 +308,17 @@ impl FileContext {
         let batch_kernel = matches!(crate_dir.as_deref(), Some("md") | Some("smd"))
             && components.contains(&"src")
             && components.last() == Some(&"batch.rs");
+        let md_step = match components.as_slice() {
+            ["crates", "md", "src", "forces" | "integrate", ..] => true,
+            ["crates", "md", "src", "batch.rs"] => true,
+            ["crates", "pore", "src", file] => matches!(*file, "potential.rs" | "geometry.rs"),
+            _ => false,
+        };
         FileContext {
             crate_dir,
             test_file,
             batch_kernel,
+            md_step,
         }
     }
 
@@ -322,6 +351,15 @@ impl FileContext {
 pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
     ScopeTree::build(tokens).test_mask(tokens.len())
 }
+
+/// `f64` methods that call libm (or a compiler-rt routine) rather than
+/// compile to IEEE-exact instructions: N003's targets. `sqrt`, `abs`,
+/// `min`, `max` and `copysign` are exact and stay allowed.
+const LIBM_METHODS: &[&str] = &[
+    "exp", "exp2", "exp_m1", "ln", "log", "log2", "log10", "ln_1p", "powf", "powi", "sin", "cos",
+    "tan", "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh",
+    "atanh", "cbrt", "hypot",
+];
 
 /// Sync primitives whose mere mention inside a parallel region is an
 /// R001 hit (type position or constructor — both mean shared state).
@@ -525,6 +563,27 @@ pub fn run_rules(ctx: &FileContext, lexed: &Lexed) -> Vec<RawDiagnostic> {
                             ),
                         });
                     }
+                }
+                // N003 — libm transcendentals in the MD step's force and
+                // integrator files: detmath keeps the bits host-independent
+                // and the lane loops vectorized.
+                if !in_test
+                    && ctx.md_step
+                    && LIBM_METHODS.contains(&name)
+                    && prev_is(tokens, i, TokKind::Punct('.'))
+                    && next_is(tokens, i, TokKind::Punct('('))
+                {
+                    out.push(RawDiagnostic {
+                        rule: "N003",
+                        line: tok.line,
+                        col: tok.col,
+                        message: format!(
+                            "`.{name}()` calls libm in the MD step: its bits depend on the \
+                             host's libm and a lane sweep turns it into a scalar call per \
+                             lane — use the spice_md::detmath kernel, or annotate an \
+                             energy-only or construction-time call"
+                        ),
+                    });
                 }
                 // W001 — raw durable-file writes in simulation crates.
                 // The atomic-writer internals themselves carry allows.
@@ -995,6 +1054,38 @@ mod tests {
             "for e in v { let p = w.position(f); }"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn n003_libm_calls_in_md_step_files_only() {
+        let acos = "fn theta(c: f64) -> f64 { c.acos() }";
+        for path in [
+            "crates/md/src/forces/bonded.rs",
+            "crates/md/src/forces/sub/deep.rs",
+            "crates/md/src/integrate/langevin.rs",
+            "crates/md/src/batch.rs",
+            "crates/pore/src/potential.rs",
+            "crates/pore/src/geometry.rs",
+        ] {
+            assert_eq!(rules_fired(&run(path, acos)), ["N003"], "{path}");
+        }
+        // Exact operations and field reads stay silent.
+        let exact = "fn f(x: f64) -> f64 { x.sqrt().abs().min(1.0).max(0.0).copysign(x) }";
+        assert!(run("crates/md/src/forces/bonded.rs", exact).is_empty());
+        let field = "fn f(p: P) -> f64 { p.cos + p.exp }";
+        assert!(run("crates/md/src/forces/bonded.rs", field).is_empty());
+        // Other md/pore files and test trees are out of scope.
+        for path in [
+            "crates/md/src/detmath.rs",
+            "crates/md/src/rng.rs",
+            "crates/pore/src/dna.rs",
+            "crates/smd/src/batch.rs",
+            "crates/md/tests/batch.rs",
+        ] {
+            assert!(run(path, acos).is_empty(), "{path}");
+        }
+        let in_test = "#[cfg(test)] mod tests { fn f(x: f64) -> f64 { x.sin() } }";
+        assert!(run("crates/md/src/batch.rs", in_test).is_empty());
     }
 
     #[test]

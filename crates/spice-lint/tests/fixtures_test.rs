@@ -59,6 +59,34 @@ fn n002_fires_at_expected_line() {
 }
 
 #[test]
+fn n003_fires_on_libm_calls_in_md_step_files() {
+    let src = include_str!("fixtures/bad_n003.rs");
+    let want = [("N003", 4), ("N003", 5), ("N003", 10), ("N003", 10)];
+    for path in [
+        "crates/md/src/forces/bonded.rs",
+        "crates/md/src/batch.rs",
+        "crates/pore/src/potential.rs",
+    ] {
+        assert_eq!(fired(&lint(path, src)), want, "{path}");
+    }
+    // detmath, the rest of md and pore, and test trees keep libm.
+    assert!(lint("crates/md/src/detmath.rs", src).is_empty());
+    assert!(lint("crates/pore/src/dna.rs", src).is_empty());
+    assert!(lint("crates/md/tests/bonded.rs", src).is_empty());
+}
+
+#[test]
+fn annotated_n003_allows_suppress_without_going_stale() {
+    let src = include_str!("fixtures/allowed_n003.rs");
+    assert!(fired(&lint("crates/md/src/forces/bonded.rs", src)).is_empty());
+    // Outside N003's files the same allows suppress nothing and go stale.
+    assert_eq!(
+        fired(&lint("crates/md/src/rng.rs", src)),
+        [("A002", 4), ("A002", 10)]
+    );
+}
+
+#[test]
 fn p001_fires_on_unwrap_and_panic() {
     let src = include_str!("fixtures/bad_p001.rs");
     assert_eq!(

@@ -98,8 +98,9 @@ fn ensemble_digest<E: std::fmt::Display>(ensemble: &[Result<WorkTrajectory, E>])
 
 /// Golden digest of the 17-lane batched Test-pore ensemble. The pin below
 /// compares the batched path with the cloned one, so a change that moved
-/// both together would pass it; this one would not. (The value comes from
-/// x86_64 with glibc's libm.)
+/// both together would pass it; this one would not. (Recorded on x86_64
+/// with glibc: the MD step calls no libm, but the strand builder's start
+/// positions do.)
 #[test]
 fn batched_pore_ensemble_golden_digest() {
     let protocol = Scale::Test.protocol(100.0, 100.0);
@@ -112,7 +113,7 @@ fn batched_pore_ensemble_golden_digest() {
     );
     assert_eq!(
         ensemble_digest(&batched),
-        0xeccb_bab8_c26e_9d57,
+        0x6d00_00a4_b285_eef6,
         "17-lane batched Test-pore ensemble moved"
     );
 }

@@ -63,7 +63,8 @@ fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
 /// Golden bits of one Test-scale cell: Φ, the mean-work curve and the raw
 /// bootstrap σ. The pin above compares two runs of the same code, so a
 /// change that moved the ensemble or the estimators in both would pass it;
-/// this one would not. (The values come from x86_64 with glibc's libm.)
+/// this one would not. (Recorded on x86_64 with glibc: the MD step calls
+/// no libm, but the strand builder and the estimators do.)
 #[test]
 fn pmf_cell_golden_bits() {
     let cell = run_cell(Scale::Test, 100.0, 100.0, SeedSequence::new(7));
@@ -72,9 +73,9 @@ fn pmf_cell_golden_bits() {
     assert_eq!(
         (phi, mean_work, cell.sigma_stat_raw.to_bits()),
         (
-            0x06a7_d213_0144_d8ce,
-            0x124c_8d68_add8_0924,
-            0x3fe3_2296_04a4_c430
+            0x4603_9d8e_6fbd_0c9a,
+            0xa425_0cb2_6262_3a31,
+            0x3fe3_2296_04a4_c419
         ),
         "Test-scale cell (κ=100, v=100, seed 7) moved"
     );

@@ -7,6 +7,12 @@
 //! the batched engine pads to 8 lanes), spot-checks that the two paths
 //! stay bit-identical, and writes `BENCH_ensemble_batch.json`.
 //!
+//! The batched arm steps its lanes in chunks of whole 8-lane vectors, one
+//! chunk per core (up to the row's `workers`, the `smd.batch.chunks`
+//! gauge), while the cloned arm runs on one thread (the vendored rayon is
+//! sequential): every ratio counts cores as well as lanes. e2ebench's
+//! `md.batch.speedup` times one batch on one thread, the lanes-only ratio.
+//!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_ensemble_batch
 //! ```
@@ -27,8 +33,12 @@ use spice_md::forces::Restraint;
 use spice_md::integrate::LangevinBaoab;
 use spice_md::MdError;
 use spice_md::{ForceField, Simulation, System, Topology, Vec3};
-use spice_smd::{run_ensemble_batched, run_ensemble_cloned, PullProtocol, WorkTrajectory};
+use spice_smd::{
+    run_ensemble_batched, run_ensemble_batched_traced, run_ensemble_cloned, PullProtocol,
+    WorkTrajectory,
+};
 use spice_stats::rng::SeedSequence;
+use spice_telemetry::Telemetry;
 use std::time::Instant;
 
 const BENCH_SEED: u64 = 20050512;
@@ -149,6 +159,22 @@ impl Case {
             self.decorrelation_steps,
         )
     }
+
+    /// Threads the batched arm steps `replicas` lanes on: the
+    /// `smd.batch.chunks` gauge of one traced run.
+    fn workers(&self, replicas: usize) -> usize {
+        let telemetry = Telemetry::enabled();
+        run_ensemble_batched_traced(
+            &self.factory,
+            &self.protocol,
+            replicas,
+            SeedSequence::new(BENCH_SEED),
+            self.decorrelation_steps,
+            &telemetry,
+            0,
+        );
+        telemetry.gauge("smd.batch.chunks").get() as usize
+    }
 }
 
 /// Seconds one call of `run` takes.
@@ -161,6 +187,7 @@ fn timed(run: impl FnOnce()) -> f64 {
 struct Row {
     label: &'static str,
     replicas: usize,
+    workers: usize,
     steps_per_realization: u64,
     wall_s_cloned: f64,
     wall_s_batched: f64,
@@ -207,15 +234,18 @@ fn bench_case(label: &'static str, case: &Case, replicas: usize, rounds: u32) ->
     let row = Row {
         label,
         replicas,
+        workers: case.workers(replicas),
         steps_per_realization: p.equilibration_steps + case.decorrelation_steps + p.pull_steps(),
         wall_s_cloned,
         wall_s_batched,
     };
     eprintln!(
-        "{label:>10}: {replicas:>3} replicas × {} steps: cloned {:>8.2}/s, batched {:>8.2}/s — {:.2}x",
+        "{label:>10}: {replicas:>3} replicas × {} steps: cloned {:>8.2}/s, batched {:>8.2}/s \
+         on {} worker(s) — {:.2}x",
         row.steps_per_realization,
         row.per_sec_cloned(),
         row.per_sec_batched(),
+        row.workers,
         row.ratio(),
     );
     row
@@ -277,12 +307,14 @@ fn main() {
 
     let row_json = |r: &Row| {
         format!(
-            "    {{\"label\": \"{}\", \"replicas\": {}, \"steps_per_realization\": {}, \
+            "    {{\"label\": \"{}\", \"replicas\": {}, \"workers\": {}, \
+             \"steps_per_realization\": {}, \
              \"wall_s_cloned\": {:.5}, \"wall_s_batched\": {:.5}, \
              \"realizations_per_sec_cloned\": {:.1}, \"realizations_per_sec_batched\": {:.1}, \
              \"speedup_ratio\": {:.3}}}",
             r.label,
             r.replicas,
+            r.workers,
             r.steps_per_realization,
             r.wall_s_cloned,
             r.wall_s_batched,

@@ -107,8 +107,9 @@ pub fn run_cell_traced(
     // Clone-amortized ensemble: one shared equilibration per cell, each
     // realization forked from the snapshot with a fresh noise stream plus
     // a short decorrelation hold (see DESIGN.md), all realizations
-    // advancing as lanes of one vectorized loop (the batched SoA engine,
-    // bit-identical to stepping each clone on its own).
+    // advancing as lanes of vectorized loops, one chunk of lanes per core
+    // (the batched SoA engine, bit-identical to stepping each clone on
+    // its own).
     let results = run_ensemble_batched_traced(
         |seed| pore_simulation(scale, seed),
         &protocol,

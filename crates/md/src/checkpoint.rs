@@ -11,6 +11,7 @@
 //! original trajectory *exactly*, while restoring with a different seed
 //! clones the simulation onto a divergent realization.
 
+use crate::neighbor::CellList;
 use crate::sim::Simulation;
 use crate::system::System;
 use crate::MdError;
@@ -59,6 +60,12 @@ impl Snapshot {
 
     /// Restore this snapshot into a simulation (the simulation must have
     /// been built with a compatible force field / particle count).
+    ///
+    /// # Errors
+    /// [`MdError::Checkpoint`] when the particle counts differ, or when the
+    /// force field has a pair list and the snapshot's positions cannot be
+    /// binned at its list radius (a finite but huge coordinate), on which
+    /// the first force evaluation would panic. `sim` is then unchanged.
     pub fn restore(&self, sim: &mut Simulation) -> Result<(), MdError> {
         if sim.system().len() != self.system.len() {
             return Err(MdError::Checkpoint(format!(
@@ -66,6 +73,14 @@ impl Snapshot {
                 self.system.len(),
                 sim.system().len()
             )));
+        }
+        if let Some(nb) = sim.force_field().nonbonded() {
+            // The pair list bins every position when it rebuilds, and it
+            // bins only lists of two or more particles.
+            if self.system.len() > 1 {
+                CellList::try_bin(self.system.positions(), nb.list_cutoff() + nb.list_skin())
+                    .map_err(|e| MdError::Checkpoint(format!("snapshot positions: {e}")))?;
+            }
         }
         *sim.system_mut() = self.system.clone();
         sim.set_step(self.step);

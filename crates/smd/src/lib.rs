@@ -20,9 +20,10 @@
 //!   pull, record.
 //! * [`ensemble`] — rayon-parallel ensembles of independent realizations,
 //!   the in-process analogue of the paper's 72-simulation grid campaign.
-//! * [`batch`] — the cloned ensemble as lanes of one vectorized loop;
-//!   [`run_ensemble_batched_traced`] takes the telemetry handle, and its
-//!   untraced twin stays because e2ebench calls it.
+//! * [`batch`] — the cloned ensemble as lanes of vectorized loops, one
+//!   chunk of lanes per core; [`run_ensemble_batched_traced`] takes the
+//!   telemetry handle, and its untraced twin stays because e2ebench
+//!   calls it.
 
 #![warn(missing_docs)]
 

@@ -146,7 +146,7 @@ fn pore_at(temperature: f64, seed: u64) -> Simulation {
         .into_simulation(0.01, seed)
 }
 
-/// A runaway thermostat on the lane the pad lanes copy blows that
+/// A runaway thermostat on the lane a batch's pad lanes copy blows that
 /// realization up; every slot, its error text included, must match the
 /// cloned runner, and the other lanes' bits must not move. At 1e12 K the
 /// strand flies apart step by step until its grid passes the cell list's
@@ -158,14 +158,16 @@ fn pore_at(temperature: f64, seed: u64) -> Simulation {
 /// blown-up state to the end of the pull. Without lane faults the 1e30 K
 /// case panics the whole batch and the ∞ K case fails at a later health
 /// check with another message. Six replicas run padded to eight lanes,
-/// eight unpadded.
+/// eight unpadded. Twelve and 24 run as `[8, 4]` and `[16, 8]` lane
+/// chunks on two cores (one chunk on one core), with the runaway lane
+/// first in the second chunk, so that chunk's pad lanes copy it.
 #[test]
 fn failure_slots_match_the_cloned_path() {
     let master = 20050512;
-    let runaway_seed = SeedSequence::new(master).stream(PAD_SOURCE as u64);
     let (warm, built) = (pore_at(300.0, 1), test_pore(1));
     assert_eq!(warm.system().velocities(), built.system().velocities());
-    for n in [6, 8] {
+    for (n, runaway) in [(6, PAD_SOURCE), (8, PAD_SOURCE), (12, 8), (24, 16)] {
+        let runaway_seed = SeedSequence::new(master).stream(runaway as u64);
         let healthy = run_ensemble_batched(
             test_pore,
             &Scale::Test.protocol(100.0, 100.0),
@@ -183,12 +185,12 @@ fn failure_slots_match_the_cloned_path() {
             };
             let batched = assert_batched_equals_cloned(factory, n, master);
             let case = format!("n={n} T={temperature:e}");
-            match &batched[PAD_SOURCE] {
+            match &batched[runaway] {
                 Err(e) => assert!(e.to_string().contains("panicked"), "{case}: {e}"),
                 Ok(_) => panic!("{case}: the runaway lane survived"),
             }
             for (slot, (b, h)) in batched.iter().zip(&healthy).enumerate() {
-                if slot != PAD_SOURCE {
+                if slot != runaway {
                     let (b, h) = (b.as_ref().expect("survivor"), h.as_ref().expect("healthy"));
                     assert_eq!(sample_bits(b), sample_bits(h), "{case} slot {slot}");
                 }

@@ -64,3 +64,24 @@ fn snapshots_of_different_phases_are_distinct() {
     assert_ne!(s0.system.positions(), s1.system.positions());
     assert_ne!(s0.step, s1.step);
 }
+
+/// A snapshot that decodes but whose coordinates no cell list can bin (one
+/// finite but huge coordinate) is a typed restore error, not a panic in
+/// the first force evaluation, and leaves the target simulation as it was.
+#[test]
+fn restoring_unbinnable_positions_is_a_checkpoint_error() {
+    let mut sim = pore_simulation(Scale::Test, 5);
+    sim.run(40, &mut []).unwrap();
+    let mut snap = Snapshot::capture(&sim, "huge");
+    snap.system.positions_mut()[3].z = 1e150;
+
+    let mut target = pore_simulation(Scale::Test, 6);
+    let before = target.system().positions().to_vec();
+    match snap.restore(&mut target) {
+        Err(MdError::Checkpoint(msg)) => assert!(msg.contains("cell grid"), "{msg}"),
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+    assert_eq!(target.system().positions(), before.as_slice());
+    assert_eq!(target.step_count(), 0);
+    target.run(20, &mut []).unwrap();
+}

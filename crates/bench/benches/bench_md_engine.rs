@@ -1,8 +1,10 @@
 //! MD substrate kernels, machine-readable: times the tiered pair kernel
 //! and the clone-amortized ensemble against fully independent
-//! equilibrations, then writes `BENCH_md_engine.json` (force evals/sec,
-//! pairs/sec, integration steps/sec, ensemble wall-clock) so CI and
-//! EXPERIMENTS.md can track kernel performance.
+//! equilibrations, both on the batched lane engine (`run_ensemble_batched`
+//! against `run_ensemble`, so the ratio is clone amortization alone), then
+//! writes `BENCH_md_engine.json` (force evals/sec, pairs/sec, integration
+//! steps/sec, ensemble wall-clock) so CI and EXPERIMENTS.md can track
+//! kernel performance.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_md_engine
@@ -11,7 +13,7 @@
 use spice_md::forces::{ForceField, LjParams, NonBonded, Restraint};
 use spice_md::integrate::LangevinBaoab;
 use spice_md::{Simulation, System, Topology, Vec3};
-use spice_smd::{run_ensemble, run_ensemble_cloned, PullProtocol};
+use spice_smd::{run_ensemble, run_ensemble_batched, PullProtocol};
 use spice_stats::rng::SeedSequence;
 use std::time::Instant;
 
@@ -125,7 +127,8 @@ fn main() {
     // One fixed (κ, v) sweep cell over the 12-bead system, 24
     // realizations, equilibration-heavy (the regime clone amortization
     // targets: one shared 1500-step equilibration vs 24 independent
-    // ones, 100-step post-clone decorrelation).
+    // ones, 100-step post-clone decorrelation). Both arms step their
+    // realizations as lanes of the batched engine.
     let n_real = 24;
     let protocol = PullProtocol {
         kappa_pn_per_a: 300.0,
@@ -146,7 +149,7 @@ fn main() {
     let wall_indep = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let cloned: Vec<f64> = run_ensemble_cloned(
+    let cloned: Vec<f64> = run_ensemble_batched(
         factory,
         &protocol,
         n_real,

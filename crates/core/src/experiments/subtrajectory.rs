@@ -14,7 +14,9 @@ use crate::report::Report;
 use spice_jarzynski::error::statistical::pmf_bootstrap_sigma;
 use spice_jarzynski::pmf::{Estimator, PmfCurve};
 use spice_md::units::KT_300;
-use spice_smd::{run_ensemble, segment_trajectory, PullProtocol, WorkTrajectory};
+use spice_smd::{
+    partition_outcomes, run_ensemble, segment_trajectory, PullProtocol, WorkTrajectory,
+};
 use spice_stats::rng::SeedSequence;
 
 /// Outcome of the sub-trajectory study.
@@ -30,6 +32,8 @@ pub struct SubtrajStudy {
     pub stitched: PmfCurve,
     /// The single-pull PMF.
     pub long: PmfCurve,
+    /// Realizations that failed and were dropped from both estimates.
+    pub n_failed: usize,
 }
 
 /// Run the study.
@@ -40,15 +44,12 @@ pub fn study(scale: Scale, master_seed: u64) -> SubtrajStudy {
         pull_distance: long_span,
         ..scale.protocol(100.0, 100.0)
     };
-    let trajectories: Vec<WorkTrajectory> = run_ensemble(
+    let (trajectories, failures) = partition_outcomes(run_ensemble(
         |seed| pore_simulation(scale, seed),
         &protocol,
         scale.realizations(),
         seeds.child(0),
-    )
-    .into_iter()
-    .filter_map(Result::ok)
-    .collect();
+    ));
     assert!(!trajectories.is_empty());
 
     let npts = scale.pmf_points();
@@ -101,6 +102,7 @@ pub fn study(scale: Scale, master_seed: u64) -> SubtrajStudy {
         sigma_vs_displacement: sigmas,
         stitched,
         long,
+        n_failed: failures.len(),
     }
 }
 
@@ -133,6 +135,7 @@ pub fn run(scale: Scale, master_seed: u64) -> Report {
             s.long.points.last().map(|p| p.phi).unwrap_or(f64::NAN)
         ),
     );
+    r.fact("failed realizations", s.n_failed);
     let pts: Vec<Vec<f64>> = s
         .sigma_vs_displacement
         .iter()

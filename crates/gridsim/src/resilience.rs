@@ -1205,35 +1205,24 @@ impl<'a> Engine<'a> {
     /// Pending blocks are stamp-ranges; physical events carry single
     /// stamps allocated outside every range, so `(time, stamp)` order
     /// totally orders all logical events exactly like the seed queue's
-    /// `(time, seq)` tie-breaker. A block whose range straddles a
-    /// same-time physical event's stamp is split at that stamp: the
-    /// seed would interleave that event (it may re-submit to the site,
-    /// un-fixing the chain's fixed point), so only the prefix replays
-    /// now and the remainder re-enters the map to run after it.
+    /// `(time, seq)` tie-breaker. A block never straddles a same-time
+    /// physical event's stamp: its stamps are allocated together, and
+    /// `schedule_pokes` merges a block into its predecessor only when no
+    /// physical event at that instant holds a stamp in the gap. So a
+    /// block that precedes the next physical event replays whole.
     fn drain_due_pokes(&mut self) {
-        loop {
-            let Some((&(t_bits, first), &(si, count))) = self.poke_pending.first_key_value() else {
-                return;
-            };
-            let budget = match self.agenda.peek() {
-                None => count,
-                Some((nt_bits, nv)) => {
-                    if (t_bits, first) >= (nt_bits, nv) {
-                        return; // the physical event precedes every pending poke
-                    }
-                    if nt_bits == t_bits {
-                        count.min(u32::try_from(nv - first).unwrap_or(u32::MAX))
-                    } else {
-                        count
-                    }
+        while let Some((&(t_bits, first), &(si, count))) = self.poke_pending.first_key_value() {
+            if let Some((nt_bits, nv)) = self.agenda.peek() {
+                if (t_bits, first) >= (nt_bits, nv) {
+                    return; // the physical event precedes every pending poke
                 }
-            };
-            self.poke_pending.pop_first();
-            if budget < count {
-                self.poke_pending
-                    .insert((t_bits, first + u64::from(budget)), (si, count - budget));
+                debug_assert!(
+                    nt_bits != t_bits || first + u64::from(count) <= nv,
+                    "poke block {first}+{count} straddles the same-time event stamp {nv}"
+                );
             }
-            self.replay_pokes(si as usize, f64::from_bits(t_bits), budget);
+            self.poke_pending.pop_first();
+            self.replay_pokes(si as usize, f64::from_bits(t_bits), count);
             #[cfg(feature = "audit")]
             self.audit_job_conservation();
         }

@@ -6,8 +6,8 @@
 //! step asserts both stay finite; without it the check does not exist.
 
 /// Assert the running work integral and spring force are finite. Invoked
-/// by [`crate::runner::pull_from`] after every pull step; also callable
-/// directly (injection tests drive it with NaN).
+/// by the scalar pull loop (`runner::run_leg`) after every pull step; also
+/// callable directly (injection tests drive it with NaN).
 pub fn check_finite_work(work: f64, force: f64, step: u64) {
     if !(work.is_finite() && force.is_finite()) {
         // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant

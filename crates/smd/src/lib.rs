@@ -18,11 +18,12 @@
 //!   segmentation (§IV-A).
 //! * [`runner`] — drive one realization: equilibrate, attach the spring,
 //!   pull, record.
-//! * [`ensemble`] — rayon-parallel ensembles of independent realizations,
-//!   the in-process analogue of the paper's 72-simulation grid campaign.
-//! * [`batch`] — the cloned ensemble as lanes of vectorized loops, one
-//!   chunk of lanes per core; [`run_ensemble_batched_traced`] takes the
-//!   telemetry handle, and its untraced twin stays because e2ebench
+//! * [`ensemble`] — independent, cloned and umbrella-window ensembles, the
+//!   analogue of the paper's 72-simulation grid campaign, and the scalar
+//!   loop that is their oracle and non-Langevin fallback.
+//! * [`batch`] — every Langevin ensemble as lanes of vectorized loops,
+//!   one chunk of lanes per core; [`run_ensemble_batched_traced`] takes
+//!   the telemetry handle, and its untraced twin stays because e2ebench
 //!   calls it.
 
 #![warn(missing_docs)]
@@ -37,8 +38,8 @@ pub mod runner;
 pub mod work;
 
 pub use batch::{run_ensemble_batched, run_ensemble_batched_traced};
-pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned};
+pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned, run_windows};
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;
-pub use runner::{anchor_and_hold, pull_from, run_pull, run_reverse_pull, PullOutcome};
+pub use runner::{run_pull, shift_to_far_end, PullOutcome};
 pub use work::{segment_trajectory, SampleWalk, WorkSample, WorkTrajectory};

@@ -49,17 +49,6 @@ impl WorkTrajectory {
         self.samples.last().map_or(0.0, |s| s.guide_disp)
     }
 
-    /// Work interpolated at guide displacement `s` (linear between
-    /// samples). `None` outside the sampled range.
-    pub fn work_at(&self, s: f64) -> Option<f64> {
-        self.walk().at(s).map(|(work, _)| work)
-    }
-
-    /// COM displacement interpolated at guide displacement `s`.
-    pub fn com_at(&self, s: f64) -> Option<f64> {
-        self.walk().at(s).map(|(_, com)| com)
-    }
-
     /// A forward walk interpolating this trajectory at a rising sequence
     /// of guide displacements, such as a PMF grid.
     pub fn walk(&self) -> SampleWalk<'_> {
@@ -314,13 +303,19 @@ mod tests {
         assert!(t.is_well_formed());
     }
 
+    /// Work interpolated at guide displacement `s`; `None` outside the
+    /// sampled range.
+    fn work_at(t: &WorkTrajectory, s: f64) -> Option<f64> {
+        t.walk().at(s).map(|(work, _)| work)
+    }
+
     #[test]
     fn interpolation_between_samples() {
         let t = linear_traj(100, 2.0);
-        assert!((t.work_at(5.05).unwrap() - 10.1).abs() < 1e-9);
-        assert!((t.com_at(5.0).unwrap() - 4.5).abs() < 1e-9);
-        assert!(t.work_at(10.5).is_none());
-        assert!(t.work_at(-0.5).is_none());
+        assert!((work_at(&t, 5.05).unwrap() - 10.1).abs() < 1e-9);
+        assert!((t.walk().at(5.0).unwrap().1 - 4.5).abs() < 1e-9);
+        assert!(work_at(&t, 10.5).is_none());
+        assert!(work_at(&t, -0.5).is_none());
     }
 
     #[test]
@@ -333,7 +328,7 @@ mod tests {
         };
         assert!(t.final_work().is_nan());
         assert_eq!(t.guide_span(), 0.0);
-        assert!(t.work_at(0.0).is_none());
+        assert!(work_at(&t, 0.0).is_none());
         assert!(segment_trajectory(&t, 1.0).is_empty());
     }
 
@@ -366,7 +361,7 @@ mod tests {
         let t = linear_traj(100, 1.7);
         let segs = segment_trajectory(&t, 2.0);
         let sum: f64 = segs.iter().map(|s| s.final_work()).sum();
-        let direct = t.work_at(10.0).unwrap() - t.work_at(0.0).unwrap();
+        let direct = work_at(&t, 10.0).unwrap() - work_at(&t, 0.0).unwrap();
         assert!((sum - direct).abs() < 1e-6, "{sum} vs {direct}");
     }
 }

@@ -11,7 +11,7 @@ use spice::md::forces::{ForceField, Restraint};
 use spice::md::integrate::LangevinBaoab;
 use spice::md::units::KT_300;
 use spice::md::{Simulation, System, Topology, Vec3};
-use spice::smd::{run_ensemble, run_reverse_pull, PullProtocol};
+use spice::smd::{run_ensemble, run_pull, shift_to_far_end, PullProtocol};
 use spice::stats::rng::SeedSequence;
 
 const A: f64 = 0.5; // U = a z² → Φ(z) = a z²
@@ -76,10 +76,15 @@ fn all_four_estimators_agree_with_analytic_pmf() {
 
     // BAR (forward + reverse).
     let forward: Vec<f64> = trajectories.iter().map(|t| t.final_work()).collect();
+    let reversed = PullProtocol {
+        v_a_per_ns: -protocol().v_a_per_ns,
+        ..protocol()
+    };
     let reverse: Vec<f64> = (0..20)
         .filter_map(|i| {
             let mut sim = factory(1_000 + i);
-            run_reverse_pull(&mut sim, &protocol(), i)
+            shift_to_far_end(&mut sim, &protocol());
+            run_pull(&mut sim, &reversed, i)
                 .ok()
                 .map(|o| o.trajectory.final_work())
         })

@@ -80,6 +80,14 @@ fn full_experiment_suite_regenerates_every_artifact() {
         "naive {naive_days} d must dwarf checkpoint+failover {ckpt_days} d"
     );
 
+    // No realization of T-bidir's or T-subtraj's ensembles fails at Test
+    // scale, and their reports say so.
+    assert_eq!(
+        fact(by_id("T-bidir"), "failed realizations"),
+        "0 forward, 0 reverse"
+    );
+    assert_eq!(fact(by_id("T-subtraj"), "failed realizations"), "0");
+
     // F3: stretch contrast above 1.
     let f3 = by_id("F3");
     let contrast: f64 = fact(f3, "stretch contrast")

@@ -20,7 +20,7 @@
 //! | `bench_ti`         | T-ti |
 //! | `bench_jarzynski`  | estimator micro-kernels |
 //! | `bench_md_engine`  | MD substrate kernels (forces, neighbor, steps) |
-//! | `bench_scaling`    | T-scale (ensemble strong scaling) |
+//! | `bench_scaling`    | T-scale (`run_ensemble` over lane chunks and cores) |
 //!
 //! Run everything with `cargo bench --workspace`; each target also prints
 //! its experiment report so `bench_output.txt` doubles as the

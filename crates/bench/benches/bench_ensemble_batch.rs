@@ -9,8 +9,8 @@
 //!
 //! The batched arm steps its lanes in chunks of whole 8-lane vectors, one
 //! chunk per core (up to the row's `workers`, the `smd.batch.chunks`
-//! gauge), while the cloned arm runs on one thread (the vendored rayon is
-//! sequential): every ratio counts cores as well as lanes. e2ebench's
+//! gauge), while the cloned arm steps its clones one after another on
+//! one thread: every ratio counts cores as well as lanes. e2ebench's
 //! `md.batch.speedup` times one batch on one thread, the lanes-only ratio.
 //!
 //! ```sh

@@ -28,8 +28,9 @@ fn main() {
         sample_stride: 20,
     };
 
-    // 3. An ensemble of independent realizations (rayon-parallel — the
-    //    in-process analogue of the paper's grid campaign).
+    // 3. An ensemble of independent realizations (batched lanes, one
+    //    chunk per core — the in-process analogue of the paper's grid
+    //    campaign).
     let n = 12;
     println!("running {n} SMD realizations …");
     let trajectories: Vec<_> = run_ensemble(

@@ -5,7 +5,7 @@
 mod common;
 
 use spice::core::config::Scale;
-use spice::core::pipeline::{pore_simulation, run_cell};
+use spice::core::pipeline::{pore_simulation, run_cell, run_sweep};
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::run_des;
 use spice::smd::run_ensemble;
@@ -78,6 +78,42 @@ fn pmf_cell_golden_bits() {
             0x3fe3_2296_04a4_c419
         ),
         "Test-scale cell (κ=100, v=100, seed 7) moved"
+    );
+}
+
+/// Golden digest of a whole Test-scale sweep: every cell's Φ and
+/// mean-work Φ, σ_stat (raw and cost-normalized), σ_sys, coverage and
+/// realization counts, then the reference profile and the selection. The
+/// cell pins above cover one `run_cell`; this one also covers how
+/// `run_sweep` seeds, schedules and scores its twelve cells.
+#[test]
+fn sweep_golden_digest() {
+    let sweep = run_sweep(Scale::Test, 20050512);
+    let cells = sweep.cells.iter().flat_map(|c| {
+        let curves = c.curve.points.iter().chain(&c.mean_work_curve.points);
+        let scores = [
+            c.sigma_stat_raw,
+            c.sigma_stat_norm,
+            c.sigma_sys,
+            c.coverage,
+            c.n_realizations as f64,
+            c.n_failed as f64,
+        ];
+        curves.map(|p| p.phi).chain(scores)
+    });
+    let reference = sweep.reference.iter().flat_map(|&(s, phi)| [s, phi]);
+    let s = &sweep.selection;
+    let ranking = s.kappa_ranking.iter().flat_map(|&(k, score)| [k, score]);
+    let selection = [
+        s.kappa_pn_per_a,
+        s.v_a_per_ns,
+        s.score,
+        f64::from(u8::from(s.converged)),
+    ];
+    let digest = bits_digest(cells.chain(reference).chain(selection).chain(ranking));
+    assert_eq!(
+        digest, 0x8a2d_84fd_1bb6_2a0b,
+        "Test-scale sweep (seed 20050512) moved"
     );
 }
 

@@ -3,7 +3,7 @@
 //! and systematic errors, and the optimal-parameter selection.
 
 use crate::config::Scale;
-use crate::pipeline::{run_sweep, SweepResult};
+use crate::pipeline::{run_sweep, PmfCell, SweepResult};
 use crate::report::Report;
 use spice_smd::PullProtocol;
 
@@ -56,57 +56,20 @@ pub fn report(sweep: &SweepResult) -> Report {
             .iter()
             .filter(|c| c.kappa_pn_per_a == kappa)
             .collect();
-        if cells.is_empty() {
-            continue;
+        if let Some((header, rows)) = panel(&cells, |c| format!("Φ @ v={}", c.v_label)) {
+            r.table(
+                format!("Fig. 4 panel: κ = {kappa} pN/Å (Φ in kcal/mol)"),
+                header,
+                rows,
+            );
         }
-        let npts = cells[0].curve.points.len();
-        let mut header = vec!["COM disp (Å)".to_string()];
-        header.extend(cells.iter().map(|c| format!("Φ @ v={}", c.v_label)));
-        let mut rows = Vec::with_capacity(npts);
-        for i in 0..npts {
-            let mut row = vec![format!("{:.2}", cells[0].curve.points[i].com_disp)];
-            for c in &*cells {
-                row.push(
-                    c.curve
-                        .points
-                        .get(i)
-                        .map(|p| format!("{:.3}", p.phi))
-                        .unwrap_or_default(),
-                );
-            }
-            rows.push(row);
-        }
-        r.table(
-            format!("Fig. 4 panel: κ = {kappa} pN/Å (Φ in kcal/mol)"),
-            header,
-            rows,
-        );
     }
 
     // Panel (d): κ sweep at v = 12.5.
-    {
-        // spice-lint: allow(N002) v_label is an exact grid constant, not a computed float
-        let cells: Vec<_> = sweep.cells.iter().filter(|c| c.v_label == 12.5).collect();
-        if !cells.is_empty() {
-            let npts = cells[0].curve.points.len();
-            let mut header = vec!["COM disp (Å)".to_string()];
-            header.extend(cells.iter().map(|c| format!("Φ @ κ={}", c.kappa_pn_per_a)));
-            let mut rows = Vec::with_capacity(npts);
-            for i in 0..npts {
-                let mut row = vec![format!("{:.2}", cells[0].curve.points[i].com_disp)];
-                for c in &*cells {
-                    row.push(
-                        c.curve
-                            .points
-                            .get(i)
-                            .map(|p| format!("{:.3}", p.phi))
-                            .unwrap_or_default(),
-                    );
-                }
-                rows.push(row);
-            }
-            r.table("Fig. 4d: v = 12.5 Å/ns, κ sweep", header, rows);
-        }
+    // spice-lint: allow(N002) v_label is an exact grid constant, not a computed float
+    let cells: Vec<_> = sweep.cells.iter().filter(|c| c.v_label == 12.5).collect();
+    if let Some((header, rows)) = panel(&cells, |c| format!("Φ @ κ={}", c.kappa_pn_per_a)) {
+        r.table("Fig. 4d: v = 12.5 Å/ns, κ sweep", header, rows);
     }
 
     // T-opt: the error table.
@@ -156,6 +119,29 @@ pub fn report(sweep: &SweepResult) -> Report {
     r
 }
 
+/// One Fig. 4 panel: Φ of each of `cells` (a column headed `label`) on
+/// the COM grid of the first cell that has points; `None` when no cell
+/// has any (every realization of each failed).
+fn panel(
+    cells: &[&PmfCell],
+    label: impl Fn(&PmfCell) -> String,
+) -> Option<(Vec<String>, Vec<Vec<String>>)> {
+    let grid = cells.iter().find(|c| !c.curve.points.is_empty())?;
+    let mut header = vec!["COM disp (Å)".to_string()];
+    header.extend(cells.iter().map(|c| label(c)));
+    let rows = (grid.curve.points.iter().enumerate())
+        .map(|(i, point)| {
+            let mut row = vec![format!("{:.2}", point.com_disp)];
+            row.extend(cells.iter().map(|c| {
+                let phi = c.curve.points.get(i);
+                phi.map(|p| format!("{:.3}", p.phi)).unwrap_or_default()
+            }));
+            row
+        })
+        .collect();
+    Some((header, rows))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +171,23 @@ mod tests {
         assert!((ratio - 8f64.sqrt()).abs() < 1e-9, "got {ratio}");
         let fast = sweep.cell(100.0, 100.0).unwrap();
         assert!((fast.sigma_stat_norm / fast.sigma_stat_raw - 1.0).abs() < 1e-9);
+    }
+
+    /// A cell whose every realization failed has no points; the panels
+    /// take their COM grid from a cell that has some, and the report
+    /// lists the failures.
+    #[test]
+    fn panels_take_their_grid_from_a_cell_with_points() {
+        let mut sweep = run_sweep(Scale::Test, 101);
+        let before = report(&sweep).render();
+        let first = &mut sweep.cells[0];
+        assert_eq!((first.kappa_pn_per_a, first.v_label), (10.0, 12.5));
+        first.curve.points.clear();
+        first.n_failed = first.n_realizations;
+        let text = report(&sweep).render();
+        assert!(text.contains("dropped"), "{text}");
+        // Every panel keeps its rows; only the failure fact changes.
+        assert_eq!(text.lines().count(), before.lines().count(), "{text}");
     }
 
     #[test]

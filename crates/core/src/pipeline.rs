@@ -1,19 +1,21 @@
 //! The SMD-JE → PMF pipeline and the Fig. 4 parameter sweep.
 
 use crate::config::Scale;
-use rayon::prelude::*;
 use spice_jarzynski::error::statistical::{
     cost_normalized_sigma, pmf_bootstrap_sigma, pmf_sigma_scalar,
 };
 use spice_jarzynski::optimal::{select_optimal, ParameterCell, Selection};
 use spice_jarzynski::pmf::{Estimator, PmfCurve};
 use spice_md::units::KT_300;
-use spice_md::Simulation;
+use spice_md::{MdError, Simulation};
 use spice_pore::build::{PoreSystemBuilder, SmdSelection};
 use spice_pore::dna::DnaParams;
-use spice_smd::{partition_outcomes, run_ensemble_batched_traced, PullProtocol, WorkTrajectory};
+use spice_smd::{
+    partition_outcomes, run_ensemble_batched_traced, run_ensembles_batched, ClonedEnsemble,
+    PullProtocol, WorkTrajectory,
+};
 use spice_stats::rng::SeedSequence;
-use spice_telemetry::Telemetry;
+use spice_telemetry::{Telemetry, Track};
 
 /// Leading-bead start height: in the β-barrel just below the
 /// constriction, so the 10 Å pull crosses the narrowest point — the
@@ -103,22 +105,58 @@ pub fn run_cell_traced(
 ) -> PmfCell {
     let cell_track = telemetry.track("core.cell", track_key);
     let _cell_span = cell_track.span("core.run_cell");
-    let protocol = scale.protocol(kappa, v_label);
-    // Clone-amortized ensemble: one shared equilibration per cell, each
-    // realization forked from the snapshot with a fresh noise stream plus
-    // a short decorrelation hold (see DESIGN.md), all realizations
-    // advancing as lanes of vectorized loops, one chunk of lanes per core
-    // (the batched SoA engine, bit-identical to stepping each clone on
-    // its own).
+    let e = cell_ensemble(scale, kappa, v_label, seeds);
     let results = run_ensemble_batched_traced(
         |seed| pore_simulation(scale, seed),
-        &protocol,
-        scale.realizations(),
-        seeds,
-        scale.decorrelation_steps(),
+        &e.protocol,
+        e.n,
+        e.seeds,
+        e.decorrelation_steps,
         telemetry,
         track_key,
     );
+    estimate_cell(
+        scale,
+        kappa,
+        v_label,
+        seeds,
+        results,
+        telemetry,
+        &cell_track,
+    )
+}
+
+/// The ensemble of one (κ, v) cell on `seeds`: clone-amortized, one
+/// shared equilibration per cell, each realization forked from the
+/// snapshot with a fresh noise stream plus a short decorrelation hold
+/// (see DESIGN.md), all of them advancing as lanes of vectorized loops
+/// (the batched SoA engine, bit-identical to stepping each clone on its
+/// own).
+fn cell_ensemble(scale: Scale, kappa: f64, v_label: f64, seeds: SeedSequence) -> ClonedEnsemble {
+    ClonedEnsemble {
+        protocol: scale.protocol(kappa, v_label),
+        n: scale.realizations(),
+        seeds,
+        decorrelation_steps: scale.decorrelation_steps(),
+    }
+}
+
+/// A cell's PMF from its ensemble's slots `results`: the JE and
+/// mean-work curves, the bootstrap σ_stat (raw and cost-normalized) and
+/// the coverage, with the attrition counted; `sigma_sys` is left NaN for
+/// the sweep to fill. A cell whose every realization failed has no
+/// profile to estimate: it comes back with empty curves, NaN σ_stat and
+/// coverage 0, so the selection passes it over and the report lists its
+/// failures.
+fn estimate_cell(
+    scale: Scale,
+    kappa: f64,
+    v_label: f64,
+    seeds: SeedSequence,
+    results: Vec<Result<WorkTrajectory, MdError>>,
+    telemetry: &Telemetry,
+    cell_track: &Track,
+) -> PmfCell {
     let (mut trajectories, failures) = partition_outcomes(results);
     let n_failed = failures.len();
     if let Some(first) = failures.first() {
@@ -128,10 +166,32 @@ pub fn run_cell_traced(
              realization(s); first: {first}"
         );
     }
-    assert!(
-        !trajectories.is_empty(),
-        "every realization of cell (κ={kappa}, v={v_label}) failed"
-    );
+    if trajectories.is_empty() {
+        let empty = |estimator| PmfCurve {
+            kappa_pn_per_a: kappa,
+            v_a_per_ns: v_label,
+            estimator,
+            points: Vec::new(),
+        };
+        if telemetry.is_enabled() {
+            telemetry
+                .counter("core.realizations_failed")
+                .add(n_failed as u64);
+        }
+        return PmfCell {
+            kappa_pn_per_a: kappa,
+            v_label,
+            curve: empty(Estimator::Jarzynski),
+            mean_work_curve: empty(Estimator::MeanWork),
+            sigma_stat_norm: f64::NAN,
+            sigma_stat_raw: f64::NAN,
+            sigma_sys: f64::NAN,
+            coverage: 0.0,
+            n_realizations: 0,
+            n_failed,
+            trajectories,
+        };
+    }
     // Re-label with paper units so curves carry the Fig. 4 legend values.
     for t in &mut trajectories {
         t.v_a_per_ns = v_label;
@@ -306,17 +366,23 @@ pub fn run_sweep(scale: Scale, master_seed: u64) -> SweepResult {
     let root = SeedSequence::new(master_seed);
     let reference = reference_profile(scale, root.child(999));
 
-    // Cells are independent; parallelize across them (each cell already
-    // parallelizes its realizations, rayon nests fine via work stealing).
-    let grid: Vec<(usize, f64, f64)> = PullProtocol::KAPPA_GRID
+    // Every cell's ensemble goes to one lane pool (DESIGN.md §16.6): a v
+    // column's three κ cells share their pull length, so they share lane
+    // chunks, and the columns spread over the cores, longest first. Each
+    // cell's slots are `run_cell`'s, bit for bit, and are estimated the
+    // same way.
+    let grid: Vec<(f64, f64)> = PullProtocol::KAPPA_GRID
         .iter()
         .flat_map(|&k| PullProtocol::V_GRID.iter().map(move |&v| (k, v)))
-        .enumerate()
-        .map(|(i, (k, v))| (i, k, v))
         .collect();
-    let mut cells: Vec<PmfCell> = grid
-        .par_iter()
-        .map(|&(i, k, v)| run_cell(scale, k, v, root.child(i as u64)))
+    let ensembles: Vec<ClonedEnsemble> = (grid.iter().enumerate())
+        .map(|(i, &(k, v))| cell_ensemble(scale, k, v, root.child(i as u64)))
+        .collect();
+    let slots = run_ensembles_batched(|seed| pore_simulation(scale, seed), &ensembles);
+    let untraced = Telemetry::disabled();
+    let track = untraced.track("core.cell", 0);
+    let mut cells: Vec<PmfCell> = (grid.iter().zip(&ensembles).zip(slots))
+        .map(|((&(k, v), e), slots)| estimate_cell(scale, k, v, e.seeds, slots, &untraced, &track))
         .collect();
 
     // Fill systematic errors against the reference, on the COM axis over
@@ -418,6 +484,42 @@ mod tests {
             assert!(w[1].0 > w[0].0);
         }
         assert!(r[0].1.abs() < 1e-9, "reference gauged at 0");
+    }
+
+    /// A cell whose every realization failed is a failed cell, not a
+    /// panic: empty curves, NaN σ_stat, coverage 0 and every realization
+    /// counted as failed; the selection passes it over as uncovered.
+    #[test]
+    fn an_all_failed_cell_estimates_to_a_failed_cell() {
+        let n = Scale::Test.realizations();
+        let failed = || MdError::NumericalBlowup {
+            step: 7,
+            what: "non-finite state during pull".into(),
+        };
+        let slots = (0..n).map(|_| Err(failed())).collect();
+        let telemetry = Telemetry::enabled();
+        let track = telemetry.track("core.cell", 0);
+        let cell = estimate_cell(
+            Scale::Test,
+            100.0,
+            12.5,
+            SeedSequence::new(3),
+            slots,
+            &telemetry,
+            &track,
+        );
+        assert!(cell.curve.points.is_empty() && cell.mean_work_curve.points.is_empty());
+        assert_eq!(cell.curve.estimator, Estimator::Jarzynski);
+        assert_eq!(cell.mean_work_curve.estimator, Estimator::MeanWork);
+        assert!(cell.sigma_stat_raw.is_nan() && cell.sigma_stat_norm.is_nan());
+        assert_eq!(cell.coverage, 0.0);
+        assert_eq!((cell.n_realizations, cell.n_failed), (0, n));
+        assert!(cell.trajectories.is_empty());
+        let failed = telemetry.counter("core.realizations_failed").get();
+        assert_eq!(failed, n as u64);
+        assert_eq!(telemetry.counter("core.cells_completed").get(), 0);
+        let sigma_sys = sigma_sys_on_com(&cell.curve, &[(0.0, 0.0), (4.0, 2.0)], 4.0);
+        assert!(sigma_sys.is_finite(), "scored as no profile at all");
     }
 
     #[test]

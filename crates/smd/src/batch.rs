@@ -1,15 +1,16 @@
 //! Batched ensembles: every realization of an `Ensemble` as a lane of
 //! one vectorized force/integrate loop ([`BatchSim`], see
 //! `spice_md::batch`). Every Langevin ensemble runs here — clones of one
-//! equilibration ([`run_ensemble_batched`]), independent starts
+//! equilibration ([`run_ensemble_batched`], several at once through
+//! [`run_ensembles_batched`]), independent starts
 //! ([`run_ensemble`](crate::run_ensemble)) and umbrella windows
 //! ([`run_windows`](crate::run_windows)) — and every slot is the scalar
 //! loop's (`Ensemble::run_scalar`) bit for bit, error text included. A
-//! lane starts from the cloned template's state or its own simulation's
-//! (`BatchSim::set_lane_state`), and its spring holds its own anchor; the
-//! rest of the scalar path's per-realization state (COM origin, work
-//! accumulator, previous force, samples) lives in per-lane vectors
-//! updated with the same expressions.
+//! lane starts from its cloned ensemble's restored master or its own
+//! simulation's state (`BatchSim::set_lane_state`), and its spring holds
+//! its own κ and anchor; the rest of the scalar path's per-realization
+//! state (COM origin, work accumulator, previous force, samples) lives
+//! in per-lane vectors updated with the same expressions.
 //!
 //! A lane that goes non-finite gets the scalar path's error on the same
 //! step while the others go on, and leaves the neighbor-list rebuilds. A
@@ -17,17 +18,21 @@
 //! it, where its scalar twin's cell list panics) gets the error panic
 //! isolation gives that twin.
 //!
-//! Lanes run as *chunks* of whole 8-lane vectors, as few as there are
-//! cores (`lane_chunks`), each its own [`BatchSim`] stepped end to end,
-//! the first on the calling thread and the others on scoped workers.
-//! Lanes never mix and each chunk's union pair list is a superset of its
-//! own lanes' lists, so no bit depends on the layout. Factory calls,
-//! restores, batch construction and telemetry stay on the calling
-//! thread; a worker hands back its chunk's slots and rebuild count. Each
-//! batch's pad lanes (`spice_md::batch::LANE_PAD`) copy its first lane
-//! and never reach a result, span or gauge. A realization that cannot be
-//! a lane (one not on BAOAB Langevin, say) sends the whole ensemble to
-//! the scalar loop.
+//! Lanes run as *chunks* of whole 8-lane vectors, each its own
+//! [`BatchSim`] stepped end to end, from one *pool* per call. Ensembles
+//! whose lanes may share a batch (same factory, start kind and leg but
+//! for κ) form a lane group, a Fig. 4 v column say; `pool_layout` cuts
+//! each group into chunks by its share of the pool's work and deals the
+//! chunks longest first to the host's workers before any thread starts.
+//! Worker 0's chunks run on the calling thread, the others' on scoped
+//! threads. Lanes never mix and each chunk's union pair list is a
+//! superset of its own lanes' lists, so no bit depends on the layout.
+//! Factory calls, masters, restores, batch construction and telemetry
+//! stay on the calling thread; a worker hands back its chunks' slots and
+//! rebuild counts. Each batch's pad lanes (`spice_md::batch::LANE_PAD`)
+//! copy its first lane and never reach a result, span or gauge. A
+//! realization that cannot be a lane (one not on BAOAB Langevin, say)
+//! sends its whole lane group to the scalar loop.
 
 use crate::ensemble::{trajectories, Ensemble, Runs};
 use crate::protocol::PullProtocol;
@@ -35,7 +40,6 @@ use crate::pulling::SmdSpring;
 use crate::runner::{anchor, spring_probe, Leg};
 use crate::work::{WorkSample, WorkTrajectory};
 use spice_md::batch::{BatchSim, LaneForces, LaneThermostat, LANE_PAD, PAD_SOURCE};
-#[cfg(feature = "audit")]
 use spice_md::checkpoint::Snapshot;
 use spice_md::{MdError, Simulation};
 use spice_stats::rng::SeedSequence;
@@ -114,6 +118,49 @@ where
     trajectories(clones.run())
 }
 
+/// One cloned ensemble of [`run_ensembles_batched`]: what a
+/// [`run_ensemble_batched`] call takes besides the factory.
+#[derive(Debug, Clone, Copy)]
+pub struct ClonedEnsemble {
+    /// The pulling protocol.
+    pub protocol: PullProtocol,
+    /// Realizations.
+    pub n: usize,
+    /// Realization `i` runs on `seeds.stream(i)`.
+    pub seeds: SeedSequence,
+    /// Steps each clone holds after its restore, before the pull.
+    pub decorrelation_steps: u64,
+}
+
+/// Several cloned ensembles of one factory as one lane pool: slot for
+/// slot, [`run_ensemble_batched`] on each of `ensembles`, the same bits
+/// on every layout. Ensembles whose pulls share their step counts and
+/// velocity differ only in κ and their master, so their lanes share
+/// chunks, each lane starting from its own ensemble's master (a Fig. 4
+/// v column is one such group); the groups' chunks spread over the
+/// host's cores, longest first (DESIGN.md §16.6). The masters run one
+/// after another on the calling thread. Untraced.
+pub fn run_ensembles_batched<F>(
+    factory: F,
+    ensembles: &[ClonedEnsemble],
+) -> Vec<Vec<Result<WorkTrajectory, MdError>>>
+where
+    F: Fn(u64) -> Simulation + Sync,
+{
+    let cells: Vec<Ensemble<'_, F>> = ensembles
+        .iter()
+        .map(|e| {
+            let leg = Leg::pull(&e.protocol, e.decorrelation_steps);
+            Ensemble {
+                cloned: true,
+                ..Ensemble::new(&factory, leg, e.n, e.seeds)
+            }
+        })
+        .collect();
+    let runs = run_pool(&cells, |groups| pool_layout(groups, workers()));
+    runs.into_iter().map(trajectories).collect()
+}
+
 /// Threads a batched ensemble may step lanes on: the host's available
 /// parallelism, read once per process (1 when it cannot be read).
 fn workers() -> usize {
@@ -140,155 +187,238 @@ pub(crate) fn lane_chunks(n: usize, workers: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Where a pool's lanes run: each lane group's chunks (contiguous ranges
+/// of its lanes) and each worker's chunks as `(group, chunk)` pairs, in
+/// the order it steps them. Worker 0 is the calling thread.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Layout {
+    pub(crate) chunks: Vec<Vec<Range<usize>>>,
+    pub(crate) workers: Vec<Vec<(usize, usize)>>,
+}
+
+/// Whole vectors times MD steps: what a chunk of `lanes` lanes costs to
+/// step `steps` times, pad lanes included.
+fn vector_steps(lanes: usize, steps: u64) -> u64 {
+    lanes.div_ceil(LANE_PAD) as u64 * steps
+}
+
+/// The pool layout of lane groups `groups`, each given as its lanes and
+/// the MD steps every lane runs, on `workers` threads. Group g is cut by
+/// [`lane_chunks`] into k = clamp(round(workers · its share of the
+/// pool's vector-steps), 1, its vectors) chunks, so a lone group gets
+/// `lane_chunks(n, workers)`; [`deal`] hands the chunks to the workers.
+pub(crate) fn pool_layout(groups: &[(usize, u64)], workers: usize) -> Layout {
+    let w = workers.max(1) as u64;
+    let cost: Vec<u64> = groups.iter().map(|&(n, s)| vector_steps(n, s)).collect();
+    let total = cost.iter().sum::<u64>().max(1);
+    let chunks = groups
+        .iter()
+        .zip(&cost)
+        .map(|(&(n, _), &cost)| {
+            // round(w · cost / total), in integers.
+            let k = (2 * w * cost + total) / (2 * total);
+            lane_chunks(n, (k as usize).clamp(1, n.div_ceil(LANE_PAD).max(1)))
+        })
+        .collect();
+    let steps: Vec<u64> = groups.iter().map(|&(_, s)| s).collect();
+    deal(chunks, &steps, workers)
+}
+
+/// `chunks` (each group's; the MD steps of group g's lanes in `steps[g]`)
+/// dealt to at most `workers` workers: longest first in vector-steps
+/// (ties in group and chunk order), each to the least-loaded worker (the
+/// lowest index among equals). The whole deal is fixed before any thread
+/// starts, so no worker shares a counter or a lock.
+pub(crate) fn deal(chunks: Vec<Vec<Range<usize>>>, steps: &[u64], workers: usize) -> Layout {
+    let mut order: Vec<(u64, usize, usize)> = chunks
+        .iter()
+        .enumerate()
+        .flat_map(|(g, cs)| {
+            let steps = steps[g];
+            cs.iter()
+                .enumerate()
+                .map(move |(c, r)| (vector_steps(r.len(), steps), g, c))
+        })
+        .collect();
+    order.sort_by_key(|&(cost, ..)| std::cmp::Reverse(cost));
+    let mut loads = vec![0u64; workers.max(1).min(order.len())];
+    let mut lists = vec![Vec::new(); loads.len()];
+    for (cost, g, c) in order {
+        let w = (0..loads.len())
+            .min_by_key(|&w| loads[w])
+            .expect("a worker per dealt chunk");
+        loads[w] += cost;
+        lists[w].push((g, c));
+    }
+    Layout {
+        chunks,
+        workers: lists,
+    }
+}
+
 impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
     /// The ensemble's slots, its realizations stepped as lanes on this
-    /// host's lane layout.
+    /// host's lane layout: a pool of one.
     pub(crate) fn run(&self) -> Runs {
-        self.run_chunks(&lane_chunks(self.n, workers()))
-    }
-
-    /// [`run`](Self::run) on the lane layout `chunks`, a partition of
-    /// `0..n` into contiguous ranges: each chunk runs as its own batch,
-    /// the first on the calling thread and the others on scoped workers.
-    /// The slots do not depend on the layout; they are
-    /// [`run_scalar`](Self::run_scalar)'s, bit for bit.
-    pub(crate) fn run_chunks(&self, chunks: &[Range<usize>]) -> Runs {
-        let (n, seeds, telemetry) = (self.n, self.seeds, &self.telemetry);
-        if n == 0 {
-            return Vec::new();
-        }
-        debug_assert!(
-            chunks.first().map(|c| c.start) == Some(0)
-                && chunks.last().map(|c| c.end) == Some(n)
-                && chunks.windows(2).all(|w| w[0].end == w[1].start)
-                && chunks.iter().all(|c| !c.is_empty()),
-            "lane chunks {chunks:?} do not partition 0..{n}"
-        );
-
-        // One factory call per realization, exactly as the scalar loop makes:
-        // lane i's thermostat is whatever `factory(seeds.stream(i))` installs.
-        // A cloned ensemble keeps each chunk's first simulation as that
-        // chunk's restore template and drops the others as soon as their
-        // thermostat is read; own starts keep every one as its lane's start.
-        // A realization that cannot be a lane sends the whole ensemble to the
-        // scalar loop, which gives it the same slots: a non-Langevin
-        // integrator, a model other than realization 0's (`same_model`), a
-        // factory that panics (own starts, whose factory calls the scalar
-        // loop isolates), a failed restore or a missing `"smd"` group.
-        let own = !self.cloned;
-        let mut sims: Vec<Simulation> = Vec::with_capacity(if own { n } else { chunks.len() });
-        let lanes: Option<Vec<LaneThermostat>> = (0..n)
-            .map(|i| {
-                let seed = seeds.stream(i as u64);
-                let sim = if own {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.factory)(seed)))
-                        .ok()?
-                } else {
-                    (self.factory)(seed)
-                };
-                if !sims.first().is_none_or(|first| same_model(first, &sim)) {
-                    return None;
-                }
-                let lane = sim
-                    .langevin_params()
-                    .map(|(temperature, gamma, noise_seed)| LaneThermostat {
-                        temperature,
-                        gamma,
-                        noise_seed,
-                    });
-                if own || chunks.get(sims.len()).is_some_and(|c| c.start == i) {
-                    sims.push(sim);
-                }
-                lane
-            })
-            .collect();
-        let Some(lanes) = lanes else {
-            return self.run_scalar();
-        };
-        let snap = match self.master() {
-            Ok(snap) => snap,
-            Err(slots) => return slots,
-        };
-        // The same `factory(seed) → restore` every clone performs, and the
-        // group lookup every realization makes. Either failing sends the
-        // ensemble to the scalar loop from this master's snapshot.
-        let restored = snap
-            .as_ref()
-            .is_none_or(|snap| sims.iter_mut().all(|t| snap.restore(t).is_ok()));
-        let probe = restored.then(|| spring_probe(&sims[0], self.leg.protocol.kappa()));
-        let Some(Ok(probe)) = probe else {
-            return self.scalar_from(snap.as_ref());
-        };
-        // Every realization's start COM and anchor, exactly as the scalar
-        // `hold` computes them (window shifts included). Cloned lanes all
-        // restore to the template's coordinates, so one pair serves them all.
-        let starts: Vec<(f64, f64)> = if own {
-            let shift = |(i, sim): (usize, &mut Simulation)| anchor(sim, &probe, self.offset(i));
-            sims.iter_mut().enumerate().map(shift).collect()
-        } else {
-            vec![anchor(&mut sims[0], &probe, None); n]
-        };
-
-        let mut sims = sims.into_iter();
-        let chunks: Vec<Chunk> = chunks
-            .iter()
-            .map(|range| {
-                let mut next = || sims.next().expect("a start state per batch and lane");
-                let mut batch = BatchSim::new(next(), &lanes[range.clone()]);
-                if own {
-                    for l in 1..range.len() {
-                        batch.set_lane_state(l, next().system());
-                    }
-                }
-                let lane = |l: usize| range.start + if l < range.len() { l } else { PAD_SOURCE };
-                Chunk {
-                    first: range.start,
-                    anchors: (0..batch.stride()).map(|l| starts[lane(l)].1).collect(),
-                    batch,
-                    failed: (0..range.len()).map(|_| None).collect(),
-                    #[cfg(feature = "audit")]
-                    shadows: Shadows::new(self, range.clone(), snap.as_ref()),
-                }
-            })
-            .collect();
-        telemetry.set_gauge("smd.batch.replicas", n as f64);
-        telemetry.set_gauge("smd.batch.chunks", chunks.len() as f64);
-        // Keep each lane's realization span open for the whole batched run:
-        // lanes advance in lockstep, so per-lane wall time is the batch's.
-        let lane_spans: Vec<_> = (0..n)
-            .map(|i| {
-                telemetry
-                    .track("smd.realization", i as u64)
-                    .span("batch.realization")
-            })
-            .collect();
-
-        let run = |chunk: Chunk| chunk.run(self, &probe);
-        let mut chunks = chunks.into_iter();
-        let own_chunk = chunks.next().expect("n > 0 lanes make at least one chunk");
-        let ran: Vec<(Slots, u64)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = chunks
-                .map(|chunk| scope.spawn(move || run(chunk)))
-                .collect();
-            let own_chunk = run(own_chunk);
-            std::iter::once(own_chunk)
-                .chain(workers.into_iter().map(|worker| {
-                    worker
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                }))
-                .collect()
+        let mut runs = run_pool(std::slice::from_ref(self), |groups| {
+            pool_layout(groups, workers())
         });
-
-        let rebuilds = ran.iter().map(|&(_, rebuilds)| rebuilds).sum();
-        telemetry.counter("smd.batch.rebuilds").add(rebuilds);
-        drop(lane_spans);
-        let slots = ran.into_iter().flat_map(|(slots, _)| slots);
-        slots
-            .zip(starts)
-            .map(|(slot, (origin, _))| slot.map(|t| (origin, t)))
-            .collect()
+        runs.pop().expect("one ensemble's slots")
     }
+}
+
+/// Every ensemble of `cells` run as one pool, on the layout `plan` makes
+/// of its lane groups (each given as its lanes and the MD steps each
+/// lane runs): per ensemble, its slots, which are
+/// [`run_scalar`](Ensemble::run_scalar)'s bit for bit on any layout.
+///
+/// On the calling thread, in order: every cloned ensemble's master; the
+/// lane groups, each ensemble joining the first group whose first member
+/// [`shares_lanes`](Ensemble::shares_lanes) with it; the layout; and each
+/// group's factory calls, restores and batches. A group whose lanes
+/// cannot all be built runs each of its ensembles on the scalar loop
+/// from its master instead. Then the chunks run on their workers and the
+/// slots are joined back, per ensemble in realization order.
+pub(crate) fn run_pool<F>(
+    cells: &[Ensemble<'_, F>],
+    plan: impl FnOnce(&[(usize, u64)]) -> Layout,
+) -> Vec<Runs>
+where
+    F: Fn(u64) -> Simulation + Sync,
+{
+    let mut out: Vec<Option<Runs>> = cells.iter().map(|_| None).collect();
+    let mut snaps: Vec<Option<Snapshot>> = Vec::with_capacity(cells.len());
+    for (cell, out) in cells.iter().zip(&mut out) {
+        match cell.master() {
+            Ok(snap) => snaps.push(snap),
+            Err(slots) => {
+                *out = Some(slots);
+                snaps.push(None);
+            }
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (c, cell) in cells.iter().enumerate() {
+        if out[c].is_some() {
+            continue;
+        }
+        if cell.n == 0 {
+            out[c] = Some(Vec::new());
+            continue;
+        }
+        match groups.iter_mut().find(|g| cells[g[0]].shares_lanes(cell)) {
+            Some(group) => group.push(c),
+            None => groups.push(vec![c]),
+        }
+    }
+    let shapes: Vec<(usize, u64)> = groups
+        .iter()
+        .map(|g| (g.iter().map(|&c| cells[c].n).sum(), cells[g[0]].leg.steps()))
+        .collect();
+    let layout = plan(&shapes);
+
+    let mut chunks: Vec<Vec<Option<Chunk>>> = Vec::with_capacity(groups.len());
+    let mut built: Vec<Option<Group>> = Vec::with_capacity(groups.len());
+    for (members, ranges) in groups.iter().zip(&layout.chunks) {
+        let Some((group, group_chunks)) = Group::build(cells, members, &snaps, ranges) else {
+            for &c in members {
+                out[c] = Some(cells[c].scalar_from(snaps[c].as_ref()));
+            }
+            chunks.push(ranges.iter().map(|_| None).collect());
+            built.push(None);
+            continue;
+        };
+        chunks.push(group_chunks.into_iter().map(Some).collect());
+        built.push(Some(group));
+    }
+
+    // Per ensemble that runs as lanes: the chunks holding its lanes, then
+    // its gauges and its lanes' spans, kept open for the whole run (lanes
+    // advance in lockstep, so per-lane wall time is the batch's).
+    let mut held: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    for (g, group) in built.iter().enumerate() {
+        let Some(group) = group else { continue };
+        for &c in &groups[g] {
+            let holds = |range: &Range<usize>| group.lanes[range.clone()].iter().any(|l| l.0 == c);
+            let ids = (layout.chunks[g].iter().enumerate())
+                .filter(|(_, range)| holds(range))
+                .map(|(k, _)| (g, k));
+            held.push((c, ids.collect()));
+        }
+    }
+    held.sort_by_key(|&(c, _)| c);
+    let mut lane_spans = Vec::new();
+    for (c, ids) in &held {
+        let (n, telemetry) = (cells[*c].n, &cells[*c].telemetry);
+        telemetry.set_gauge("smd.batch.replicas", n as f64);
+        telemetry.set_gauge("smd.batch.chunks", ids.len() as f64);
+        lane_spans.extend((0..n).map(|i| {
+            telemetry
+                .track("smd.realization", i as u64)
+                .span("batch.realization")
+        }));
+    }
+
+    let lists: Vec<Vec<((usize, usize), Chunk)>> = (layout.workers.iter())
+        .map(|list| {
+            let take = |&(g, k): &(usize, usize)| Some(((g, k), chunks[g][k].take()?));
+            list.iter().filter_map(take).collect()
+        })
+        .filter(|list: &Vec<_>| !list.is_empty())
+        .collect();
+    let built = &built;
+    let run = |((g, k), chunk): ((usize, usize), Chunk)| {
+        let group = built[g].as_ref().expect("a built group per dealt chunk");
+        ((g, k), chunk.run(cells, &group.probe))
+    };
+    let ran: Vec<((usize, usize), (Slots, u64))> = std::thread::scope(|scope| {
+        let mut lists = lists.into_iter();
+        let own = lists.next().unwrap_or_default();
+        let workers: Vec<_> = lists
+            .map(|list| scope.spawn(move || list.into_iter().map(run).collect::<Vec<_>>()))
+            .collect();
+        let mut ran: Vec<_> = own.into_iter().map(run).collect();
+        for worker in workers {
+            ran.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        ran
+    });
+    let mut results: Vec<Vec<Option<(Slots, u64)>>> = (layout.chunks.iter())
+        .map(|ranges| ranges.iter().map(|_| None).collect())
+        .collect();
+    for ((g, k), result) in ran {
+        results[g][k] = Some(result);
+    }
+
+    for (c, ids) in &held {
+        let rebuilds = ids
+            .iter()
+            .map(|&(g, k)| results[g][k].as_ref().map_or(0, |r| r.1));
+        cells[*c]
+            .telemetry
+            .counter("smd.batch.rebuilds")
+            .add(rebuilds.sum());
+    }
+    drop(lane_spans);
+    for (g, group) in built.iter().enumerate() {
+        let Some(group) = group else { continue };
+        let slots = results[g]
+            .iter_mut()
+            .flat_map(|r| r.take().expect("every chunk ran").0);
+        let mut runs = slots
+            .zip(&group.starts)
+            .map(|(slot, &(origin, _))| slot.map(|t| (origin, t)));
+        for &c in &groups[g] {
+            out[c] = Some(runs.by_ref().take(cells[c].n).collect());
+        }
+    }
+    out.into_iter()
+        .map(|runs| runs.expect("every ensemble ran"))
+        .collect()
 }
 
 /// Whether `sim` can be a lane of a batch built from `first`, which holds
@@ -310,11 +440,160 @@ fn same_model(first: &Simulation, sim: &Simulation) -> bool {
     model(first).eq(model(sim))
 }
 
+/// A lane group ready to run: every lane's `(ensemble, realization)` and
+/// start (COM before any shift, anchor), and the group's spring probe.
+struct Group {
+    lanes: Vec<(usize, usize)>,
+    starts: Vec<(f64, f64)>,
+    probe: SmdSpring,
+}
+
+impl Group {
+    /// The lanes of the ensembles `members` of `cells`, one after another,
+    /// and the batches of their chunks `ranges`, built on the calling
+    /// thread; `None` when a lane cannot be built.
+    ///
+    /// One factory call per realization, exactly as the scalar loop makes:
+    /// lane `(c, i)`'s thermostat is whatever `factory(seeds.stream(i))`
+    /// installs. A realization keeps its simulation when it starts from it
+    /// (own starts) or when it starts a chunk or its ensemble's run in a
+    /// chunk (a cloned ensemble's restore template there); the others are
+    /// dropped as soon as their thermostat is read. A lane cannot be built
+    /// from a non-Langevin integrator, a model other than the group's first
+    /// (`same_model`), a factory that panics (own starts, whose factory
+    /// calls the scalar loop isolates), a failed restore or a missing
+    /// `"smd"` group.
+    fn build<F>(
+        cells: &[Ensemble<'_, F>],
+        members: &[usize],
+        snaps: &[Option<Snapshot>],
+        ranges: &[Range<usize>],
+    ) -> Option<(Group, Vec<Chunk>)>
+    where
+        F: Fn(u64) -> Simulation + Sync,
+    {
+        let lanes: Vec<(usize, usize)> = (members.iter())
+            .flat_map(|&c| (0..cells[c].n).map(move |i| (c, i)))
+            .collect();
+        debug_assert!(
+            ranges.first().map(|r| r.start) == Some(0)
+                && ranges.last().map(|r| r.end) == Some(lanes.len())
+                && ranges.windows(2).all(|w| w[0].end == w[1].start)
+                && ranges.iter().all(|r| !r.is_empty()),
+            "lane chunks {ranges:?} do not partition 0..{}",
+            lanes.len()
+        );
+        let mut starts_chunk = vec![false; lanes.len()];
+        for range in ranges {
+            starts_chunk[range.start] = true;
+        }
+        let mut sims: Vec<(usize, Simulation)> = Vec::new();
+        let thermostats: Vec<LaneThermostat> = (lanes.iter().enumerate())
+            .map(|(l, &(c, i))| {
+                let cell = &cells[c];
+                let seed = cell.seeds.stream(i as u64);
+                let sim = if cell.cloned {
+                    (cell.factory)(seed)
+                } else {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (cell.factory)(seed)))
+                        .ok()?
+                };
+                if !sims
+                    .first()
+                    .is_none_or(|(_, first)| same_model(first, &sim))
+                {
+                    return None;
+                }
+                let lane = sim
+                    .langevin_params()
+                    .map(|(temperature, gamma, noise_seed)| LaneThermostat {
+                        temperature,
+                        gamma,
+                        noise_seed,
+                    });
+                if !cell.cloned || i == 0 || starts_chunk[l] {
+                    sims.push((l, sim));
+                }
+                lane
+            })
+            .collect::<Option<_>>()?;
+        // The same `factory(seed) → restore` every clone performs, and the
+        // group lookup every realization makes.
+        let restored = sims.iter_mut().all(|(l, sim)| {
+            let snap = snaps[lanes[*l].0].as_ref();
+            snap.is_none_or(|snap| snap.restore(sim).is_ok())
+        });
+        if !restored {
+            return None;
+        }
+        let probe = spring_probe(&sims[0].1, cells[members[0]].leg.protocol.kappa()).ok()?;
+        // Every realization's start COM and anchor, exactly as the scalar
+        // `hold` computes them (window shifts included). A cloned
+        // ensemble's lanes all restore to its master's coordinates, so the
+        // pair of its first lane in a chunk serves the lanes after it.
+        let mut starts = Vec::with_capacity(lanes.len());
+        let mut kept = sims.iter_mut().peekable();
+        let mut start = (0.0, 0.0);
+        for (l, &(c, i)) in lanes.iter().enumerate() {
+            if let Some((_, sim)) = kept.next_if(|(k, _)| *k == l) {
+                start = anchor(sim, &probe, cells[c].offset(i));
+            }
+            starts.push(start);
+        }
+
+        // Each chunk's batch from the simulation that starts it; a later
+        // kept simulation sets its lane's state and, for a cloned
+        // ensemble, the state of that ensemble's lanes after it.
+        let mut sims = sims.into_iter().peekable();
+        let chunks = ranges
+            .iter()
+            .map(|range| {
+                let (_, template) = sims.next().expect("a kept simulation starts every chunk");
+                let mut batch = BatchSim::new(template, &thermostats[range.clone()]);
+                let mut state = None;
+                for l in 1..range.len() {
+                    if let Some((_, sim)) = sims.next_if(|(k, _)| *k == range.start + l) {
+                        state = Some(sim);
+                    }
+                    if let Some(sim) = &state {
+                        batch.set_lane_state(l, sim.system());
+                    }
+                }
+                let lane = |l: usize| range.start + if l < range.len() { l } else { PAD_SOURCE };
+                let (kappa, anchors) = (0..batch.stride())
+                    .map(|l| {
+                        let kappa = cells[lanes[lane(l)].0].leg.protocol.kappa();
+                        (kappa, starts[lane(l)].1)
+                    })
+                    .unzip();
+                Chunk {
+                    lanes: lanes[range.clone()].to_vec(),
+                    kappa,
+                    anchors,
+                    batch,
+                    failed: range.clone().map(|_| None).collect(),
+                    #[cfg(feature = "audit")]
+                    shadows: Shadows::new(cells, &lanes[range.clone()], snaps),
+                }
+            })
+            .collect();
+        Some((
+            Group {
+                lanes,
+                starts,
+                probe,
+            },
+            chunks,
+        ))
+    }
+}
+
 /// One lane chunk, built on the calling thread: its batch, each lane's
-/// anchor (pad lanes too) and failure slot; `first` is its lane 0's
-/// realization.
+/// `(ensemble, realization)` and failure slot, and each lane's κ and
+/// anchor (pad lanes too).
 struct Chunk {
-    first: usize,
+    lanes: Vec<(usize, usize)>,
+    kappa: Vec<f64>,
     anchors: Vec<f64>,
     batch: BatchSim,
     failed: Vec<Option<MdError>>,
@@ -326,18 +605,22 @@ impl Chunk {
     /// The hold, then the pull: the loop of `runner::run_leg`, fanned
     /// across lanes (one `step_once` per step for the whole batch, then
     /// per-lane updates with the scalar path's exact expressions and check
-    /// order). Returns the chunk's slots in lane order and its pair-list
-    /// rebuild count.
-    fn run<F>(mut self, ens: &Ensemble<'_, F>, probe: &SmdSpring) -> (Slots, u64) {
-        let (leg, seeds) = (&ens.leg, ens.seeds);
+    /// order). Every lane shares its group's leg but for κ. Returns the
+    /// chunk's slots in lane order and its pair-list rebuild count.
+    fn run<F>(mut self, cells: &[Ensemble<'_, F>], probe: &SmdSpring) -> (Slots, u64) {
+        let leg = &cells[self.lanes[0].0].leg;
         // The hold: a static spring at each lane's anchor, per-lane noise
         // streams. The scalar `Simulation::run` health-checks every
         // `blowup_check_stride = 100` *global* steps.
-        let mut spring = LaneSpring::new(probe.clone(), std::mem::take(&mut self.anchors));
+        let (kappa, anchors) = (
+            std::mem::take(&mut self.kappa),
+            std::mem::take(&mut self.anchors),
+        );
+        let mut spring = LaneSpring::new(probe.clone(), kappa, anchors);
         self.batch.refresh_forces(&mut |t, lf| spring.apply(t, lf));
         for _ in 0..leg.hold_steps {
             self.batch.step_once(&mut |t, lf| spring.apply(t, lf));
-            self.record_faults(ens);
+            self.record_faults(cells);
             #[cfg(feature = "audit")]
             self.shadows.step_and_check(&self.batch, &self.failed);
             if self.batch.step_count().is_multiple_of(100) {
@@ -348,7 +631,6 @@ impl Chunk {
         // The pull: each guide moves at v from its lane's anchor.
         let protocol = &leg.protocol;
         let (v, t0, dt) = (protocol.velocity(), self.batch.time_ps(), self.batch.dt());
-        let kappa = protocol.kappa();
         spring.spring = probe.guided(0.0, v, t0);
         #[cfg(feature = "audit")]
         self.shadows.set_bias(&spring, &self.failed);
@@ -363,20 +645,20 @@ impl Chunk {
         };
         let mut work = vec![0.0; n];
         let mut prev_force: Vec<f64> = (0..n)
-            .map(|l| kappa * (spring.guide[l] - spring.com[l]))
+            .map(|l| spring.kappa[l] * (spring.guide[l] - spring.com[l]))
             .collect();
         let mut samples: Vec<_> = prev_force.iter().map(|&f| leg.samples(f)).collect();
 
         for step in 1..=nsteps {
             self.batch.step_once(&mut |t, lf| spring.apply(t, lf));
-            self.record_faults(ens);
+            self.record_faults(cells);
             #[cfg(feature = "audit")]
             self.shadows.step_and_check(&self.batch, &self.failed);
             let t = self.batch.time_ps();
             // Work on every lane, failed ones included: their slots return
             // the error, never these values, and the sweep stays branch-free.
-            let lanes = spring.com.iter().zip(&spring.guide);
-            for ((w, f), (&c, &g)) in work.iter_mut().zip(&mut prev_force).zip(lanes) {
+            let lanes = spring.com.iter().zip(&spring.guide).zip(&spring.kappa);
+            for ((w, f), ((&c, &g), &kappa)) in work.iter_mut().zip(&mut prev_force).zip(lanes) {
                 let force = kappa * (g - c);
                 // Trapezoid: dW = v · (F_prev + F)/2 · dt.
                 *w += v * 0.5 * (*f + force) * dt;
@@ -393,7 +675,7 @@ impl Chunk {
                 // survive, exactly as sibling realizations do.
                 #[cfg(feature = "audit")]
                 if !(work[l].is_finite() && prev_force[l].is_finite()) {
-                    self.failed[l] = Some(ens.panicked(self.first + l));
+                    self.failed[l] = Some(self.panicked(cells, l));
                     self.batch.mark_dead(l);
                     continue;
                 }
@@ -419,13 +701,13 @@ impl Chunk {
         let slots = samples
             .into_iter()
             .zip(self.failed)
-            .enumerate()
-            .map(|(l, (samples, failed))| match failed {
+            .zip(&self.lanes)
+            .map(|((samples, failed), &(c, i))| match failed {
                 Some(e) => Err(e),
                 None => Ok(WorkTrajectory {
-                    kappa_pn_per_a: protocol.kappa_pn_per_a,
-                    v_a_per_ns: protocol.v_a_per_ns,
-                    seed: seeds.stream((self.first + l) as u64),
+                    kappa_pn_per_a: cells[c].leg.protocol.kappa_pn_per_a,
+                    v_a_per_ns: cells[c].leg.protocol.v_a_per_ns,
+                    seed: cells[c].seeds.stream(i as u64),
                     samples,
                 }),
             })
@@ -433,17 +715,23 @@ impl Chunk {
         (slots, self.batch.rebuild_count())
     }
 
+    /// The error panic isolation gives lane `l`'s scalar twin.
+    fn panicked<F>(&self, cells: &[Ensemble<'_, F>], l: usize) -> MdError {
+        let (c, i) = self.lanes[l];
+        cells[c].panicked(i)
+    }
+
     /// Fail every lane whose scalar twin panicked this step: the lanes
     /// that faulted and, under `audit`, those whose state went non-finite
     /// (the twin's per-step `md.finite_state` sanitizer panics on the step
     /// that produced it).
-    fn record_faults<F>(&mut self, ens: &Ensemble<'_, F>) {
-        for (l, slot) in self.failed.iter_mut().enumerate() {
-            if slot.is_none()
+    fn record_faults<F>(&mut self, cells: &[Ensemble<'_, F>]) {
+        for l in 0..self.failed.len() {
+            if self.failed[l].is_none()
                 && (self.batch.lane_faulted(l)
                     || (cfg!(feature = "audit") && !self.batch.lane_is_finite(l)))
             {
-                *slot = Some(ens.panicked(self.first + l));
+                self.failed[l] = Some(self.panicked(cells, l));
                 self.batch.mark_dead(l);
             }
         }
@@ -464,13 +752,15 @@ impl Chunk {
     }
 }
 
-/// The SMD spring on every lane of a batch: one [`SmdSpring`]'s group, κ,
-/// v and start time, each lane's guide starting at its own anchor. Its
-/// bias sweep is the exact per-lane replica of [`SmdSpring::apply`] (same
-/// COM fold, same force split), pad lanes included, and it leaves the COM
-/// and guide rows of the positions it saw for the pull's work update.
+/// The SMD spring on every lane of a batch: one [`SmdSpring`]'s group, v
+/// and start time, each lane with its own κ and its guide starting at its
+/// own anchor. Its bias sweep is the exact per-lane replica of
+/// [`SmdSpring::apply`] (same COM fold, same force split), pad lanes
+/// included, and it leaves the COM and guide rows of the positions it saw
+/// for the pull's work update.
 struct LaneSpring {
     spring: SmdSpring,
+    kappa: Vec<f64>,
     anchors: Vec<f64>,
     com: Vec<f64>,
     guide: Vec<f64>,
@@ -478,13 +768,14 @@ struct LaneSpring {
 }
 
 impl LaneSpring {
-    fn new(spring: SmdSpring, anchors: Vec<f64>) -> Self {
+    fn new(spring: SmdSpring, kappa: Vec<f64>, anchors: Vec<f64>) -> Self {
         let rows = || vec![0.0; anchors.len()];
         LaneSpring {
             com: rows(),
             guide: rows(),
             f_com: rows(),
             spring,
+            kappa,
             anchors,
         }
     }
@@ -502,8 +793,8 @@ impl LaneSpring {
                 *c += w * z;
             }
         }
-        let kappa = self.spring.kappa();
-        for ((f, &c), &g) in self.f_com.iter_mut().zip(&self.com).zip(&self.guide) {
+        let lanes = self.com.iter().zip(&self.guide).zip(&self.kappa);
+        for (f, ((&c, &g), &kappa)) in self.f_com.iter_mut().zip(lanes) {
             *f = -kappa * (c - g);
         }
         for (&i, &w) in self.spring.group().iter().zip(self.spring.mass_frac()) {
@@ -519,23 +810,28 @@ impl LaneSpring {
 /// started as the scalar loop starts them, in lockstep with the batch,
 /// and their full state is compared bitwise every [`AUDIT_REPLAY_STRIDE`]
 /// steps. Any SoA-kernel divergence — layout bug, reordered reduction,
-/// contracted FMA, a lane started from the wrong state — trips the
-/// sanitizer. On the same stride every pad lane must still be a bitwise
-/// copy of the chunk's first lane, which catches a kernel that leaks one
-/// lane's data into another.
+/// contracted FMA, a lane started from the wrong state or on the wrong κ
+/// — trips the sanitizer. On the same stride every pad lane must still be
+/// a bitwise copy of the chunk's first lane, which catches a kernel that
+/// leaks one lane's data into another.
 #[cfg(feature = "audit")]
 struct Shadows {
-    /// `(chunk lane, its scalar twin)`.
-    replays: Vec<(usize, Simulation)>,
+    /// `(chunk lane, its scalar twin, the twin's spring probe)`.
+    replays: Vec<(usize, Simulation, SmdSpring)>,
 }
 
 #[cfg(feature = "audit")]
 impl Shadows {
     /// Build the twins of the first and last of the realizations `lanes`
-    /// on the calling thread (factory calls never leave it): restored from
-    /// `snap` (cloned starts) or shifted as their window asks, then on the
-    /// hold spring at their lane's anchor.
-    fn new<F>(ens: &Ensemble<'_, F>, lanes: Range<usize>, snap: Option<&Snapshot>) -> Self
+    /// (each `(ensemble, realization)` of `cells`) on the calling thread
+    /// (factory calls never leave it): restored from their ensemble's
+    /// master in `snaps` (cloned starts) or shifted as their window asks,
+    /// then on the hold spring of their own κ at their lane's anchor.
+    fn new<F>(
+        cells: &[Ensemble<'_, F>],
+        lanes: &[(usize, usize)],
+        snaps: &[Option<Snapshot>],
+    ) -> Self
     where
         F: Fn(u64) -> Simulation + Sync,
     {
@@ -546,27 +842,27 @@ impl Shadows {
         let replays = local
             .into_iter()
             .map(|l| {
-                let i = lanes.start + l;
-                let mut sim = (ens.factory)(ens.seeds.stream(i as u64));
-                if let Some(snap) = snap {
+                let (c, i) = lanes[l];
+                let cell = &cells[c];
+                let mut sim = (cell.factory)(cell.seeds.stream(i as u64));
+                if let Some(snap) = &snaps[c] {
                     snap.restore(&mut sim)
                         .expect("audit shadow restore must succeed after batch restore did");
                 }
-                crate::runner::hold(&mut sim, ens.leg.protocol.kappa(), ens.offset(i), 0)
+                let kappa = cell.leg.protocol.kappa();
+                let (_, _, probe) = crate::runner::hold(&mut sim, kappa, cell.offset(i), 0)
                     .expect("audit shadow anchor must resolve after the batch's did");
-                (l, sim)
+                (l, sim, probe)
             })
             .collect();
         Shadows { replays }
     }
 
     fn set_bias(&mut self, spring: &LaneSpring, failed: &[Option<MdError>]) {
-        self.replays.retain(|(l, _)| failed[*l].is_none());
-        for (l, sim) in &mut self.replays {
-            let twin =
-                spring
-                    .spring
-                    .guided(spring.anchors[*l], spring.spring.velocity(), sim.time_ps());
+        self.replays.retain(|(l, ..)| failed[*l].is_none());
+        for (l, sim, probe) in &mut self.replays {
+            let v = spring.spring.velocity();
+            let twin = probe.guided(spring.anchors[*l], v, sim.time_ps());
             sim.set_bias(Some(Box::new(twin)));
         }
     }
@@ -583,8 +879,8 @@ impl Shadows {
             }
         }
         // A failed lane's garbage no longer has a meaningful twin.
-        self.replays.retain(|(l, _)| failed[*l].is_none());
-        for (l, sim) in &mut self.replays {
+        self.replays.retain(|(l, ..)| failed[*l].is_none());
+        for (l, sim, _) in &mut self.replays {
             sim.step_once();
             if sim.step_count() % AUDIT_REPLAY_STRIDE != 0 {
                 continue;
@@ -616,6 +912,7 @@ mod tests {
     use spice_md::{System, Topology, Vec3};
     use spice_pore::build::{PoreSystemBuilder, SmdSelection};
     use spice_pore::dna::DnaParams;
+    use spice_pore::solvent::Solvent;
     use spice_telemetry::EventKind;
 
     type Factory = fn(u64) -> Simulation;
@@ -791,6 +1088,46 @@ mod tests {
         t.samples.iter().map(bits).collect()
     }
 
+    /// `cells` as one pool on the chunks `chunks` (each lane group's),
+    /// dealt to this host's workers.
+    fn run_on<F>(cells: &[Ensemble<'_, F>], chunks: Vec<Vec<Range<usize>>>) -> Vec<Runs>
+    where
+        F: Fn(u64) -> Simulation + Sync,
+    {
+        run_pool(cells, |groups| {
+            let steps: Vec<u64> = groups.iter().map(|&(_, steps)| steps).collect();
+            deal(chunks, &steps, workers())
+        })
+    }
+
+    /// Slot for slot, `lanes` equals `scalar`: the start COM, seed and
+    /// samples bit for bit, or the error text.
+    fn assert_same_slots(lanes: &Runs, scalar: &Runs, case: &str) {
+        assert_eq!(lanes.len(), scalar.len(), "{case}");
+        for (slot, (b, c)) in lanes.iter().zip(scalar).enumerate() {
+            match (b, c) {
+                (Ok(b), Ok(c)) => {
+                    assert_eq!(
+                        b.0.to_bits(),
+                        c.0.to_bits(),
+                        "{case} slot {slot}: start COM"
+                    );
+                    assert_eq!(b.1.seed, c.1.seed, "{case} slot {slot}");
+                    assert_eq!(b.1.kappa_pn_per_a, c.1.kappa_pn_per_a, "{case} slot {slot}");
+                    assert_eq!(sample_bits(&b.1), sample_bits(&c.1), "{case} slot {slot}");
+                }
+                (Err(b), Err(c)) => {
+                    assert_eq!(b.to_string(), c.to_string(), "{case} slot {slot}");
+                }
+                _ => panic!(
+                    "{case} slot {slot}: lanes ok {}, scalar ok {}",
+                    b.is_ok(),
+                    c.is_ok()
+                ),
+            }
+        }
+    }
+
     /// Every slot of `ensemble`, laid out three ways — one chunk, one
     /// vector per chunk, and the layout this host runs — equals the scalar
     /// loop's bit for bit (start COM, seed and samples, or error text) at
@@ -819,19 +1156,14 @@ mod tests {
             ];
             for layout in layouts {
                 ensemble.telemetry = Telemetry::enabled();
-                let lanes = ensemble.run_chunks(&layout);
-                assert_eq!(lanes.len(), n);
-                for (slot, (b, c)) in lanes.iter().zip(&scalar).enumerate() {
-                    let case = format!(
-                        "cloned={} offsets={} n={n} layout {layout:?} slot {slot}",
-                        ensemble.cloned,
-                        ensemble.offsets.is_some()
-                    );
-                    let (b, c) = (b.as_ref().expect(&case), c.as_ref().expect(&case));
-                    assert_eq!(b.0.to_bits(), c.0.to_bits(), "{case}: start COM");
-                    assert_eq!(b.1.seed, c.1.seed, "{case}");
-                    assert_eq!(sample_bits(&b.1), sample_bits(&c.1), "{case}");
-                }
+                let lanes = run_on(std::slice::from_ref(&ensemble), vec![layout.clone()]);
+                let case = format!(
+                    "cloned={} offsets={} n={n} layout {layout:?}",
+                    ensemble.cloned,
+                    ensemble.offsets.is_some()
+                );
+                assert!(scalar.iter().all(Result::is_ok), "{case}");
+                assert_same_slots(&lanes[0], &scalar, &case);
                 assert_eq!(
                     ensemble.telemetry.gauge("smd.batch.chunks").get(),
                     layout.len() as f64,
@@ -890,15 +1222,12 @@ mod tests {
             let scalar = ensemble.run_scalar();
             for layout in [lane_chunks(9, 1), lane_chunks(9, 2)] {
                 ensemble.telemetry = Telemetry::enabled();
-                let lanes = ensemble.run_chunks(&layout);
+                let lanes = run_on(std::slice::from_ref(&ensemble), vec![layout.clone()]);
                 let case = format!("cloned={cloned} layout {layout:?}");
                 let chunks = ensemble.telemetry.gauge("smd.batch.chunks").get();
                 assert_eq!(chunks, 0.0, "{case}: no batch ran");
-                for (b, c) in lanes.iter().zip(&scalar) {
-                    let (b, c) = (b.as_ref().expect(&case), c.as_ref().expect(&case));
-                    assert_eq!(b.0.to_bits(), c.0.to_bits(), "{case}: start COM");
-                    assert_eq!(sample_bits(&b.1), sample_bits(&c.1), "{case}");
-                }
+                assert!(scalar.iter().all(Result::is_ok), "{case}");
+                assert_same_slots(&lanes[0], &scalar, &case);
             }
         }
     }
@@ -966,6 +1295,165 @@ mod tests {
                 ..pore_ensemble(leg)
             };
             assert_layouts_match_scalar(windows, &[n]);
+        }
+    }
+
+    /// A lone lane group is cut as `lane_chunks(n, workers)`, one chunk
+    /// per worker, the widest on the calling thread.
+    #[test]
+    fn a_lone_group_gets_lane_chunks() {
+        for n in (1..=25usize).chain([72]) {
+            for workers in 1..=4 {
+                let layout = pool_layout(&[(n, 500)], workers);
+                assert_eq!(
+                    layout.chunks,
+                    [lane_chunks(n, workers)],
+                    "n={n} w={workers}"
+                );
+                let dealt: Vec<_> = (0..layout.chunks[0].len()).map(|k| vec![(0, k)]).collect();
+                assert_eq!(layout.workers, dealt, "n={n} w={workers}");
+            }
+        }
+    }
+
+    /// Every layout deals each chunk exactly once, to no more than
+    /// `workers` workers (the calling thread and `workers - 1` scoped
+    /// threads), each stepping its chunks longest first; a group gets
+    /// chunks by its share of the vector-steps, at least one and at most
+    /// one per vector.
+    #[test]
+    fn a_pool_deals_every_chunk_once_to_at_most_workers_threads() {
+        let pools: [&[(usize, u64)]; 5] = [
+            &[(18, 4060), (18, 2060), (18, 1060), (18, 560)],
+            &[(72, 80_200), (72, 40_200), (72, 20_200), (72, 10_200)],
+            &[(5, 8000), (6, 3000), (17, 3000)],
+            &[(1, 10), (1, 10), (1, 10), (1, 10), (1, 10)],
+            &[(24, 0)],
+        ];
+        for groups in pools {
+            for workers in 1..=5 {
+                let case = format!("{groups:?} on {workers}");
+                let layout = pool_layout(groups, workers);
+                assert!(layout.workers.len() <= workers, "{case}");
+                let mut dealt: Vec<(usize, usize)> = layout.workers.concat();
+                dealt.sort_unstable();
+                let chunks = layout.chunks.iter().enumerate();
+                let every: Vec<_> = chunks
+                    .flat_map(|(g, cs)| (0..cs.len()).map(move |k| (g, k)))
+                    .collect();
+                assert_eq!(dealt, every, "{case}");
+                for (&(n, steps), chunks) in groups.iter().zip(&layout.chunks) {
+                    assert_eq!(chunks, &lane_chunks(n, chunks.len()), "{case}");
+                    let cost = |&(g, k): &(usize, usize)| {
+                        vector_steps(layout.chunks[g][k].len(), groups[g].1)
+                    };
+                    for list in &layout.workers {
+                        let costs: Vec<u64> = list.iter().map(cost).collect();
+                        assert!(costs.windows(2).all(|w| w[0] >= w[1]), "{case}");
+                    }
+                    let _ = steps;
+                }
+            }
+        }
+    }
+
+    /// The Fig. 4 sweeps' lane groups: a v column of three κ cells, 6
+    /// realizations each at Test scale and 24 at Bench, held 60 and 200
+    /// steps after the restore, pulling 4 Å at 8× the paper's v or 10 Å at
+    /// its v (`spice-core`'s `Scale`). On two workers each column runs as
+    /// one chunk, the v = 12.5 column alone on the calling thread and the
+    /// other three, longest first, on the second worker.
+    #[test]
+    fn the_sweeps_deal_one_chunk_per_column_on_two_workers() {
+        for (n, hold, distance, factor) in [(6, 60, 4.0, 8.0), (24, 200, 10.0, 1.0)] {
+            let groups: Vec<(usize, u64)> = PullProtocol::V_GRID
+                .iter()
+                .map(|&v| {
+                    let pull = PullProtocol {
+                        v_a_per_ns: v * factor,
+                        pull_distance: distance,
+                        dt_ps: 0.01,
+                        ..PullProtocol::paper_optimal()
+                    };
+                    (3 * n, hold + pull.pull_steps())
+                })
+                .collect();
+            let layout = pool_layout(&groups, 2);
+            assert_eq!(layout.chunks, vec![vec![0..3 * n]; 4], "n={n}");
+            assert_eq!(
+                layout.workers,
+                [vec![(0, 0)], vec![(1, 0), (2, 0), (3, 0)]],
+                "n={n}"
+            );
+        }
+    }
+
+    /// The Test pore system with its thermostat at `temperature`.
+    fn pore_at(temperature: f64, seed: u64) -> Simulation {
+        PoreSystemBuilder::new()
+            .dna(DnaParams {
+                n_bases: 8,
+                ..DnaParams::default()
+            })
+            .dna_start_z(46.0)
+            .smd_selection(SmdSelection::WholeStrand)
+            .solvent(Solvent {
+                temperature,
+                ..Solvent::default()
+            })
+            .build()
+            .into_simulation(0.01, seed)
+    }
+
+    /// A Test-pore v column of κ = 10, 100 and 1000 pN/Å, one cloned
+    /// ensemble of 6 each, as one lane group of 18 lanes on three layouts:
+    /// one chunk; one vector per chunk, so the first chunk runs two lanes
+    /// into the κ = 100 ensemble and the second starts from that
+    /// ensemble's master and runs into the κ = 1000 one; and this host's
+    /// pool layout. The κ = 100 ensemble's third realization, first in
+    /// that second chunk, has a runaway thermostat (10³⁰ K), so it faults
+    /// where its scalar twin panics. Every slot equals its own ensemble's
+    /// scalar loop, error text included.
+    #[test]
+    fn a_mixed_kappa_column_matches_the_scalar_loop_on_every_layout() {
+        let seeds = SeedSequence::new(20050512);
+        let runaway = seeds.child(1).stream(2);
+        let factory = |seed: u64| match seed == runaway {
+            true => pore_at(1e30, seed),
+            false => test_pore(seed),
+        };
+        let cells: Vec<_> = [10.0, 100.0, 1000.0]
+            .into_iter()
+            .enumerate()
+            .map(|(c, kappa_pn_per_a)| {
+                let protocol = PullProtocol {
+                    kappa_pn_per_a,
+                    ..pore_proto()
+                };
+                let leg = Leg::pull(&protocol, 30);
+                Ensemble {
+                    cloned: true,
+                    ..Ensemble::new(&factory, leg, 6, seeds.child(c as u64))
+                }
+            })
+            .collect();
+        let scalar: Vec<Runs> = cells.iter().map(Ensemble::run_scalar).collect();
+        match &scalar[1][2] {
+            Err(e) => assert!(e.to_string().contains("panicked"), "{e}"),
+            Ok(_) => panic!("the runaway realization survived"),
+        }
+        let steps = cells[0].leg.steps();
+        let layouts = [
+            vec![lane_chunks(18, 1)],
+            vec![lane_chunks(18, 3)],
+            pool_layout(&[(18, steps)], workers()).chunks,
+        ];
+        assert_eq!(layouts[1], [vec![0..8, 8..16, 16..18]]);
+        for chunks in layouts {
+            let lanes = run_on(&cells, chunks.clone());
+            for (c, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
+                assert_same_slots(lanes, scalar, &format!("layout {chunks:?} ensemble {c}"));
+            }
         }
     }
 }

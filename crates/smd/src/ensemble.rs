@@ -49,6 +49,23 @@ impl<'a, F> Ensemble<'a, F> {
         }
     }
 
+    /// Whether `other`'s realizations may be lanes of one batch with this
+    /// ensemble's: the same factory and start kind, and the same leg but
+    /// for κ. (Their simulations' models are compared when the lanes are
+    /// built.)
+    pub(crate) fn shares_lanes(&self, other: &Self) -> bool {
+        let leg = |e: &Self| Leg {
+            protocol: PullProtocol {
+                kappa_pn_per_a: 0.0,
+                ..e.leg.protocol
+            },
+            ..e.leg
+        };
+        std::ptr::eq(self.factory, other.factory)
+            && self.cloned == other.cloned
+            && leg(self) == leg(other)
+    }
+
     /// Realization `i`'s window shift, if any.
     pub(crate) fn offset(&self, i: usize) -> Option<f64> {
         self.offsets.map(|offsets| offsets[i])

@@ -22,9 +22,11 @@
 //!   analogue of the paper's 72-simulation grid campaign, and the scalar
 //!   loop that is their oracle and non-Langevin fallback.
 //! * [`batch`] — every Langevin ensemble as lanes of vectorized loops,
-//!   one chunk of lanes per core; [`run_ensemble_batched_traced`] takes
-//!   the telemetry handle, and its untraced twin stays because e2ebench
-//!   calls it.
+//!   in whole-vector chunks dealt to the host's cores;
+//!   [`run_ensembles_batched`] runs several cloned ensembles as one pool,
+//!   their chunks shared within a pull length.
+//!   [`run_ensemble_batched_traced`] takes the telemetry handle, and its
+//!   untraced twin stays because e2ebench calls it.
 
 #![warn(missing_docs)]
 
@@ -37,7 +39,9 @@ pub mod pulling;
 pub mod runner;
 pub mod work;
 
-pub use batch::{run_ensemble_batched, run_ensemble_batched_traced};
+pub use batch::{
+    run_ensemble_batched, run_ensemble_batched_traced, run_ensembles_batched, ClonedEnsemble,
+};
 pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned, run_windows};
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;

@@ -19,7 +19,7 @@ pub struct PullOutcome {
 /// the scalar loop and on lanes alike: a `hold_steps` hold on a static
 /// spring at its anchor, then `pull_steps` with the guide moving at the
 /// protocol's velocity, sampled every `protocol.sample_stride` steps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Leg {
     /// κ, v, the sample stride and the trajectories' labels (an umbrella
     /// window's v = 0 fails `PullProtocol::validate`; windows skip it).
@@ -41,6 +41,11 @@ impl Leg {
             pull_steps: protocol.pull_steps(),
             absolute_com: false,
         }
+    }
+
+    /// MD steps a realization runs from its start state: hold and pull.
+    pub(crate) fn steps(&self) -> u64 {
+        self.hold_steps + self.pull_steps
     }
 
     /// A sample buffer for the pull, holding its first sample: spring

@@ -5,42 +5,56 @@
 mod common;
 
 use spice::core::config::Scale;
-use spice::core::pipeline::{pore_simulation, run_cell, run_sweep};
+use spice::core::pipeline::{run_cell, run_sweep, PmfCell};
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::run_des;
-use spice::smd::run_ensemble;
 use spice::stats::rng::SeedSequence;
 
-/// The same ensemble executed on thread pools of different sizes must
-/// produce bit-identical work values — the counter-based-RNG design goal.
+/// Everything a cell computes from its ensemble, as bits: Φ and the
+/// mean-work curve with their COM axis, σ_stat (raw and normalized),
+/// coverage, the realization counts and every trajectory's seed and
+/// samples. (σ_sys needs the sweep's reference, so it is not here.)
+fn cell_bits(cell: &PmfCell) -> Vec<u64> {
+    let points = cell.curve.points.iter().chain(&cell.mean_work_curve.points);
+    let curves = points.flat_map(|p| [p.com_disp, p.phi, p.mean_work]);
+    let scores = [
+        cell.sigma_stat_raw,
+        cell.sigma_stat_norm,
+        cell.coverage,
+        cell.n_realizations as f64,
+        cell.n_failed as f64,
+    ];
+    let samples = cell.trajectories.iter().flat_map(|t| {
+        let samples = t.samples.iter();
+        std::iter::once(t.seed as f64)
+            .chain(samples.flat_map(|s| [s.t_ps, s.guide_disp, s.com_disp, s.work, s.force]))
+    });
+    let bits = curves.chain(scores).chain(samples).map(f64::to_bits);
+    std::iter::once(cell.trajectories.len() as u64)
+        .chain(bits)
+        .collect()
+}
+
+/// Every cell of a sweep is `run_cell` on the same seeds, bit for bit.
+/// The sweep runs its cells as one lane pool, each v column's three κ
+/// cells sharing lane chunks and the columns spread over the cores, while
+/// `run_cell` runs one cell's lanes on its own layout: no bit may depend
+/// on which.
 #[test]
-fn ensemble_identical_across_pool_sizes() {
-    let protocol = Scale::Test.protocol(100.0, 100.0);
-    let run_with = |threads: usize| -> Vec<f64> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        pool.install(|| {
-            run_ensemble(
-                |seed| pore_simulation(Scale::Test, seed),
-                &protocol,
-                6,
-                SeedSequence::new(42),
-            )
-            .into_iter()
-            .filter_map(Result::ok)
-            .map(|t| t.final_work())
-            .collect()
-        })
-    };
-    let serial = run_with(1);
-    let parallel = run_with(4);
-    assert_eq!(
-        serial, parallel,
-        "work values must not depend on scheduling"
-    );
-    assert_eq!(serial.len(), 6);
+fn sweep_cells_equal_run_cell() {
+    for seed in [20050512, 7] {
+        let sweep = run_sweep(Scale::Test, seed);
+        let root = SeedSequence::new(seed);
+        for (i, cell) in sweep.cells.iter().enumerate() {
+            let (kappa, v) = (cell.kappa_pn_per_a, cell.v_label);
+            let alone = run_cell(Scale::Test, kappa, v, root.child(i as u64));
+            assert_eq!(
+                cell_bits(cell),
+                cell_bits(&alone),
+                "seed {seed}: sweep cell (κ={kappa}, v={v}) differs from run_cell"
+            );
+        }
+    }
 }
 
 /// A full PMF cell is reproducible end-to-end (estimation + bootstrap).

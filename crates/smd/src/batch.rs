@@ -190,7 +190,7 @@ pub(crate) fn lane_chunks(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// Where a pool's lanes run: each lane group's chunks (contiguous ranges
 /// of its lanes) and each worker's chunks as `(group, chunk)` pairs, in
 /// the order it steps them. Worker 0 is the calling thread.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Layout {
     pub(crate) chunks: Vec<Vec<Range<usize>>>,
     pub(crate) workers: Vec<Vec<(usize, usize)>>,
@@ -286,28 +286,17 @@ pub(crate) fn run_pool<F>(
 where
     F: Fn(u64) -> Simulation + Sync,
 {
-    let mut out: Vec<Option<Runs>> = cells.iter().map(|_| None).collect();
-    let mut snaps: Vec<Option<Snapshot>> = Vec::with_capacity(cells.len());
-    for (cell, out) in cells.iter().zip(&mut out) {
-        match cell.master() {
-            Ok(snap) => snaps.push(snap),
-            Err(slots) => {
-                *out = Some(slots);
-                snaps.push(None);
-            }
-        }
-    }
+    let (snaps, mut out): (Vec<Option<Snapshot>>, Vec<Option<Runs>>) = (cells.iter())
+        .map(|cell| match cell.master() {
+            Ok(snap) => (snap, (cell.n == 0).then(Vec::new)),
+            Err(slots) => (None, Some(slots)),
+        })
+        .unzip();
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (c, cell) in cells.iter().enumerate() {
-        if out[c].is_some() {
-            continue;
-        }
-        if cell.n == 0 {
-            out[c] = Some(Vec::new());
-            continue;
-        }
+    for (c, cell) in cells.iter().enumerate().filter(|&(c, _)| out[c].is_none()) {
         match groups.iter_mut().find(|g| cells[g[0]].shares_lanes(cell)) {
             Some(group) => group.push(c),
+            // spice-lint: allow(P003) grouping runs once per pool call, before any batch exists; no lane step runs here
             None => groups.push(vec![c]),
         }
     }
@@ -316,43 +305,40 @@ where
         .map(|g| (g.iter().map(|&c| cells[c].n).sum(), cells[g[0]].leg.steps()))
         .collect();
     let layout = plan(&shapes);
-
-    let mut chunks: Vec<Vec<Option<Chunk>>> = Vec::with_capacity(groups.len());
-    let mut built: Vec<Option<Group>> = Vec::with_capacity(groups.len());
-    for (members, ranges) in groups.iter().zip(&layout.chunks) {
-        let Some((group, group_chunks)) = Group::build(cells, members, &snaps, ranges) else {
-            for &c in members {
-                out[c] = Some(cells[c].scalar_from(snaps[c].as_ref()));
+    let mut built: Vec<Option<Group>> = (groups.iter().zip(&layout.chunks))
+        .map(|(members, ranges)| {
+            let group = Group::build(cells, members, &snaps, ranges);
+            if group.is_none() {
+                for &c in members {
+                    out[c] = Some(cells[c].scalar_from(snaps[c].as_ref()));
+                }
             }
-            chunks.push(ranges.iter().map(|_| None).collect());
-            built.push(None);
-            continue;
-        };
-        chunks.push(group_chunks.into_iter().map(Some).collect());
-        built.push(Some(group));
-    }
+            group
+        })
+        .collect();
 
-    // Per ensemble that runs as lanes: the chunks holding its lanes, then
-    // its gauges and its lanes' spans, kept open for the whole run (lanes
+    // Per ensemble on lanes: the chunks that hold its lanes, then its
+    // gauges and its lanes' spans, kept open for the whole run (lanes
     // advance in lockstep, so per-lane wall time is the batch's).
-    let mut held: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    let mut held: Vec<Vec<(usize, usize)>> = cells.iter().map(|_| Vec::new()).collect();
     for (g, group) in built.iter().enumerate() {
         let Some(group) = group else { continue };
-        for &c in &groups[g] {
-            let holds = |range: &Range<usize>| group.lanes[range.clone()].iter().any(|l| l.0 == c);
-            let ids = (layout.chunks[g].iter().enumerate())
-                .filter(|(_, range)| holds(range))
-                .map(|(k, _)| (g, k));
-            held.push((c, ids.collect()));
+        for (k, range) in layout.chunks[g].iter().enumerate() {
+            let span = group.lanes[range.start].0..=group.lanes[range.end - 1].0;
+            for &c in groups[g].iter().filter(|c| span.contains(c)) {
+                held[c].push((g, k));
+            }
         }
     }
-    held.sort_by_key(|&(c, _)| c);
+    let held: Vec<_> = (cells.iter().zip(held))
+        .filter(|(_, ids)| !ids.is_empty())
+        .collect();
     let mut lane_spans = Vec::new();
-    for (c, ids) in &held {
-        let (n, telemetry) = (cells[*c].n, &cells[*c].telemetry);
-        telemetry.set_gauge("smd.batch.replicas", n as f64);
+    for (cell, ids) in &held {
+        let telemetry = &cell.telemetry;
+        telemetry.set_gauge("smd.batch.replicas", cell.n as f64);
         telemetry.set_gauge("smd.batch.chunks", ids.len() as f64);
-        lane_spans.extend((0..n).map(|i| {
+        lane_spans.extend((0..cell.n).map(|i| {
             telemetry
                 .track("smd.realization", i as u64)
                 .span("batch.realization")
@@ -361,17 +347,20 @@ where
 
     let lists: Vec<Vec<((usize, usize), Chunk)>> = (layout.workers.iter())
         .map(|list| {
-            let take = |&(g, k): &(usize, usize)| Some(((g, k), chunks[g][k].take()?));
-            list.iter().filter_map(take).collect()
+            let mut take = |&(g, k): &(usize, usize)| {
+                let chunk = built[g].as_mut()?.chunks[k].take()?;
+                Some(((g, k), chunk))
+            };
+            list.iter().filter_map(&mut take).collect()
         })
         .filter(|list: &Vec<_>| !list.is_empty())
         .collect();
-    let built = &built;
+    let probes: Vec<Option<&SmdSpring>> = built.iter().map(|g| Some(&g.as_ref()?.probe)).collect();
     let run = |((g, k), chunk): ((usize, usize), Chunk)| {
-        let group = built[g].as_ref().expect("a built group per dealt chunk");
-        ((g, k), chunk.run(cells, &group.probe))
+        let probe = probes[g].expect("a built group per dealt chunk");
+        ((g, k), chunk.run(cells, probe))
     };
-    let ran: Vec<((usize, usize), (Slots, u64))> = std::thread::scope(|scope| {
+    let mut ran: Vec<((usize, usize), (Slots, u64))> = std::thread::scope(|scope| {
         let mut lists = lists.into_iter();
         let own = lists.next().unwrap_or_default();
         let workers: Vec<_> = lists
@@ -387,32 +376,22 @@ where
         }
         ran
     });
-    let mut results: Vec<Vec<Option<(Slots, u64)>>> = (layout.chunks.iter())
-        .map(|ranges| ranges.iter().map(|_| None).collect())
-        .collect();
-    for ((g, k), result) in ran {
-        results[g][k] = Some(result);
+    ran.sort_unstable_by_key(|&(id, _)| id);
+    let mut results: Vec<Vec<(Slots, u64)>> = built.iter().map(|_| Vec::new()).collect();
+    for ((g, _), result) in ran {
+        results[g].push(result);
     }
 
-    for (c, ids) in &held {
-        let rebuilds = ids
-            .iter()
-            .map(|&(g, k)| results[g][k].as_ref().map_or(0, |r| r.1));
-        cells[*c]
-            .telemetry
-            .counter("smd.batch.rebuilds")
-            .add(rebuilds.sum());
+    for (cell, ids) in &held {
+        let rebuilds = ids.iter().map(|&(g, k)| results[g][k].1).sum();
+        cell.telemetry.counter("smd.batch.rebuilds").add(rebuilds);
     }
     drop(lane_spans);
-    for (g, group) in built.iter().enumerate() {
+    for ((members, group), results) in groups.iter().zip(built).zip(results) {
         let Some(group) = group else { continue };
-        let slots = results[g]
-            .iter_mut()
-            .flat_map(|r| r.take().expect("every chunk ran").0);
-        let mut runs = slots
-            .zip(&group.starts)
-            .map(|(slot, &(origin, _))| slot.map(|t| (origin, t)));
-        for &c in &groups[g] {
+        let slots = results.into_iter().flat_map(|(slots, _)| slots);
+        let mut runs = (slots.zip(&group.starts)).map(|(slot, &(com, _))| slot.map(|t| (com, t)));
+        for &c in members {
             out[c] = Some(runs.by_ref().take(cells[c].n).collect());
         }
     }
@@ -441,16 +420,18 @@ fn same_model(first: &Simulation, sim: &Simulation) -> bool {
 }
 
 /// A lane group ready to run: every lane's `(ensemble, realization)` and
-/// start (COM before any shift, anchor), and the group's spring probe.
+/// start (COM before any shift, anchor), the group's spring probe, and
+/// its chunks until a worker takes them.
 struct Group {
     lanes: Vec<(usize, usize)>,
     starts: Vec<(f64, f64)>,
     probe: SmdSpring,
+    chunks: Vec<Option<Chunk>>,
 }
 
 impl Group {
     /// The lanes of the ensembles `members` of `cells`, one after another,
-    /// and the batches of their chunks `ranges`, built on the calling
+    /// with the batches of their chunks `ranges`, built on the calling
     /// thread; `None` when a lane cannot be built.
     ///
     /// One factory call per realization, exactly as the scalar loop makes:
@@ -468,7 +449,7 @@ impl Group {
         members: &[usize],
         snaps: &[Option<Snapshot>],
         ranges: &[Range<usize>],
-    ) -> Option<(Group, Vec<Chunk>)>
+    ) -> Option<Group>
     where
         F: Fn(u64) -> Simulation + Sync,
     {
@@ -566,7 +547,7 @@ impl Group {
                         (kappa, starts[lane(l)].1)
                     })
                     .unzip();
-                Chunk {
+                Some(Chunk {
                     lanes: lanes[range.clone()].to_vec(),
                     kappa,
                     anchors,
@@ -574,17 +555,15 @@ impl Group {
                     failed: range.clone().map(|_| None).collect(),
                     #[cfg(feature = "audit")]
                     shadows: Shadows::new(cells, &lanes[range.clone()], snaps),
-                }
+                })
             })
             .collect();
-        Some((
-            Group {
-                lanes,
-                starts,
-                probe,
-            },
+        Some(Group {
+            lanes,
+            starts,
+            probe,
             chunks,
-        ))
+        })
     }
 }
 
@@ -1342,16 +1321,14 @@ mod tests {
                     .flat_map(|(g, cs)| (0..cs.len()).map(move |k| (g, k)))
                     .collect();
                 assert_eq!(dealt, every, "{case}");
-                for (&(n, steps), chunks) in groups.iter().zip(&layout.chunks) {
+                for (&(n, _), chunks) in groups.iter().zip(&layout.chunks) {
                     assert_eq!(chunks, &lane_chunks(n, chunks.len()), "{case}");
-                    let cost = |&(g, k): &(usize, usize)| {
-                        vector_steps(layout.chunks[g][k].len(), groups[g].1)
-                    };
-                    for list in &layout.workers {
-                        let costs: Vec<u64> = list.iter().map(cost).collect();
-                        assert!(costs.windows(2).all(|w| w[0] >= w[1]), "{case}");
-                    }
-                    let _ = steps;
+                }
+                let cost =
+                    |&(g, k): &(usize, usize)| vector_steps(layout.chunks[g][k].len(), groups[g].1);
+                for list in &layout.workers {
+                    let costs: Vec<u64> = list.iter().map(cost).collect();
+                    assert!(costs.windows(2).all(|w| w[0] >= w[1]), "{case}");
                 }
             }
         }

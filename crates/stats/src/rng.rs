@@ -1,7 +1,7 @@
 //! Deterministic seed derivation.
 //!
 //! The paper's campaign runs 72 independent simulations; our reproduction
-//! runs ensembles of realizations across rayon threads. To make every
+//! runs ensembles of realizations across worker threads. To make every
 //! experiment bit-reproducible regardless of thread scheduling, every
 //! logical stream (realization i, particle j, network link k…) derives its
 //! own seed *by value* from a master seed using SplitMix64 — the standard

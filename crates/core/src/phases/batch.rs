@@ -50,6 +50,7 @@ impl BatchResult {
 
 /// Run the batch phase with the paper's optimal (κ = 100 pN/Å,
 /// v = 12.5 Å/ns).
+// spice-lint: allow(U001) the paper's three-phase workflow (priming, batch, interactive); tests/phases_workflow.rs runs it end to end
 pub fn run_batch(scale: Scale, master_seed: u64) -> BatchResult {
     let seeds = SeedSequence::new(master_seed);
     // Science: the production ensemble (realization count set by scale;

@@ -35,6 +35,7 @@ pub struct PrimingResult {
 }
 
 /// Run the priming phase.
+// spice-lint: allow(U001) the paper's three-phase workflow (priming, batch, interactive); tests/phases_workflow.rs runs it end to end
 pub fn run_priming(scale: Scale, master_seed: u64) -> PrimingResult {
     let seeds = SeedSequence::new(master_seed);
     let mut sim = pore_simulation(scale, seeds.stream(0));

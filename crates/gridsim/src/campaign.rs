@@ -56,25 +56,6 @@ impl CampaignResult {
     pub fn makespan_days(&self) -> f64 {
         self.makespan_hours / 24.0
     }
-
-    /// Mean queue wait (hours). An empty campaign (every job abandoned,
-    /// or no jobs at all) has zero mean wait, not NaN.
-    pub fn mean_wait(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let waits: Vec<f64> = self.records.iter().map(JobRecord::wait).collect();
-        spice_stats::mean(&waits)
-    }
-
-    /// Mean retries per completed job (0 when no records).
-    pub fn mean_retries(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let r: u32 = self.records.iter().map(JobRecord::retries).sum();
-        f64::from(r) / self.records.len() as f64
-    }
 }
 
 /// The paper's 72-simulation production set: half on 128 processors, half
@@ -439,22 +420,6 @@ mod tests {
             assert!(r.finished > r.started);
             assert!(r.procs == 128 || r.procs == 256);
         }
-        assert!(result.mean_wait() >= 0.0);
-    }
-
-    #[test]
-    fn empty_result_aggregates_are_zero_not_nan() {
-        // A campaign where every job was abandoned produces an empty
-        // record set; aggregates must degrade to 0.0, not NaN.
-        let empty = CampaignResult {
-            records: Vec::new(),
-            makespan_hours: 0.0,
-            cpu_hours: 0.0,
-            jobs_per_site: Vec::new(),
-        };
-        assert_eq!(empty.mean_wait(), 0.0);
-        assert_eq!(empty.mean_retries(), 0.0);
-        assert!(!empty.mean_wait().is_nan());
     }
 
     #[test]

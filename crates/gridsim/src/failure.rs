@@ -65,11 +65,6 @@ impl Outage {
         self.end - self.start
     }
 
-    /// True when the outage covers time `t`.
-    pub fn covers(&self, t: f64) -> bool {
-        (self.start..self.end).contains(&t)
-    }
-
     /// The paper's security-breach scenario: the given site is down for
     /// `weeks` weeks starting at `start_h`.
     pub fn security_breach(site: SiteId, start_h: f64, weeks: f64) -> Self {
@@ -309,7 +304,7 @@ impl OutageIndex {
     }
 
     /// Hours of outage left at `now`: `max(end - now)` over windows
-    /// covering `now` (half-open, like [`Outage::covers`]), 0.0 when
+    /// covering `now` (half-open: `start <= now < end`), 0.0 when
     /// none does.
     pub fn remaining(&self, now: f64) -> f64 {
         let k = self.starts.partition_point(|&s| s <= now);
@@ -328,16 +323,6 @@ impl OutageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn covers_is_half_open() {
-        let o = Outage::new(1, 10.0, 20.0, OutageCause::Hardware);
-        assert!(!o.covers(9.9));
-        assert!(o.covers(10.0));
-        assert!(o.covers(19.9));
-        assert!(!o.covers(20.0));
-        assert_eq!(o.duration(), 10.0);
-    }
 
     #[test]
     fn security_breach_is_weeks_long() {
@@ -374,7 +359,7 @@ mod tests {
         let scan = |outages: &[Outage], now: f64| -> f64 {
             outages
                 .iter()
-                .filter(|o| o.site == 1 && o.covers(now))
+                .filter(|o| o.site == 1 && (o.start..o.end).contains(&now))
                 .map(|o| o.end - now)
                 .fold(0.0, f64::max)
         };

@@ -59,11 +59,6 @@ impl Federation {
         self.sites.iter().map(|s| s.procs).sum()
     }
 
-    /// Sites of one grid by name.
-    pub fn grid_sites(&self, grid: &str) -> Vec<&Site> {
-        self.sites.iter().filter(|s| s.grid == grid).collect()
-    }
-
     /// A federation restricted to the given sites (e.g. the
     /// single-site comparison of T-batch).
     pub fn restricted(&self, keep: &[SiteId]) -> Federation {
@@ -133,7 +128,6 @@ mod tests {
         assert_eq!(f.grids[1].name, "NGS");
         assert_eq!(f.sites.len(), 6);
         assert_eq!(f.total_procs(), 384 + 256 + 256 + 128 + 128 + 256);
-        assert_eq!(f.grid_sites("NGS").len(), 3);
     }
 
     #[test]

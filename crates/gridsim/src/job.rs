@@ -121,11 +121,6 @@ impl JobRecord {
     pub fn cpu_hours(&self) -> f64 {
         self.runtime() * self.procs as f64
     }
-
-    /// Retries consumed (attempts after the first).
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +146,6 @@ mod tests {
         assert_eq!(r.runtime(), 12.0);
         assert_eq!(r.cpu_hours(), 1536.0);
         assert_eq!(r.attempts, 1);
-        assert_eq!(r.retries(), 0);
         assert_eq!(r.lost_cpu_hours, 0.0);
     }
 

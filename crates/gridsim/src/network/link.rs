@@ -77,13 +77,6 @@ impl Link {
         let u = (seed_stream(seed ^ 0xDEAD_BEEF, n) >> 11) as f64 / (1u64 << 53) as f64;
         u >= self.loss
     }
-
-    /// Transfer time (ms) for `bytes` at the link bandwidth (excluding
-    /// latency).
-    pub fn transfer_ms(&self, bytes: u64) -> f64 {
-        let bits = bytes as f64 * 8.0;
-        bits / (self.bandwidth_mbps * 1e3) // Mbit/s → bit/ms
-    }
 }
 
 #[cfg(test)]
@@ -150,14 +143,6 @@ mod tests {
             (delivered - 0.95).abs() < 0.005,
             "delivery rate {delivered}"
         );
-    }
-
-    #[test]
-    fn transfer_time_scales_with_size() {
-        let link = QosProfile::Lan.link(); // 1000 Mbit/s
-                                           // 1 MB = 8 Mbit → 8 ms at 1000 Mbit/s... wait: 8e6 bits / 1e6 bit/ms = 8 ms.
-        assert!((link.transfer_ms(1_000_000) - 8.0).abs() < 1e-9);
-        assert!(link.transfer_ms(2_000_000) > link.transfer_ms(1_000_000));
     }
 
     #[test]

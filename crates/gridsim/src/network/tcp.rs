@@ -24,24 +24,6 @@ pub fn mathis_throughput_mbps(link: &Link, mss_bytes: u64) -> f64 {
     (bytes_per_s * 8.0 / 1e6).min(link.bandwidth_mbps)
 }
 
-/// Number of parallel TCP flows needed to sustain `target_mbps` over the
-/// link (the GridFTP-era workaround for lossy paths). Returns `None` when
-/// even unlimited flows cannot help (target above link capacity).
-pub fn flows_needed(link: &Link, target_mbps: f64, mss_bytes: u64) -> Option<u32> {
-    if target_mbps > link.bandwidth_mbps {
-        return None;
-    }
-    let per_flow = mathis_throughput_mbps(link, mss_bytes);
-    Some((target_mbps / per_flow).ceil().max(1.0) as u32)
-}
-
-/// Time (s) to move `bytes` over the link with one TCP flow at the Mathis
-/// rate (ignoring slow-start — long transfers).
-pub fn transfer_time_s(link: &Link, bytes: u64, mss_bytes: u64) -> f64 {
-    let mbps = mathis_throughput_mbps(link, mss_bytes);
-    (bytes as f64 * 8.0 / 1e6) / mbps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,29 +68,5 @@ mod tests {
         let mut b = QosProfile::TransAtlanticCommodity.link();
         b.latency_ms *= 2.0;
         assert!((mathis_throughput_mbps(&b, DEFAULT_MSS) - base / 2.0).abs() < 0.05 * base);
-    }
-
-    #[test]
-    fn parallel_flows_fill_the_gap() {
-        let gp = QosProfile::TransAtlanticCommodity.link();
-        let n = flows_needed(&gp, 50.0, DEFAULT_MSS).unwrap();
-        assert!(n > 10, "lossy trans-Atlantic needs many flows: {n}");
-        assert_eq!(
-            flows_needed(&gp, 1000.0, DEFAULT_MSS),
-            None,
-            "above line rate"
-        );
-        let lp = QosProfile::TransAtlanticLightpath.link();
-        // Even the lightpath's residual 1e-6 loss caps a single 90 ms-RTT
-        // flow near 160 Mbit/s — still only a handful of flows needed.
-        assert!(flows_needed(&lp, 900.0, DEFAULT_MSS).unwrap() <= 8);
-    }
-
-    #[test]
-    fn transfer_time_scales_inversely() {
-        let gp = QosProfile::TransAtlanticCommodity.link();
-        let t1 = transfer_time_s(&gp, 10_000_000, DEFAULT_MSS);
-        let t2 = transfer_time_s(&gp, 20_000_000, DEFAULT_MSS);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
     }
 }

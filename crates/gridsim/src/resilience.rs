@@ -1841,7 +1841,12 @@ mod tests {
         assert!(r.completion_fraction() > 0.999);
         // Records carry the attempt accounting.
         assert!(r.result.records.iter().any(|rec| rec.attempts > 1));
-        let retries: u32 = r.result.records.iter().map(JobRecord::retries).sum();
+        let retries: u32 = r
+            .result
+            .records
+            .iter()
+            .map(|rec| rec.attempts.saturating_sub(1))
+            .sum();
         assert_eq!(retries, r.total_retries);
     }
 

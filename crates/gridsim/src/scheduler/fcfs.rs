@@ -286,11 +286,6 @@ impl SiteScheduler {
         None
     }
 
-    /// Free processors.
-    pub fn free_procs(&self) -> u32 {
-        self.free
-    }
-
     /// Queued job count.
     pub fn queued(&self) -> usize {
         self.eligible_len + self.pending.len()
@@ -299,11 +294,6 @@ impl SiteScheduler {
     /// Running job count.
     pub fn running(&self) -> usize {
         self.run_order.len()
-    }
-
-    /// True when nothing is queued or running.
-    pub fn idle(&self) -> bool {
-        self.eligible_len == 0 && self.pending.is_empty() && self.run_order.is_empty()
     }
 
     /// High-water mark of the queued-entry count over the scheduler's
@@ -426,6 +416,11 @@ impl SiteScheduler {
 mod tests {
     use super::*;
 
+    /// True when nothing is queued or running.
+    fn idle(s: &SiteScheduler) -> bool {
+        s.eligible_len == 0 && s.pending.is_empty() && s.run_order.is_empty()
+    }
+
     fn start(s: &mut SiteScheduler, now: f64, hours: impl Fn(u32) -> f64) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
         s.try_start(now, hours, &mut out);
@@ -441,7 +436,7 @@ mod tests {
         let started = start(&mut s, 0.0, |_| 1.0);
         let ids: Vec<u32> = started.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, vec![1, 2]);
-        assert_eq!(s.free_procs(), 0);
+        assert_eq!(s.free, 0);
         assert_eq!(s.queued(), 1);
     }
 
@@ -471,11 +466,11 @@ mod tests {
         s.submit(1, 100, 0.0);
         s.submit(2, 100, 0.0);
         start(&mut s, 0.0, |id| if id == 1 { 2.0 } else { 1.0 });
-        assert_eq!(s.free_procs(), 0);
+        assert_eq!(s.free, 0);
         let (id, t) = s.next_finish().unwrap();
         assert_eq!((id, t), (1, 2.0));
         s.finish(1);
-        assert_eq!(s.free_procs(), 100);
+        assert_eq!(s.free, 100);
         let started = start(&mut s, 2.0, |_| 1.0);
         assert_eq!(started[0].0, 2);
         assert_eq!(started[0].1, 3.0);
@@ -512,11 +507,11 @@ mod tests {
         s.submit(1, 40, 0.0);
         s.submit(2, 40, 0.0);
         start(&mut s, 0.0, |_| 5.0);
-        assert_eq!(s.free_procs(), 20);
+        assert_eq!(s.free, 20);
         let mut killed = s.kill_running();
         killed.sort_unstable();
         assert_eq!(killed, vec![(1, 40), (2, 40)]);
-        assert_eq!(s.free_procs(), 100);
+        assert_eq!(s.free, 100);
         assert_eq!(s.running(), 0);
         assert_eq!(s.next_finish(), None, "kill must drop finish entries");
     }
@@ -546,10 +541,10 @@ mod tests {
         s.submit(2, 40, 0.0);
         start(&mut s, 0.0, |_| 10.0);
         assert_eq!(s.preempt(1), 60);
-        assert_eq!(s.free_procs(), 60);
+        assert_eq!(s.free, 60);
         assert_eq!(s.running(), 1);
         s.finish(2);
-        assert!(s.idle());
+        assert!(idle(&s));
     }
 
     #[test]
@@ -562,13 +557,13 @@ mod tests {
     #[test]
     fn idle_tracking() {
         let mut s = SiteScheduler::new(10);
-        assert!(s.idle());
+        assert!(idle(&s));
         s.submit(1, 1, 0.0);
-        assert!(!s.idle());
+        assert!(!idle(&s));
         start(&mut s, 0.0, |_| 1.0);
         assert_eq!(s.running(), 1);
         s.finish(1);
-        assert!(s.idle());
+        assert!(idle(&s));
     }
 
     #[test]
@@ -625,7 +620,7 @@ mod tests {
         assert_eq!(again.into_bytes(), bytes, "encode(decode(b)) == b");
         // Job 4 runs: no campaign of four jobs (ids 0..4) holds it.
         assert!(SiteScheduler::decode(&mut Dec::new(&bytes), 4).is_err());
-        assert_eq!(r.free_procs(), s.free_procs());
+        assert_eq!(r.free, s.free);
         assert_eq!(r.queued(), s.queued());
         assert_eq!(r.running(), s.running());
         assert_eq!(r.peak_queued(), s.peak_queued());

@@ -7,4 +7,4 @@ pub mod reservation;
 
 pub use fcfs::SiteScheduler;
 pub use profile::CapacityProfile;
-pub use reservation::{BookingOutcome, ManualBookingModel, Reservation};
+pub use reservation::{BookingOutcome, ManualBookingModel};

@@ -9,29 +9,8 @@
 //! need for human intervention at one more level" — modeled as fewer
 //! error-prone hand-offs.
 
-use crate::resource::SiteId;
 use serde::{Deserialize, Serialize};
 use spice_stats::rng::seed_stream;
-
-/// A confirmed advance reservation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
-pub struct Reservation {
-    /// Reserved site.
-    pub site: SiteId,
-    /// Reserved processors.
-    pub procs: u32,
-    /// Window start (hours).
-    pub start: f64,
-    /// Window end (hours).
-    pub end: f64,
-}
-
-impl Reservation {
-    /// True when two reservations overlap in time on the same site.
-    pub fn overlaps(&self, other: &Reservation) -> bool {
-        self.site == other.site && self.start < other.end && other.start < self.end
-    }
-}
 
 /// Outcome of one reservation-booking workflow.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
@@ -160,37 +139,6 @@ pub fn co_allocation_success_probability(p_single: f64, n_grids: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reservations_overlap_logic() {
-        let a = Reservation {
-            site: 0,
-            procs: 64,
-            start: 0.0,
-            end: 4.0,
-        };
-        let b = Reservation {
-            site: 0,
-            procs: 64,
-            start: 3.0,
-            end: 6.0,
-        };
-        let c = Reservation {
-            site: 0,
-            procs: 64,
-            start: 4.0,
-            end: 6.0,
-        };
-        let d = Reservation {
-            site: 1,
-            procs: 64,
-            start: 0.0,
-            end: 9.0,
-        };
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c), "touching windows do not overlap");
-        assert!(!a.overlaps(&d), "different sites never overlap");
-    }
 
     #[test]
     fn manual_booking_matches_paper_anecdote_scale() {

@@ -50,25 +50,6 @@ pub fn gantt(result: &CampaignResult, federation: &Federation, width: usize) -> 
     out
 }
 
-/// One-line-per-job event listing, ordered by start time.
-pub fn job_listing(result: &CampaignResult, federation: &Federation) -> String {
-    let mut records = result.records.clone();
-    records.sort_by(|a, b| a.started.total_cmp(&b.started).then(a.job.cmp(&b.job)));
-    let mut out = String::from("  job  site         procs   start    end     wait\n");
-    for r in &records {
-        out.push_str(&format!(
-            "  {:>3}  {:<12} {:>4}  {:>6.1}  {:>6.1}  {:>6.1}\n",
-            r.job,
-            federation.site(r.site).name,
-            r.procs,
-            r.started,
-            r.finished,
-            r.wait(),
-        ));
-    }
-    out
-}
-
 /// One-line-per-failure timeline of a resilient execution, ordered by
 /// event time — the incident log the SC05 coordinators kept by hand.
 ///
@@ -167,20 +148,6 @@ mod tests {
                 "NCSA over-concurrency: {ncsa_row}"
             );
         }
-    }
-
-    #[test]
-    fn job_listing_is_sorted_and_complete() {
-        let c = Campaign::paper_batch_phase(5);
-        let r = c.run();
-        let listing = job_listing(&r, &c.federation);
-        assert_eq!(listing.lines().count(), 1 + 72);
-        let starts: Vec<f64> = listing
-            .lines()
-            .skip(1)
-            .map(|l| l.split_whitespace().nth(3).unwrap().parse().unwrap())
-            .collect();
-        assert!(starts.windows(2).all(|w| w[1] >= w[0] - 1e-9));
     }
 
     #[test]

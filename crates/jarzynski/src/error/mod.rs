@@ -9,7 +9,7 @@
 //!   cost normalization of §IV-C.
 //! * **systematic** (σ_sys) — dissipation bias of the finite-N JE
 //!   estimator; *grows* with pulling velocity, and with too-soft or
-//!   too-stiff springs.
+//!   too-stiff springs. `spice-core`'s pipeline measures it as the RMS
+//!   gap to the TI reference on the centre-of-mass axis.
 
 pub mod statistical;
-pub mod systematic;

@@ -14,14 +14,13 @@
 //! * [`pmf`] — assembling Φ(s) on a displacement grid from ensembles of
 //!   [`spice_smd::WorkTrajectory`]s, including sub-trajectory stitching
 //!   (§IV-A).
-//! * [`error`] — the statistical/systematic error machinery of §IV:
-//!   bootstrap σ_stat with the paper's computational-cost normalization
-//!   (σ scaled by √(samples affordable at fixed cost) — cost ∝ 1/v),
-//!   and σ_sys as the deviation from a reference (adiabatic) profile.
+//! * [`error`] — σ_stat, the statistical half of §IV's error analysis:
+//!   a bootstrap with the paper's computational-cost normalization
+//!   (σ scaled by √(samples affordable at fixed cost) — cost ∝ 1/v).
+//!   σ_sys, the deviation from the TI reference profile, is computed by
+//!   `spice-core`'s pipeline on the centre-of-mass axis.
 //! * [`optimal`] — the parameter-selection logic that reproduces the
 //!   paper's conclusion: κ = 100 pN/Å, v = 12.5 Å/ns.
-//! * [`analytic`] — closed-form and quadrature reference PMFs used to
-//!   validate the whole chain on exactly solvable systems.
 //! * [`crooks`] — bidirectional estimation (Crooks crossing, Bennett
 //!   acceptance ratio).
 //! * [`wham`](mod@wham) — the Weighted Histogram Analysis Method over umbrella
@@ -29,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analytic;
 pub mod crooks;
 pub mod error;
 pub mod estimator;
@@ -39,7 +37,6 @@ pub mod wham;
 
 pub use crooks::{bar_free_energy, crooks_crossing};
 pub use error::statistical::{cost_normalized_sigma, pmf_bootstrap_sigma};
-pub use error::systematic::{dissipated_work, systematic_error};
 pub use estimator::{cumulant_free_energy, jarzynski_free_energy, mean_work};
 pub use optimal::{select_optimal, ParameterCell};
 pub use pmf::{PmfCurve, PmfPoint};

@@ -199,7 +199,7 @@ mod tests {
         let mut sys = System::new();
         sys.add_particle(Vec3::zero(), 1.0, 0.0, 0);
         sys.add_particle(Vec3::new(2.0, 0.0, 0.0), 1.0, 0.0, 0);
-        sys.forces_mut()[0] = Vec3::new(99.0, 0.0, 0.0); // stale garbage
+        sys.split_mut().2[0] = Vec3::new(99.0, 0.0, 0.0); // stale garbage
 
         let mut topo = Topology::new();
         topo.add_harmonic_bond(0, 1, 1.0, 10.0);

@@ -292,11 +292,6 @@ impl NonBonded {
         t.bind_counter("md.pairs_evaluated", &self.pairs_evaluated);
     }
 
-    /// Sizes of the compiled `(lj_only, lj_plus_dh)` tiers.
-    pub fn tier_sizes(&self) -> (usize, usize) {
-        (self.tiers.lj_pairs.len(), self.tiers.ljdh_pairs.len())
-    }
-
     /// LJ parameters (batched engine mirrors this evaluator's physics).
     pub(crate) fn lj_params(&self) -> LjParams {
         self.lj
@@ -428,6 +423,11 @@ fn ljdh_tier_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sizes of the compiled `(lj_only, lj_plus_dh)` tiers.
+    fn tier_sizes(nb: &NonBonded) -> (usize, usize) {
+        (nb.tiers.lj_pairs.len(), nb.tiers.ljdh_pairs.len())
+    }
 
     impl LjParams {
         /// The pre-optimization evaluation: recomputes the cutoff shift on
@@ -654,7 +654,7 @@ mod tests {
         for (a, b) in ft.iter().zip(&fr) {
             assert!((*a - *b).norm() < 1e-9, "{a:?} vs {b:?}");
         }
-        let (lj_tier, dh_tier) = tiered.tier_sizes();
+        let (lj_tier, dh_tier) = tier_sizes(&tiered);
         assert!(lj_tier > 0, "zero-charge pairs must land in the LJ tier");
         assert!(dh_tier > 0, "charged pairs must land in the DH tier");
     }
@@ -669,7 +669,7 @@ mod tests {
 
         let charged = vec![1.0; 27];
         nb.compute(&topo, &pos, &charged, &species, &mut f);
-        let (_, dh_before) = nb.tier_sizes();
+        let (_, dh_before) = tier_sizes(&nb);
         assert!(dh_before > 0);
 
         // Neutralize everything without moving: the list does not rebuild,
@@ -677,7 +677,7 @@ mod tests {
         let neutral = vec![0.0; 27];
         f.iter_mut().for_each(|v| *v = Vec3::zero());
         let (_, e_c) = nb.compute(&topo, &pos, &neutral, &species, &mut f);
-        let (_, dh_after) = nb.tier_sizes();
+        let (_, dh_after) = tier_sizes(&nb);
         assert_eq!(dh_after, 0, "neutralized system must have an empty DH tier");
         assert_eq!(e_c, 0.0);
     }
@@ -696,7 +696,7 @@ mod tests {
         let c = nb.kernel_counters();
         assert_eq!(c.kernel_invocations, 2);
         assert_eq!(c.neighbor_rebuilds, 1);
-        let (lj_n, dh_n) = nb.tier_sizes();
+        let (lj_n, dh_n) = tier_sizes(&nb);
         assert_eq!(c.pairs_evaluated, 2 * (lj_n + dh_n) as u64);
     }
 

@@ -31,17 +31,6 @@ impl Restraint {
         }
     }
 
-    /// Restraint acting only in the xy-plane (free motion along the pore
-    /// axis z) — used to hold the DNA laterally centered during priming.
-    pub fn lateral(index: usize, anchor: Vec3, k: f64) -> Self {
-        Restraint {
-            index,
-            anchor,
-            k,
-            axes: [true, true, false],
-        }
-    }
-
     /// Add this restraint's force; returns its energy.
     pub fn add_forces(&self, positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
         let d = positions[self.index] - self.anchor;
@@ -71,7 +60,12 @@ mod tests {
 
     #[test]
     fn lateral_restraint_leaves_z_free() {
-        let r = Restraint::lateral(0, Vec3::zero(), 1.0);
+        let r = Restraint {
+            index: 0,
+            anchor: Vec3::zero(),
+            k: 1.0,
+            axes: [true, true, false],
+        };
         let pos = [Vec3::new(2.0, 0.0, 100.0)];
         let mut f = [Vec3::zero()];
         let e = r.add_forces(&pos, &mut f);

@@ -5,16 +5,13 @@
 //! * [`LangevinBaoab`] — the production NVT integrator (Leimkuhler &
 //!   Matthews BAOAB splitting). The Langevin thermostat doubles as the
 //!   implicit solvent: friction γ models water drag on the CG beads.
-//! * [`Brownian`] — overdamped limit, used for cheap priming runs.
 //!
 //! Integrators receive a force-evaluation callback so bias forces (SMD
 //! spring, IMD user forces) are recomputed at the correct sub-step.
 
-pub mod brownian;
 pub mod langevin;
 pub mod velocity_verlet;
 
-pub use brownian::Brownian;
 pub use langevin::LangevinBaoab;
 pub use velocity_verlet::VelocityVerlet;
 

@@ -18,8 +18,8 @@
 //!   pore confinement enters through it).
 //! * [`neighbor`] — O(N) cell lists and Verlet lists with skin-based
 //!   rebuild detection, validated against the O(N²) reference.
-//! * [`integrate`] — velocity-Verlet (NVE), Langevin BAOAB (NVT) and
-//!   overdamped Brownian integrators.
+//! * [`integrate`] — velocity-Verlet (NVE) and Langevin BAOAB (NVT)
+//!   integrators.
 //! * [`rng`] — counter-based deterministic Gaussian noise so Langevin
 //!   trajectories are bit-reproducible regardless of thread scheduling.
 //! * [`sim`] — the simulation driver with step hooks: the attach point the
@@ -28,8 +28,6 @@
 //!   defined user-level APIs" without refactoring the MD code.
 //! * [`checkpoint`] — serde snapshots enabling the paper's checkpoint &
 //!   clone workflow (§III).
-//! * [`minimize`] — steepest-descent preparation.
-//! * [`trajectory`] — XYZ frame streams for visualization.
 //! * [`batch`] — the batched SoA engine: many replicas of one system
 //!   advanced through a single vectorized force/integrate loop.
 //!
@@ -48,15 +46,12 @@ pub mod detmath;
 pub mod error;
 pub mod forces;
 pub mod integrate;
-pub mod minimize;
 pub mod neighbor;
 pub mod observables;
 pub mod rng;
 pub mod sim;
 pub mod system;
-pub mod thermostat;
 pub mod topology;
-pub mod trajectory;
 pub mod units;
 pub mod vec3;
 

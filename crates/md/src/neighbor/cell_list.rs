@@ -216,7 +216,7 @@ const FORWARD_NEIGHBORS: &[(isize, isize, isize)] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbor::{brute_force_pairs, sorted_pairs};
+    use crate::neighbor::tests::{brute_force_pairs, sorted_pairs};
     use proptest::prelude::*;
 
     fn random_positions(n: usize, seed: u64, scale: f64) -> Vec<Vec3> {

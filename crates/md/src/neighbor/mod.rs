@@ -1,5 +1,5 @@
-//! Neighbor search: O(N²) reference, O(N) cell lists, and Verlet lists
-//! with skin-based rebuild detection.
+//! Neighbor search: O(N) cell lists and Verlet lists with skin-based
+//! rebuild detection, tested against an O(N²) reference.
 //!
 //! The engine runs open-boundary systems (the pore model confines
 //! particles via external potentials rather than periodic images), so the
@@ -11,34 +11,34 @@ pub mod verlet;
 pub use cell_list::CellList;
 pub use verlet::VerletList;
 
-use crate::vec3::Vec3;
-
 /// An unordered list of candidate interacting pairs `(i, j)` with `i < j`.
 pub type PairList = Vec<(u32, u32)>;
-
-/// O(N²) reference pair search — ground truth for tests and tiny systems.
-pub fn brute_force_pairs(positions: &[Vec3], cutoff: f64) -> PairList {
-    let c2 = cutoff * cutoff;
-    let mut out = Vec::new();
-    for i in 0..positions.len() {
-        for j in (i + 1)..positions.len() {
-            if (positions[i] - positions[j]).norm_sq() <= c2 {
-                out.push((i as u32, j as u32));
-            }
-        }
-    }
-    out
-}
-
-/// Canonicalize a pair list for comparison: sort lexicographically.
-pub fn sorted_pairs(mut pairs: PairList) -> PairList {
-    pairs.sort_unstable();
-    pairs
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vec3::Vec3;
+
+    /// O(N²) reference pair search — the ground truth the cell and Verlet
+    /// lists are tested against.
+    pub(crate) fn brute_force_pairs(positions: &[Vec3], cutoff: f64) -> PairList {
+        let c2 = cutoff * cutoff;
+        let mut out = Vec::new();
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                if (positions[i] - positions[j]).norm_sq() <= c2 {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Canonicalize a pair list for comparison: sort lexicographically.
+    pub(crate) fn sorted_pairs(mut pairs: PairList) -> PairList {
+        pairs.sort_unstable();
+        pairs
+    }
 
     #[test]
     fn brute_force_finds_close_pairs_only() {

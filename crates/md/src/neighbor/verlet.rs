@@ -96,7 +96,7 @@ impl VerletList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbor::{brute_force_pairs, sorted_pairs};
+    use crate::neighbor::tests::{brute_force_pairs, sorted_pairs};
 
     fn line(n: usize, spacing: f64) -> Vec<Vec3> {
         (0..n)

@@ -95,22 +95,6 @@ pub fn spacing_profile(system: &System, chain: &[usize]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Radius of gyration of a group (mass-weighted).
-pub fn radius_of_gyration(system: &System, group: &[usize]) -> f64 {
-    if group.is_empty() {
-        return 0.0;
-    }
-    let com = system.center_of_mass_of(group.iter().copied());
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for &i in group {
-        let m = system.masses()[i];
-        num += m * (system.positions()[i] - com).norm_sq();
-        den += m;
-    }
-    (num / den).sqrt()
-}
-
 /// z-coordinate of a group's center of mass (the SMD reaction coordinate:
 /// the paper computes the PMF along the vertical pore axis).
 pub fn com_z(system: &System, group: &[usize]) -> f64 {
@@ -120,29 +104,6 @@ pub fn com_z(system: &System, group: &[usize]) -> f64 {
 /// Center of mass of a group.
 pub fn com(system: &System, group: &[usize]) -> Vec3 {
     system.center_of_mass_of(group.iter().copied())
-}
-
-/// Axial occupancy: bead count per z-bin over `[z_lo, z_hi)` for a group.
-/// The time-average of this profile is the translocation-progress
-/// observable (how much of the strand is inside the barrel at any time).
-pub fn axial_density(
-    system: &System,
-    group: &[usize],
-    z_lo: f64,
-    z_hi: f64,
-    nbins: usize,
-) -> Vec<u32> {
-    assert!(nbins > 0 && z_hi > z_lo);
-    let width = (z_hi - z_lo) / nbins as f64;
-    let mut bins = vec![0u32; nbins];
-    for &i in group {
-        let z = system.positions()[i].z;
-        if z >= z_lo && z < z_hi {
-            let idx = (((z - z_lo) / width) as usize).min(nbins - 1);
-            bins[idx] += 1;
-        }
-    }
-    bins
 }
 
 #[cfg(test)]
@@ -192,34 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn rg_of_point_is_zero() {
-        let (s, idx) = chain_system(&[5.0]);
-        assert_eq!(radius_of_gyration(&s, &idx), 0.0);
-        assert_eq!(radius_of_gyration(&s, &[]), 0.0);
-    }
-
-    #[test]
-    fn rg_of_symmetric_pair() {
-        let (s, idx) = chain_system(&[-1.0, 1.0]);
-        // Each bead 1 Å from COM.
-        assert!((radius_of_gyration(&s, &idx) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn com_z_tracks_group() {
         let (s, idx) = chain_system(&[0.0, 2.0]);
         assert!((com_z(&s, &idx) - 1.0).abs() < 1e-12);
         assert!((com_z(&s, &idx[1..]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn axial_density_counts_by_bin() {
-        let (s, idx) = chain_system(&[0.5, 1.5, 1.7, 9.0, -2.0]);
-        let bins = axial_density(&s, &idx, 0.0, 10.0, 10);
-        assert_eq!(bins[0], 1);
-        assert_eq!(bins[1], 2);
-        assert_eq!(bins[9], 1);
-        assert_eq!(bins.iter().sum::<u32>(), 4, "out-of-range bead excluded");
     }
 
     #[test]

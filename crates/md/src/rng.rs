@@ -21,7 +21,7 @@
 //!   8-wide under AVX-512.
 
 use crate::detmath::{det_cos2pi, det_ln};
-use spice_stats::rng::{splitmix64, SeedSequence};
+use spice_stats::rng::splitmix64;
 
 /// Map 32 random bits to a uniform in the open interval (0, 1).
 ///
@@ -68,18 +68,6 @@ impl GaussianStream {
         GaussianStream { seed }
     }
 
-    /// Noise stream for ensemble member `realization`.
-    ///
-    /// This is THE `(seed sequence, realization)` reseed scheme: both the
-    /// cloned per-replica path (`smd::run_ensemble_cloned`) and the
-    /// batched SoA path (`smd::run_ensemble_batched`) derive member
-    /// streams through [`realization_seed`], so the two engines see the
-    /// same noise by construction. Changing the derivation here changes
-    /// every ensemble trajectory in the workspace.
-    pub fn for_realization(seeds: &SeedSequence, realization: u64) -> Self {
-        GaussianStream::new(realization_seed(seeds, realization))
-    }
-
     /// The root seed (used by the batched engine to reconstruct this
     /// stream lane-side).
     pub fn seed(&self) -> u64 {
@@ -101,20 +89,10 @@ impl GaussianStream {
     }
 }
 
-/// The u64 simulation seed for ensemble member `realization` — the other
-/// half of the reseed scheme behind [`GaussianStream::for_realization`].
-/// Ensemble drivers pass this to their simulation factory so thermostat
-/// streams, thermalization, and any factory-internal seeding all fork
-/// per-member from one place.
-#[inline]
-pub fn realization_seed(seeds: &SeedSequence, realization: u64) -> u64 {
-    seeds.stream(realization)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spice_stats::RunningStats;
+    use spice_stats::rng::SeedSequence;
 
     #[test]
     fn deterministic() {
@@ -130,16 +108,18 @@ mod tests {
     #[test]
     fn moments_are_standard_normal() {
         let g = GaussianStream::new(1234);
-        let mut rs = RunningStats::new();
-        for a in 0..200u64 {
-            for b in 0..500u64 {
-                rs.push(g.sample(a, b));
-            }
-        }
-        assert!(rs.mean().abs() < 0.01, "mean {}", rs.mean());
-        assert!((rs.variance() - 1.0).abs() < 0.02, "var {}", rs.variance());
-        assert!(rs.skewness().abs() < 0.03, "skew {}", rs.skewness());
-        assert!(rs.kurtosis().abs() < 0.08, "kurt {}", rs.kurtosis());
+        let xs: Vec<f64> = (0..200u64)
+            .flat_map(|a| (0..500u64).map(move |b| g.sample(a, b)))
+            .collect();
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let moment = |k: i32| xs.iter().map(|x| (x - mean).powi(k)).sum::<f64>() / n;
+        let var = moment(2);
+        let (skew, kurt) = (moment(3) / var.powf(1.5), moment(4) / (var * var) - 3.0);
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.02, "var {var}");
+        assert!(skew.abs() < 0.03, "skew {skew}");
+        assert!(kurt.abs() < 0.08, "kurt {kurt}");
     }
 
     #[test]
@@ -199,7 +179,7 @@ mod tests {
         // share a stream.
         let seeds = SeedSequence::new(20050512);
         let members: Vec<GaussianStream> = (0..8)
-            .map(|i| GaussianStream::for_realization(&seeds, i))
+            .map(|i| GaussianStream::new(seeds.stream(i)))
             .collect();
         for i in 0..members.len() {
             for j in (i + 1)..members.len() {
@@ -217,19 +197,6 @@ mod tests {
                 assert!(corr.abs() < 0.11, "lanes {i},{j}: corr {corr}");
                 assert!(identical < 3, "lanes {i},{j}: {identical} shared draws");
             }
-        }
-    }
-
-    #[test]
-    fn realization_seed_matches_seed_sequence_stream() {
-        // The factory seed and the noise stream must stay one scheme.
-        let seeds = SeedSequence::new(42);
-        for i in 0..16 {
-            assert_eq!(realization_seed(&seeds, i), seeds.stream(i));
-            assert_eq!(
-                GaussianStream::for_realization(&seeds, i).seed(),
-                seeds.stream(i)
-            );
         }
     }
 }

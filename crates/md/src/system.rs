@@ -93,11 +93,6 @@ impl System {
         &self.forces
     }
 
-    /// Mutable force accumulators.
-    pub fn forces_mut(&mut self) -> &mut [Vec3] {
-        &mut self.forces
-    }
-
     /// Split borrows needed by integrators: (positions, velocities, forces,
     /// inverse masses).
     pub fn split_mut(&mut self) -> (&mut [Vec3], &mut [Vec3], &mut [Vec3], &[f64]) {
@@ -167,11 +162,6 @@ impl System {
         }
         let dof = 3.0 * self.len() as f64;
         2.0 * self.kinetic_energy() / (dof * units::KB)
-    }
-
-    /// Center of mass of the whole system.
-    pub fn center_of_mass(&self) -> Vec3 {
-        self.center_of_mass_of(0..self.len())
     }
 
     /// Center of mass of a subset of particle indices.
@@ -278,20 +268,6 @@ impl System {
         }
         Ok(())
     }
-
-    /// Axis-aligned bounding box of current positions; `None` when empty.
-    pub fn bounding_box(&self) -> Option<(Vec3, Vec3)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = self.positions[0];
-        let mut hi = self.positions[0];
-        for &p in &self.positions[1..] {
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        Some((lo, hi))
-    }
 }
 
 impl Default for System {
@@ -333,7 +309,7 @@ mod tests {
     fn com_weights_by_mass() {
         let s = two_particle_system();
         // COM = (2*0 + 6*1)/8 = 0.75 along x.
-        let com = s.center_of_mass();
+        let com = s.center_of_mass_of(0..s.len());
         assert!((com.x - 0.75).abs() < 1e-12);
     }
 
@@ -372,15 +348,6 @@ mod tests {
             "thermalized temperature {t} should be near 300 K"
         );
         assert!(s.momentum().norm() < 1e-9);
-    }
-
-    #[test]
-    fn bounding_box() {
-        let s = two_particle_system();
-        let (lo, hi) = s.bounding_box().unwrap();
-        assert_eq!(lo, Vec3::zero());
-        assert_eq!(hi, Vec3::new(1.0, 0.0, 0.0));
-        assert!(System::new().bounding_box().is_none());
     }
 
     #[test]

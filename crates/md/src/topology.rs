@@ -147,6 +147,7 @@ impl Topology {
     /// Add a cosine dihedral `i–j–k–l` (no automatic 1–4 exclusion;
     /// coarse-grained models usually keep 1–4 non-bonded interactions).
     #[allow(clippy::too_many_arguments)]
+    // spice-lint: allow(U001) the dihedral term's only constructor: the lane-vs-scalar tests build dihedral chains with it, and deleting it would mean deleting the dihedral kernels on the MD force path
     pub fn add_dihedral(
         &mut self,
         i: usize,
@@ -236,30 +237,6 @@ impl Topology {
             .map(|v| v.as_slice())
             .ok_or_else(|| crate::MdError::UnknownGroup(name.to_string()))
     }
-
-    /// Iterate over group names.
-    pub fn group_names(&self) -> impl Iterator<Item = &str> {
-        self.groups.keys().map(|s| s.as_str())
-    }
-
-    /// Build a linear chain of harmonic bonds over `indices`, with optional
-    /// angle stiffness along the chain. Used by the ssDNA builder.
-    pub fn add_chain(
-        &mut self,
-        indices: &[usize],
-        r0: f64,
-        k_bond: f64,
-        angle_params: Option<(f64, f64)>,
-    ) {
-        for w in indices.windows(2) {
-            self.add_harmonic_bond(w[0], w[1], r0, k_bond);
-        }
-        if let Some((theta0, k_angle)) = angle_params {
-            for w in indices.windows(3) {
-                self.add_angle(w[0], w[1], w[2], theta0, k_angle);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,18 +287,6 @@ mod tests {
         t.set_group("smd", vec![4, 5, 6]);
         assert_eq!(t.group("smd").unwrap(), &[4, 5, 6]);
         assert!(t.group("nope").is_err());
-        assert_eq!(t.group_names().collect::<Vec<_>>(), vec!["smd"]);
-    }
-
-    #[test]
-    fn chain_builder_wires_bonds_and_angles() {
-        let mut t = Topology::new();
-        t.add_chain(&[0, 1, 2, 3], 2.0, 50.0, Some((std::f64::consts::PI, 3.0)));
-        assert_eq!(t.bonds().len(), 3);
-        assert_eq!(t.angles().len(), 2);
-        t.finalize();
-        assert!(t.is_excluded(0, 2), "1-3 along chain excluded");
-        assert!(!t.is_excluded(0, 3), "1-4 along chain NOT excluded");
     }
 
     #[test]

@@ -36,12 +36,6 @@ pub fn spring_pn_per_a_to_kcal(k_pn: f64) -> f64 {
     k_pn / PN_PER_KCALMOL_A
 }
 
-/// Convert a spring constant from kcal mol⁻¹ Å⁻² to pN/Å.
-#[inline]
-pub fn spring_kcal_to_pn_per_a(k_kcal: f64) -> f64 {
-    k_kcal * PN_PER_KCALMOL_A
-}
-
 /// Convert a velocity from the paper's Å/ns to engine Å/ps.
 #[inline]
 pub fn velocity_a_per_ns_to_a_per_ps(v: f64) -> f64 {
@@ -52,12 +46,6 @@ pub fn velocity_a_per_ns_to_a_per_ps(v: f64) -> f64 {
 #[inline]
 pub fn force_kcal_to_pn(f: f64) -> f64 {
     f * PN_PER_KCALMOL_A
-}
-
-/// Convert an energy from kcal/mol to units of kT at temperature `t_kelvin`.
-#[inline]
-pub fn kcal_to_kt(e: f64, t_kelvin: f64) -> f64 {
-    e / (KB * t_kelvin)
 }
 
 /// Thermal velocity scale √(kT/m) in Å/ps for mass `m` (amu) at
@@ -81,7 +69,7 @@ mod tests {
         // κ = 100 pN/Å ≈ 1.439 kcal/mol/Å² (§IV-B optimum).
         let k = spring_pn_per_a_to_kcal(100.0);
         assert!((k - 1.4393).abs() < 1e-3, "got {k}");
-        assert!((spring_kcal_to_pn_per_a(k) - 100.0).abs() < 1e-9);
+        assert!((k * PN_PER_KCALMOL_A - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -100,10 +88,5 @@ mod tests {
         // A 100 amu bead at 300 K: sqrt(0.596*418.4/100) ≈ 1.58 Å/ps.
         let v = thermal_velocity(100.0, 300.0);
         assert!((v - 1.579).abs() < 0.01, "got {v}");
-    }
-
-    #[test]
-    fn energy_in_kt() {
-        assert!((kcal_to_kt(KT_300, 300.0) - 1.0).abs() < 1e-12);
     }
 }

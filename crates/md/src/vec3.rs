@@ -37,12 +37,6 @@ impl Vec3 {
         ZERO
     }
 
-    /// Unit vector along z (the pore axis in `spice-pore`).
-    #[inline]
-    pub const fn ez() -> Self {
-        Vec3::new(0.0, 0.0, 1.0)
-    }
-
     /// Dot product.
     #[inline]
     pub fn dot(self, o: Vec3) -> f64 {
@@ -69,18 +63,6 @@ impl Vec3 {
     #[inline]
     pub fn norm(self) -> f64 {
         self.norm_sq().sqrt()
-    }
-
-    /// Unit vector in this direction; zero vector maps to zero.
-    #[inline]
-    pub fn normalized(self) -> Vec3 {
-        let n = self.norm();
-        // spice-lint: allow(N002) exact-zero norm guard: zero vector has no direction
-        if n == 0.0 {
-            ZERO
-        } else {
-            self / n
-        }
     }
 
     /// Radial distance from the z-axis, √(x²+y²).
@@ -220,8 +202,9 @@ mod tests {
         let ex = Vec3::new(1.0, 0.0, 0.0);
         let ey = Vec3::new(0.0, 1.0, 0.0);
         assert_eq!(ex.dot(ey), 0.0);
-        assert_eq!(ex.cross(ey), Vec3::ez());
-        assert_eq!(Vec3::ez().cross(ex), ey);
+        let ez = Vec3::new(0.0, 0.0, 1.0);
+        assert_eq!(ex.cross(ey), ez);
+        assert_eq!(ez.cross(ex), ey);
     }
 
     #[test]
@@ -230,8 +213,6 @@ mod tests {
         assert_eq!(v.norm_sq(), 25.0);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.rho(), 5.0);
-        assert_eq!(v.normalized().norm(), 1.0);
-        assert_eq!(Vec3::zero().normalized(), Vec3::zero());
     }
 
     #[test]
@@ -269,12 +250,6 @@ mod tests {
         #[test]
         fn cauchy_schwarz(a in arb_vec3(), b in arb_vec3()) {
             prop_assert!(a.dot(b).abs() <= a.norm() * b.norm() + 1e-9);
-        }
-
-        #[test]
-        fn normalized_is_unit_or_zero(a in arb_vec3()) {
-            let n = a.normalized().norm();
-            prop_assert!(n == 0.0 || (n - 1.0).abs() < 1e-12);
         }
     }
 }

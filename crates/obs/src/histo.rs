@@ -191,18 +191,6 @@ impl LogHistogram {
         }
     }
 
-    /// Approximate sum, reconstructed from bucket midpoints in bucket
-    /// order (order-independent; within ~9% of the exact sum).
-    pub fn approx_sum(&self) -> f64 {
-        let mut sum = 0.0;
-        for (&idx, &n) in &self.counts {
-            if idx != i64::MAX {
-                sum += bucket_midpoint(idx) * n as f64;
-            }
-        }
-        sum
-    }
-
     /// The `q`-quantile under the nearest-rank definition (`q` clamped
     /// to `[0, 1]`): the representative of the bucket holding the
     /// `ceil(q·n)`-th smallest value, clamped to the exact `[min, max]`.
@@ -361,22 +349,6 @@ mod tests {
                 "midpoint {mid} within a bucket of {v}"
             );
         }
-    }
-
-    #[test]
-    fn approx_sum_is_close_and_order_independent() {
-        let values: Vec<f64> = (1..=200).map(|i| i as f64 * 2.3).collect();
-        let exact: f64 = values.iter().sum();
-        let mut fwd = LogHistogram::new();
-        let mut rev = LogHistogram::new();
-        for &v in &values {
-            fwd.record(v);
-        }
-        for &v in values.iter().rev() {
-            rev.record(v);
-        }
-        assert_eq!(fwd.approx_sum().to_bits(), rev.approx_sum().to_bits());
-        assert!((fwd.approx_sum() / exact - 1.0).abs() < 0.05);
     }
 
     #[test]

@@ -201,29 +201,6 @@ pub struct PoreSystem {
 }
 
 impl PoreSystem {
-    /// The SMD atom group.
-    pub fn smd_group(&self) -> Vec<usize> {
-        self.force_field
-            .topology()
-            .group("smd")
-            .expect("builder always defines the smd group")
-            .to_vec()
-    }
-
-    /// Like [`PoreSystem::into_simulation`] but steepest-descent minimizes
-    /// first — removes any bad contacts from hand-placed coordinates
-    /// before dynamics (the standard prep stage).
-    pub fn into_minimized_simulation(mut self, dt_ps: f64, seed: u64) -> Simulation {
-        spice_md::minimize::steepest_descent(
-            &mut self.system,
-            &mut self.force_field,
-            500,
-            0.5,
-            0.3,
-        );
-        self.into_simulation(dt_ps, seed)
-    }
-
     /// Thermalize velocities to the solvent temperature (deterministic
     /// under `seed`) and wrap everything into a Langevin [`Simulation`]
     /// with time step `dt_ps`.
@@ -257,7 +234,7 @@ mod tests {
         let ps = PoreSystemBuilder::new().build();
         assert_eq!(ps.system.len(), 12);
         assert_eq!(ps.dna_indices.len(), 12);
-        assert_eq!(ps.smd_group(), vec![0]);
+        assert_eq!(ps.force_field.topology().group("smd").unwrap(), &[0]);
         assert!(ps.force_field.topology().group("dna").is_ok());
     }
 
@@ -266,7 +243,7 @@ mod tests {
         let ps = PoreSystemBuilder::new()
             .smd_selection(SmdSelection::WholeStrand)
             .build();
-        assert_eq!(ps.smd_group().len(), 12);
+        assert_eq!(ps.force_field.topology().group("smd").unwrap().len(), 12);
     }
 
     #[test]
@@ -309,18 +286,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
-    }
-
-    #[test]
-    fn minimized_prep_runs_and_lowers_energy() {
-        let ps = PoreSystemBuilder::new().build();
-        let mut raw = PoreSystemBuilder::new().build().into_simulation(0.01, 5);
-        let mut min = ps.into_minimized_simulation(0.01, 5);
-        // Both run stably; the minimized one starts from lower (or equal)
-        // potential energy.
-        raw.run(50, &mut []).unwrap();
-        min.run(50, &mut []).unwrap();
-        assert!(min.system().is_finite());
     }
 
     #[test]

@@ -166,12 +166,6 @@ impl PoreGeometry {
         self.radius_and_gradient(z).0
     }
 
-    /// d(radius)/dz at `z`, analytic; 0 outside the pore.
-    #[inline(always)]
-    pub fn radius_gradient(&self, z: f64) -> f64 {
-        self.radius_and_gradient(z).1
-    }
-
     /// z of the narrowest lumen point (scan at 0.1 Å resolution).
     pub fn constriction_z(&self) -> f64 {
         let mut best_z = self.barrel_lo;
@@ -251,7 +245,7 @@ mod tests {
         let g = PoreGeometry::alpha_hemolysin();
         assert!(!g.smooth_radius(-1.0).is_finite());
         assert!(!g.smooth_radius(101.0).is_finite());
-        assert_eq!(g.radius_gradient(-5.0), 0.0);
+        assert_eq!(g.radius_and_gradient(-5.0).1, 0.0);
     }
 
     #[test]
@@ -304,7 +298,7 @@ mod tests {
         for z in [10.0, 51.0, 54.0, 60.0, 80.0] {
             let h = 1e-3;
             let num = (g.radius(z + h) - g.radius(z - h)) / (2.0 * h);
-            let ana = g.radius_gradient(z);
+            let ana = g.radius_and_gradient(z).1;
             assert!((num - ana).abs() < 0.05, "z={z}: {num} vs {ana}");
         }
     }

@@ -6,7 +6,7 @@
 //! length (electrostatics) and the dielectric constant.
 
 use serde::{Deserialize, Serialize};
-use spice_md::integrate::{Brownian, LangevinBaoab};
+use spice_md::integrate::LangevinBaoab;
 
 /// Implicit-solvent parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
@@ -38,21 +38,9 @@ impl Solvent {
         }
     }
 
-    /// Debye length (Å) for a 1:1 electrolyte of molarity `c` at 300 K in
-    /// water: λ_D = 3.04/√c.
-    pub fn debye_length_for_molarity(c: f64) -> f64 {
-        assert!(c > 0.0, "molarity must be positive");
-        3.04 / c.sqrt()
-    }
-
     /// A production Langevin integrator for this solvent.
     pub fn langevin(&self, seed: u64) -> LangevinBaoab {
         LangevinBaoab::new(self.temperature, self.gamma, seed)
-    }
-
-    /// An overdamped integrator for priming runs.
-    pub fn brownian(&self, seed: u64) -> Brownian {
-        Brownian::new(self.temperature, self.gamma, seed)
     }
 }
 
@@ -61,27 +49,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn debye_length_scaling() {
-        assert!((Solvent::debye_length_for_molarity(1.0) - 3.04).abs() < 1e-12);
-        assert!((Solvent::debye_length_for_molarity(0.1) - 9.6124).abs() < 1e-2);
-        // Quadrupling concentration halves the screening length.
-        let l1 = Solvent::debye_length_for_molarity(0.25);
-        let l4 = Solvent::debye_length_for_molarity(1.0);
-        assert!((l1 / l4 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn integrator_factories() {
         let s = Solvent::kcl_1m_300k();
         let li = s.langevin(1);
         assert!((li.temperature() - 300.0).abs() < 1e-12);
         assert!((li.gamma() - 2.0).abs() < 1e-12);
-        let _ = s.brownian(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "molarity must be positive")]
-    fn rejects_zero_molarity() {
-        Solvent::debye_length_for_molarity(0.0);
     }
 }

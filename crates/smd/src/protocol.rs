@@ -46,15 +46,6 @@ impl PullProtocol {
         }
     }
 
-    /// A protocol for one cell of the Fig. 4 sweep.
-    pub fn sweep_cell(kappa_pn_per_a: f64, v_a_per_ns: f64) -> Self {
-        PullProtocol {
-            kappa_pn_per_a,
-            v_a_per_ns,
-            ..Self::paper_optimal()
-        }
-    }
-
     /// The paper's κ grid (pN/Å).
     pub const KAPPA_GRID: [f64; 3] = [10.0, 100.0, 1000.0];
 
@@ -74,14 +65,6 @@ impl PullProtocol {
     /// Number of pulling steps to cover `pull_distance`.
     pub fn pull_steps(&self) -> u64 {
         (self.pull_distance / (self.velocity().abs() * self.dt_ps)).ceil() as u64
-    }
-
-    /// How many realizations of this protocol fit in the compute budget of
-    /// one realization of `reference` (the paper: "In the computational
-    /// time that one sample at v = 12.5 Å/ns can be generated, eight
-    /// samples at v = 100 Å/ns can be generated").
-    pub fn samples_per_reference_cost(&self, reference: &PullProtocol) -> f64 {
-        reference.pull_steps() as f64 / self.pull_steps() as f64
     }
 
     /// Basic sanity checks.
@@ -122,15 +105,6 @@ mod tests {
         let p = PullProtocol::paper_optimal();
         // 10 Å at 0.0125 Å/ps with dt = 0.02 ps → 40 000 steps.
         assert_eq!(p.pull_steps(), 40_000);
-    }
-
-    #[test]
-    fn cost_normalization_matches_paper_claim() {
-        // Eight v=100 samples per one v=12.5 sample (§IV-C).
-        let slow = PullProtocol::sweep_cell(100.0, 12.5);
-        let fast = PullProtocol::sweep_cell(100.0, 100.0);
-        let ratio = fast.samples_per_reference_cost(&slow);
-        assert!((ratio - 8.0).abs() < 1e-9, "got {ratio}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the allow mechanism keys on. Test/loop context comes from the
 //! `parser` scope tree — one structural pass shared by all rules —
 //! and the parallel-safety rules (R001/R002) key on the parser's
-//! rayon-chain analysis. The interprocedural rule E001 lives in
-//! `callgraph`, not here: it needs the whole workspace.
+//! rayon-chain analysis. The workspace rules live elsewhere, because
+//! they need the whole workspace: E001 in `callgraph`, U001 in `unused`.
 
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::parser::{analyze_par, ScopeTree};
@@ -205,6 +205,20 @@ pub const RULES: &[RuleInfo] = &[
                  originating site. Fix the leaf (thread the seed/clock as a \
                  parameter) rather than allowing the boundary: one leaf fix clears \
                  every chain through it.",
+    },
+    RuleInfo {
+        id: "U001",
+        summary: "pub fn in the non-test part of a library crate (crates/*/src, \
+                  binaries and crates/bench aside) that no non-test code in the \
+                  workspace names, use items aside: only tests reach it",
+        detail: "Public library code that no program calls is weight every reader \
+                 and every change carries, and it grows back one convenience at a \
+                 time. U001 scans the workspace's tokens by name: a pub fn fires \
+                 when no identifier outside test code (tests/ directories, \
+                 #[cfg(test)] and #[test] scopes) and outside use items spells it; \
+                 examples and benches count as callers. Delete the fn, move what a \
+                 test needs into the test, or keep it with an inline allow that \
+                 says why it stays.",
     },
     RuleInfo {
         id: "A001",

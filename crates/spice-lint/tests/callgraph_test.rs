@@ -1,7 +1,7 @@
 //! Workspace-semantic-layer tests over the fixture workspaces in
 //! `tests/fixtures/`: cross-crate resolution, cycle tolerance, shadowed
-//! names, deterministic propagation order, E001 chain output, and the
-//! missing-file baseline staleness message.
+//! names, deterministic propagation order, E001 chain output, U001's
+//! caller split, and the missing-file baseline staleness message.
 
 use spice_lint::{lint_workspace, Diagnostic};
 use std::path::{Path, PathBuf};
@@ -137,4 +137,30 @@ fn baseline_entry_for_missing_file_gets_distinct_message() {
         stale[0].message
     );
     assert!(stale[0].message.contains("crates/gone/src/old.rs"));
+}
+
+#[test]
+fn u001_flags_pub_fns_that_only_tests_or_re_exports_name() {
+    let report = lint_workspace(&fixture_ws("ws_u001"));
+    let places: Vec<(&str, u32)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "U001")
+        .map(|d| (d.path.as_str(), d.line))
+        .collect();
+    // `reexported`: its one non-test mention is a `pub use`. `orphan`:
+    // only the integration test and a `#[cfg(test)]` module call it.
+    // `bench_only` has a bench caller, `used` a library caller, `kept`
+    // an annotated allow, and `in_binary` lives in a binary: all silent.
+    assert_eq!(
+        places,
+        [("crates/lib/src/inner.rs", 3), ("crates/lib/src/lib.rs", 8)],
+        "{:?}",
+        report.diagnostics
+    );
+    assert!(
+        !report.diagnostics.iter().any(|d| d.rule == "A002"),
+        "the allow on `kept` must fire, not go stale: {:?}",
+        report.diagnostics
+    );
 }

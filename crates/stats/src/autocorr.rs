@@ -2,36 +2,7 @@
 //!
 //! MD observables are strongly autocorrelated, so naive `s/√n` error bars
 //! are over-optimistic. The integrated autocorrelation time τ_int deflates
-//! the sample count to an *effective* sample size n_eff = n / (2 τ_int),
-//! which the SMD-JE error analysis uses when realizations are harvested
-//! from a single long trajectory.
-
-/// Normalized autocorrelation function ρ(k) for lags `0..max_lag`.
-///
-/// ρ(0) = 1 by construction. Returns an empty vector for series shorter
-/// than 2 or zero-variance series.
-pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
-    let n = xs.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let m = crate::descriptive::mean(xs);
-    let c0: f64 = xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / n as f64;
-    // spice-lint: allow(N002) exact-zero variance is the constant-series sentinel
-    if c0 == 0.0 {
-        return Vec::new();
-    }
-    let kmax = max_lag.min(n - 1);
-    let mut rho = Vec::with_capacity(kmax + 1);
-    for k in 0..=kmax {
-        let ck: f64 = (0..n - k)
-            .map(|i| (xs[i] - m) * (xs[i + k] - m))
-            .sum::<f64>()
-            / n as f64;
-        rho.push(ck / c0);
-    }
-    rho
-}
+//! the sample count to an *effective* sample size n_eff = n / (2 τ_int).
 
 /// Integrated autocorrelation time τ_int = 1/2 + Σ_{k≥1} ρ(k), using the
 /// standard "first negative" truncation (summation stops when ρ(k) < 0).
@@ -69,6 +40,7 @@ pub fn integrated_autocorr_time(xs: &[f64]) -> f64 {
 
 /// Effective number of independent samples, n / (2 τ_int), clamped to
 /// `[1, n]`.
+// spice-lint: allow(U001) the autocorrelation-aware sample count planned for the TI reference's per-window error bars
 pub fn effective_sample_size(xs: &[f64]) -> f64 {
     let n = xs.len() as f64;
     let tau = integrated_autocorr_time(xs);
@@ -83,13 +55,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn rho_zero_is_one() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 1.3).sin()).collect();
-        let rho = autocorrelation(&xs, 10);
-        assert!((rho[0] - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn white_noise_has_tau_half() {
@@ -127,7 +92,6 @@ mod tests {
     #[test]
     fn constant_series_degenerates() {
         let xs = [2.0; 50];
-        assert!(autocorrelation(&xs, 5).is_empty());
         assert!(integrated_autocorr_time(&xs).is_nan());
         assert_eq!(effective_sample_size(&xs), 50.0);
     }

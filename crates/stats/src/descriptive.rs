@@ -64,7 +64,7 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Single-pass streaming moments via Welford's algorithm.
 ///
-/// Tracks count, mean, M2/M3/M4 central-moment accumulators, min and max.
+/// Tracks count, mean, the M2 central-moment accumulator, min and max.
 /// Numerically stable for long series; merging two accumulators is supported
 /// for parallel reduction (rayon `reduce`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +72,6 @@ pub struct RunningStats {
     n: u64,
     mean: f64,
     m2: f64,
-    m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -91,8 +89,6 @@ impl RunningStats {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -105,12 +101,8 @@ impl RunningStats {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
@@ -135,25 +127,11 @@ impl RunningStats {
         let (na, nb) = (self.n as f64, other.n as f64);
         let n = na + nb;
         let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
         let mean = self.mean + delta * nb / n;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
+        let m2 = self.m2 + other.m2 + delta * delta * na * nb / n;
         self.n += other.n;
         self.mean = mean;
         self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -189,26 +167,6 @@ impl RunningStats {
     /// Standard error of the mean.
     pub fn std_error(&self) -> f64 {
         self.std_dev() / (self.n as f64).sqrt()
-    }
-
-    /// Sample skewness (biased, population form).
-    pub fn skewness(&self) -> f64 {
-        // spice-lint: allow(N002) exact-zero M2 sentinel: degenerate series
-        if self.n < 2 || self.m2 == 0.0 {
-            return f64::NAN;
-        }
-        let n = self.n as f64;
-        (n.sqrt() * self.m3) / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis (population form; 0 for a Gaussian).
-    pub fn kurtosis(&self) -> f64 {
-        // spice-lint: allow(N002) exact-zero M2 sentinel: degenerate series
-        if self.n < 2 || self.m2 == 0.0 {
-            return f64::NAN;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -294,8 +252,6 @@ mod tests {
         all.extend(&ys);
         assert!((a.mean() - all.mean()).abs() < 1e-12);
         assert!((a.variance() - all.variance()).abs() < 1e-10);
-        assert!((a.skewness() - all.skewness()).abs() < 1e-8);
-        assert!((a.kurtosis() - all.kurtosis()).abs() < 1e-8);
     }
 
     #[test]
@@ -309,17 +265,6 @@ mod tests {
         let mut e = RunningStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn gaussian_moments_via_kurtosis() {
-        // A deterministic symmetric series should have ~0 skewness.
-        let xs: Vec<f64> = (-500..=500).map(|i| i as f64 / 100.0).collect();
-        let mut rs = RunningStats::new();
-        rs.extend(&xs);
-        assert!(rs.skewness().abs() < 1e-10);
-        // Uniform distribution has excess kurtosis -1.2.
-        assert!((rs.kurtosis() + 1.2).abs() < 0.01);
     }
 
     #[test]

@@ -101,28 +101,6 @@ impl Histogram {
         self.total_in_range
     }
 
-    /// Probability density estimate for bin `i` (normalized over in-range
-    /// observations). `NaN` when empty.
-    pub fn density(&self, i: usize) -> f64 {
-        if self.total_in_range == 0 {
-            return f64::NAN;
-        }
-        self.counts[i] as f64 / (self.total_in_range as f64 * self.width)
-    }
-
-    /// Index of the most populated bin (first one on ties), or `None` when
-    /// no in-range data has been recorded.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total_in_range == 0 {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-    }
-
     /// Merge another histogram with identical binning.
     ///
     /// # Panics
@@ -173,33 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn density_normalizes_to_one() {
-        let mut h = Histogram::new(-2.0, 2.0, 16);
-        for i in 0..1000 {
-            h.record((i as f64 / 1000.0) * 3.6 - 1.8);
-        }
-        let integral: f64 = (0..h.nbins()).map(|i| h.density(i) * (4.0 / 16.0)).sum();
-        assert!((integral - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn bin_centers() {
         let h = Histogram::new(0.0, 10.0, 10);
         assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
         assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_of_empty_is_none() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.mode_bin(), None);
-    }
-
-    #[test]
-    fn mode_finds_peak() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        h.extend(&[0.5, 1.5, 1.6, 1.7, 2.5]);
-        assert_eq!(h.mode_bin(), Some(1));
     }
 
     #[test]

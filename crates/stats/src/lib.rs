@@ -5,21 +5,18 @@
 //! Every quantitative claim in the paper rests on estimating means,
 //! fluctuations and their uncertainties from finite, correlated samples:
 //! the Jarzynski free-energy estimator, the statistical-vs-systematic error
-//! trade-off of Fig. 4, bootstrap error bars, and the discrete-event grid
-//! model's stochastic service and network processes.
+//! trade-off of Fig. 4, and the discrete-event grid model's stochastic
+//! service and network processes.
 //!
 //! This crate provides:
 //!
 //! * [`descriptive`] — streaming (Welford) and batch moments, quantiles.
 //! * [`histogram`] — fixed-width binned accumulation with under/overflow.
-//! * [`resample`] — bootstrap and jackknife uncertainty estimation.
-//! * [`autocorr`] — autocorrelation functions, integrated autocorrelation
-//!   time and effective sample size for correlated MD time series.
+//! * [`autocorr`] — integrated autocorrelation time and effective sample
+//!   size for correlated MD time series.
 //! * [`logsumexp`] — numerically stable `log Σ exp` / `log ⟨exp⟩`
 //!   primitives used by the exponential (Jarzynski) average.
-//! * [`regression`] — ordinary least squares for trend extraction.
-//! * [`series`] — x/y series utilities: binning a scattered series onto a
-//!   grid, block averaging.
+//! * [`series`] — binning a scattered x/y series onto a uniform grid.
 //! * [`rng`] — deterministic seeding helpers (SplitMix64 stream derivation)
 //!   so every experiment is reproducible from a single master seed.
 //!
@@ -32,16 +29,12 @@ pub mod autocorr;
 pub mod descriptive;
 pub mod histogram;
 pub mod logsumexp;
-pub mod regression;
-pub mod resample;
 pub mod rng;
 pub mod series;
 
-pub use autocorr::{autocorrelation, effective_sample_size, integrated_autocorr_time};
+pub use autocorr::{effective_sample_size, integrated_autocorr_time};
 pub use descriptive::{mean, quantile, std_dev, variance, RunningStats};
 pub use histogram::Histogram;
 pub use logsumexp::{log_mean_exp, log_sum_exp};
-pub use regression::LinearFit;
-pub use resample::{bootstrap_mean_std, jackknife_mean_std, Bootstrap};
 pub use rng::{seed_stream, SeedSequence};
-pub use series::{bin_series, block_average, BinnedSeries};
+pub use series::BinnedSeries;

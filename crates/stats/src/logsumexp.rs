@@ -32,30 +32,6 @@ pub fn log_mean_exp(xs: &[f64]) -> f64 {
     log_sum_exp(xs) - (xs.len() as f64).ln()
 }
 
-/// Stable weighted `ln Σᵢ wᵢ exp(xᵢ)` for non-negative weights.
-///
-/// Entries with zero weight are ignored; returns `-inf` when the total
-/// weight is zero.
-pub fn log_sum_exp_weighted(xs: &[f64], ws: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ws.len(), "weights must match values");
-    let m = xs
-        .iter()
-        .zip(ws)
-        .filter(|(_, &w)| w > 0.0)
-        .map(|(&x, _)| x)
-        .fold(f64::NEG_INFINITY, f64::max);
-    if m == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let s: f64 = xs
-        .iter()
-        .zip(ws)
-        .filter(|(_, &w)| w > 0.0)
-        .map(|(&x, &w)| w * (x - m).exp())
-        .sum();
-    m + s.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,27 +67,5 @@ mod tests {
     fn all_neg_inf_inputs() {
         let xs = [f64::NEG_INFINITY, f64::NEG_INFINITY];
         assert_eq!(log_sum_exp(&xs), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn weighted_reduces_to_unweighted() {
-        let xs = [0.2, 1.4, -0.9];
-        let ws = [1.0, 1.0, 1.0];
-        assert!((log_sum_exp_weighted(&xs, &ws) - log_sum_exp(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_ignores_zero_weight() {
-        let xs = [0.2, 1e9];
-        let ws = [1.0, 0.0];
-        assert!((log_sum_exp_weighted(&xs, &ws) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_total_weight_is_neg_inf() {
-        assert_eq!(
-            log_sum_exp_weighted(&[1.0, 2.0], &[0.0, 0.0]),
-            f64::NEG_INFINITY
-        );
     }
 }

@@ -1,10 +1,6 @@
-//! x/y series utilities: binning scattered samples onto a grid and block
-//! averaging of correlated sequences.
-//!
-//! The PMF of Fig. 4 is reported on a displacement grid; individual SMD
-//! realizations sample work at slightly different center-of-mass positions,
-//! so the pipeline bins (displacement, work) pairs onto a common grid
-//! before applying the Jarzynski average per bin.
+//! x/y series binning: scattered (x, y) samples aggregated per bin of a
+//! uniform grid. Fig. 3's spacing-vs-z curve (`spice-pore`'s analysis)
+//! bins each link's spacing by the z of its midpoint this way.
 
 use crate::descriptive::RunningStats;
 
@@ -92,32 +88,6 @@ impl BinnedSeries {
     }
 }
 
-/// Bin scattered (x, y) pairs onto a uniform grid; convenience wrapper.
-pub fn bin_series(pairs: &[(f64, f64)], lo: f64, hi: f64, nbins: usize) -> BinnedSeries {
-    let mut b = BinnedSeries::new(lo, hi, nbins);
-    for &(x, y) in pairs {
-        b.record(x, y);
-    }
-    b
-}
-
-/// Block-average a series into `nblocks` contiguous blocks and return the
-/// block means. Standard technique for error estimation on correlated data:
-/// the variance of block means converges to the true variance of the mean
-/// as blocks exceed the correlation time.
-///
-/// Trailing samples that do not fill a block are dropped. Returns an empty
-/// vector when the series is shorter than `nblocks`.
-pub fn block_average(xs: &[f64], nblocks: usize) -> Vec<f64> {
-    if nblocks == 0 || xs.len() < nblocks {
-        return Vec::new();
-    }
-    let bs = xs.len() / nblocks;
-    (0..nblocks)
-        .map(|b| xs[b * bs..(b + 1) * bs].iter().sum::<f64>() / bs as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +112,10 @@ mod tests {
                 (x, 2.0 * x)
             })
             .collect();
-        let b = bin_series(&pairs, 0.0, 10.0, 10);
+        let mut b = BinnedSeries::new(0.0, 10.0, 10);
+        for &(x, y) in &pairs {
+            b.record(x, y);
+        }
         for (x, y) in b.mean_curve() {
             assert!((y - 2.0 * x).abs() < 0.1, "bin at {x} gave {y}");
         }
@@ -158,26 +131,5 @@ mod tests {
         assert_eq!(a.stats(0).count(), 2);
         assert!((a.stats(0).mean() - 2.0).abs() < 1e-12);
         assert_eq!(a.samples(0), &[1.0, 3.0]);
-    }
-
-    #[test]
-    fn block_average_partitions() {
-        let xs: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let blocks = block_average(&xs, 3);
-        assert_eq!(blocks, vec![1.5, 5.5, 9.5]);
-    }
-
-    #[test]
-    fn block_average_drops_tail() {
-        let xs: Vec<f64> = (0..13).map(|i| i as f64).collect();
-        let blocks = block_average(&xs, 3);
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0], 1.5);
-    }
-
-    #[test]
-    fn block_average_degenerate() {
-        assert!(block_average(&[1.0], 3).is_empty());
-        assert!(block_average(&[1.0, 2.0], 0).is_empty());
     }
 }

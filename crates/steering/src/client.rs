@@ -1,12 +1,12 @@
 //! The scientist's steering client.
 //!
 //! Wraps the grid service in the verbs of the RealityGrid steering API
-//! (pause/resume, parameter changes, checkpoint & clone) plus frame
-//! consumption for monitoring.
+//! that the workflows use (parameter changes, checkpoint & clone) plus
+//! frame consumption for monitoring.
 
 use crate::message::{ControlMessage, Frame};
 use crate::service::{ComponentId, ComponentKind, SharedService};
-use spice_md::{MdError, Simulation, Vec3};
+use spice_md::{MdError, Simulation};
 
 /// A steering client attached to one simulation.
 pub struct SteeringClient {
@@ -25,27 +25,6 @@ impl SteeringClient {
     /// This client's component id.
     pub fn component_id(&self) -> ComponentId {
         self.id
-    }
-
-    /// Pause the simulation at its next emit point.
-    pub fn pause(&self) {
-        self.service
-            .lock()
-            .send_control(self.sim, ControlMessage::Pause);
-    }
-
-    /// Resume a paused simulation.
-    pub fn resume(&self) {
-        self.service
-            .lock()
-            .send_control(self.sim, ControlMessage::Resume);
-    }
-
-    /// Stop the simulation cleanly.
-    pub fn stop(&self) {
-        self.service
-            .lock()
-            .send_control(self.sim, ControlMessage::Stop);
     }
 
     /// Change a steerable parameter.
@@ -69,32 +48,9 @@ impl SteeringClient {
         );
     }
 
-    /// Apply an interactive force to `atoms`.
-    pub fn apply_force(&self, atoms: Vec<usize>, force: Vec3) {
-        self.service
-            .lock()
-            .send_control(self.sim, ControlMessage::ApplyForce { atoms, force });
-    }
-
-    /// Ask the simulation for a full-coordinate frame.
-    pub fn request_detail(&self) {
-        self.service
-            .lock()
-            .send_control(self.sim, ControlMessage::RequestFrame);
-    }
-
     /// Pop the oldest frame addressed to this client.
     pub fn next_frame(&self) -> Option<Frame> {
         self.service.lock().next_frame(self.id)
-    }
-
-    /// Drain all pending frames, returning the newest (monitoring use).
-    pub fn latest_frame(&self) -> Option<Frame> {
-        let mut last = None;
-        while let Some(f) = self.next_frame() {
-            last = Some(f);
-        }
-        last
     }
 
     /// Clone a checkpointed state into `target` — the §III workflow:
@@ -120,7 +76,7 @@ mod tests {
     use crate::sim_side::SteeringHook;
     use spice_md::forces::{ForceField, Restraint};
     use spice_md::integrate::LangevinBaoab;
-    use spice_md::{System, Topology};
+    use spice_md::{System, Topology, Vec3};
 
     fn make_sim(seed: u64) -> Simulation {
         let mut sys = System::new();
@@ -178,10 +134,11 @@ mod tests {
         let client = SteeringClient::attach(service.clone(), hook.component_id());
         let mut sim = make_sim(2);
         sim.run(25, &mut [&mut hook]).unwrap();
-        let latest = client.latest_frame().expect("frames pending");
+        let latest = std::iter::from_fn(|| client.next_frame())
+            .last()
+            .expect("frames pending");
         assert_eq!(latest.step, 25);
         assert!(latest.steered_com_z.is_some());
-        assert!(client.next_frame().is_none(), "latest_frame drains");
     }
 
     #[test]
@@ -189,7 +146,9 @@ mod tests {
         let service = GridService::shared();
         let mut hook = SteeringHook::attach(service.clone(), 5, vec![0]);
         let client = SteeringClient::attach(service.clone(), hook.component_id());
-        client.request_detail();
+        service
+            .lock()
+            .send_control(hook.component_id(), ControlMessage::RequestFrame);
         let mut sim = make_sim(3);
         sim.run(5, &mut [&mut hook]).unwrap();
         let f = client.next_frame().unwrap();

@@ -45,13 +45,6 @@ impl HapticDevice {
         Vec3::new(0.0, 0.0, units::spring_pn_per_a_to_kcal(1.0) * clipped_pn)
     }
 
-    /// Whether the force was clipped on the most recent render.
-    pub fn saturated(&self) -> bool {
-        self.history
-            .last()
-            .is_some_and(|&f| (f - self.max_force_pn).abs() < 1e-9)
-    }
-
     /// The force estimate the paper's priming phase extracts: the maximum
     /// force (pN) encountered while manually translocating the strand.
     pub fn max_observed_force_pn(&self) -> f64 {
@@ -66,16 +59,6 @@ impl HapticDevice {
             self.history.iter().sum::<f64>() / self.history.len() as f64
         }
     }
-
-    /// Renders per simulated second of interaction.
-    pub fn renders_for(&self, seconds: f64) -> u64 {
-        (self.update_rate_hz * seconds).round() as u64
-    }
-
-    /// Number of renders so far.
-    pub fn render_count(&self) -> usize {
-        self.history.len()
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +72,6 @@ mod tests {
                                      // 50 pN/Å × 2 Å = 100 pN upward.
         let expected = units::spring_pn_per_a_to_kcal(1.0) * 100.0;
         assert!((f.z - expected).abs() < 1e-12);
-        assert!(!d.saturated());
     }
 
     #[test]
@@ -98,7 +80,6 @@ mod tests {
         let f = d.render(100.0, 0.0); // would be 5000 pN
         let expected = units::spring_pn_per_a_to_kcal(1.0) * 500.0;
         assert!((f.z - expected).abs() < 1e-12);
-        assert!(d.saturated());
     }
 
     #[test]
@@ -107,14 +88,7 @@ mod tests {
         d.render(1.0, 0.0); // 50 pN
         d.render(-3.0, 0.0); // 150 pN magnitude
         d.render(0.0, 0.0); // 0
-        assert_eq!(d.render_count(), 3);
         assert!((d.max_observed_force_pn() - 150.0).abs() < 1e-9);
         assert!((d.mean_force_pn() - (50.0 + 150.0) / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn update_rate_accounting() {
-        let d = HapticDevice::phantom();
-        assert_eq!(d.renders_for(2.5), 2500);
     }
 }

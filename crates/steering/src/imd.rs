@@ -77,12 +77,6 @@ impl ImdStats {
         }
         (self.compute_ms + self.stall_ms) / self.compute_ms
     }
-
-    /// Achieved interactive frame rate (Hz) given the total wall time.
-    pub fn frame_rate_hz(&self) -> f64 {
-        let total_s = (self.compute_ms + self.stall_ms) / 1e3;
-        self.exchanges as f64 / total_s.max(1e-12)
-    }
 }
 
 /// One-way delivery with timeout/retransmit; returns `(elapsed_ms,
@@ -234,7 +228,6 @@ mod tests {
             mean_rtt_ms: 5.0,
         };
         assert!((s.slowdown() - 1.5).abs() < 1e-12);
-        assert!((s.frame_rate_hz() - 10.0 / 0.15).abs() < 1e-9);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * [`message`] — the steering protocol: control verbs (pause/resume,
 //!   set-parameter, checkpoint, clone, stop), IMD force injection, and
 //!   published data frames.
-//! * [`service`] — the intermediate grid service: component registry and
-//!   per-component routed message queues, with optional simulated network
-//!   delay per route.
+//! * [`service`] — the intermediate grid service: component registry,
+//!   per-component routed message queues and the checkpoint store.
 //! * [`client`] — the scientist's steering API.
 //! * [`sim_side`] — the client-side library embedded in the MD code, as a
 //!   `spice_md::StepHook` attached at "emit points" — the paper's
@@ -48,6 +47,6 @@ pub use client::SteeringClient;
 pub use haptic::HapticDevice;
 pub use imd::{simulate_session, ImdConfig, ImdStats};
 pub use message::{ControlMessage, Frame};
-pub use service::{ComponentId, GridService, LogEntry, SharedService};
+pub use service::{ComponentId, GridService, SharedService};
 pub use sim_side::SteeringHook;
 pub use visualizer::Visualizer;

@@ -55,17 +55,6 @@ pub struct Frame {
     pub positions: Option<Vec<Vec3>>,
 }
 
-impl Frame {
-    /// Approximate wire size in bytes (drives network-transfer modeling).
-    pub fn wire_bytes(&self) -> u64 {
-        let base = 64u64;
-        match &self.positions {
-            Some(p) => base + (p.len() as u64) * 24,
-            None => base,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,23 +80,5 @@ mod tests {
             let back: ControlMessage = serde_json::from_str(&s).unwrap();
             assert_eq!(m, back);
         }
-    }
-
-    #[test]
-    fn frame_wire_size_scales_with_detail() {
-        let light = Frame {
-            step: 1,
-            time_ps: 0.1,
-            temperature: 300.0,
-            potential: -10.0,
-            steered_com_z: Some(42.0),
-            positions: None,
-        };
-        let heavy = Frame {
-            positions: Some(vec![Vec3::zero(); 1000]),
-            ..light.clone()
-        };
-        assert_eq!(light.wire_bytes(), 64);
-        assert_eq!(heavy.wire_bytes(), 64 + 24_000);
     }
 }

@@ -255,18 +255,21 @@ pub struct TrackSnapshot {
     pub events: Vec<SpanEvent>,
 }
 
-impl TrackSnapshot {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
     /// Check span-tree well-formedness: every exit matches the
     /// innermost open span, nothing closes an empty stack, and logical
     /// stamps never decrease.
-    pub fn check_well_formed(&self) -> Result<(), String> {
+    fn check_well_formed(track: &TrackSnapshot) -> Result<(), String> {
         let mut stack: Vec<&'static str> = Vec::new();
         let mut last = 0u64;
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, e) in track.events.iter().enumerate() {
             if e.logical < last {
                 return Err(format!(
                     "track {}/{}: event {i} ({}) logical clock went backwards: {} < {last}",
-                    self.name, self.key, e.name, e.logical
+                    track.name, track.key, e.name, e.logical
                 ));
             }
             last = e.logical;
@@ -277,13 +280,13 @@ impl TrackSnapshot {
                     Some(open) => {
                         return Err(format!(
                             "track {}/{}: exit `{}` does not match open span `{open}`",
-                            self.name, self.key, e.name
+                            track.name, track.key, e.name
                         ))
                     }
                     None => {
                         return Err(format!(
                             "track {}/{}: exit `{}` with no open span",
-                            self.name, self.key, e.name
+                            track.name, track.key, e.name
                         ))
                     }
                 },
@@ -293,16 +296,11 @@ impl TrackSnapshot {
         if let Some(open) = stack.pop() {
             return Err(format!(
                 "track {}/{}: span `{open}` never closed",
-                self.name, self.key
+                track.name, track.key
             ));
         }
         Ok(())
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn live_track() -> Track {
         Track::live(Arc::new(TrackState::new("t", 0)))
@@ -321,7 +319,7 @@ mod tests {
             t.tick(12);
         }
         let snap = t.state.as_ref().unwrap().snapshot();
-        snap.check_well_formed().unwrap();
+        check_well_formed(&snap).unwrap();
         let kinds: Vec<EventKind> = snap.events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -344,7 +342,7 @@ mod tests {
         t.instant_at("late", 40, Vec::new());
         let snap = t.state.as_ref().unwrap().snapshot();
         assert_eq!(snap.events[0].logical, 100, "stamp clamped to clock");
-        snap.check_well_formed().unwrap();
+        check_well_formed(&snap).unwrap();
     }
 
     #[test]
@@ -369,7 +367,7 @@ mod tests {
                 },
             ],
         };
-        assert!(bad.check_well_formed().is_err());
+        assert!(check_well_formed(&bad).is_err());
     }
 
     #[test]
@@ -385,7 +383,7 @@ mod tests {
                 attrs: Vec::new(),
             }],
         };
-        assert!(bad.check_well_formed().is_err());
+        assert!(check_well_formed(&bad).is_err());
     }
 
     #[test]
@@ -423,7 +421,7 @@ mod tests {
             snap.events.last().unwrap().logical,
             "clock resumes at the last imported stamp"
         );
-        rsnap.check_well_formed().unwrap();
+        check_well_formed(&rsnap).unwrap();
     }
 
     #[test]

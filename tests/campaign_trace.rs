@@ -4,7 +4,7 @@
 
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::{run_des_with_policy, DispatchPolicy};
-use spice::gridsim::trace::{gantt, job_listing};
+use spice::gridsim::trace::gantt;
 
 /// No instant may have more processors committed on a site than it owns —
 /// checked by direct interval arithmetic on the records, for both
@@ -53,8 +53,6 @@ fn traces_render_for_both_executors() {
     for r in [&plan, &des] {
         let g = gantt(r, &c.federation, 50);
         assert_eq!(g.lines().count(), 1 + c.federation.sites.len());
-        let listing = job_listing(r, &c.federation);
-        assert_eq!(listing.lines().count(), 73);
     }
 }
 

@@ -4,8 +4,6 @@
 
 use spice::md::forces::{ForceField, LjParams, NonBonded, Restraint};
 use spice::md::integrate::{LangevinBaoab, VelocityVerlet};
-use spice::md::minimize::steepest_descent;
-use spice::md::trajectory::{count_xyz_frames, XyzWriter};
 use spice::md::units::{KB, KT_300};
 use spice::md::{Simulation, System, Topology, Vec3};
 use spice::stats::RunningStats;
@@ -130,8 +128,15 @@ fn nve_energy_conservation_lj_cluster() {
         2.6,
         0.4,
     ));
-    // Minimize first so the start is a bound cluster, then kick gently.
-    steepest_descent(&mut sys, &mut ff, 2000, 1e-3, 0.1);
+    // Relax first (plain gradient descent) so the start is a bound
+    // cluster, then kick gently.
+    for _ in 0..2000 {
+        ff.evaluate(&mut sys);
+        let (pos, _, frc, _) = sys.split_mut();
+        for (p, f) in pos.iter_mut().zip(frc.iter()) {
+            *p += *f * 0.01;
+        }
+    }
     for (i, v) in sys.velocities_mut().iter_mut().enumerate() {
         *v = Vec3::new(
             0.02 * ((i * 7 % 5) as f64 - 2.0),
@@ -147,30 +152,4 @@ fn nve_energy_conservation_lj_cluster() {
         (e1 - e0).abs() < 5e-3 * (1.0 + e0.abs()),
         "NVE drift {e0:.6} → {e1:.6}"
     );
-}
-
-/// XYZ output through the public facade: frames written during a run
-/// parse back with the right count.
-#[test]
-fn trajectory_roundtrip_during_run() {
-    let mut sys = System::new();
-    for i in 0..5 {
-        sys.add_particle(Vec3::new(i as f64, 0.0, 0.0), 10.0, -1.0, 1);
-    }
-    let mut ff = ForceField::new(Topology::new());
-    for i in 0..5 {
-        ff = ff.with_restraint(Restraint::harmonic(i, Vec3::new(i as f64, 0.0, 0.0), 1.0));
-    }
-    let mut sim = Simulation::new(sys, ff, Box::new(LangevinBaoab::new(300.0, 2.0, 3)), 0.01);
-    let mut writer = XyzWriter::new(Vec::new(), vec!["X".into(), "P".into()]);
-    for frame in 0..8 {
-        sim.run(25, &mut []).unwrap();
-        writer
-            .write_frame(sim.system(), &format!("t = {:.2} ps", sim.time_ps()))
-            .unwrap();
-        assert_eq!(writer.frames(), frame + 1);
-    }
-    let text = String::from_utf8(writer.into_inner()).unwrap();
-    assert_eq!(count_xyz_frames(&text), 8);
-    assert!(text.contains("P "), "phosphate species labelled");
 }

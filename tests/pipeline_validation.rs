@@ -5,7 +5,6 @@
 
 use spice::core::config::Scale;
 use spice::core::ti::ti_profile;
-use spice::jarzynski::analytic::harmonic_pmf;
 use spice::jarzynski::pmf::{Estimator, PmfCurve};
 use spice::md::forces::{ForceField, Restraint};
 use spice::md::integrate::LangevinBaoab;
@@ -13,6 +12,12 @@ use spice::md::units::KT_300;
 use spice::md::{Simulation, System, Topology, Vec3};
 use spice::smd::{run_ensemble, PullProtocol};
 use spice::stats::rng::SeedSequence;
+
+/// PMF of a particle restrained by `U = a z²` (spice-md's `Restraint`
+/// convention, no ½): `Φ(z) = a z²` up to a constant.
+fn harmonic_pmf(a: f64) -> impl Fn(f64) -> f64 {
+    move |z| a * z * z
+}
 
 /// A single bead in U = a z² with the SMD group defined — the exactly
 /// solvable system.

@@ -74,7 +74,6 @@ fn haptic_device_measures_forces_through_full_stack() {
         {}
     }
     let device = vis.haptic.as_ref().unwrap();
-    assert!(device.render_count() > 0);
     assert!(
         device.max_observed_force_pn() > 1.0,
         "dragging against the pore must register pN-scale forces: {}",

@@ -42,7 +42,7 @@
 //!   crash-injection harness. A campaign killed at any event boundary
 //!   resumes bit-identically.
 //! * [`metrics`] — utilization, wait-time and makespan accounting.
-//! * [`trace`] — text Gantt charts and job/failure listings of campaign
+//! * [`trace`] — text Gantt charts and failure listings of campaign
 //!   runs.
 //!
 //! Everything is deterministic under a seed; stochastic elements (queue

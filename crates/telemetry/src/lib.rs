@@ -14,8 +14,7 @@
 //! * **Counters / gauges / histograms** — typed metrics in a central
 //!   [`Registry`] exported in `BTreeMap` (name-sorted) order.
 //! * **Profiling hooks** — sampling callbacks at force-eval,
-//!   Verlet-rebuild, DES-event and steering-message boundaries
-//!   ([`ProbePoint`]).
+//!   Verlet-rebuild and DES-event boundaries ([`ProbePoint`]).
 //!
 //! Determinism rules:
 //! 1. A disabled handle ([`Telemetry::disabled`]) is an `Option::None`
@@ -288,10 +287,8 @@ mod tests {
         let a = Telemetry::enabled();
         a.counter("c").add(17);
         a.set_gauge("g", -2.5);
-        let h = a.histogram("h", &[1.0, 10.0]);
-        for v in [0.5, 5.0, 99.0] {
-            h.observe(v);
-        }
+        a.histogram("h", &[1.0, 10.0])
+            .merge_counts(&[1, 1, 1], 104.5);
         let snap = a.snapshot();
 
         let b = Telemetry::enabled();

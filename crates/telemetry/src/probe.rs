@@ -19,17 +19,14 @@ pub enum ProbePoint {
     /// After each discrete-event-simulation event pops (value: sim-time
     /// hours).
     DesEvent,
-    /// After each steering message is routed (value: delivered count).
-    SteeringMessage,
 }
 
 impl ProbePoint {
     /// All points, index-aligned with the handler table.
-    pub const ALL: [ProbePoint; 4] = [
+    pub const ALL: [ProbePoint; 3] = [
         ProbePoint::ForceEval,
         ProbePoint::VerletRebuild,
         ProbePoint::DesEvent,
-        ProbePoint::SteeringMessage,
     ];
 
     fn idx(self) -> usize {
@@ -37,7 +34,6 @@ impl ProbePoint {
             ProbePoint::ForceEval => 0,
             ProbePoint::VerletRebuild => 1,
             ProbePoint::DesEvent => 2,
-            ProbePoint::SteeringMessage => 3,
         }
     }
 
@@ -47,7 +43,6 @@ impl ProbePoint {
             ProbePoint::ForceEval => "force_eval",
             ProbePoint::VerletRebuild => "verlet_rebuild",
             ProbePoint::DesEvent => "des_event",
-            ProbePoint::SteeringMessage => "steering_message",
         }
     }
 }
@@ -68,7 +63,7 @@ type Handler = Box<dyn Fn(&ProbeSample) + Send + Sync>;
 /// Handler table: per-point install counts for the fast path, one
 /// mutex-guarded list for the slow path.
 pub(crate) struct Probes {
-    counts: [AtomicUsize; 4],
+    counts: [AtomicUsize; 3],
     handlers: Mutex<Vec<(usize, Handler)>>,
 }
 
@@ -76,7 +71,6 @@ impl Probes {
     pub(crate) fn new() -> Probes {
         Probes {
             counts: [
-                AtomicUsize::new(0),
                 AtomicUsize::new(0),
                 AtomicUsize::new(0),
                 AtomicUsize::new(0),
@@ -140,14 +134,6 @@ mod tests {
     #[test]
     fn point_names_are_stable() {
         let names: Vec<&str> = ProbePoint::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "force_eval",
-                "verlet_rebuild",
-                "des_event",
-                "steering_message"
-            ]
-        );
+        assert_eq!(names, ["force_eval", "verlet_rebuild", "des_event"]);
     }
 }

@@ -1,6 +1,7 @@
 //! The SMD-JE → PMF pipeline and the Fig. 4 parameter sweep.
 
 use crate::config::Scale;
+use crate::ti;
 use spice_jarzynski::error::statistical::{
     cost_normalized_sigma, pmf_bootstrap_sigma, pmf_sigma_scalar,
 };
@@ -12,7 +13,7 @@ use spice_pore::build::{PoreSystemBuilder, SmdSelection};
 use spice_pore::dna::DnaParams;
 use spice_smd::{
     partition_outcomes, run_ensemble_batched_traced, run_ensembles_batched, ClonedEnsemble,
-    PullProtocol, WorkTrajectory,
+    PullProtocol, Runs, WindowLadder, WorkTrajectory,
 };
 use spice_stats::rng::SeedSequence;
 use spice_telemetry::{Telemetry, Track};
@@ -288,16 +289,23 @@ fn estimate_cell(
 /// reported on the *COM displacement* axis (the x-axis of Fig. 4: the
 /// PMF belongs to the molecule, not the guide).
 pub fn reference_profile(scale: Scale, seeds: SeedSequence) -> Vec<(f64, f64)> {
+    let ladder = reference_ladder(scale, seeds);
+    reference_from(
+        &ladder,
+        ti::run_ladder(|seed| pore_simulation(scale, seed), &ladder),
+    )
+}
+
+/// The reference's TI ladder on `seeds`.
+fn reference_ladder(scale: Scale, seeds: SeedSequence) -> WindowLadder {
     let n_windows = (scale.pmf_points() / 2).max(5);
-    let ti = crate::ti::ti_profile(
-        |seed| pore_simulation(scale, seed),
-        scale,
-        scale.pull_distance(),
-        n_windows,
-        100.0,
-        seeds,
-    );
-    // Keep strictly monotone in COM so it can be interpolated.
+    ti::ladder(scale, scale.pull_distance(), n_windows, 100.0, seeds)
+}
+
+/// The reference profile from its ladder's runs `runs`, kept strictly
+/// monotone in COM so it can be interpolated.
+fn reference_from(ladder: &WindowLadder, runs: Runs) -> Vec<(f64, f64)> {
+    let ti = ti::profile(ladder, runs);
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(ti.profile.len());
     for &(c, phi) in &ti.profile {
         if out.last().is_none_or(|&(pc, _)| c > pc + 1e-9) {
@@ -364,13 +372,13 @@ fn interp_reference(reference: &[(f64, f64)], s: f64) -> f64 {
 /// parameter selection.
 pub fn run_sweep(scale: Scale, master_seed: u64) -> SweepResult {
     let root = SeedSequence::new(master_seed);
-    let reference = reference_profile(scale, root.child(999));
 
-    // Every cell's ensemble goes to one lane pool (DESIGN.md §16.6): a v
-    // column's three κ cells share their pull length, so they share lane
-    // chunks, and the columns spread over the cores, longest first. Each
-    // cell's slots are `run_cell`'s, bit for bit, and are estimated the
-    // same way.
+    // Every cell's ensemble and the reference's TI ladder go to one lane
+    // pool (DESIGN.md §16.6): a v column's three κ cells share their pull
+    // length, so they share lane chunks; the columns and the ladder
+    // spread over the cores, longest first, and so do the cells' master
+    // holds. Each cell's slots are `run_cell`'s, bit for bit, and are
+    // estimated the same way; the reference is `reference_profile`'s.
     let grid: Vec<(f64, f64)> = PullProtocol::KAPPA_GRID
         .iter()
         .flat_map(|&k| PullProtocol::V_GRID.iter().map(move |&v| (k, v)))
@@ -378,7 +386,13 @@ pub fn run_sweep(scale: Scale, master_seed: u64) -> SweepResult {
     let ensembles: Vec<ClonedEnsemble> = (grid.iter().enumerate())
         .map(|(i, &(k, v))| cell_ensemble(scale, k, v, root.child(i as u64)))
         .collect();
-    let slots = run_ensembles_batched(|seed| pore_simulation(scale, seed), &ensembles);
+    let ladder = reference_ladder(scale, root.child(999));
+    let (slots, mut windows) = run_ensembles_batched(
+        |seed| pore_simulation(scale, seed),
+        &ensembles,
+        std::slice::from_ref(&ladder),
+    );
+    let reference = reference_from(&ladder, windows.pop().expect("the reference's windows"));
     let untraced = Telemetry::disabled();
     let track = untraced.track("core.cell", 0);
     let mut cells: Vec<PmfCell> = (grid.iter().zip(&ensembles).zip(slots))

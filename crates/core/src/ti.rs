@@ -12,6 +12,7 @@
 use crate::config::Scale;
 use spice_jarzynski::wham::UmbrellaWindow;
 use spice_md::Simulation;
+use spice_smd::{run_ensembles_batched, Runs, WindowLadder};
 use spice_stats::rng::SeedSequence;
 use spice_stats::RunningStats;
 
@@ -59,8 +60,16 @@ pub fn ti_profile<F>(
 where
     F: Fn(u64) -> Simulation + Sync,
 {
-    let raw = run_windows(&factory, scale, span, n_windows, kappa_pn_per_a, seeds);
-    let windows: Vec<TiWindow> = raw.into_iter().map(|(w, _)| w).collect();
+    let ladder = ladder(scale, span, n_windows, kappa_pn_per_a, seeds);
+    profile(&ladder, run_ladder(factory, &ladder))
+}
+
+/// The TI profile of `ladder` from its windows' runs `runs`.
+pub(crate) fn profile(ladder: &WindowLadder, runs: Runs) -> TiProfile {
+    let windows: Vec<TiWindow> = summarize(ladder, runs)
+        .into_iter()
+        .map(|(w, _)| w)
+        .collect();
 
     // dΦ/ds at window s equals the mean force the spring must exert to
     // hold the coordinate there; trapezoid-integrate over the anchor,
@@ -78,38 +87,51 @@ where
     TiProfile { windows, profile }
 }
 
-/// Run the ladder's windows and return each one's summary plus its raw
-/// COM samples (shared by TI integration and WHAM). The windows are one
-/// ensemble (`spice_smd::run_windows`): window `w` starts with the steered
-/// group translated by its anchor displacement `s`, so windows sample near
+/// The ladder of `n_windows` static-spring windows of κ `kappa_pn_per_a`
+/// evenly spanning `[0, span]` of anchor displacement, held and sampled
+/// for `scale`'s lengths. Window `w` starts with the steered group
+/// translated by its anchor displacement `s`, so windows sample near
 /// their anchor instead of relaxing violently across the whole ladder
 /// (which would bias the mean force through metastable trapping).
-fn run_windows<F>(
-    factory: &F,
+pub(crate) fn ladder(
     scale: Scale,
     span: f64,
     n_windows: usize,
     kappa_pn_per_a: f64,
     seeds: SeedSequence,
-) -> Vec<(TiWindow, Vec<f64>)>
-where
-    F: Fn(u64) -> Simulation + Sync,
-{
+) -> WindowLadder {
     assert!(n_windows >= 2 && span > 0.0);
-    let sampled = match scale {
+    let sample_steps = match scale {
         Scale::Test => 1_500,
         Scale::Bench => 6_000,
         Scale::Paper => 30_000,
     };
-    let offsets: Vec<f64> = (0..n_windows)
-        .map(|w| span * w as f64 / (n_windows - 1) as f64)
-        .collect();
-    let equil = scale.equilibration_steps();
-    let windows = spice_smd::run_windows(factory, kappa_pn_per_a, &offsets, seeds, equil, sampled);
-    windows
-        .into_iter()
-        .zip(offsets)
-        .map(|(window, s)| {
+    WindowLadder {
+        kappa_pn_per_a,
+        offsets: (0..n_windows)
+            .map(|w| span * w as f64 / (n_windows - 1) as f64)
+            .collect(),
+        seeds,
+        hold_steps: scale.equilibration_steps(),
+        sample_steps,
+    }
+}
+
+/// `ladder`'s windows as a pool of their own.
+pub(crate) fn run_ladder<F>(factory: F, ladder: &WindowLadder) -> Runs
+where
+    F: Fn(u64) -> Simulation + Sync,
+{
+    let (_, mut runs) = run_ensembles_batched(factory, &[], std::slice::from_ref(ladder));
+    runs.pop().expect("one ladder's windows")
+}
+
+/// Each window of `ladder` summarized from its run in `runs`, with its
+/// raw COM samples (shared by TI integration and WHAM).
+fn summarize(ladder: &WindowLadder, runs: Runs) -> Vec<(TiWindow, Vec<f64>)> {
+    runs.into_iter()
+        .zip(&ladder.offsets)
+        .map(|(window, &s)| {
             let (origin, trajectory) = window.expect("TI window");
             let mut stats = RunningStats::new();
             let mut com_stats = RunningStats::new();
@@ -150,7 +172,8 @@ where
     F: Fn(u64) -> Simulation + Sync,
 {
     let kappa = spice_md::units::spring_pn_per_a_to_kcal(kappa_pn_per_a);
-    run_windows(&factory, scale, span, n_windows, kappa_pn_per_a, seeds)
+    let ladder = ladder(scale, span, n_windows, kappa_pn_per_a, seeds);
+    summarize(&ladder, run_ladder(factory, &ladder))
         .into_iter()
         .map(|(w, samples)| UmbrellaWindow {
             center: w.s,

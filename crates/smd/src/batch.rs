@@ -1,16 +1,16 @@
 //! Batched ensembles: every realization of an `Ensemble` as a lane of
 //! one vectorized force/integrate loop ([`BatchSim`], see
 //! `spice_md::batch`). Every Langevin ensemble runs here — clones of one
-//! equilibration ([`run_ensemble_batched`], several at once through
-//! [`run_ensembles_batched`]), independent starts
-//! ([`run_ensemble`](crate::run_ensemble)) and umbrella windows
-//! ([`run_windows`](crate::run_windows)) — and every slot is the scalar
-//! loop's (`Ensemble::run_scalar`) bit for bit, error text included. A
-//! lane starts from its cloned ensemble's restored master or its own
-//! simulation's state (`BatchSim::set_lane_state`), and its spring holds
-//! its own κ and anchor; the rest of the scalar path's per-realization
-//! state (COM origin, work accumulator, previous force, samples) lives
-//! in per-lane vectors updated with the same expressions.
+//! equilibration ([`run_ensemble_batched`]), independent starts
+//! ([`run_ensemble`](crate::run_ensemble)), and several clone ensembles
+//! and umbrella [`WindowLadder`]s at once ([`run_ensembles_batched`]) —
+//! and every slot is the scalar loop's (`Ensemble::run_scalar`) bit for
+//! bit, error text included. A lane starts from its cloned ensemble's
+//! restored master or its own simulation's state
+//! (`BatchSim::set_lane_state`), and its spring holds its own κ and
+//! anchor; the rest of the scalar path's per-realization state (COM
+//! origin, work accumulator, previous force, samples) lives in per-lane
+//! vectors updated with the same expressions.
 //!
 //! A lane that goes non-finite gets the scalar path's error on the same
 //! step while the others go on, and leaves the neighbor-list rebuilds. A
@@ -27,14 +27,17 @@
 //! Worker 0's chunks run on the calling thread, the others' on scoped
 //! threads. Lanes never mix and each chunk's union pair list is a
 //! superset of its own lanes' lists, so no bit depends on the layout.
-//! Factory calls, masters, restores, batch construction and telemetry
-//! stay on the calling thread; a worker hands back its chunks' slots and
-//! rebuild counts. Each batch's pad lanes (`spice_md::batch::LANE_PAD`)
-//! copy its first lane and never reach a result, span or gauge. A
-//! realization that cannot be a lane (one not on BAOAB Langevin, say)
-//! sends its whole lane group to the scalar loop.
+//! Before the lanes, the cloned ensembles' master holds are dealt to the
+//! workers the same way (a lone master holds on the calling thread).
+//! Factory calls, restores, batch construction and the lanes' telemetry
+//! stay on the calling thread; a worker hands back its masters'
+//! snapshots, or its chunks' slots and rebuild counts. Each batch's pad
+//! lanes (`spice_md::batch::LANE_PAD`) copy its first lane and never
+//! reach a result, span or gauge. A realization that cannot be a lane
+//! (one not on BAOAB Langevin, say) sends its whole lane group to the
+//! scalar loop.
 
-use crate::ensemble::{trajectories, Ensemble, Runs};
+use crate::ensemble::{trajectories, Ensemble, Master, Runs};
 use crate::protocol::PullProtocol;
 use crate::pulling::SmdSpring;
 use crate::runner::{anchor, spring_probe, Leg};
@@ -132,33 +135,85 @@ pub struct ClonedEnsemble {
     pub decorrelation_steps: u64,
 }
 
-/// Several cloned ensembles of one factory as one lane pool: slot for
-/// slot, [`run_ensemble_batched`] on each of `ensembles`, the same bits
-/// on every layout. Ensembles whose pulls share their step counts and
-/// velocity differ only in κ and their master, so their lanes share
-/// chunks, each lane starting from its own ensemble's master (a Fig. 4
-/// v column is one such group); the groups' chunks spread over the
-/// host's cores, longest first (DESIGN.md §16.6). The masters run one
-/// after another on the calling thread. Untraced.
+/// MD steps between an umbrella window's samples.
+const WINDOW_SAMPLE_STRIDE: u64 = 10;
+
+/// One umbrella-window ladder of [`run_ensembles_batched`], the sampling
+/// of thermodynamic integration and WHAM (§VI). Window `i` starts from
+/// `factory(seeds.stream(i))` with its steered group shifted `offsets[i]`
+/// along z, holds `hold_steps` on a static spring of κ `kappa_pn_per_a`
+/// anchored `offsets[i]` above its unshifted COM, and is then sampled
+/// every 10 steps for `sample_steps` more. Each window gives its unshifted
+/// start COM and a trajectory whose samples after the first (the hold's
+/// end) carry the spring force and, in `com_disp`, the absolute COM z.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowLadder {
+    /// Spring constant of every window, paper units (pN/Å).
+    pub kappa_pn_per_a: f64,
+    /// Each window's anchor displacement (Å).
+    pub offsets: Vec<f64>,
+    /// Window `i` runs on `seeds.stream(i)`.
+    pub seeds: SeedSequence,
+    /// Steps each window holds before it is sampled.
+    pub hold_steps: u64,
+    /// Sampled steps after the hold.
+    pub sample_steps: u64,
+}
+
+impl WindowLadder {
+    /// What every window runs: the hold, then the sampled steps on the
+    /// same static spring (v = 0).
+    fn leg(&self) -> Leg {
+        let protocol = PullProtocol {
+            kappa_pn_per_a: self.kappa_pn_per_a,
+            v_a_per_ns: 0.0,
+            pull_distance: 0.0,
+            dt_ps: 0.0,
+            equilibration_steps: self.hold_steps,
+            sample_stride: WINDOW_SAMPLE_STRIDE,
+        };
+        Leg {
+            protocol,
+            hold_steps: self.hold_steps,
+            pull_steps: self.sample_steps,
+            absolute_com: true,
+        }
+    }
+}
+
+/// Cloned ensembles and window ladders of one factory as one lane pool:
+/// slot for slot, [`run_ensemble_batched`] on each of `ensembles`, and
+/// each of `ladders`' windows as [`WindowLadder`] describes, the same
+/// bits on every layout. Ensembles whose pulls share their step counts
+/// and velocity differ only in κ and their master, so their lanes share
+/// chunks, each lane starting from its own ensemble's master (a Fig. 4 v
+/// column is one such group); a ladder is a group of its own. The groups'
+/// chunks spread over the host's cores, longest first, and so do the
+/// masters' holds (DESIGN.md §16.6). Returns each ensemble's slots and
+/// each ladder's [`Runs`]. Untraced.
 pub fn run_ensembles_batched<F>(
     factory: F,
     ensembles: &[ClonedEnsemble],
-) -> Vec<Vec<Result<WorkTrajectory, MdError>>>
+    ladders: &[WindowLadder],
+) -> (Vec<Vec<Result<WorkTrajectory, MdError>>>, Vec<Runs>)
 where
     F: Fn(u64) -> Simulation + Sync,
 {
-    let cells: Vec<Ensemble<'_, F>> = ensembles
-        .iter()
-        .map(|e| {
-            let leg = Leg::pull(&e.protocol, e.decorrelation_steps);
-            Ensemble {
-                cloned: true,
-                ..Ensemble::new(&factory, leg, e.n, e.seeds)
-            }
-        })
-        .collect();
-    let runs = run_pool(&cells, |groups| pool_layout(groups, workers()));
-    runs.into_iter().map(trajectories).collect()
+    let clones = ensembles.iter().map(|e| {
+        let leg = Leg::pull(&e.protocol, e.decorrelation_steps);
+        Ensemble {
+            cloned: true,
+            ..Ensemble::new(&factory, leg, e.n, e.seeds)
+        }
+    });
+    let windows = ladders.iter().map(|l| Ensemble {
+        offsets: Some(&l.offsets),
+        ..Ensemble::new(&factory, l.leg(), l.offsets.len(), l.seeds)
+    });
+    let cells: Vec<Ensemble<'_, F>> = clones.chain(windows).collect();
+    let mut runs = run_pool(&cells, workers(), |groups| pool_layout(groups, workers()));
+    let windows = runs.split_off(ensembles.len());
+    (runs.into_iter().map(trajectories).collect(), windows)
 }
 
 /// Threads a batched ensemble may step lanes on: the host's available
@@ -260,7 +315,7 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
     /// The ensemble's slots, its realizations stepped as lanes on this
     /// host's lane layout: a pool of one.
     pub(crate) fn run(&self) -> Runs {
-        let mut runs = run_pool(std::slice::from_ref(self), |groups| {
+        let mut runs = run_pool(std::slice::from_ref(self), workers(), |groups| {
             pool_layout(groups, workers())
         });
         runs.pop().expect("one ensemble's slots")
@@ -272,26 +327,47 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
 /// lane runs): per ensemble, its slots, which are
 /// [`run_scalar`](Ensemble::run_scalar)'s bit for bit on any layout.
 ///
-/// On the calling thread, in order: every cloned ensemble's master; the
-/// lane groups, each ensemble joining the first group whose first member
-/// [`shares_lanes`](Ensemble::shares_lanes) with it; the layout; and each
-/// group's factory calls, restores and batches. A group whose lanes
-/// cannot all be built runs each of its ensembles on the scalar loop
-/// from its master instead. Then the chunks run on their workers and the
-/// slots are joined back, per ensemble in realization order.
+/// On the calling thread, in order: every cloned ensemble's master
+/// simulation, whose holds [`deal`] then hands to at most
+/// `master_workers` workers (a lone master holds on the calling thread);
+/// once they are back, the lane groups, each ensemble joining the first
+/// group whose first member [`shares_lanes`](Ensemble::shares_lanes)
+/// with it; the layout; and each group's factory calls, restores and
+/// batches. A group whose lanes cannot all be built runs each of its
+/// ensembles on the scalar loop from its master instead. Then the chunks
+/// run on their workers and the slots are joined back, per ensemble in
+/// realization order.
 pub(crate) fn run_pool<F>(
     cells: &[Ensemble<'_, F>],
+    master_workers: usize,
     plan: impl FnOnce(&[(usize, u64)]) -> Layout,
 ) -> Vec<Runs>
 where
     F: Fn(u64) -> Simulation + Sync,
 {
-    let (snaps, mut out): (Vec<Option<Snapshot>>, Vec<Option<Runs>>) = (cells.iter())
-        .map(|cell| match cell.master() {
-            Ok(snap) => (snap, (cell.n == 0).then(Vec::new)),
-            Err(slots) => (None, Some(slots)),
+    let mut masters: Vec<Option<(usize, Master)>> = (cells.iter().enumerate())
+        .filter_map(|(c, cell)| cell.master().map(|m| Some((c, m))))
+        .collect();
+    let holds: Vec<u64> = (masters.iter().flatten())
+        .map(|&(c, _)| cells[c].leg.protocol.equilibration_steps)
+        .collect();
+    let dealt = deal(vec![vec![0..1]; holds.len()], &holds, master_workers);
+    let lists = (dealt.workers.iter())
+        .map(|list| {
+            let take = |&(m, _): &(usize, usize)| masters[m].take().expect("one deal per master");
+            list.iter().map(take).collect()
         })
-        .unzip();
+        .collect();
+    let mut snaps: Vec<Option<Snapshot>> = cells.iter().map(|_| None).collect();
+    let mut out: Vec<Option<Runs>> = (cells.iter())
+        .map(|cell| (cell.n == 0).then(Vec::new))
+        .collect();
+    for (c, held) in on_workers(lists, |(c, master)| (c, cells[c].equilibrate(master))) {
+        match held {
+            Ok(snap) => snaps[c] = Some(snap),
+            Err(slots) => out[c] = Some(slots),
+        }
+    }
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (c, cell) in cells.iter().enumerate().filter(|&(c, _)| out[c].is_none()) {
         match groups.iter_mut().find(|g| cells[g[0]].shares_lanes(cell)) {
@@ -356,25 +432,9 @@ where
         .filter(|list: &Vec<_>| !list.is_empty())
         .collect();
     let probes: Vec<Option<&SmdSpring>> = built.iter().map(|g| Some(&g.as_ref()?.probe)).collect();
-    let run = |((g, k), chunk): ((usize, usize), Chunk)| {
+    let mut ran = on_workers(lists, |((g, k), chunk): ((usize, usize), Chunk)| {
         let probe = probes[g].expect("a built group per dealt chunk");
         ((g, k), chunk.run(cells, probe))
-    };
-    let mut ran: Vec<((usize, usize), (Slots, u64))> = std::thread::scope(|scope| {
-        let mut lists = lists.into_iter();
-        let own = lists.next().unwrap_or_default();
-        let workers: Vec<_> = lists
-            .map(|list| scope.spawn(move || list.into_iter().map(run).collect::<Vec<_>>()))
-            .collect();
-        let mut ran: Vec<_> = own.into_iter().map(run).collect();
-        for worker in workers {
-            ran.extend(
-                worker
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
-        }
-        ran
     });
     ran.sort_unstable_by_key(|&(id, _)| id);
     let mut results: Vec<Vec<(Slots, u64)>> = built.iter().map(|_| Vec::new()).collect();
@@ -398,6 +458,31 @@ where
     out.into_iter()
         .map(|runs| runs.expect("every ensemble ran"))
         .collect()
+}
+
+/// Each worker's jobs `lists[w]` run by `job`, in list order: worker 0's
+/// on the calling thread, the others' on scoped threads, none of which
+/// shares a lock or an atomic. Returns the results worker by worker; a
+/// worker's panic resumes on the calling thread. One list starts no
+/// thread.
+fn on_workers<J: Send, R: Send>(lists: Vec<Vec<J>>, job: impl Fn(J) -> R + Sync) -> Vec<R> {
+    let job = &job;
+    std::thread::scope(|scope| {
+        let mut lists = lists.into_iter();
+        let own = lists.next().unwrap_or_default();
+        let workers: Vec<_> = lists
+            .map(|list| scope.spawn(move || list.into_iter().map(job).collect::<Vec<_>>()))
+            .collect();
+        let mut ran: Vec<R> = own.into_iter().map(job).collect();
+        for worker in workers {
+            ran.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        ran
+    })
 }
 
 /// Whether `sim` can be a lane of a batch built from `first`, which holds
@@ -1067,15 +1152,20 @@ mod tests {
         t.samples.iter().map(bits).collect()
     }
 
-    /// `cells` as one pool on the chunks `chunks` (each lane group's),
-    /// dealt to this host's workers.
-    fn run_on<F>(cells: &[Ensemble<'_, F>], chunks: Vec<Vec<Range<usize>>>) -> Vec<Runs>
+    /// `cells` as one pool, its master holds dealt to `masters` workers
+    /// and its lane groups cut into the chunks `chunks` makes of them
+    /// (each group's), dealt to this host's workers.
+    fn run_on<F>(
+        cells: &[Ensemble<'_, F>],
+        masters: usize,
+        chunks: impl FnOnce(&[(usize, u64)]) -> Vec<Vec<Range<usize>>>,
+    ) -> Vec<Runs>
     where
         F: Fn(u64) -> Simulation + Sync,
     {
-        run_pool(cells, |groups| {
+        run_pool(cells, masters, |groups| {
             let steps: Vec<u64> = groups.iter().map(|&(_, steps)| steps).collect();
-            deal(chunks, &steps, workers())
+            deal(chunks(groups), &steps, workers())
         })
     }
 
@@ -1135,7 +1225,9 @@ mod tests {
             ];
             for layout in layouts {
                 ensemble.telemetry = Telemetry::enabled();
-                let lanes = run_on(std::slice::from_ref(&ensemble), vec![layout.clone()]);
+                let lanes = run_on(std::slice::from_ref(&ensemble), workers(), |_| {
+                    vec![layout.clone()]
+                });
                 let case = format!(
                     "cloned={} offsets={} n={n} layout {layout:?}",
                     ensemble.cloned,
@@ -1201,7 +1293,9 @@ mod tests {
             let scalar = ensemble.run_scalar();
             for layout in [lane_chunks(9, 1), lane_chunks(9, 2)] {
                 ensemble.telemetry = Telemetry::enabled();
-                let lanes = run_on(std::slice::from_ref(&ensemble), vec![layout.clone()]);
+                let lanes = run_on(std::slice::from_ref(&ensemble), workers(), |_| {
+                    vec![layout.clone()]
+                });
                 let case = format!("cloned={cloned} layout {layout:?}");
                 let chunks = ensemble.telemetry.gauge("smd.batch.chunks").get();
                 assert_eq!(chunks, 0.0, "{case}: no batch ran");
@@ -1337,32 +1431,46 @@ mod tests {
     /// The Fig. 4 sweeps' lane groups: a v column of three κ cells, 6
     /// realizations each at Test scale and 24 at Bench, held 60 and 200
     /// steps after the restore, pulling 4 Å at 8× the paper's v or 10 Å at
-    /// its v (`spice-core`'s `Scale`). On two workers each column runs as
-    /// one chunk, the v = 12.5 column alone on the calling thread and the
-    /// other three, longest first, on the second worker.
+    /// its v; then the reference's TI ladder, 5 and 10 windows held 300 and
+    /// 2,000 steps and sampled 1,500 and 6,000 more (`spice-core`'s
+    /// `Scale`). On two workers each column and the ladder run as one chunk,
+    /// the v = 12.5 column alone on the calling thread and the other three
+    /// and the ladder, longest first, on the second worker. The twelve
+    /// masters' holds, equal in length, alternate between the two workers.
     #[test]
     fn the_sweeps_deal_one_chunk_per_column_on_two_workers() {
-        for (n, hold, distance, factor) in [(6, 60, 4.0, 8.0), (24, 200, 10.0, 1.0)] {
-            let groups: Vec<(usize, u64)> = PullProtocol::V_GRID
-                .iter()
-                .map(|&v| {
-                    let pull = PullProtocol {
-                        v_a_per_ns: v * factor,
-                        pull_distance: distance,
-                        dt_ps: 0.01,
-                        ..PullProtocol::paper_optimal()
-                    };
-                    (3 * n, hold + pull.pull_steps())
-                })
-                .collect();
+        // The ladder's vector-steps fall between the v = 50 and v = 100
+        // columns' at Test scale, and below the v = 100 column's at Bench.
+        let scales = [
+            (6, 60, 4.0, 8.0, 5, 300 + 1_500, [1, 2, 4, 3]),
+            (24, 200, 10.0, 1.0, 10, 2_000 + 6_000, [1, 2, 3, 4]),
+        ];
+        for (n, hold, distance, factor, windows, ladder_steps, second) in scales {
+            let columns = PullProtocol::V_GRID.iter().map(|&v| {
+                let pull = PullProtocol {
+                    v_a_per_ns: v * factor,
+                    pull_distance: distance,
+                    dt_ps: 0.01,
+                    ..PullProtocol::paper_optimal()
+                };
+                (3 * n, hold + pull.pull_steps())
+            });
+            let groups: Vec<(usize, u64)> = columns.chain([(windows, ladder_steps)]).collect();
             let layout = pool_layout(&groups, 2);
-            assert_eq!(layout.chunks, vec![vec![0..3 * n]; 4], "n={n}");
-            assert_eq!(
-                layout.workers,
-                [vec![(0, 0)], vec![(1, 0), (2, 0), (3, 0)]],
-                "n={n}"
-            );
+            let mut chunks = vec![vec![0..3 * n]; 4];
+            chunks.push(lane_chunks(windows, 1));
+            assert_eq!(layout.chunks, chunks, "n={n}");
+            let second = second.map(|g| (g, 0)).to_vec();
+            assert_eq!(layout.workers, [vec![(0, 0)], second], "n={n}");
         }
+        let masters = deal(vec![vec![0..1]; 12], &[300; 12], 2);
+        let alternate = |w| {
+            (w..12)
+                .step_by(2)
+                .map(|m| (m, 0))
+                .collect::<Vec<(usize, usize)>>()
+        };
+        assert_eq!(masters.workers, [alternate(0), alternate(1)]);
     }
 
     /// The Test pore system with its thermostat at `temperature`.
@@ -1427,9 +1535,99 @@ mod tests {
         ];
         assert_eq!(layouts[1], [vec![0..8, 8..16, 16..18]]);
         for chunks in layouts {
-            let lanes = run_on(&cells, chunks.clone());
+            let lanes = run_on(&cells, workers(), |_| chunks.clone());
             for (c, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
                 assert_same_slots(lanes, scalar, &format!("layout {chunks:?} ensemble {c}"));
+            }
+        }
+    }
+
+    /// A sweep's pool in small: a Test-pore v column of κ = 10, 100 and
+    /// 1000 pN/Å (cloned, 6 realizations each) beside a ladder of 5 umbrella
+    /// windows, its own lane group. The κ = 10 master has no `"smd"` group,
+    /// so its hold fails and every slot of that ensemble carries its one
+    /// error, and the κ = 100 ensemble's third realization has a runaway
+    /// thermostat. The lane groups run on three layouts (one chunk per
+    /// group, one vector per chunk, this host's pool layout), each with the
+    /// master holds dealt to 1, 2 and 3 workers, and every slot equals its
+    /// own ensemble's scalar loop, error text included.
+    #[test]
+    fn a_column_and_a_ladder_match_the_scalar_loop_on_every_layout_and_master_deal() {
+        let seeds = SeedSequence::new(20050512);
+        let failing = seeds.child(0).child(u64::MAX).stream(0);
+        let runaway = seeds.child(1).stream(2);
+        let ungrouped = |seed: u64| {
+            let mut sys = System::new();
+            sys.add_particle(Vec3::zero(), 50.0, 0.0, 0);
+            let ff = ForceField::new(Topology::new());
+            let langevin = LangevinBaoab::new(300.0, 5.0, seed);
+            Simulation::new(sys, ff, Box::new(langevin), 0.01)
+        };
+        let factory = |seed: u64| match seed {
+            s if s == failing => ungrouped(s),
+            s if s == runaway => pore_at(1e30, s),
+            s => test_pore(s),
+        };
+        let offsets: Vec<f64> = (0..5).map(|w| 0.5 * w as f64).collect();
+        let mut cells: Vec<_> = [10.0, 100.0, 1000.0]
+            .into_iter()
+            .enumerate()
+            .map(|(c, kappa_pn_per_a)| {
+                let protocol = PullProtocol {
+                    kappa_pn_per_a,
+                    ..pore_proto()
+                };
+                Ensemble {
+                    cloned: true,
+                    ..Ensemble::new(&factory, Leg::pull(&protocol, 30), 6, seeds.child(c as u64))
+                }
+            })
+            .collect();
+        let ladder = WindowLadder {
+            kappa_pn_per_a: 100.0,
+            offsets,
+            seeds: seeds.child(999),
+            hold_steps: 60,
+            sample_steps: 90,
+        };
+        cells.push(Ensemble {
+            offsets: Some(&ladder.offsets),
+            ..Ensemble::new(&factory, ladder.leg(), 5, ladder.seeds)
+        });
+        let scalar: Vec<Runs> = cells.iter().map(Ensemble::run_scalar).collect();
+        for slot in &scalar[0] {
+            let e = slot.as_ref().expect_err("the κ = 10 master fails");
+            assert!(e.to_string().contains("shared equilibration failed"), "{e}");
+        }
+        assert!(scalar[1][2].is_err(), "the runaway realization survived");
+        assert!(scalar[3].iter().all(Result::is_ok), "every window ran");
+        type Cut = fn(&[(usize, u64)]) -> Vec<Vec<Range<usize>>>;
+        let layouts: [(&str, Cut); 3] = [
+            ("one chunk per group", |groups| {
+                groups.iter().map(|&(n, _)| lane_chunks(n, 1)).collect()
+            }),
+            ("one vector per chunk", |groups| {
+                (groups.iter())
+                    .map(|&(n, _)| lane_chunks(n, n.div_ceil(LANE_PAD)))
+                    .collect()
+            }),
+            ("this host's", |groups| {
+                pool_layout(groups, workers()).chunks
+            }),
+        ];
+        for (layout, cut) in layouts {
+            for masters in 1..=3 {
+                let mut groups = Vec::new();
+                let lanes = run_on(&cells, masters, |shapes| {
+                    groups = shapes.to_vec();
+                    cut(shapes)
+                });
+                // The failed κ = 10 ensemble leaves a 12-lane column.
+                assert_eq!(groups, [(12, 180), (5, 150)], "{layout}");
+                for (c, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
+                    let case = format!("{layout} layout, masters on {masters}, ensemble {c}");
+                    assert_same_slots(lanes, scalar, &case);
+                }
             }
         }
     }

@@ -11,10 +11,10 @@ use crate::work::WorkTrajectory;
 use spice_md::checkpoint::Snapshot;
 use spice_md::{MdError, Simulation};
 use spice_stats::rng::SeedSequence;
-use spice_telemetry::Telemetry;
+use spice_telemetry::{SpanGuard, Telemetry};
 
 /// Per realization: its start COM (before any shift) and trajectory.
-pub(crate) type Runs = Vec<Result<(f64, WorkTrajectory), MdError>>;
+pub type Runs = Vec<Result<(f64, WorkTrajectory), MdError>>;
 
 /// One ensemble: `n` realizations of `leg`, realization `i` built by
 /// `factory(seeds.stream(i))`. Each starts from its factory simulation's
@@ -84,9 +84,10 @@ impl<'a, F> Ensemble<'a, F> {
 
 impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
     /// The scalar loop: a cloned ensemble's [`master`](Self::master)
-    /// equilibration, then [`scalar_from`](Self::scalar_from) its snapshot.
+    /// [equilibration](Self::equilibrate), then
+    /// [`scalar_from`](Self::scalar_from) its snapshot.
     pub(crate) fn run_scalar(&self) -> Runs {
-        match self.master() {
+        match self.master().map(|m| self.equilibrate(m)).transpose() {
             Ok(snap) => self.scalar_from(snap.as_ref()),
             Err(slots) => slots,
         }
@@ -129,22 +130,28 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
             .collect()
     }
 
-    /// A cloned ensemble's shared equilibration (`None` otherwise): one
-    /// master hold, seeded off-stream so it can never collide with a
-    /// realization seed (streams 0..n) or the pipeline's bootstrap stream
-    /// (u64::MAX on the *parent* sequence), under an `smd.equilibrate`
-    /// span. If it fails, that one failure is every slot's result.
-    pub(crate) fn master(&self) -> Result<Option<Snapshot>, Runs> {
+    /// A cloned ensemble's master simulation (`None` otherwise), seeded
+    /// off-stream so it can never collide with a realization seed (streams
+    /// 0..n) or the pipeline's bootstrap stream (u64::MAX on the *parent*
+    /// sequence): the factory call, under the `smd.equilibrate` span that
+    /// [`equilibrate`](Self::equilibrate) closes.
+    pub(crate) fn master(&self) -> Option<Master> {
         if self.n == 0 || !self.cloned {
-            return Ok(None);
+            return None;
         }
-        let (telemetry, protocol) = (&self.telemetry, &self.leg.protocol);
-        let ens_track = telemetry.track("smd.ensemble", self.track_key);
-        let _span = ens_track.span("smd.equilibrate");
+        let ens_track = self.telemetry.track("smd.ensemble", self.track_key);
+        let span = ens_track.span("smd.equilibrate");
         let mut sim = (self.factory)(self.seeds.child(u64::MAX).stream(0));
-        if telemetry.is_enabled() {
-            sim.attach_telemetry(telemetry, ens_track.clone());
+        if self.telemetry.is_enabled() {
+            sim.attach_telemetry(&self.telemetry, ens_track);
         }
+        Some(Master { sim, _span: span })
+    }
+
+    /// A cloned ensemble's shared equilibration: one hold of `master`,
+    /// captured. If it fails, that one failure is every slot's result.
+    pub(crate) fn equilibrate(&self, master: Master) -> Result<Snapshot, Runs> {
+        let (mut sim, protocol) = (master.sim, &self.leg.protocol);
         if let Err(e) = hold(
             &mut sim,
             protocol.kappa(),
@@ -157,11 +164,18 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
                 .collect());
         }
         let snap = Snapshot::capture(&sim, "shared-equilibration");
-        if telemetry.is_enabled() {
-            sim.kernel_counters().publish(telemetry);
+        if self.telemetry.is_enabled() {
+            sim.kernel_counters().publish(&self.telemetry);
         }
-        Ok(Some(snap))
+        Ok(snap)
     }
+}
+
+/// A cloned ensemble's master simulation before its hold, with its
+/// `smd.equilibrate` span open.
+pub(crate) struct Master {
+    sim: Simulation,
+    _span: SpanGuard,
 }
 
 /// The trajectories of `runs`, start COMs dropped.
@@ -230,49 +244,6 @@ where
     let mut clones = Ensemble::new(&factory, leg, n, seeds);
     clones.cloned = true;
     trajectories(clones.run_scalar())
-}
-
-/// MD steps between an umbrella window's samples.
-const WINDOW_SAMPLE_STRIDE: u64 = 10;
-
-/// Umbrella windows as one ensemble, the sampling of thermodynamic
-/// integration and WHAM (§VI). Window `i` starts from
-/// `factory(seeds.stream(i))` with its steered group shifted `offsets[i]`
-/// along z, holds `equilibration_steps` on a static spring of κ
-/// `kappa_pn_per_a` anchored `offsets[i]` above its unshifted COM, and is
-/// then sampled every 10 steps for `sample_steps` more, as lanes exactly
-/// as [`run_ensemble`]'s realizations are. Each window gives its
-/// unshifted start COM and a trajectory whose samples after the first
-/// (the hold's end) carry the spring force and, in `com_disp`, the
-/// absolute COM z.
-pub fn run_windows<F>(
-    factory: F,
-    kappa_pn_per_a: f64,
-    offsets: &[f64],
-    seeds: SeedSequence,
-    equilibration_steps: u64,
-    sample_steps: u64,
-) -> Vec<Result<(f64, WorkTrajectory), MdError>>
-where
-    F: Fn(u64) -> Simulation + Sync,
-{
-    let protocol = PullProtocol {
-        kappa_pn_per_a,
-        v_a_per_ns: 0.0,
-        pull_distance: 0.0,
-        dt_ps: 0.0,
-        equilibration_steps,
-        sample_stride: WINDOW_SAMPLE_STRIDE,
-    };
-    let leg = Leg {
-        protocol,
-        hold_steps: equilibration_steps,
-        pull_steps: sample_steps,
-        absolute_com: true,
-    };
-    let mut windows = Ensemble::new(&factory, leg, offsets.len(), seeds);
-    windows.offsets = Some(offsets);
-    windows.run()
 }
 
 /// Split ensemble results into successful trajectories and the errors of

@@ -18,13 +18,14 @@
 //!   segmentation (§IV-A).
 //! * [`runner`] — drive one realization: equilibrate, attach the spring,
 //!   pull, record.
-//! * [`ensemble`] — independent, cloned and umbrella-window ensembles, the
-//!   analogue of the paper's 72-simulation grid campaign, and the scalar
-//!   loop that is their oracle and non-Langevin fallback.
+//! * [`ensemble`] — independent and cloned ensembles, the analogue of the
+//!   paper's 72-simulation grid campaign, and the scalar loop that is
+//!   every ensemble's oracle and non-Langevin fallback.
 //! * [`batch`] — every Langevin ensemble as lanes of vectorized loops,
 //!   in whole-vector chunks dealt to the host's cores;
-//!   [`run_ensembles_batched`] runs several cloned ensembles as one pool,
-//!   their chunks shared within a pull length.
+//!   [`run_ensembles_batched`] runs several cloned ensembles and umbrella
+//!   [`WindowLadder`]s as one pool, the clones' chunks shared within a
+//!   pull length and their masters' holds dealt to the cores too.
 //!   [`run_ensemble_batched_traced`] takes the telemetry handle, and its
 //!   untraced twin stays because e2ebench calls it.
 
@@ -41,8 +42,9 @@ pub mod work;
 
 pub use batch::{
     run_ensemble_batched, run_ensemble_batched_traced, run_ensembles_batched, ClonedEnsemble,
+    WindowLadder,
 };
-pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned, run_windows};
+pub use ensemble::{partition_outcomes, run_ensemble, run_ensemble_cloned, Runs};
 pub use protocol::PullProtocol;
 pub use pulling::SmdSpring;
 pub use runner::{run_pull, shift_to_far_end, PullOutcome};

@@ -5,7 +5,7 @@
 mod common;
 
 use spice::core::config::Scale;
-use spice::core::pipeline::{run_cell, run_sweep, PmfCell};
+use spice::core::pipeline::{reference_profile, run_cell, run_sweep, PmfCell};
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::run_des;
 use spice::stats::rng::SeedSequence;
@@ -36,15 +36,28 @@ fn cell_bits(cell: &PmfCell) -> Vec<u64> {
 }
 
 /// Every cell of a sweep is `run_cell` on the same seeds, bit for bit.
-/// The sweep runs its cells as one lane pool, each v column's three κ
-/// cells sharing lane chunks and the columns spread over the cores, while
-/// `run_cell` runs one cell's lanes on its own layout: no bit may depend
-/// on which.
+/// The sweep runs its cells and its reference's TI ladder as one lane
+/// pool, each v column's three κ cells sharing lane chunks, the columns
+/// and the ladder spread over the cores and the cells' master holds dealt
+/// to them too, while `run_cell` runs one cell's lanes on its own layout
+/// and `reference_profile` one ladder's: no bit may depend on which.
 #[test]
 fn sweep_cells_equal_run_cell() {
     for seed in [20050512, 7] {
         let sweep = run_sweep(Scale::Test, seed);
         let root = SeedSequence::new(seed);
+        let alone = reference_profile(Scale::Test, root.child(999));
+        let bits = |profile: &[(f64, f64)]| -> Vec<[u64; 2]> {
+            profile
+                .iter()
+                .map(|&(s, phi)| [s.to_bits(), phi.to_bits()])
+                .collect()
+        };
+        assert_eq!(
+            bits(&sweep.reference),
+            bits(&alone),
+            "seed {seed}: the sweep's reference differs from reference_profile"
+        );
         for (i, cell) in sweep.cells.iter().enumerate() {
             let (kappa, v) = (cell.kappa_pn_per_a, cell.v_label);
             let alone = run_cell(Scale::Test, kappa, v, root.child(i as u64));

@@ -1,14 +1,14 @@
-//! Mergeable log-bucketed histograms with order-independent merge.
+//! Log-bucketed histograms whose state is independent of recording order.
 //!
 //! The aggregation substrate for every latency/size distribution the
 //! analysis layer reports. Design constraints, in priority order:
 //!
-//! 1. **Order-independent merge.** Per-shard aggregates from the indexed
-//!    DES and the clone-amortized ensembles must combine into the same
-//!    bytes whatever order the shards arrive in. Bucket counts are
-//!    integers (addition commutes *and* associates exactly), and min/max
-//!    are lattice operations — so the merged state is a pure function of
-//!    the multiset of recorded values. No floating-point accumulator is
+//! 1. **Order-independent recording.** Span durations from several trace
+//!    shards, recorded into one histogram, must give the same bytes
+//!    whatever order the shards arrive in. Bucket counts are integers
+//!    (addition commutes *and* associates exactly), and min/max are
+//!    lattice operations — so the state is a pure function of the
+//!    multiset of recorded values. No floating-point accumulator is
 //!    stored: the sum is reconstructed from bucket counts at read time,
 //!    in bucket-index order, so even it is permutation-invariant.
 //! 2. **Exact-within-bucket quantiles.** Buckets are geometric with 8
@@ -67,7 +67,7 @@ pub struct QuantileSummary {
     pub max: f64,
 }
 
-/// A mergeable log-bucketed histogram over non-negative values.
+/// A log-bucketed histogram over non-negative values.
 ///
 /// Values `v <= 0` (and subnormals, below any realistic duration) land
 /// in a dedicated zero bucket; NaN is ignored.
@@ -148,19 +148,6 @@ impl LogHistogram {
         } else {
             self.zero += 1;
         }
-    }
-
-    /// Merge another histogram in. Exact integer/lattice operations
-    /// only, so any permutation and association of merges yields the
-    /// identical struct.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (&idx, &n) in &other.counts {
-            *self.counts.entry(idx).or_insert(0) += n;
-        }
-        self.zero += other.zero;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Observations recorded.
@@ -291,26 +278,6 @@ mod tests {
                 "q={q}: est {est} vs exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn merge_equals_bulk_record() {
-        let mut all = LogHistogram::new();
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for i in 0..500 {
-            let v = (i as f64) * 1.7 + 0.3;
-            all.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        let mut merged = LogHistogram::new();
-        merged.merge(&b);
-        merged.merge(&a);
-        assert_eq!(merged, all, "merge order must not matter");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! PR 4 gave every subsystem a deterministic telemetry substrate; this
 //! crate is the consumer side — it turns recorded traces into answers:
 //!
-//! * [`histo`] — mergeable log-bucketed histograms whose merge is
-//!   order-independent, so per-shard aggregates from the indexed DES and
-//!   the clone-amortized ensembles combine into identical bytes in any
-//!   order.
+//! * [`histo`] — log-bucketed histograms whose state does not depend on
+//!   recording order, so span durations from trace shards fold into
+//!   identical bytes in any order.
 //! * [`critical`] — aggregated span trees and critical-path extraction:
 //!   which of equilibrate / realization / grid.attempt / checkpoint.write
 //!   dominates a campaign's logical wall time.

@@ -2,8 +2,8 @@
 //!
 //! `spice-trace summary` renders this over one or more traces. Span
 //! durations are aggregated per `(track group, span name)` into
-//! [`LogHistogram`]s — so a summary over N shard exports is the merge of
-//! N per-shard summaries, in any order — and campaign-level metrics the
+//! [`LogHistogram`]s — so a summary over N shard exports is the same in
+//! any input order — and campaign-level metrics the
 //! other subsystems export (grid failure/retry counters, checkpoint
 //! write cadence and bytes from the durable engine, steering delivery
 //! counters) are surfaced as named highlight sections instead of one
@@ -48,7 +48,7 @@ pub struct SummaryReport {
 }
 
 /// Collect per-(group, span-name) duration histograms from one model
-/// into `acc` — the merge target shared across inputs.
+/// into `acc` — the histograms shared across inputs.
 fn fold_span_durations(model: &TraceModel, acc: &mut BTreeMap<(String, String), LogHistogram>) {
     for track in &model.tracks {
         let final_clock = track.events.last().map_or(0, |e| e.logical);

@@ -65,8 +65,7 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Single-pass streaming moments via Welford's algorithm.
 ///
 /// Tracks count, mean, the M2 central-moment accumulator, min and max.
-/// Numerically stable for long series; merging two accumulators is supported
-/// for parallel reduction (rayon `reduce`).
+/// Numerically stable for long series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
     n: u64,
@@ -113,27 +112,6 @@ impl RunningStats {
         for &x in xs {
             self.push(x);
         }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction step).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * nb / n;
-        let m2 = self.m2 + other.m2 + delta * delta * na * nb / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -235,36 +213,6 @@ mod tests {
             rs.max(),
             xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         );
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sqrt()).collect();
-        let ys: Vec<f64> = (50..200).map(|i| (i as f64).sqrt() * -0.5).collect();
-        let mut a = RunningStats::new();
-        a.extend(&xs);
-        let mut b = RunningStats::new();
-        b.extend(&ys);
-        a.merge(&b);
-
-        let mut all = RunningStats::new();
-        all.extend(&xs);
-        all.extend(&ys);
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.extend(&[1.0, 2.0, 3.0]);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

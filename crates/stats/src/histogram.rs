@@ -100,26 +100,6 @@ impl Histogram {
     pub fn total_in_range(&self) -> u64 {
         self.total_in_range
     }
-
-    /// Merge another histogram with identical binning.
-    ///
-    /// # Panics
-    /// Panics if the ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram lo mismatch");
-        assert_eq!(self.hi, other.hi, "histogram hi mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histogram bin mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total_in_range += other.total_in_range;
-    }
 }
 
 #[cfg(test)]
@@ -155,27 +135,5 @@ mod tests {
         let h = Histogram::new(0.0, 10.0, 10);
         assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
         assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        let mut b = Histogram::new(0.0, 1.0, 2);
-        a.record(0.25);
-        b.record(0.25);
-        b.record(0.75);
-        b.record(-1.0);
-        a.merge(&b);
-        assert_eq!(a.count(0), 2);
-        assert_eq!(a.count(1), 1);
-        assert_eq!(a.underflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin mismatch")]
-    fn merge_rejects_different_binning() {
-        let mut a = Histogram::new(0.0, 1.0, 2);
-        let b = Histogram::new(0.0, 1.0, 3);
-        a.merge(&b);
     }
 }

@@ -10,9 +10,6 @@ pub struct BinnedSeries {
     lo: f64,
     width: f64,
     bins: Vec<RunningStats>,
-    /// Raw y-samples per bin, kept so nonlinear estimators (Jarzynski) can
-    /// operate on the full per-bin sample, not just its moments.
-    samples: Vec<Vec<f64>>,
 }
 
 impl BinnedSeries {
@@ -26,7 +23,6 @@ impl BinnedSeries {
             lo,
             width: (hi - lo) / nbins as f64,
             bins: vec![RunningStats::new(); nbins],
-            samples: vec![Vec::new(); nbins],
         }
     }
 
@@ -42,7 +38,6 @@ impl BinnedSeries {
             return false;
         }
         self.bins[idx].push(y);
-        self.samples[idx].push(y);
         true
     }
 
@@ -56,35 +51,11 @@ impl BinnedSeries {
         self.lo + (i as f64 + 0.5) * self.width
     }
 
-    /// Streaming stats of bin `i`.
-    pub fn stats(&self, i: usize) -> &RunningStats {
-        &self.bins[i]
-    }
-
-    /// Raw y-samples collected in bin `i`.
-    pub fn samples(&self, i: usize) -> &[f64] {
-        &self.samples[i]
-    }
-
     /// Mean y per bin (NaN where empty), paired with bin centers.
     pub fn mean_curve(&self) -> Vec<(f64, f64)> {
         (0..self.nbins())
             .map(|i| (self.bin_center(i), self.bins[i].mean()))
             .collect()
-    }
-
-    /// Merge a compatible grid (same lo/width/nbins) into this one.
-    ///
-    /// # Panics
-    /// Panics on grid mismatch.
-    pub fn merge(&mut self, other: &BinnedSeries) {
-        assert_eq!(self.lo, other.lo, "grid lo mismatch");
-        assert_eq!(self.width, other.width, "grid width mismatch");
-        assert_eq!(self.nbins(), other.nbins(), "grid size mismatch");
-        for i in 0..self.nbins() {
-            self.bins[i].merge(&other.bins[i]);
-            self.samples[i].extend_from_slice(&other.samples[i]);
-        }
     }
 }
 
@@ -99,9 +70,10 @@ mod tests {
         assert!(b.record(9.9, 2.0));
         assert!(!b.record(10.0, 3.0));
         assert!(!b.record(-0.5, 3.0));
-        assert_eq!(b.stats(0).count(), 1);
-        assert_eq!(b.stats(9).count(), 1);
-        assert_eq!(b.samples(9), &[2.0]);
+        let means = b.mean_curve();
+        assert_eq!(means[0].1, 1.0);
+        assert_eq!(means[9].1, 2.0);
+        assert!(means[1..9].iter().all(|&(_, y)| y.is_nan()));
     }
 
     #[test]
@@ -119,17 +91,5 @@ mod tests {
         for (x, y) in b.mean_curve() {
             assert!((y - 2.0 * x).abs() < 0.1, "bin at {x} gave {y}");
         }
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = BinnedSeries::new(0.0, 1.0, 2);
-        let mut b = BinnedSeries::new(0.0, 1.0, 2);
-        a.record(0.25, 1.0);
-        b.record(0.25, 3.0);
-        a.merge(&b);
-        assert_eq!(a.stats(0).count(), 2);
-        assert!((a.stats(0).mean() - 2.0).abs() < 1e-12);
-        assert_eq!(a.samples(0), &[1.0, 3.0]);
     }
 }

@@ -78,11 +78,6 @@ impl GridService {
         id
     }
 
-    /// Component kind lookup.
-    pub fn kind(&self, id: ComponentId) -> Option<ComponentKind> {
-        self.kinds.get(&id).copied()
-    }
-
     /// Send a control message to a component.
     ///
     /// # Panics
@@ -158,7 +153,6 @@ mod tests {
         let sim = s.register(ComponentKind::Simulation);
         let cli = s.register(ComponentKind::SteeringClient);
         assert_ne!(sim, cli);
-        assert_eq!(s.kind(sim), Some(ComponentKind::Simulation));
 
         s.send_control(sim, ControlMessage::Pause);
         s.send_control(sim, ControlMessage::Resume);

@@ -14,6 +14,7 @@ use crate::report::Report;
 use spice_jarzynski::error::statistical::pmf_bootstrap_sigma;
 use spice_jarzynski::pmf::{Estimator, PmfCurve};
 use spice_md::units::KT_300;
+use spice_md::MdError;
 use spice_smd::{
     partition_outcomes, run_ensemble, segment_trajectory, PullProtocol, WorkTrajectory,
 };
@@ -32,7 +33,8 @@ pub struct SubtrajStudy {
     pub stitched: PmfCurve,
     /// The single-pull PMF.
     pub long: PmfCurve,
-    /// Realizations that failed and were dropped from both estimates.
+    /// Realizations that failed and were dropped from both estimates. When
+    /// every one failed, the σs are NaN and both curves are empty.
     pub n_failed: usize,
 }
 
@@ -44,14 +46,44 @@ pub fn study(scale: Scale, master_seed: u64) -> SubtrajStudy {
         pull_distance: long_span,
         ..scale.protocol(100.0, 100.0)
     };
-    let (trajectories, failures) = partition_outcomes(run_ensemble(
+    let slots = run_ensemble(
         |seed| pore_simulation(scale, seed),
         &protocol,
         scale.realizations(),
         seeds.child(0),
-    ));
-    assert!(!trajectories.is_empty());
+    );
+    estimate(scale, seeds, &protocol, slots)
+}
 
+/// The study's estimates from the long pulls' slots `slots`, run with
+/// `protocol` on `seeds.child(0)`. With no surviving realization there is
+/// nothing to estimate: NaN σs, empty curves and every realization
+/// counted as failed.
+fn estimate(
+    scale: Scale,
+    seeds: SeedSequence,
+    protocol: &PullProtocol,
+    slots: Vec<Result<WorkTrajectory, MdError>>,
+) -> SubtrajStudy {
+    let (trajectories, failures) = partition_outcomes(slots);
+    if trajectories.is_empty() {
+        let empty = PmfCurve {
+            kappa_pn_per_a: protocol.kappa_pn_per_a,
+            v_a_per_ns: protocol.v_a_per_ns,
+            estimator: Estimator::Jarzynski,
+            points: Vec::new(),
+        };
+        return SubtrajStudy {
+            sigma_vs_displacement: Vec::new(),
+            sigma_far_long: f64::NAN,
+            sigma_far_segmented: f64::NAN,
+            stitched: empty.clone(),
+            long: empty,
+            n_failed: failures.len(),
+        };
+    }
+
+    let long_span = protocol.pull_distance;
     let npts = scale.pmf_points();
     let long = PmfCurve::estimate(&trajectories, long_span, npts, KT_300, Estimator::Jarzynski);
     let sigmas = pmf_bootstrap_sigma(
@@ -108,7 +140,11 @@ pub fn study(scale: Scale, master_seed: u64) -> SubtrajStudy {
 
 /// Run T-subtraj and format.
 pub fn run(scale: Scale, master_seed: u64) -> Report {
-    let s = study(scale, master_seed);
+    report(&study(scale, master_seed))
+}
+
+/// Format a study.
+fn report(s: &SubtrajStudy) -> Report {
     let mut r = Report::new(
         "T-subtraj",
         "Sub-trajectory decomposition bounds error growth (§IV-A)",
@@ -135,7 +171,14 @@ pub fn run(scale: Scale, master_seed: u64) -> Report {
             s.long.points.last().map(|p| p.phi).unwrap_or(f64::NAN)
         ),
     );
-    r.fact("failed realizations", s.n_failed);
+    if s.long.points.is_empty() {
+        r.fact(
+            "failed realizations",
+            format!("all {} — no PMF or σ_stat to estimate", s.n_failed),
+        );
+    } else {
+        r.fact("failed realizations", s.n_failed);
+    }
     let pts: Vec<Vec<f64>> = s
         .sigma_vs_displacement
         .iter()
@@ -180,6 +223,30 @@ mod tests {
             "segment re-zeroing must bound error: {} vs {}",
             s.sigma_far_segmented,
             s.sigma_far_long
+        );
+    }
+
+    /// A study whose every realization failed is a result, not a panic:
+    /// NaN σs, empty curves, every realization counted as failed, and a
+    /// report that says so.
+    #[test]
+    fn an_all_failed_study_estimates_to_nothing() {
+        let n = Scale::Test.realizations();
+        let failed = || MdError::NumericalBlowup {
+            step: 7,
+            what: "non-finite state during pull".into(),
+        };
+        let slots = (0..n).map(|_| Err(failed())).collect();
+        let protocol = Scale::Test.protocol(100.0, 100.0);
+        let s = estimate(Scale::Test, SeedSequence::new(3), &protocol, slots);
+        assert!(s.sigma_far_long.is_nan() && s.sigma_far_segmented.is_nan());
+        assert!(s.sigma_vs_displacement.is_empty());
+        assert!(s.long.points.is_empty() && s.stitched.points.is_empty());
+        assert_eq!(s.n_failed, n);
+        let text = report(&s).render();
+        assert!(
+            text.contains("all 6 — no PMF or σ_stat to estimate"),
+            "{text}"
         );
     }
 

@@ -7,11 +7,12 @@
 //! Three arms:
 //!
 //! * **plain** — no telemetry anywhere (the default production path);
-//! * **disabled** — `Telemetry::disabled()` attached, i.e. the path an
-//!   operation runs when its caller passes the disabled handle: one
-//!   `Option` check per step;
-//! * **enabled** — live handle with a track, bound kernel counters and
-//!   an installed force-eval probe (the worst realistic case).
+//! * **disabled** — a track of `Telemetry::disabled()` attached, i.e.
+//!   the path an operation runs when its caller passes the disabled
+//!   handle: one `Option` check per step;
+//! * **enabled** — live handle with an attached track, its kernel
+//!   counters published at the end of the run (what an ensemble
+//!   realization does under an enabled handle).
 //!
 //! Every round times each arm once. The arm order rotates from round to
 //! round, and each timed call follows an untimed call of the same arm,
@@ -33,7 +34,7 @@ use spice_md::forces::{ForceField, LjParams, NonBonded, Restraint};
 use spice_md::integrate::LangevinBaoab;
 use spice_md::{Simulation, System, Topology, Vec3};
 use spice_stats::descriptive::median;
-use spice_telemetry::{ProbePoint, Telemetry};
+use spice_telemetry::Telemetry;
 use std::time::Instant;
 
 /// Maximum tolerated slowdown of the disabled-telemetry path, percent.
@@ -89,32 +90,22 @@ const ARMS: [Arm; 3] = [Arm::Plain, Arm::Disabled, Arm::Enabled];
 /// Steps/sec through the full integration loop under one arm.
 fn time_steps(n: usize, steps: u64, arm: Arm) -> f64 {
     let mut sim = chain_simulation(n, 1);
-    // Keep the enabled handle alive across the run; dropped at the end.
+    // The handle outlives the run: the enabled arm publishes into it.
     let telemetry = match arm {
         Arm::Plain => None,
-        Arm::Disabled => {
-            let t = Telemetry::disabled();
-            let track = t.track("bench.md", 0);
-            sim.attach_telemetry(&t, track);
-            Some(t)
-        }
-        Arm::Enabled => {
-            let t = Telemetry::enabled();
-            let track = t.track("bench.md", 0);
-            sim.attach_telemetry(&t, track);
-            sim.force_field().bind_telemetry(&t);
-            // Worst realistic case: a handler actually installed at the
-            // per-step probe point.
-            let c = t.counter("bench.probe_hits");
-            t.on_probe(ProbePoint::ForceEval, move |_| c.incr());
-            Some(t)
-        }
+        Arm::Disabled => Some(Telemetry::disabled()),
+        Arm::Enabled => Some(Telemetry::enabled()),
     };
+    if let Some(t) = &telemetry {
+        sim.attach_telemetry(t.track("bench.md", 0));
+    }
     sim.run(50, &mut []).expect("warm-up");
     let t0 = Instant::now();
     sim.run(steps, &mut []).expect("timed run");
     let sps = steps as f64 / t0.elapsed().as_secs_f64();
-    drop(telemetry);
+    if let Some(t) = &telemetry {
+        sim.kernel_counters().publish(t);
+    }
     sps
 }
 

@@ -58,7 +58,7 @@ pub fn study(scale: Scale, master_seed: u64) -> SubtrajStudy {
 /// The study's estimates from the long pulls' slots `slots`, run with
 /// `protocol` on `seeds.child(0)`. With no surviving realization there is
 /// nothing to estimate: NaN σs, empty curves and every realization
-/// counted as failed.
+/// counted as failed. With one, the curves exist but the σs are NaN.
 fn estimate(
     scale: Scale,
     seeds: SeedSequence,
@@ -248,6 +248,34 @@ mod tests {
             text.contains("all 6 — no PMF or σ_stat to estimate"),
             "{text}"
         );
+    }
+
+    /// One surviving realization gives both PMFs but no σ to bootstrap:
+    /// NaN far-end σs and an empty σ series, not a panic.
+    #[test]
+    fn a_study_with_one_survivor_estimates_without_sigma() {
+        let n = Scale::Test.realizations();
+        let protocol = PullProtocol {
+            pull_distance: Scale::Test.pull_distance() * 2.0,
+            ..Scale::Test.protocol(100.0, 100.0)
+        };
+        let mut slots: Vec<Result<WorkTrajectory, MdError>> = (1..n)
+            .map(|_| {
+                Err(MdError::NumericalBlowup {
+                    step: 7,
+                    what: "non-finite state during pull".into(),
+                })
+            })
+            .collect();
+        slots.push(Ok(crate::pipeline::tests::synthetic_trajectory(
+            protocol.pull_distance,
+            protocol.v_a_per_ns,
+        )));
+        let s = estimate(Scale::Test, SeedSequence::new(3), &protocol, slots);
+        assert!(s.sigma_far_long.is_nan() && s.sigma_far_segmented.is_nan());
+        assert!(s.sigma_vs_displacement.is_empty());
+        assert!(!s.long.points.is_empty() && !s.stitched.points.is_empty());
+        assert_eq!(s.n_failed, n - 1);
     }
 
     #[test]

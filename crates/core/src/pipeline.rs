@@ -148,7 +148,8 @@ fn cell_ensemble(scale: Scale, kappa: f64, v_label: f64, seeds: SeedSequence) ->
 /// the sweep to fill. A cell whose every realization failed has no
 /// profile to estimate: it comes back with empty curves, NaN σ_stat and
 /// coverage 0, so the selection passes it over and the report lists its
-/// failures.
+/// failures. A cell with one survivor has curves but no spread to
+/// bootstrap: its σ_stat is NaN, and the selection passes it over too.
 fn estimate_cell(
     scale: Scale,
     kappa: f64,
@@ -444,7 +445,7 @@ impl SweepResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -534,6 +535,62 @@ mod tests {
         assert_eq!(telemetry.counter("core.cells_completed").get(), 0);
         let sigma_sys = sigma_sys_on_com(&cell.curve, &[(0.0, 0.0), (4.0, 2.0)], 4.0);
         assert!(sigma_sys.is_finite(), "scored as no profile at all");
+    }
+
+    /// A cell with one surviving realization has a profile but no spread
+    /// to bootstrap: a curve, NaN σ_stat (so the selection passes it over)
+    /// and every other realization counted as failed — not a panic.
+    #[test]
+    fn a_cell_with_one_survivor_estimates_without_sigma() {
+        let n = Scale::Test.realizations();
+        let span = Scale::Test.pull_distance();
+        let mut slots: Vec<Result<WorkTrajectory, MdError>> = (1..n)
+            .map(|_| {
+                Err(MdError::NumericalBlowup {
+                    step: 7,
+                    what: "non-finite state during pull".into(),
+                })
+            })
+            .collect();
+        slots.push(Ok(synthetic_trajectory(span, 12.5)));
+        let telemetry = Telemetry::enabled();
+        let track = telemetry.track("core.cell", 0);
+        let cell = estimate_cell(
+            Scale::Test,
+            100.0,
+            12.5,
+            SeedSequence::new(3),
+            slots,
+            &telemetry,
+            &track,
+        );
+        assert!(!cell.curve.points.is_empty() && !cell.mean_work_curve.points.is_empty());
+        assert!(cell.sigma_stat_raw.is_nan() && cell.sigma_stat_norm.is_nan());
+        assert_eq!(cell.coverage, 1.0);
+        assert_eq!((cell.n_realizations, cell.n_failed), (1, n - 1));
+        assert_eq!(telemetry.counter("core.cells_completed").get(), 1);
+    }
+
+    /// One pull over `span` Å at `v` Å/ns, the COM on the guide, the work
+    /// rising linearly.
+    pub(crate) fn synthetic_trajectory(span: f64, v: f64) -> WorkTrajectory {
+        WorkTrajectory {
+            kappa_pn_per_a: 100.0,
+            v_a_per_ns: v,
+            seed: 0,
+            samples: (0..=40)
+                .map(|i| {
+                    let s = span * i as f64 / 40.0;
+                    spice_smd::WorkSample {
+                        t_ps: s / v * 1000.0,
+                        guide_disp: s,
+                        com_disp: s,
+                        work: 0.5 * s,
+                        force: 0.5,
+                    }
+                })
+                .collect(),
+        }
     }
 
     #[test]

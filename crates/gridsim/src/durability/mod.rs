@@ -411,22 +411,6 @@ fn encode_telemetry(e: &mut Enc, t: &Telemetry) {
                 e.put_u8(1);
                 e.put_f64(*v);
             }
-            MetricValue::Histogram {
-                bounds,
-                counts,
-                sum,
-            } => {
-                e.put_u8(2);
-                e.put_usize(bounds.len());
-                for b in bounds {
-                    e.put_f64(*b);
-                }
-                e.put_usize(counts.len());
-                for c in counts {
-                    e.put_u64(*c);
-                }
-                e.put_f64(*sum);
-            }
         }
     }
 }
@@ -459,11 +443,6 @@ fn decode_telemetry(d: &mut Dec<'_>) -> Result<TelemetryImage, DurabilityError> 
         let value = match d.take_u8()? {
             0 => MetricValue::Counter(d.take_u64()?),
             1 => MetricValue::Gauge(d.take_f64()?),
-            2 => MetricValue::Histogram {
-                bounds: d.take_vec(8, Dec::take_f64)?,
-                counts: d.take_vec(8, Dec::take_u64)?,
-                sum: d.take_f64()?,
-            },
             t => return Err(DurabilityError::Corrupt(format!("invalid metric tag {t}"))),
         };
         Ok((name, value))
@@ -1523,6 +1502,30 @@ mod tests {
                 Engine::thaw(&c, &policy, dispatch, &Telemetry::disabled(), image);
             }
         }
+    }
+
+    /// The telemetry section's metrics are counters (tag 0) and gauges
+    /// (tag 1); a metric tagged 2, here with a histogram's bounds, counts
+    /// and sum behind it, is `Corrupt`, not a panic.
+    #[test]
+    fn a_telemetry_metric_with_tag_two_is_corrupt() {
+        let mut e = Enc::new();
+        e.put_usize(0); // no tracks
+        e.put_usize(1); // one metric
+        e.put_str("grid.wait");
+        e.put_u8(2);
+        e.put_usize(1);
+        e.put_f64(1.0);
+        e.put_usize(2);
+        e.put_u64(1);
+        e.put_u64(0);
+        e.put_f64(1.0);
+        let bytes = e.into_bytes();
+        let err = decode_telemetry(&mut Dec::new(&bytes)).expect_err("tag 2 is no metric kind");
+        assert!(
+            matches!(&err, DurabilityError::Corrupt(m) if m.contains("metric tag 2")),
+            "{err}"
+        );
     }
 
     #[test]

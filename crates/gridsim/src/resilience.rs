@@ -60,7 +60,7 @@ use crate::resource::SiteId;
 use crate::scheduler::fcfs::SiteScheduler;
 use serde::{Deserialize, Serialize};
 use spice_stats::rng::{seed_stream, unit_f64};
-use spice_telemetry::{Counter, ProbePoint, Telemetry, Track};
+use spice_telemetry::{Counter, Telemetry, Track};
 use std::collections::BTreeMap;
 
 /// Logical-clock stamp for a DES sim-time: milliseconds of simulated
@@ -1291,7 +1291,6 @@ impl<'a> Engine<'a> {
             let ticks = sim_ticks(now);
             self.campaign_track.tick(ticks);
             self.des_events.incr();
-            self.telemetry.probe(ProbePoint::DesEvent, ticks, now);
         }
         match ev {
             Ev::Submit(ji) => self.handle_submit(ji as usize, now),
@@ -1731,7 +1730,7 @@ impl EngineImage {
 /// simulated milliseconds), each job attempt is a `grid.attempt` span on
 /// that job's `("grid.job", id)` track, and failures, retries, checkpoint
 /// restores, abandonments and outages land as tagged instants. Every
-/// popped DES event fires the `DesEvent` probe. The result is
+/// popped DES event counts in `grid.des_events`. The result is
 /// bit-identical with `Telemetry::disabled()`.
 pub fn run_resilient(
     campaign: &Campaign,

@@ -19,9 +19,13 @@ use spice_stats::rng::seed_stream;
 /// `j`'s σ is taken over the resamples whose curves have a `j`-th point;
 /// the output grid is the first resample's.
 ///
+/// Fewer than two trajectories give an empty σ curve: every resample of
+/// one trajectory is that trajectory, so there is no spread to measure,
+/// and [`pmf_sigma_scalar`] reads the empty curve as NaN.
+///
 /// # Panics
-/// Panics on fewer than two trajectories, a degenerate grid, no
-/// resamples, or trajectories pulled in different directions.
+/// Panics on a degenerate grid, no resamples, or trajectories pulled in
+/// different directions.
 pub fn pmf_bootstrap_sigma(
     trajectories: &[WorkTrajectory],
     span: f64,
@@ -31,10 +35,9 @@ pub fn pmf_bootstrap_sigma(
     resamples: usize,
     seed: u64,
 ) -> Vec<(f64, f64)> {
-    assert!(
-        trajectories.len() >= 2,
-        "need ≥2 realizations for error bars"
-    );
+    if trajectories.len() < 2 {
+        return Vec::new();
+    }
     assert!(span > 0.0 && npoints >= 2, "degenerate PMF grid");
     let n = trajectories.len();
     // The grid runs in the pulling direction, which every resample's
@@ -264,6 +267,18 @@ mod tests {
         let mut ens = ragged_ensemble(4, 1.0, 3);
         ens[2].v_a_per_ns = -12.5;
         pmf_bootstrap_sigma(&ens, 5.0, 6, KT_300, Estimator::Jarzynski, 10, 1);
+    }
+
+    /// One trajectory, or none, has no spread to bootstrap: the σ curve
+    /// is empty and its scalar NaN, not a panic.
+    #[test]
+    fn fewer_than_two_trajectories_give_no_sigma() {
+        let one = ragged_ensemble(1, 1.0, 3);
+        for ens in [&one[..], &[]] {
+            let sigmas = pmf_bootstrap_sigma(ens, 5.0, 6, KT_300, Estimator::Jarzynski, 10, 1);
+            assert!(sigmas.is_empty());
+            assert!(pmf_sigma_scalar(&sigmas).is_nan());
+        }
     }
 
     fn ensemble(n: usize, sigma: f64, seed: u64) -> Vec<WorkTrajectory> {

@@ -70,14 +70,20 @@ pub struct Selection {
 pub fn select_optimal(cells: &[ParameterCell], significance: f64) -> Selection {
     assert!(!cells.is_empty(), "no sweep cells to select from");
     // Cells that never covered the required range did not produce the
-    // observable; they are ineligible. (If nothing covered, fall back to
+    // observable, and a cell without a finite score (a σ that could not
+    // be measured, as with one surviving realization) cannot be ranked;
+    // both are ineligible. (If nothing is eligible, fall back to
     // everything rather than panic — the caller's report will show why.)
     let eligible: Vec<ParameterCell> = {
-        let covered: Vec<ParameterCell> = cells.iter().copied().filter(|c| c.covered).collect();
-        if covered.is_empty() {
+        let scored: Vec<ParameterCell> = cells
+            .iter()
+            .copied()
+            .filter(|c| c.covered && c.score().is_finite())
+            .collect();
+        if scored.is_empty() {
             cells.to_vec()
         } else {
-            covered
+            scored
         }
     };
     let cells = &eligible[..];
@@ -245,6 +251,22 @@ mod tests {
         }
         let sel = select_optimal(&cells, 0.3);
         assert_ne!(sel.kappa_pn_per_a, 10.0, "uncovered κ must not win");
+    }
+
+    /// A covered cell whose σ_stat could not be measured (one surviving
+    /// realization) scores NaN; it is passed over like an uncovered
+    /// cell, also when it is the slowest v of the best κ.
+    #[test]
+    fn a_cell_without_a_finite_score_is_ineligible() {
+        let mut cells = paper_like_cells();
+        for c in &mut cells {
+            if c.kappa_pn_per_a == 100.0 && c.v_a_per_ns == 12.5 {
+                c.sigma_stat = f64::NAN;
+            }
+        }
+        let sel = select_optimal(&cells, 0.3);
+        assert_eq!((sel.kappa_pn_per_a, sel.v_a_per_ns), (100.0, 25.0));
+        assert!(sel.score.is_finite());
     }
 
     #[test]

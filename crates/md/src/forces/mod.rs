@@ -109,14 +109,6 @@ impl ForceField {
             .unwrap_or_default()
     }
 
-    /// Export live kernel-counter views through `t`'s registry (no-op
-    /// without a non-bonded term).
-    pub fn bind_telemetry(&self, t: &spice_telemetry::Telemetry) {
-        if let Some(nb) = &self.nonbonded {
-            nb.bind_telemetry(t);
-        }
-    }
-
     /// Non-bonded evaluator, if any (batched engine reads its parameters
     /// to mirror the pair physics across replica lanes).
     pub(crate) fn nonbonded(&self) -> Option<&NonBonded> {

@@ -32,7 +32,6 @@ use crate::neighbor::VerletList;
 use crate::observables::KernelCounters;
 use crate::topology::Topology;
 use crate::vec3::Vec3;
-use spice_telemetry::{Counter, Telemetry};
 
 /// Lennard-Jones parameters (single species-independent set; the CG model
 /// uses one bead size, matching the pore builder).
@@ -232,13 +231,8 @@ pub struct NonBonded {
     dh: Option<DebyeHuckel>,
     list: VerletList,
     tiers: TierList,
-    /// Kernel work counters as telemetry handles — the single source of
-    /// truth behind [`KernelCounters`], which is now a point-in-time
-    /// view. A registry can export them live via
-    /// [`bind_telemetry`](Self::bind_telemetry).
-    rebuilds: Counter,
-    invocations: Counter,
-    pairs_evaluated: Counter,
+    /// Kernel work so far; exported with [`KernelCounters::publish`].
+    counters: KernelCounters,
 }
 
 impl NonBonded {
@@ -255,9 +249,7 @@ impl NonBonded {
             dh: None,
             list: VerletList::new(list_cutoff, skin),
             tiers: TierList::default(),
-            rebuilds: Counter::new(),
-            invocations: Counter::new(),
-            pairs_evaluated: Counter::new(),
+            counters: KernelCounters::default(),
         }
     }
 
@@ -275,21 +267,7 @@ impl NonBonded {
 
     /// Aggregate kernel counters (rebuilds, invocations, pairs evaluated).
     pub fn kernel_counters(&self) -> KernelCounters {
-        KernelCounters {
-            neighbor_rebuilds: self.rebuilds.get(),
-            kernel_invocations: self.invocations.get(),
-            pairs_evaluated: self.pairs_evaluated.get(),
-        }
-    }
-
-    /// Export live views of this evaluator's counters through `t`'s
-    /// registry (single-evaluator wiring; ensemble paths aggregate via
-    /// [`KernelCounters::publish`] instead so concurrent realizations
-    /// sum deterministically).
-    pub fn bind_telemetry(&self, t: &Telemetry) {
-        t.bind_counter("md.neighbor_rebuilds", &self.rebuilds);
-        t.bind_counter("md.kernel_invocations", &self.invocations);
-        t.bind_counter("md.pairs_evaluated", &self.pairs_evaluated);
+        self.counters
     }
 
     /// LJ parameters (batched engine mirrors this evaluator's physics).
@@ -323,14 +301,14 @@ impl NonBonded {
     ) -> (f64, f64) {
         let rebuilt = self.list.update(positions);
         if rebuilt {
-            self.rebuilds.incr();
+            self.counters.neighbor_rebuilds += 1;
         }
         if self.tiers.stale(rebuilt, topology, charges) {
             self.tiers
                 .compile(self.list.pairs(), topology, charges, self.dh);
         }
-        self.invocations.incr();
-        self.pairs_evaluated.add(self.tiers.pair_count());
+        self.counters.kernel_invocations += 1;
+        self.counters.pairs_evaluated += self.tiers.pair_count();
 
         let lj_cut2 = self.lj.cutoff * self.lj.cutoff;
         let es_cut2 = self.list.cutoff() * self.list.cutoff();
@@ -460,10 +438,10 @@ mod tests {
             forces: &mut [Vec3],
         ) -> (f64, f64) {
             if self.list.update(positions) {
-                self.rebuilds.incr();
+                self.counters.neighbor_rebuilds += 1;
             }
-            self.invocations.incr();
-            self.pairs_evaluated.add(self.list.pairs().len() as u64);
+            self.counters.kernel_invocations += 1;
+            self.counters.pairs_evaluated += self.list.pairs().len() as u64;
             let lj_cut2 = self.lj.cutoff * self.lj.cutoff;
             let es_cut2 = self.list.cutoff() * self.list.cutoff();
             let mut e_lj = 0.0;

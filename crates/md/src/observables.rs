@@ -43,11 +43,10 @@ impl KernelCounters {
         }
     }
 
-    /// Accumulate this snapshot into `t`'s global `md.*` counters.
-    /// Counter sums commute, so concurrent realizations publishing their
-    /// totals produce one deterministic aggregate however the scheduler
-    /// interleaved them — the ensemble-side registry wiring (single
-    /// evaluators bind live views via `NonBonded::bind_telemetry`).
+    /// Accumulate this snapshot into `t`'s global `md.*` counters — the
+    /// one kernel-counter export. Counter sums commute, so concurrent
+    /// realizations publishing their totals produce one deterministic
+    /// aggregate however the scheduler interleaved them.
     pub fn publish(&self, t: &spice_telemetry::Telemetry) {
         t.counter("md.neighbor_rebuilds")
             .add(self.neighbor_rebuilds);

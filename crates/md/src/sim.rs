@@ -13,7 +13,7 @@ use crate::integrate::Integrator;
 use crate::system::System;
 use crate::vec3::Vec3;
 use crate::MdError;
-use spice_telemetry::{ProbePoint, Telemetry, Track};
+use spice_telemetry::Track;
 
 /// A per-step bias force (SMD pulling spring, IMD user force). Applied
 /// inside the force evaluation so integrator sub-steps see it.
@@ -72,10 +72,9 @@ pub struct Simulation {
     last_bias_energy: f64,
     /// Steps between numerical-health checks.
     blowup_check_stride: u64,
-    /// Instrumentation handles; disabled (zero-cost checks) by default.
-    telemetry: Telemetry,
+    /// Instrumentation track; disabled (zero-cost checks) by default.
     track: Track,
-    /// Rebuild count at the last probe, for rebuild-edge detection.
+    /// Rebuild count at the last traced step, for rebuild-edge detection.
     last_rebuilds: u64,
 }
 
@@ -101,7 +100,6 @@ impl Simulation {
             last_energies: Energies::default(),
             last_bias_energy: 0.0,
             blowup_check_stride: 100,
-            telemetry: Telemetry::disabled(),
             track: Track::disabled(),
             last_rebuilds: 0,
         };
@@ -109,19 +107,15 @@ impl Simulation {
         sim
     }
 
-    /// Attach instrumentation: per-step force-eval / Verlet-rebuild
-    /// probes fire on `t`, and span/instant events land on `track` (its
-    /// logical clock is this simulation's step counter). Attaching never
-    /// perturbs the trajectory — instrumented runs stay bit-identical.
+    /// Attach instrumentation: `md.run` spans and `md.verlet_rebuild`
+    /// instants land on `track`, whose logical clock is this
+    /// simulation's step counter. Attaching never perturbs the
+    /// trajectory — instrumented runs stay bit-identical.
     ///
-    /// Kernel-counter export is separate on purpose: a lone simulation
-    /// can bind live registry views via
-    /// `force_field().bind_telemetry(t)`, while concurrent ensemble
-    /// realizations publish snapshot totals with
+    /// Kernel counters are exported separately, as totals, with
     /// [`crate::observables::KernelCounters::publish`] (commutative
-    /// sums; a live bind would be last-writer-wins across threads).
-    pub fn attach_telemetry(&mut self, t: &Telemetry, track: Track) {
-        self.telemetry = t.clone();
+    /// sums, so concurrent realizations aggregate deterministically).
+    pub fn attach_telemetry(&mut self, track: Track) {
         self.track = track;
         self.last_rebuilds = self.force_field.kernel_counters().neighbor_rebuilds;
     }
@@ -175,15 +169,11 @@ impl Simulation {
         self.step += 1;
         #[cfg(feature = "audit")]
         crate::audit::check_finite_state(&self.system, self.step);
-        if self.telemetry.is_enabled() {
+        if self.track.is_enabled() {
             self.track.tick(self.step);
-            self.telemetry
-                .probe(ProbePoint::ForceEval, self.step, self.last_energies.total());
             let rebuilds = self.force_field.kernel_counters().neighbor_rebuilds;
             if rebuilds != self.last_rebuilds {
                 self.last_rebuilds = rebuilds;
-                self.telemetry
-                    .probe(ProbePoint::VerletRebuild, self.step, rebuilds as f64);
                 self.track.instant("md.verlet_rebuild", Vec::new());
             }
         }

@@ -9,7 +9,8 @@
 //! group total to each step — so "equilibrate vs realization vs
 //! grid.attempt vs checkpoint.write" becomes one ranked listing.
 
-use crate::trace::{EvKind, TraceModel, TraceTrack};
+use crate::trace::{TraceModel, TraceTrack};
+use spice_telemetry::EventKind;
 use std::collections::BTreeMap;
 
 /// One aggregated span-tree node.
@@ -113,14 +114,14 @@ fn fold_track(track: &TraceTrack, root: &mut Builder) -> Result<(), String> {
     };
     for e in &track.events {
         match e.kind {
-            EvKind::Enter => stack.push((&e.name, e.logical)),
-            EvKind::Exit => {
+            EventKind::Enter => stack.push((&e.name, e.logical)),
+            EventKind::Exit => {
                 if !stack.is_empty() {
                     close(root, &stack, e.logical)?;
                     stack.pop();
                 }
             }
-            EvKind::Instant => {}
+            EventKind::Instant => {}
         }
     }
     while !stack.is_empty() {

@@ -11,6 +11,7 @@
 
 use crate::json::{self, Json};
 use crate::trace::TraceModel;
+use spice_telemetry::{EventKind, MetricValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -131,30 +132,21 @@ fn flatten_json(prefix: &str, v: &Json, out: &mut BTreeMap<String, Leaf>) {
 /// leaves; events are aggregated into per-track counts and final clocks
 /// under `events.<track>/<key>...`.
 fn flatten_model(model: &TraceModel, out: &mut BTreeMap<String, Leaf>) {
-    use crate::trace::{EvKind, MetricVal};
     for (name, v) in &model.metrics {
-        match v {
-            MetricVal::Counter(c) => {
-                out.insert(format!("metrics.{name}"), Leaf::Num(*c as f64));
-            }
-            MetricVal::Gauge(g) => {
-                out.insert(format!("metrics.{name}"), Leaf::Num(*g));
-            }
-            MetricVal::Histogram { counts, sum, .. } => {
-                let n: u64 = counts.iter().sum();
-                out.insert(format!("metrics.{name}.n"), Leaf::Num(n as f64));
-                out.insert(format!("metrics.{name}.sum"), Leaf::Num(*sum));
-            }
-        }
+        let value = match v {
+            MetricValue::Counter(c) => *c as f64,
+            MetricValue::Gauge(g) => *g,
+        };
+        out.insert(format!("metrics.{name}"), Leaf::Num(value));
     }
     for track in &model.tracks {
         let base = format!("events.{}/{}", track.track, track.key);
         let mut counts: BTreeMap<(&str, &str), u64> = BTreeMap::new();
         for e in &track.events {
             let kind = match e.kind {
-                EvKind::Enter => "enter",
-                EvKind::Exit => "exit",
-                EvKind::Instant => "instant",
+                EventKind::Enter => "enter",
+                EventKind::Exit => "exit",
+                EventKind::Instant => "instant",
             };
             *counts.entry((e.name.as_str(), kind)).or_default() += 1;
         }

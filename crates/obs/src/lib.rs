@@ -1,7 +1,8 @@
 //! `spice-obs`: the analysis layer over `spice-telemetry`.
 //!
-//! PR 4 gave every subsystem a deterministic telemetry substrate; this
-//! crate is the consumer side — it turns recorded traces into answers:
+//! Every subsystem records a deterministic trace through
+//! `spice-telemetry`; this crate is the consumer side — it turns
+//! recorded traces into answers:
 //!
 //! * [`histo`] — log-bucketed histograms whose state does not depend on
 //!   recording order, so span durations from trace shards fold into
@@ -19,8 +20,10 @@
 //! * [`report`] — the `spice-trace summary` view: span-duration
 //!   quantiles, per-group critical paths, and grid/checkpoint/steering
 //!   highlight metrics.
-//! * [`trace`] / [`json`] — the owned trace model and the dependency-free
-//!   JSON value type both are built on.
+//! * [`trace`] / [`json`] — the owned trace model (events and metrics
+//!   typed by telemetry's own `EventKind` and `MetricValue`: counters
+//!   and gauges) and the dependency-free JSON value type both are built
+//!   on.
 //!
 //! Everything here is a pure function of its input trace: no clocks, no
 //! randomness, no environment reads — `spice-trace` output over the same
@@ -43,4 +46,4 @@ pub use histo::{LogHistogram, QuantileSummary};
 pub use json::Json;
 pub use report::SummaryReport;
 pub use stall::{detect, StallConfig, StallReport, StallWindow};
-pub use trace::{MetricVal, TraceModel};
+pub use trace::TraceModel;

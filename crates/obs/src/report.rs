@@ -12,7 +12,8 @@
 use crate::critical::{self, CriticalStep, TrackGroup};
 use crate::histo::{LogHistogram, QuantileSummary};
 use crate::json::{self, Json};
-use crate::trace::{histogram_count, EvKind, MetricVal, TraceModel};
+use crate::trace::TraceModel;
+use spice_telemetry::{EventKind, MetricValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -55,15 +56,15 @@ fn fold_span_durations(model: &TraceModel, acc: &mut BTreeMap<(String, String), 
         let mut stack: Vec<(&str, u64)> = Vec::new();
         for e in &track.events {
             match e.kind {
-                EvKind::Enter => stack.push((&e.name, e.logical)),
-                EvKind::Exit => {
+                EventKind::Enter => stack.push((&e.name, e.logical)),
+                EventKind::Exit => {
                     if let Some((name, entered)) = stack.pop() {
                         acc.entry((track.track.clone(), name.to_string()))
                             .or_default()
                             .record(e.logical.saturating_sub(entered) as f64);
                     }
                 }
-                EvKind::Instant => {}
+                EventKind::Instant => {}
             }
         }
         while let Some((name, entered)) = stack.pop() {
@@ -74,20 +75,17 @@ fn fold_span_durations(model: &TraceModel, acc: &mut BTreeMap<(String, String), 
     }
 }
 
-fn render_metric(v: &MetricVal) -> String {
+/// One metric's value as the reports print it.
+pub(crate) fn render_metric(v: &MetricValue) -> String {
     match v {
-        MetricVal::Counter(c) => c.to_string(),
-        MetricVal::Gauge(g) => json::fmt_f64(*g),
-        MetricVal::Histogram { counts, sum, .. } => {
-            let n: u64 = counts.iter().sum();
-            format!("n={n} sum={}", json::fmt_f64(*sum))
-        }
+        MetricValue::Counter(c) => c.to_string(),
+        MetricValue::Gauge(g) => json::fmt_f64(*g),
     }
 }
 
 /// Pull every metric whose name starts with `prefix` out of the merged
 /// metric map, rendered.
-fn section(metrics: &BTreeMap<String, MetricVal>, prefix: &str) -> Vec<(String, String)> {
+fn section(metrics: &BTreeMap<String, MetricValue>, prefix: &str) -> Vec<(String, String)> {
     metrics
         .iter()
         .filter(|(name, _)| name.starts_with(prefix))
@@ -96,16 +94,16 @@ fn section(metrics: &BTreeMap<String, MetricVal>, prefix: &str) -> Vec<(String, 
 }
 
 /// Build the report over one or more (label, model) inputs. Models are
-/// concatenated track-wise; metrics merge by name (counters and
-/// histogram counts add, gauges take the last input's value) so shard
-/// exports combine the way the live registry would have.
+/// concatenated track-wise; metrics merge by name (counters add, gauges
+/// take the last input's value) so shard exports combine the way the
+/// live registry would have.
 ///
-/// A counter or a histogram's count that sums past `u64::MAX`, within
-/// one input or across them, is an error naming the input and metric;
-/// so are span durations that do (see [`critical::try_span_groups`]).
+/// A counter that sums past `u64::MAX`, within one input or across
+/// them, is an error naming the input and metric; so are span durations
+/// that do (see [`critical::try_span_groups`]).
 pub fn build(inputs: &[(String, TraceModel)]) -> Result<SummaryReport, String> {
     let mut merged = TraceModel::default();
-    let mut metrics: BTreeMap<String, MetricVal> = BTreeMap::new();
+    let mut metrics: BTreeMap<String, MetricValue> = BTreeMap::new();
     let mut durations: BTreeMap<(String, String), LogHistogram> = BTreeMap::new();
     let mut report = SummaryReport::default();
     for (label, model) in inputs {
@@ -115,51 +113,13 @@ pub fn build(inputs: &[(String, TraceModel)]) -> Result<SummaryReport, String> {
         for (name, v) in &model.metrics {
             let overflow = || format!("{label}: metric {name:?} sums past u64::MAX");
             match (metrics.get_mut(name), v) {
-                (Some(MetricVal::Counter(a)), MetricVal::Counter(b)) => {
+                (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => {
                     *a = a.checked_add(*b).ok_or_else(overflow)?;
                 }
-                (Some(MetricVal::Gauge(a)), MetricVal::Gauge(b)) => *a = *b,
-                (
-                    Some(MetricVal::Histogram {
-                        bounds: ba,
-                        counts: a,
-                        sum: s,
-                    }),
-                    MetricVal::Histogram {
-                        bounds: bb,
-                        counts: b,
-                        sum: t,
-                    },
-                ) => {
-                    if ba == bb && a.len() == b.len() {
-                        for (x, y) in a.iter_mut().zip(b) {
-                            *x = x.checked_add(*y).ok_or_else(overflow)?;
-                        }
-                        *s += t;
-                    } else {
-                        // Shards disagree on bucket layout: a zip would
-                        // silently drop the longer side's buckets and
-                        // corrupt n. Collapse to a bucketless histogram
-                        // whose n and sum — the only aggregates the
-                        // report surfaces — stay exact; collapsing is
-                        // idempotent, so merge order still cannot matter.
-                        let n = histogram_count(a)
-                            .zip(histogram_count(b))
-                            .and_then(|(x, y)| x.checked_add(y))
-                            .ok_or_else(overflow)?;
-                        *ba = Vec::new();
-                        *a = vec![n];
-                        *s += t;
-                    }
-                }
+                (Some(MetricValue::Gauge(a)), MetricValue::Gauge(b)) => *a = *b,
                 _ => {
                     metrics.insert(name.clone(), v.clone());
                 }
-            }
-            // Merged buckets may each fit while their total does not,
-            // and `render_metric` totals them.
-            if let Some(MetricVal::Histogram { counts, .. }) = metrics.get(name) {
-                histogram_count(counts).ok_or_else(overflow)?;
             }
         }
     }
@@ -406,37 +366,6 @@ mod tests {
         assert_eq!(ab.highlights, ba.highlights, "counters add commutatively");
         let failures = &ab.highlights[0].1;
         assert!(failures.contains(&("grid.failures".to_string(), "5".to_string())));
-    }
-
-    #[test]
-    fn histogram_merge_checks_bucket_layout() {
-        use crate::trace::MetricVal;
-        let shard = |bounds: &[f64], counts: &[u64], sum: f64| {
-            let mut m = TraceModel::default();
-            m.metrics.push((
-                "grid.latency".to_string(),
-                MetricVal::Histogram {
-                    bounds: bounds.to_vec(),
-                    counts: counts.to_vec(),
-                    sum,
-                },
-            ));
-            ("s".to_string(), m)
-        };
-        // Same layout merges bucket-wise.
-        let same = build(&[shard(&[1.0], &[2, 3], 5.0), shard(&[1.0], &[1, 1], 2.0)])
-            .expect("report builds");
-        assert_eq!(same.highlights[0].1[0].1, "n=7 sum=7");
-        // Mismatched layouts collapse instead of zip-truncating: n counts
-        // every observation from both shards.
-        let a = shard(&[1.0], &[2, 3], 5.0);
-        let b = shard(&[1.0, 10.0], &[1, 1, 4], 9.0);
-        let ab = build(&[a.clone(), b.clone()]).expect("report builds");
-        assert_eq!(ab.highlights[0].1[0].1, "n=11 sum=14");
-        assert_eq!(
-            build(&[b, a]).expect("report builds").highlights,
-            ab.highlights
-        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! ratio.
 
 use crate::json::Json;
-use crate::trace::{EvKind, TraceModel};
+use crate::report::render_metric;
+use crate::trace::TraceModel;
+use spice_telemetry::EventKind;
 use std::fmt::Write as _;
 
 /// Detector configuration.
@@ -123,7 +125,7 @@ pub fn detect(model: &TraceModel, cfg: &StallConfig) -> StallReport {
         let mut stamps: Vec<u64> = track
             .events
             .iter()
-            .filter(|e| e.kind == EvKind::Instant && e.name == cfg.name)
+            .filter(|e| e.kind == EventKind::Instant && e.name == cfg.name)
             .map(|e| e.logical)
             .collect();
         if stamps.len() < cfg.min_events.max(2) {
@@ -164,16 +166,9 @@ pub fn detect(model: &TraceModel, cfg: &StallConfig) -> StallReport {
     }
     for (name, value) in &model.metrics {
         if name.starts_with("steering.") {
-            use crate::trace::MetricVal;
-            let rendered = match value {
-                MetricVal::Counter(c) => c.to_string(),
-                MetricVal::Gauge(g) => crate::json::fmt_f64(*g),
-                MetricVal::Histogram { counts, sum, .. } => {
-                    let n: u64 = counts.iter().sum();
-                    format!("n={n} sum={}", crate::json::fmt_f64(*sum))
-                }
-            };
-            report.steering_metrics.push((name.clone(), rendered));
+            report
+                .steering_metrics
+                .push((name.clone(), render_metric(value)));
         }
     }
     report

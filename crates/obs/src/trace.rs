@@ -10,22 +10,11 @@
 use crate::json::{self, Json};
 use spice_telemetry::{EventKind, MetricValue, Snapshot};
 
-/// Span/instant kind, mirroring [`EventKind`] without the borrow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvKind {
-    /// Span open.
-    Enter,
-    /// Span close.
-    Exit,
-    /// Point event.
-    Instant,
-}
-
 /// One event on a track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Enter/Exit/Instant.
-    pub kind: EvKind,
+    pub kind: EventKind,
     /// Span or instant name.
     pub name: String,
     /// Logical-clock stamp.
@@ -45,31 +34,13 @@ pub struct TraceTrack {
     pub events: Vec<TraceEvent>,
 }
 
-/// One exported metric value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricVal {
-    /// Monotone counter.
-    Counter(u64),
-    /// Last-value gauge.
-    Gauge(f64),
-    /// Fixed-bucket histogram (bounds, counts incl. overflow, sum).
-    Histogram {
-        /// Upper bucket bounds.
-        bounds: Vec<f64>,
-        /// Per-bucket counts; last entry is the overflow bucket.
-        counts: Vec<u64>,
-        /// Sum of observed values.
-        sum: f64,
-    },
-}
-
 /// A fully parsed trace: tracks in export order plus the metric listing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceModel {
     /// Event tracks, in `(name, key)` export order.
     pub tracks: Vec<TraceTrack>,
     /// Metrics, in name order.
-    pub metrics: Vec<(String, MetricVal)>,
+    pub metrics: Vec<(String, MetricValue)>,
 }
 
 impl TraceModel {
@@ -85,11 +56,7 @@ impl TraceModel {
                     .events
                     .iter()
                     .map(|e| TraceEvent {
-                        kind: match e.kind {
-                            EventKind::Enter => EvKind::Enter,
-                            EventKind::Exit => EvKind::Exit,
-                            EventKind::Instant => EvKind::Instant,
-                        },
+                        kind: e.kind,
                         name: e.name.to_string(),
                         logical: e.logical,
                         attrs: e
@@ -101,35 +68,16 @@ impl TraceModel {
                     .collect(),
             })
             .collect();
-        let metrics = snap
-            .metrics
-            .iter()
-            .map(|(name, v)| {
-                let value = match v {
-                    MetricValue::Counter(c) => MetricVal::Counter(*c),
-                    MetricValue::Gauge(g) => MetricVal::Gauge(*g),
-                    MetricValue::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                    } => MetricVal::Histogram {
-                        bounds: bounds.clone(),
-                        counts: counts.clone(),
-                        sum: *sum,
-                    },
-                };
-                (name.clone(), value)
-            })
-            .collect();
-        TraceModel { tracks, metrics }
+        TraceModel {
+            tracks,
+            metrics: snap.metrics.clone(),
+        }
     }
 
     /// Parse a JSONL export (the output of `Telemetry::jsonl`). Event
     /// lines are grouped back into tracks in first-seen order — which,
     /// for an export, is `(name, key)` order. Unknown line types are an
-    /// error so silent drift between exporter and parser cannot hide,
-    /// and so is a histogram whose counts sum past `u64::MAX`: every
-    /// reader may total a parsed histogram's counts.
+    /// error so silent drift between exporter and parser cannot hide.
     pub fn from_jsonl(text: &str) -> Result<TraceModel, String> {
         let mut model = TraceModel::default();
         for (lineno, line) in text.lines().enumerate() {
@@ -144,9 +92,9 @@ impl TraceModel {
             match ty {
                 "enter" | "exit" | "instant" => {
                     let kind = match ty {
-                        "enter" => EvKind::Enter,
-                        "exit" => EvKind::Exit,
-                        _ => EvKind::Instant,
+                        "enter" => EventKind::Enter,
+                        "exit" => EventKind::Exit,
+                        _ => EventKind::Instant,
                     };
                     let track = req_str(&obj, "track", lineno)?;
                     let key = req_u64(&obj, "key", lineno)?;
@@ -187,35 +135,12 @@ impl TraceModel {
                 "counter" => {
                     let name = req_str(&obj, "name", lineno)?;
                     let v = req_u64(&obj, "value", lineno)?;
-                    model.metrics.push((name, MetricVal::Counter(v)));
+                    model.metrics.push((name, MetricValue::Counter(v)));
                 }
                 "gauge" => {
                     let name = req_str(&obj, "name", lineno)?;
                     let v = obj.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                    model.metrics.push((name, MetricVal::Gauge(v)));
-                }
-                "histogram" => {
-                    let name = req_str(&obj, "name", lineno)?;
-                    let bounds = num_array(&obj, "bounds", lineno)?;
-                    let counts: Vec<u64> = num_array(&obj, "counts", lineno)?
-                        .into_iter()
-                        .map(|v| v as u64)
-                        .collect();
-                    if histogram_count(&counts).is_none() {
-                        return Err(format!(
-                            "line {}: histogram counts sum past u64::MAX",
-                            lineno + 1
-                        ));
-                    }
-                    let sum = obj.get("sum").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                    model.metrics.push((
-                        name,
-                        MetricVal::Histogram {
-                            bounds,
-                            counts,
-                            sum,
-                        },
-                    ));
+                    model.metrics.push((name, MetricValue::Gauge(v)));
                 }
                 other => {
                     return Err(format!("line {}: unknown type {other:?}", lineno + 1));
@@ -230,7 +155,7 @@ impl TraceModel {
         self.metrics
             .iter()
             .find_map(|(n, v)| match v {
-                MetricVal::Counter(c) if n == name => Some(*c),
+                MetricValue::Counter(c) if n == name => Some(*c),
                 _ => None,
             })
             .unwrap_or(0)
@@ -239,7 +164,7 @@ impl TraceModel {
     /// Gauge value by name, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.metrics.iter().find_map(|(n, v)| match v {
-            MetricVal::Gauge(g) if n == name => Some(*g),
+            MetricValue::Gauge(g) if n == name => Some(*g),
             _ => None,
         })
     }
@@ -248,13 +173,6 @@ impl TraceModel {
     pub fn event_count(&self) -> usize {
         self.tracks.iter().map(|t| t.events.len()).sum()
     }
-}
-
-/// Observations in a histogram's buckets, or `None` when they sum past
-/// `u64::MAX`: no registry records that many, so only a corrupt or
-/// hostile input does.
-pub(crate) fn histogram_count(counts: &[u64]) -> Option<u64> {
-    counts.iter().try_fold(0u64, |n, &c| n.checked_add(c))
 }
 
 fn req_str(obj: &Json, key: &str, lineno: usize) -> Result<String, String> {
@@ -268,19 +186,6 @@ fn req_u64(obj: &Json, key: &str, lineno: usize) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("line {}: missing integer {key:?}", lineno + 1))
-}
-
-fn num_array(obj: &Json, key: &str, lineno: usize) -> Result<Vec<f64>, String> {
-    match obj.get(key) {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("line {}: non-number in {key:?}", lineno + 1))
-            })
-            .collect(),
-        _ => Err(format!("line {}: missing array {key:?}", lineno + 1)),
-    }
 }
 
 #[cfg(test)]
@@ -299,8 +204,6 @@ mod tests {
         }
         t.counter("grid.jobs").add(7);
         t.set_gauge("work.mean", 1.25);
-        t.histogram("lat", &[1.0, 10.0])
-            .merge_counts(&[1, 0, 1], 40.5);
         t
     }
 

@@ -98,10 +98,10 @@ where
 /// realizations, not the padded lane stride), an `smd.batch.chunks`
 /// gauge (the lane chunks the realizations ran as, one per worker
 /// thread), and an `smd.batch.rebuilds` counter: the pair-list rebuilds
-/// of every chunk, summed, so it depends on the chunk count. Per-step MD
-/// probes are not emitted — the batched loop has no per-replica force
-/// evaluations to probe; replica-grain timing comes from the lane spans
-/// instead.
+/// of every chunk, summed, so it depends on the chunk count. No per-step
+/// MD events are emitted — the batched loop has no per-replica
+/// simulation to attach a track to; replica-grain timing comes from the
+/// lane spans instead.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ensemble_batched_traced<F>(
     factory: F,

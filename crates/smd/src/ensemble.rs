@@ -95,10 +95,11 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
 
     /// Each realization stepped as its own [`Simulation`] under panic
     /// isolation, one after another, restored from `snap` when given,
-    /// with an `smd.realization` span and the MD probes on its
-    /// `("smd.realization", i)` track. Kernel counters are *published*
-    /// (totals added to the shared `md.*` counters), not live-bound, so
-    /// they do not depend on the order realizations finish in.
+    /// with an `smd.realization` span and the simulation's `md.run` spans
+    /// and `md.verlet_rebuild` instants on its `("smd.realization", i)`
+    /// track. Kernel counters are *published* (totals added to the shared
+    /// `md.*` counters), so they do not depend on the order realizations
+    /// finish in.
     pub(crate) fn scalar_from(&self, snap: Option<&Snapshot>) -> Runs {
         let telemetry = &self.telemetry;
         (0..self.n)
@@ -111,7 +112,7 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
                     let _span = r_track.span("smd.realization");
                     let mut sim = (self.factory)(seed);
                     if telemetry.is_enabled() {
-                        sim.attach_telemetry(telemetry, r_track.clone());
+                        sim.attach_telemetry(r_track.clone());
                     }
                     if let Some(snap) = snap {
                         // Fresh thermostat seed + restored state = divergent
@@ -143,7 +144,7 @@ impl<F: Fn(u64) -> Simulation + Sync> Ensemble<'_, F> {
         let span = ens_track.span("smd.equilibrate");
         let mut sim = (self.factory)(self.seeds.child(u64::MAX).stream(0));
         if self.telemetry.is_enabled() {
-            sim.attach_telemetry(&self.telemetry, ens_track);
+            sim.attach_telemetry(ens_track);
         }
         Some(Master { sim, _span: span })
     }

@@ -255,13 +255,11 @@ const SIM_CRATES: &[&str] = &["gridsim", "md", "smd", "core"];
 const M001_CRATES: &[&str] = &["gridsim", "md", "smd", "core", "steering"];
 
 /// Telemetry registry/track methods whose first argument is a series or
-/// track name (`probe` takes a typed ProbePoint, so it is not listed).
+/// track name.
 const M001_METHODS: &[&str] = &[
     "counter",
-    "bind_counter",
     "gauge",
     "set_gauge",
-    "histogram",
     "track",
     "span",
     "span_at",
@@ -1017,7 +1015,7 @@ mod tests {
         .is_empty());
         assert!(run("crates/smd/src/x.rs", "track.span(NAME_PULL);").is_empty());
         // A free function named like a method is not a telemetry call.
-        assert!(run("crates/gridsim/src/x.rs", "histogram(\"Bad Name\", &b);").is_empty());
+        assert!(run("crates/gridsim/src/x.rs", "gauge(\"Bad Name\", &b);").is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! This crate provides:
 //!
 //! * [`descriptive`] — streaming (Welford) and batch moments, quantiles.
-//! * [`histogram`] — fixed-width binned accumulation with under/overflow.
+//! * [`histogram`] — fixed-width binned accumulation over a range.
 //! * [`autocorr`] — integrated autocorrelation time and effective sample
 //!   size for correlated MD time series.
 //! * [`logsumexp`] — numerically stable `log Σ exp` / `log ⟨exp⟩`

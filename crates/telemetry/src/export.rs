@@ -92,14 +92,6 @@ pub fn summary_tree(snap: &Snapshot) -> String {
                 MetricValue::Gauge(g) => {
                     let _ = writeln!(out, "  {name:<42} = {}", fmt_f64(*g));
                 }
-                MetricValue::Histogram { counts, sum, .. } => {
-                    let n: u64 = counts.iter().sum();
-                    let _ = writeln!(
-                        out,
-                        "  {name:<42} n={n} sum={} buckets={counts:?}",
-                        fmt_f64(*sum)
-                    );
-                }
             }
         }
     }
@@ -193,22 +185,6 @@ pub fn jsonl(snap: &Snapshot) -> String {
                     "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
                     json_escape(name),
                     fmt_f64(*g)
-                );
-            }
-            MetricValue::Histogram {
-                bounds,
-                counts,
-                sum,
-            } => {
-                let b: Vec<String> = bounds.iter().map(|v| fmt_f64(*v)).collect();
-                let c: Vec<String> = counts.iter().map(|v| v.to_string()).collect();
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"histogram\",\"name\":\"{}\",\"bounds\":[{}],\"counts\":[{}],\"sum\":{}}}",
-                    json_escape(name),
-                    b.join(","),
-                    c.join(","),
-                    fmt_f64(*sum)
                 );
             }
         }

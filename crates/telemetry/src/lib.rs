@@ -1,4 +1,4 @@
-//! `spice-telemetry`: deterministic spans, counters and profiling hooks.
+//! `spice-telemetry`: deterministic spans, counters and gauges.
 //!
 //! SPICE's operators watched a trans-Atlantic campaign live; our
 //! reproduction needs the same visibility without giving up its core
@@ -11,10 +11,8 @@
 //!   `timing` feature, and only inside this crate, so the default build
 //!   contains no clock reads anywhere in simulation logic (spice-lint
 //!   D002 stays enforceable).
-//! * **Counters / gauges / histograms** — typed metrics in a central
-//!   [`Registry`] exported in `BTreeMap` (name-sorted) order.
-//! * **Profiling hooks** — sampling callbacks at force-eval,
-//!   Verlet-rebuild and DES-event boundaries ([`ProbePoint`]).
+//! * **Counters / gauges** — typed metrics in a central registry,
+//!   exported in `BTreeMap` (name-sorted) order.
 //!
 //! Determinism rules:
 //! 1. A disabled handle ([`Telemetry::disabled`]) is an `Option::None`
@@ -26,14 +24,13 @@
 //!    by track keys and event append order.
 
 pub mod export;
-pub mod probe;
 pub mod registry;
 pub mod span;
 
-pub use probe::{ProbePoint, ProbeSample};
-pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry};
+pub use registry::{Counter, Gauge, MetricValue};
 pub use span::{intern, EventKind, SpanEvent, SpanGuard, Track, TrackSnapshot};
 
+use registry::Registry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -47,7 +44,6 @@ pub struct Telemetry {
 struct Inner {
     registry: Registry,
     tracks: Mutex<BTreeMap<(&'static str, u64), Arc<span::TrackState>>>,
-    probes: probe::Probes,
 }
 
 /// Everything recorded so far, in deterministic order: tracks sorted by
@@ -66,13 +62,12 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A live handle with its own registry, track set and probe table.
+    /// A live handle with its own registry and track set.
     pub fn enabled() -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: Registry::default(),
                 tracks: Mutex::new(BTreeMap::new()),
-                probes: probe::Probes::new(),
             })),
         }
     }
@@ -82,11 +77,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// The central metric registry (None when disabled).
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_deref().map(|i| &i.registry)
-    }
-
     /// Get-or-create a named counter. When disabled, returns a
     /// free-standing counter that still counts (callers keep their own
     /// arithmetic) but is not exported anywhere.
@@ -94,14 +84,6 @@ impl Telemetry {
         match &self.inner {
             Some(i) => i.registry.counter(name),
             None => Counter::default(),
-        }
-    }
-
-    /// Register an existing counter handle under `name` so its live
-    /// value exports with the registry. No-op when disabled.
-    pub fn bind_counter(&self, name: &str, c: &Counter) {
-        if let Some(i) = &self.inner {
-            i.registry.bind_counter(name, c);
         }
     }
 
@@ -117,15 +99,6 @@ impl Telemetry {
     pub fn set_gauge(&self, name: &str, v: f64) {
         if let Some(i) = &self.inner {
             i.registry.gauge(name).set(v);
-        }
-    }
-
-    /// Get-or-create a named histogram with the given upper bucket
-    /// bounds (free-standing when disabled).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        match &self.inner {
-            Some(i) => i.registry.histogram(name, bounds),
-            None => Histogram::with_bounds(bounds),
         }
     }
 
@@ -145,35 +118,11 @@ impl Telemetry {
         }
     }
 
-    /// Install a sampling callback at `point`.
-    pub fn on_probe<F>(&self, point: ProbePoint, f: F)
-    where
-        F: Fn(&ProbeSample) + Send + Sync + 'static,
-    {
-        if let Some(i) = &self.inner {
-            i.probes.add(point, Box::new(f));
-        }
-    }
-
-    /// Fire the probe at `point`. Cost when disabled: one `Option`
-    /// check. Cost when enabled with no handler at `point`: one relaxed
-    /// atomic load.
-    #[inline]
-    pub fn probe(&self, point: ProbePoint, logical: u64, value: f64) {
-        if let Some(i) = &self.inner {
-            i.probes.fire(&ProbeSample {
-                point,
-                logical,
-                value,
-            });
-        }
-    }
-
     /// Restore one exported metric value into this handle — the metric
-    /// half of checkpoint restore. Counters and histograms *merge* (add
-    /// onto whatever the handle already holds; a freshly `enabled()`
-    /// handle holds zero, so the merge is an exact restore); gauges are
-    /// last-value-wins and simply set. No-op when disabled.
+    /// half of checkpoint restore. Counters *merge* (add onto whatever
+    /// the handle already holds; a freshly `enabled()` handle holds zero,
+    /// so the merge is an exact restore); gauges are last-value-wins and
+    /// simply set. No-op when disabled.
     pub fn import_metric(&self, name: &str, value: &MetricValue) {
         if self.inner.is_none() {
             return;
@@ -181,11 +130,6 @@ impl Telemetry {
         match value {
             MetricValue::Counter(v) => self.counter(name).add(*v),
             MetricValue::Gauge(v) => self.set_gauge(name, *v),
-            MetricValue::Histogram {
-                bounds,
-                counts,
-                sum,
-            } => self.histogram(name, bounds).merge_counts(counts, *sum),
         }
     }
 
@@ -235,7 +179,6 @@ mod tests {
         assert_eq!(c.get(), 3, "free-standing counters still count");
         let snap = t.snapshot();
         assert!(snap.tracks.is_empty() && snap.metrics.is_empty());
-        t.probe(ProbePoint::ForceEval, 0, 1.0);
         let track = t.track("t", 0);
         {
             let _g = track.span("s");
@@ -268,27 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn probes_fire_only_when_installed() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let t = Telemetry::enabled();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        t.on_probe(ProbePoint::DesEvent, move |s| {
-            h.fetch_add(s.logical, Ordering::Relaxed);
-        });
-        t.probe(ProbePoint::DesEvent, 5, 0.0);
-        t.probe(ProbePoint::ForceEval, 100, 0.0); // no handler at this point
-        t.probe(ProbePoint::DesEvent, 7, 0.0);
-        assert_eq!(hits.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
     fn import_metric_round_trips_every_metric_kind() {
         let a = Telemetry::enabled();
         a.counter("c").add(17);
         a.set_gauge("g", -2.5);
-        a.histogram("h", &[1.0, 10.0])
-            .merge_counts(&[1, 1, 1], 104.5);
         let snap = a.snapshot();
 
         let b = Telemetry::enabled();
@@ -303,18 +229,5 @@ mod tests {
             d.import_metric(name, value);
         }
         assert!(d.snapshot().metrics.is_empty());
-    }
-
-    #[test]
-    fn counter_binding_exports_live_values() {
-        let t = Telemetry::enabled();
-        let c = Counter::default();
-        c.add(2);
-        t.bind_counter("md.pairs", &c);
-        c.add(3);
-        let snap = t.snapshot();
-        assert_eq!(snap.metrics.len(), 1);
-        assert_eq!(snap.metrics[0].0, "md.pairs");
-        assert_eq!(snap.metrics[0].1, MetricValue::Counter(5));
     }
 }

@@ -1,5 +1,5 @@
-//! Typed metrics: counters, gauges, histograms, and the central
-//! registry that exports them in deterministic (name-sorted) order.
+//! Typed metrics: counters and gauges, and the central registry that
+//! exports them in deterministic (name-sorted) order.
 //!
 //! Counters are relaxed atomics: integer sums commute, so however many
 //! worker threads increment a shared counter the final value is
@@ -63,81 +63,9 @@ impl Gauge {
     }
 }
 
-struct HistogramInner {
-    /// Upper bucket bounds, ascending; one extra overflow bucket past
-    /// the last bound.
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-    sum: Mutex<f64>,
-}
-
-/// A fixed-bucket histogram. Cloning shares the buckets.
-#[derive(Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl Histogram {
-    /// Build with ascending upper bounds; values above the last bound
-    /// land in an implicit overflow bucket.
-    pub fn with_bounds(bounds: &[f64]) -> Histogram {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be ascending"
-        );
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                counts: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
-                total: AtomicU64::new(0),
-                sum: Mutex::new(0.0),
-            }),
-        }
-    }
-
-    /// Observations so far.
-    pub fn count(&self) -> u64 {
-        self.inner.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        *self.inner.sum.lock().expect("histogram sum poisoned")
-    }
-
-    /// Upper bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.inner.bounds
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries, last = overflow).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Merge previously exported state back in — used by checkpoint
-    /// restore to continue a histogram exactly where a snapshot left it.
-    /// `counts` shorter or longer than the bucket list is truncated to
-    /// the overlap; the caller is expected to recreate the histogram with
-    /// the snapshot's own bounds so the shapes match.
-    pub fn merge_counts(&self, counts: &[u64], sum: f64) {
-        for (bucket, &n) in self.inner.counts.iter().zip(counts) {
-            bucket.fetch_add(n, Ordering::Relaxed);
-            self.inner.total.fetch_add(n, Ordering::Relaxed);
-        }
-        *self.inner.sum.lock().expect("histogram sum poisoned") += sum;
-    }
-}
-
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
 }
 
 /// Point-in-time value of one metric, used by exporters and tests.
@@ -147,21 +75,12 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge value.
     Gauge(f64),
-    /// Histogram state.
-    Histogram {
-        /// Upper bucket bounds.
-        bounds: Vec<f64>,
-        /// Per-bucket counts (last = overflow).
-        counts: Vec<u64>,
-        /// Sum of observations.
-        sum: f64,
-    },
 }
 
 /// The central metric table. Name-keyed `BTreeMap` so snapshots export
 /// in one deterministic order.
 #[derive(Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
@@ -173,7 +92,7 @@ impl Registry {
     /// Get-or-create the counter `name`. A name already registered as a
     /// different type yields a fresh unregistered counter rather than
     /// clobbering the existing metric.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         let mut t = self.table();
         match t
             .entry(name.to_string())
@@ -184,14 +103,8 @@ impl Registry {
         }
     }
 
-    /// Register an existing counter handle under `name` (live view).
-    pub fn bind_counter(&self, name: &str, c: &Counter) {
-        self.table()
-            .insert(name.to_string(), Metric::Counter(c.clone()));
-    }
-
     /// Get-or-create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str) -> Gauge {
         let mut t = self.table();
         match t
             .entry(name.to_string())
@@ -202,31 +115,14 @@ impl Registry {
         }
     }
 
-    /// Get-or-create the histogram `name`.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut t = self.table();
-        match t
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::with_bounds(bounds)))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => Histogram::with_bounds(bounds),
-        }
-    }
-
     /// Every metric's current value, name-sorted.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
+    pub(crate) fn snapshot(&self) -> Vec<(String, MetricValue)> {
         self.table()
             .iter()
             .map(|(name, m)| {
                 let v = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        bounds: h.bounds().to_vec(),
-                        counts: h.bucket_counts(),
-                        sum: h.sum(),
-                    },
                 };
                 (name.clone(), v)
             })

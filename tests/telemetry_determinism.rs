@@ -26,9 +26,9 @@ fn position_bits(sim: &spice::md::Simulation) -> Vec<[u64; 3]> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// MD: the same simulation stepped with a live handle attached (span
-    /// per run, force-eval probe per step, bound kernel counters) lands
-    /// on bitwise-identical coordinates.
+    /// MD: the same simulation stepped with a live track attached (span
+    /// per run, clock tick per step, Verlet-rebuild instants) lands on
+    /// bitwise-identical coordinates, and its kernel counters publish.
     #[test]
     fn md_positions_bit_identical_under_telemetry(seed in 0u64..1_000_000) {
         let mut plain = pore_simulation(Scale::Test, seed);
@@ -36,10 +36,9 @@ proptest! {
 
         let t = Telemetry::enabled();
         let mut traced = pore_simulation(Scale::Test, seed);
-        traced.force_field().bind_telemetry(&t);
-        let track = t.track("test.md", seed);
-        traced.attach_telemetry(&t, track);
+        traced.attach_telemetry(t.track("test.md", seed));
         traced.run(120, &mut []).expect("traced run");
+        traced.kernel_counters().publish(&t);
 
         prop_assert_eq!(position_bits(&plain), position_bits(&traced));
         // And the handle actually recorded the run it watched.
